@@ -182,8 +182,11 @@ def render_cmd(genus, interior_length, level, max_count, resolution, out):
                               sigma_values=[1] * len(tg.matrices),
                               words=tg.words, presentation=rep.presentation)
         sample = sample_limit_set(ball, cap=max_count)
-        render_limit_set(sample, resolution, out)
     except KleindimError as exc:
+        _fail_numeric(exc)
+    try:
+        render_limit_set(sample, resolution, out)
+    except ValueError as exc:  # a sample with nothing to plot
         _fail_numeric(exc)
     click.echo(f"wrote {out}")
 
@@ -202,15 +205,15 @@ def render_cmd(genus, interior_length, level, max_count, resolution, out):
 def full_run_cmd(config_path, genus, interior_length, level, word_budget,
                  radius, scales, seed, out, resolution):
     """Full pipeline; writes report.json, CSV tables and the image."""
-    if config_path:
-        config = RunConfig.from_json(config_path)
-    else:
-        config = RunConfig(genus=genus, interior_length=interior_length,
-                           level=level, word_budget=word_budget, radius=radius,
-                           seed=seed, out_dir=out, resolution=resolution)
-        if scales:
-            config.scales = [float(s) for s in scales.split(",")]
     try:
+        if config_path:
+            config = RunConfig.from_json(config_path)
+        else:
+            config = RunConfig(genus=genus, interior_length=interior_length,
+                               level=level, word_budget=word_budget, radius=radius,
+                               seed=seed, out_dir=out, resolution=resolution)
+            if scales:
+                config.scales = [float(s) for s in scales.split(",")]
         config.validate()
     except ValueError as exc:
         click.echo(f"usage error: {exc}", err=True)

@@ -273,6 +273,84 @@ def _cross_within(a, b, d2):
     return False
 
 
+# Cell pairs with at most this many point pairs are tested in one
+# vectorised pass; larger ones go through _cross_within, which can stop at
+# the first hit and is skipped once the two cells are already joined.
+_SMALL_PAIR = 256
+# point pairs per vectorised pass, to bound memory
+_PAIR_CHUNK = 1 << 18
+# exact O(k^2) diameter up to this component size, double sweep above
+_EXACT_DIAM = 4000
+# the 62 cell offsets in {-2..2}^3 that are lexicographically positive:
+# each unordered pair of nearby cells is visited once
+_HALF_OFFSETS = [(a, b, c) for a in range(-2, 3) for b in range(-2, 3)
+                 for c in range(-2, 3) if (a, b, c) > (0, 0, 0)]
+
+
+def _compress(v):
+    """Relabel integers so gaps of 1 or 2 are kept and larger gaps become 3.
+
+    Whether two cells lie within 2 of each other along an axis is all the
+    neighbour search asks, and the labels stay below 3 * len(unique(v)) + 5
+    whatever the scale.  Labels start at 2 so an offset of -2 stays >= 0.
+    """
+    vals, inv = np.unique(v, return_inverse=True)
+    labels = np.concatenate(([2], 2 + np.cumsum(np.minimum(np.diff(vals), 3))))
+    return labels[inv], int(labels[-1]) + 3
+
+
+def _cell_pairs(ijk):
+    """Occupied cells and the pairs of them at most 2 apart on every axis.
+
+    Returns (cell_of, counts, first, second): the cell index of each
+    point (cells sorted by key), the points per cell, and the two cells
+    of each neighbouring pair.
+    """
+    (x, _), (y, sy), (z, sz) = (_compress(ijk[:, k]) for k in range(3))
+    # two packed int64 levels, so no scale or sample size overflows:
+    # the occupied (x, y) columns, then the rank of the column and z
+    col_keys, col = np.unique(x * sy + y, return_inverse=True)
+    keys, cell_of, counts = np.unique(col * sz + z, return_inverse=True,
+                                      return_counts=True)
+    cell_col, cell_z = np.divmod(keys, sz)
+    cell_xy = col_keys[cell_col]
+    first, second = [], []
+    for a, b, c in _HALF_OFFSETS:
+        target = cell_xy + (a * sy + b)
+        pos = np.minimum(np.searchsorted(col_keys, target), len(col_keys) - 1)
+        target = pos * sz + cell_z + c
+        hit = np.minimum(np.searchsorted(keys, target), len(keys) - 1)
+        found = (col_keys[pos] == cell_xy + (a * sy + b)) & (keys[hit] == target)
+        first.append(np.flatnonzero(found))
+        second.append(hit[found])
+    return cell_of, counts, np.concatenate(first), np.concatenate(second)
+
+
+def _small_pairs_linked(pts, starts, counts, first, second, dot_needed):
+    """Which cell pairs hold a point pair with a . b >= dot_needed.
+
+    `pts` holds the points grouped by cell, cell k at starts[k]; every
+    point pair of every cell pair is tested, in chunks.
+    """
+    nb = counts[second]
+    size = counts[first] * nb
+    ends = np.cumsum(size)
+    linked = np.zeros(len(first), dtype=bool)
+    lo = 0
+    while lo < len(first):
+        base = ends[lo] - size[lo]
+        hi = max(int(np.searchsorted(ends, base + _PAIR_CHUNK, side="right")), lo + 1)
+        pair = np.repeat(np.arange(lo, hi), size[lo:hi])
+        # position of each point pair within its cell pair, row-major
+        within = np.arange(len(pair)) - (ends[pair] - size[pair] - base)
+        ia = starts[first[pair]] + within // nb[pair]
+        ib = starts[second[pair]] + within % nb[pair]
+        hit = np.einsum("ij,ij->i", pts[ia], pts[ib]) >= dot_needed
+        linked[pair[hit]] = True
+        lo = hi
+    return linked
+
+
 class _UnionFind:
     def __init__(self, n):
         self.parent = list(range(n))
@@ -293,56 +371,66 @@ class _UnionFind:
 
 
 def component_analysis(sample, delta):
-    """Components of the graph joining points at chordal distance <= delta.
+    """Components of the graph joining sample points at chordal distance
+    <= delta, that is with unit vectors a . b >= 1 - delta^2 / 2.
 
-    Returns (component_count, max_component_diameter).
+    Returns (component_count, max_component_diameter).  The graph is
+    built on cells first: points are binned in cubes of side
+    delta / sqrt(3), so points sharing a cube are always joined and an
+    edge can only join cubes at most 2 apart on every axis.  Each pair of
+    occupied nearby cubes is tested point pair by point pair, vectorised
+    when small, and a union-find runs over cubes, not points.  The
+    diameter is exact (all pairs) for components of at most 4,000 points
+    and a double-sweep lower bound above; components whose bounding box
+    is smaller than the largest diameter so far are skipped, which
+    leaves the maximum unchanged.
     """
-    n = sample.count
-    if n == 0:
+    if sample.count == 0:
         return 0, 0.0
     xyz = sample.xyz
-    # cell side delta/sqrt(3): points sharing a cell are always linked
     side = delta / math.sqrt(3.0)
-    keys = np.floor(xyz / side).astype(np.int64)
-    cells = {}
-    for i in range(n):
-        cells.setdefault(tuple(keys[i]), []).append(i)
-    uf = _UnionFind(n)
-    for members in cells.values():
-        for i in members[1:]:
-            uf.union(members[0], i)
-    d2 = delta * delta
-    offsets = [
-        (a, b, c)
-        for a in range(-2, 3)
-        for b in range(-2, 3)
-        for c in range(-2, 3)
-        if (a, b, c) > (0, 0, 0)
-    ]
-    for key, members in cells.items():
-        a = xyz[members]
-        for off in offsets:
-            nb = (key[0] + off[0], key[1] + off[1], key[2] + off[2])
-            other = cells.get(nb)
-            if other is None or uf.find(members[0]) == uf.find(other[0]):
-                continue
-            b = xyz[other]
-            if _cross_within(a, b, d2):
-                uf.union(members[0], other[0])
-    groups = {}
-    for i in range(n):
-        groups.setdefault(uf.find(i), []).append(i)
-    max_diam = 0.0
-    for members in groups.values():
-        if len(members) == 1:
+    cell_of, counts, first, second = _cell_pairs(np.floor(xyz / side).astype(np.int64))
+    order = np.argsort(cell_of, kind="stable")
+    starts = np.cumsum(counts) - counts
+    dot_needed = 1.0 - delta * delta / 2.0
+
+    uf = _UnionFind(len(counts))
+    small = counts[first] * counts[second] <= _SMALL_PAIR
+    linked = _small_pairs_linked(xyz[order], starts, counts, first[small],
+                                 second[small], dot_needed)
+    for i, j in zip(first[small][linked].tolist(), second[small][linked].tolist()):
+        uf.union(i, j)
+    for i, j in zip(first[~small].tolist(), second[~small].tolist()):
+        if uf.find(i) == uf.find(j):
             continue
-        pts = xyz[members]
-        if len(members) <= 4000:
+        a = xyz[order[starts[i]:starts[i] + counts[i]]]
+        b = xyz[order[starts[j]:starts[j] + counts[j]]]
+        if _cross_within(a, b, delta * delta):
+            uf.union(i, j)
+
+    roots = np.array([uf.find(i) for i in range(len(counts))])
+    _, comp = np.unique(roots[cell_of], return_inverse=True)
+    # members of each component in ascending point index
+    by_comp = np.argsort(comp, kind="stable")
+    sizes = np.bincount(comp)
+    begins = np.cumsum(sizes) - sizes
+    grouped = xyz[by_comp]
+    box = np.maximum.reduceat(grouped, begins) - np.minimum.reduceat(grouped, begins)
+    # a diameter never exceeds its bounding box's diagonal; the margin
+    # covers the rounding of sqrt(2 - 2 a . b)
+    bound = np.sqrt(np.sum(box * box, axis=1)) + 1e-6
+    max_diam = 0.0
+    multi = np.flatnonzero(sizes > 1)
+    for c in multi[np.argsort(-bound[multi], kind="stable")]:
+        if bound[c] < max_diam:
+            break
+        pts = xyz[by_comp[begins[c]:begins[c] + sizes[c]]]
+        if sizes[c] <= _EXACT_DIAM:
             diam = math.sqrt(max(2.0 - 2.0 * float(np.min(pts @ pts.T)), 0.0))
         else:
             diam = _double_sweep(pts)
         max_diam = max(max_diam, diam)
-    return len(groups), max_diam
+    return len(sizes), max_diam
 
 
 def _double_sweep(pts):

@@ -177,10 +177,6 @@ class HnnRep:
         return (self.T @ w @ self.T.inverse()).dist(a)
 
 
-def evaluate_word(rep, word):
-    return rep.evaluate(word)
-
-
 def solve_stable_letter(surface, rotation=math.pi / 2.0):
     """Stable letter T with T W T^-1 = gamma_1 and plane rotation pi/2.
 

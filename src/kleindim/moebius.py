@@ -262,10 +262,6 @@ class MoebiusMap:
         att, rep = self.fixed_points()
         return Geodesic(att, rep)
 
-    def fixed_points_and_axis(self):
-        att, rep = self.fixed_points()
-        return att, rep, Geodesic(att, rep)
-
     def conjugator_to_standard(self):
         """Q with Q M Q^{-1} diagonal, attracting point sent to inf."""
         att, rep = self.fixed_points()

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -59,8 +59,15 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, path):
+        """Config from a JSON object; ValueError on malformed JSON or a
+        key that is not a RunConfig field."""
         data = json.loads(Path(path).read_text())
+        if not isinstance(data, dict):
+            raise ValueError("config must be a JSON object")
         data.pop("schema", None)
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         return cls(**data)
 
 
@@ -234,6 +241,8 @@ def render_limit_set(sample, resolution, path):
         raise ValueError("empty sample")
     zs = np.array([complex(1e9, 0.0) if p.infinite else p.z for p in sample.points])
     finite = np.abs(zs) < 1e8
+    if not finite.any():
+        raise ValueError("no sample point in the primary chart")
     zs = zs[finite]
     lo_x, hi_x = float(np.min(zs.real)), float(np.max(zs.real))
     lo_y, hi_y = float(np.min(zs.imag)), float(np.max(zs.imag))

@@ -10,14 +10,13 @@ with the matching exact at the level of traces.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DiscretenessSuspect, GluingResidual, NoDiscreteSolution
-from .moebius import Geodesic, MoebiusMap
+from .moebius import MoebiusMap
 from .subgroup import BallLimit, enumerate_ball
 from .words import evaluate_word, surface_boundary_word
 
@@ -49,15 +48,13 @@ class CollarReport:
 class SurfaceRep:
     """2g real generators of a one-holed genus-g surface group."""
 
-    def __init__(self, genus, generators, gluing_residuals=None, raw_gens=None):
+    def __init__(self, genus, generators, gluing_residuals=None):
         if len(generators) != 2 * genus:
             raise ValueError("need 2g generators")
         self.genus = genus
         self.generators = list(generators)
         self.gamma_index = 1
         self.gluing_residuals = list(gluing_residuals or [])
-        # extended-precision originals, kept for later re-framing
-        self.raw_gens = raw_gens
         self._check()
 
     def _check(self):
@@ -306,7 +303,7 @@ def fn_surface_rep(g, interior_length, boundary_length=1.0, twists=None):
     if min(float(np.max(np.abs(bnd - cuff))), float(np.max(np.abs(bnd + cuff)))) > GLUE_TOL:
         raise GluingResidual("assembled boundary disagrees with pants cuff")
     gens = _axis_unit_normalize(_recenter(gens))
-    return SurfaceRep(g, [_wrap(m) for m in gens], gluing_residuals=residuals, raw_gens=gens)
+    return SurfaceRep(g, [_wrap(m) for m in gens], gluing_residuals=residuals)
 
 
 _CAYLEY = np.array([[1.0, -1.0], [1.0, 1.0]])
@@ -375,12 +372,6 @@ def _recenter(gens):
 # -- measurements -----------------------------------------------------
 
 
-def _axis_endpoints_standard(ball_mats):
-    """Images of the axis {0, inf} under each matrix, as endpoint pairs."""
-    a, b, c, d = ball_mats[:, 0], ball_mats[:, 1], ball_mats[:, 2], ball_mats[:, 3]
-    return a, c, b, d  # M(inf) = a/c, M(0) = b/d (projective pairs)
-
-
 def collar_width(rep, curve, n=5, max_elements=500_000):
     """Half the minimal distance from the curve's axis to its translates.
 
@@ -397,7 +388,6 @@ def collar_width(rep, curve, n=5, max_elements=500_000):
     # seed the displacement cap from a shallow pass
     best = math.inf
     witness = None
-    std_axis = _std_axis()
     shallow = enumerate_ball(gens, BallLimit(max_word_len=min(2, n)))
     sd = _translate_distances(shallow.mats)
     i = int(np.argmin(sd))
@@ -420,35 +410,12 @@ def collar_width(rep, curve, n=5, max_elements=500_000):
     )
 
 
-def _std_axis():
-    from .moebius import INF
-
-    return Geodesic(0.0, INF)
-
-
-def _translate_distance(std_axis, m):
-    """Distance from {0, inf} to its image under m; None if m stabilizes it."""
-    a, b, c, d = m.a, m.b, m.c, m.d
-    u = None if abs(c) == 0.0 else a / c  # image of inf, None encodes inf
-    v = None if abs(d) == 0.0 else b / d  # image of 0
-    u_zero = u is not None and abs(u) < 1e-8
-    v_zero = v is not None and abs(v) < 1e-8
-    u_inf = u is None or abs(u) > 1e8
-    v_inf = v is None or abs(v) > 1e8
-    if (u_zero and v_inf) or (v_zero and u_inf):
-        return None  # same axis: the word commutes with the curve
-    if u is None or v is None:
-        return 0.0  # the image passes through inf, a shared endpoint
-    if u == v:
-        return math.inf  # endpoint collapse: the translate is far away
-    # distance from the vertical axis to the geodesic with endpoints u, v
-    val = cmath.acosh((u + v) / (u - v)).real
-    return max(0.0, val)
-
-
 def _translate_distances(mats):
-    """Vectorized _translate_distance over (n, 4) rows; inf marks rows that
-    stabilize the axis or degenerate."""
+    """Distance from the axis {0, inf} to its image under each (n, 4) row.
+
+    0 where the image passes through inf (a shared endpoint); inf where
+    the row stabilizes the axis (the word commutes with the curve) or
+    the image's endpoints collapse (the translate is far away)."""
     a, b, c, d = mats[:, 0], mats[:, 1], mats[:, 2], mats[:, 3]
     with np.errstate(divide="ignore", invalid="ignore"):
         u = a / c

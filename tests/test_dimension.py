@@ -3,10 +3,14 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 import helpers
-from kleindim.dimension import (ScaleRow, ScaleTable, _box_count, box_dimension,
+from kleindim import dimension
+from kleindim.dimension import (LimitSample, ScaleRow, ScaleTable, _box_count, box_dimension,
                                 component_analysis, critical_exponent,
                                 default_scales, merge_samples,
                                 sample_from_points, sample_limit_set)
@@ -140,6 +144,96 @@ class TestComponentAnalysis:
 
     def test_empty_sample(self):
         assert component_analysis(sample_from_points([]), 0.1) == (0, 0.0)
+
+
+def _brute_components(xyz, delta):
+    """All-pairs reference: join every pair with a . b >= 1 - delta^2 / 2;
+    the exact diameter of every component."""
+    n = len(xyz)
+    if n == 0:
+        return 0, 0.0
+    i, j = np.nonzero(xyz @ xyz.T >= 1.0 - delta * delta / 2.0)
+    count, labels = connected_components(coo_matrix((np.ones(len(i)), (i, j)), shape=(n, n)),
+                                         directed=False)
+    max_diam = 0.0
+    for c in range(count):
+        pts = xyz[np.flatnonzero(labels == c)]
+        if len(pts) > 1:
+            max_diam = max(max_diam, math.sqrt(max(2.0 - 2.0 * float(np.min(pts @ pts.T)), 0.0)))
+    return count, max_diam
+
+
+def _clustered_points(rng):
+    """Gaussian clusters in the plane, one of them around infinity (the
+    point itself included), so cells hold from one to hundreds of points."""
+    pts = [INF]
+    for k in range(6):
+        centre = complex(*rng.uniform(-3.0, 3.0, 2))
+        spread = 0.02 * 3.0 ** (k % 3)
+        for dx, dy in rng.normal(0.0, spread, (90, 2)):
+            pts.append(SpherePoint(centre + complex(dx, dy)))
+    for dx, dy in rng.normal(0.0, 0.01, (40, 2)):
+        pts.append(SpherePoint(1.0 / complex(dx, dy)))
+    return sample_from_points(pts)
+
+
+def _cell_boundary_points(rng, delta):
+    """Unit vectors with x and y on multiples of the cell side delta/sqrt(3):
+    a random subset of a square grid, each point on a cell boundary."""
+    side = delta / math.sqrt(3.0)
+    grid = [(k * side, m * side) for k in range(-12, 13) for m in range(-12, 13)]
+    keep = rng.random(len(grid)) < 0.55
+    xyz = np.array([(x, y, math.sqrt(1.0 - x * x - y * y))
+                    for (x, y), kept in zip(grid, keep) if kept])
+    return LimitSample(points=[None] * len(xyz), xyz=xyz, provenance="grid",
+                       count=len(xyz))
+
+
+class TestComponentsAgainstBruteForce:
+    """component_analysis against an all-pairs union under the same
+    predicate, on seeded samples, through both cell-pair paths."""
+
+    DELTAS = [0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.004]
+
+    @pytest.fixture
+    def paths(self, monkeypatch):
+        """Counts of cell pairs sent down the small- and large-pair paths."""
+        seen = {"small": 0, "large": 0}
+        small, cross = dimension._small_pairs_linked, dimension._cross_within
+
+        def count_small(pts, starts, counts, first, second, dot_needed):
+            seen["small"] += len(first)
+            return small(pts, starts, counts, first, second, dot_needed)
+
+        def count_large(a, b, d2):
+            seen["large"] += 1
+            return cross(a, b, d2)
+
+        monkeypatch.setattr(dimension, "_small_pairs_linked", count_small)
+        monkeypatch.setattr(dimension, "_cross_within", count_large)
+        return seen
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_clustered(self, paths, seed):
+        sample = _clustered_points(np.random.default_rng(seed))
+        for delta in self.DELTAS:
+            assert component_analysis(sample, delta) == _brute_components(sample.xyz, delta)
+        assert paths["small"] > 0 and paths["large"] > 0
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_points_on_cell_boundaries(self, seed):
+        rng = np.random.default_rng(seed)
+        for delta in (0.05, 0.01):
+            sample = _cell_boundary_points(rng, delta)
+            got = component_analysis(sample, delta)
+            assert got == _brute_components(sample.xyz, delta)
+            assert 1 < got[0] < sample.count
+
+    def test_single_point_and_empty(self):
+        for pts in ([INF], [SpherePoint(0.3 + 0.1j)], []):
+            sample = sample_from_points(pts)
+            for delta in (1.0, 0.01):
+                assert component_analysis(sample, delta) == _brute_components(sample.xyz, delta)
 
 
 class TestScaleTable:

@@ -92,6 +92,36 @@ class TestCli:
         result = runner.invoke(main, ["full-run", "--level", "-1"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("text", ['{"genus": 1, "bogus": 3}', '{"genus": 1,'],
+                             ids=["unknown-key", "malformed"])
+    def test_bad_config_is_usage_error(self, tmp_path, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        runner = CliRunner()
+        result = runner.invoke(main, ["full-run", "--config", str(path)])
+        assert result.exit_code == 2
+        assert "usage error:" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    def test_render_empty_sample_is_numeric_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("kleindim.cli.enumerate_ball", lambda *a, **k: [])
+        out = tmp_path / "limitset.ppm"
+        result = CliRunner().invoke(main, ["render", "-g", "1", "-m", "0",
+                                           "--out", str(out)])
+        assert result.exit_code == 3
+        assert "error: empty sample" in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert not out.exists()
+
+    def test_render_sample_at_infinity_is_numeric_error(self, tmp_path):
+        # a two-element ball whose one loxodromic fixes infinity
+        out = tmp_path / "limitset.ppm"
+        result = CliRunner().invoke(main, ["render", "-g", "1", "-m", "0",
+                                           "--max-count", "1", "--out", str(out)])
+        assert result.exit_code == 3
+        assert "error: no sample point in the primary chart" in result.output
+        assert not out.exists()
+
     def test_build_rep_reports_exactness(self):
         runner = CliRunner()
         result = runner.invoke(main, ["build-rep", "-g", "1"])
