@@ -1,28 +1,51 @@
-"""Kernel selection: compiled Cython extension with a NumPy fallback.
-
-Set KLEINDIM_FORCE_PY=1 to force the fallback (used by the benchmark and
-to reproduce results without a compiler).
+"""The hot enumeration kernel, in NumPy: batched 2x2 complex matrix
+products, det renormalization and sign canonicalization.
 """
 
 from __future__ import annotations
 
-import os
+import numpy as np
 
-from . import _kernels_py
+KERNEL_NAME = "numpy"
+PIVOT_TOL = 1e-9
+_REAL_TOL = 1e-12
 
-HAVE_COMPILED = False
-_impl = _kernels_py
 
-if os.environ.get("KLEINDIM_FORCE_PY", "") != "1":
-    try:
-        from . import _kernels_c  # type: ignore[attr-defined]
+def canonicalize(mats):
+    """In place: renormalize to det 1 and fix the sign representative.
 
-        _impl = _kernels_c
-        HAVE_COMPILED = True
-    except ImportError:
-        pass
+    mats: (n, 4) complex128 rows (a, b, c, d).
+    """
+    det = mats[:, 0] * mats[:, 3] - mats[:, 1] * mats[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mats /= np.sqrt(det)[:, None]
+    absval = np.abs(mats)
+    big = absval > PIVOT_TOL
+    # index of the first entry with modulus above the pivot threshold
+    pivot_idx = np.argmax(big, axis=1)
+    pivot = mats[np.arange(len(mats)), pivot_idx]
+    papb = np.abs(pivot)
+    re, im = pivot.real, pivot.imag
+    re_zero = np.abs(re) <= _REAL_TOL * papb
+    with np.errstate(invalid="ignore"):
+        flip = np.where(re_zero, im < 0.0, re < 0.0)
+        mats[flip] *= -1.0
+    return mats
 
-expand = _impl.expand
-canonicalize = _impl.canonicalize
-displacements = _impl.displacements
-KERNEL_NAME = "compiled" if HAVE_COMPILED else "numpy"
+
+def expand(frontier, gens):
+    """All products frontier[i] @ gens[j], canonicalized.
+
+    frontier: (n, 4) complex128, gens: (k, 4) complex128.
+    Returns (n*k, 4) ordered with j fastest.
+    """
+    f = frontier.reshape(-1, 2, 2)
+    g = gens.reshape(-1, 2, 2)
+    prods = np.einsum("nab,kbc->nkac", f, g).reshape(-1, 4)
+    return canonicalize(prods)
+
+
+def displacements(mats):
+    """Hyperbolic displacement of the base point (0, 1) for each row."""
+    s = np.sum(np.abs(mats) ** 2, axis=1) / 2.0
+    return np.arccosh(np.maximum(s, 1.0))

@@ -8,18 +8,16 @@ from __future__ import annotations
 
 import json
 import sys
-from pathlib import Path
 
 import click
 
-from .dimension import box_dimension, critical_exponent, sample_limit_set
+from .dimension import box_dimension, sample_limit_set
 from .errors import KleindimError
-from .growth import (build_strata_tree, dim_bound_check, leaf_count_check,
-                     qi_constants, sample_bend_paths)
 from .hnn import build_hnn, plane_angle
-from .report import RunConfig, render_limit_set, run_pipeline, write_report
-from .subgroup import BallLimit, enumerate_ball, truncated_generators
-from .surface import collar_width, fn_surface_rep
+from .report import (RunConfig, bound_checks, collars, render_limit_set,
+                     run_pipeline, truncation_ball, write_report)
+from .subgroup import BallLimit
+from .surface import fn_surface_rep
 
 
 def _fail_numeric(exc):
@@ -27,7 +25,17 @@ def _fail_numeric(exc):
     sys.exit(3)
 
 
-@click.group()
+class _Main(click.Group):
+    """Maps a package error raised by any subcommand to exit 3."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except KleindimError as exc:
+            _fail_numeric(exc)
+
+
+@click.group(cls=_Main)
 def main():
     """Hyperbolic limit-set construction and dimension estimation."""
 
@@ -36,6 +44,8 @@ _shared = [
     click.option("--genus", "-g", type=int, default=1, show_default=True),
     click.option("--interior-length", "-L", type=float, default=3.0, show_default=True),
 ]
+_max_count = click.option("--max-count", type=click.IntRange(min=1), default=100_000,
+                          show_default=True)
 
 
 def _with_shared(fn):
@@ -44,20 +54,22 @@ def _with_shared(fn):
     return fn
 
 
-def _build(genus, length):
-    try:
-        return fn_surface_rep(genus, length)
-    except KleindimError as exc:
-        _fail_numeric(exc)
+def _rep(genus, length):
+    return build_hnn(fn_surface_rep(genus, length))
+
+
+def _sample(genus, length, level, max_count):
+    """Limit-set sample of the level's truncation ball, capped at max_count."""
+    ball = truncation_ball(_rep(genus, length), level, BallLimit(max_count=max_count))
+    return sample_limit_set(ball, cap=max_count)
 
 
 @main.command("build-surface")
 @_with_shared
 def build_surface_cmd(genus, interior_length):
     """Build the surface representation and print its diagnostics."""
-    surface = _build(genus, interior_length)
-    col_g = collar_width(surface, (1,))
-    col_b = collar_width(surface, surface.boundary_word())
+    surface = fn_surface_rep(genus, interior_length)
+    col_g, col_b, _ = collars(surface)
     out = {
         "genus": genus,
         "gamma_length": surface.gamma_matrix().translation_length(),
@@ -73,16 +85,12 @@ def build_surface_cmd(genus, interior_length):
 @_with_shared
 def build_rep_cmd(genus, interior_length):
     """Build the extension and print the exactness diagnostics."""
-    surface = _build(genus, interior_length)
-    try:
-        rep = build_hnn(surface)
-        out = {
-            "relator_residual": rep.relator_residual(),
-            "plane_angle": plane_angle(rep.T),
-            "stable_letter_index": rep.stable_letter_index(),
-        }
-    except KleindimError as exc:
-        _fail_numeric(exc)
+    rep = _rep(genus, interior_length)
+    out = {
+        "relator_residual": rep.relator_residual(),
+        "plane_angle": plane_angle(rep.T),
+        "stable_letter_index": rep.stable_letter_index(),
+    }
     click.echo(json.dumps(out, sort_keys=True, indent=2))
 
 
@@ -90,21 +98,11 @@ def build_rep_cmd(genus, interior_length):
 @_with_shared
 @click.option("--level", "-m", type=int, default=0, show_default=True)
 @click.option("--radius", "-R", type=float, default=10.0, show_default=True)
-@click.option("--max-count", type=int, default=100_000, show_default=True)
+@_max_count
 def enumerate_cmd(genus, interior_length, level, radius, max_count):
     """Enumerate an orbit ball of the truncated subgroup."""
-    surface = _build(genus, interior_length)
-    try:
-        rep = build_hnn(surface)
-        tg = truncated_generators(rep, level)
-        ball = enumerate_ball(
-            tg.matrices,
-            BallLimit(max_displacement=radius, max_count=max_count),
-            sigma_values=[1] * len(tg.matrices),
-            words=tg.words, presentation=rep.presentation,
-        )
-    except KleindimError as exc:
-        _fail_numeric(exc)
+    ball = truncation_ball(_rep(genus, interior_length), level,
+                           BallLimit(max_displacement=radius, max_count=max_count))
     out = {
         "elements": len(ball),
         "complete_radius": ball.complete_radius,
@@ -117,20 +115,11 @@ def enumerate_cmd(genus, interior_length, level, radius, max_count):
 @main.command("estimate-dim")
 @_with_shared
 @click.option("--level", "-m", type=int, default=2, show_default=True)
-@click.option("--max-count", type=int, default=100_000, show_default=True)
+@_max_count
 def estimate_dim_cmd(genus, interior_length, level, max_count):
     """Box dimension of the truncated subgroup's limit-set sample."""
-    surface = _build(genus, interior_length)
-    try:
-        rep = build_hnn(surface)
-        tg = truncated_generators(rep, level)
-        ball = enumerate_ball(tg.matrices, BallLimit(max_count=max_count),
-                              sigma_values=[1] * len(tg.matrices),
-                              words=tg.words, presentation=rep.presentation)
-        sample = sample_limit_set(ball, cap=max_count)
-        est, table = box_dimension(sample)
-    except KleindimError as exc:
-        _fail_numeric(exc)
+    sample = _sample(genus, interior_length, level, max_count)
+    est, _ = box_dimension(sample)
     out = {
         "box_dimension": est.value,
         "stderr": est.stderr,
@@ -145,16 +134,9 @@ def estimate_dim_cmd(genus, interior_length, level, max_count):
 @click.option("--seed", type=int, default=0, show_default=True)
 def check_bounds_cmd(genus, interior_length, seed):
     """Leaf-count and quasi-geodesic bound checks; exit 1 on failure."""
-    surface = _build(genus, interior_length)
-    try:
-        rep = build_hnn(surface)
-        r_achieved = min(collar_width(surface, (1,)).measured_halfwidth,
-                         collar_width(surface, surface.boundary_word()).measured_halfwidth)
-        tree = build_strata_tree(rep, 4.5 * r_achieved, max_depth=4)
-        table = leaf_count_check(tree, r_achieved)
-        fit = qi_constants(rep, sample_bend_paths(r_achieved, seed=seed))
-    except KleindimError as exc:
-        _fail_numeric(exc)
+    rep = _rep(genus, interior_length)
+    _, _, r_achieved = collars(rep.surface)
+    tree, table, fit = bound_checks(rep, r_achieved, seed)
     out = {
         "r_achieved": r_achieved,
         "strata_nodes": len(tree),
@@ -169,21 +151,12 @@ def check_bounds_cmd(genus, interior_length, seed):
 @main.command("render")
 @_with_shared
 @click.option("--level", "-m", type=int, default=2, show_default=True)
-@click.option("--max-count", type=int, default=100_000, show_default=True)
+@_max_count
 @click.option("--resolution", type=int, default=512, show_default=True)
 @click.option("--out", type=click.Path(), default="limitset.ppm", show_default=True)
 def render_cmd(genus, interior_length, level, max_count, resolution, out):
     """Render the limit-set sample to a P6 image."""
-    surface = _build(genus, interior_length)
-    try:
-        rep = build_hnn(surface)
-        tg = truncated_generators(rep, level)
-        ball = enumerate_ball(tg.matrices, BallLimit(max_count=max_count),
-                              sigma_values=[1] * len(tg.matrices),
-                              words=tg.words, presentation=rep.presentation)
-        sample = sample_limit_set(ball, cap=max_count)
-    except KleindimError as exc:
-        _fail_numeric(exc)
+    sample = _sample(genus, interior_length, level, max_count)
     try:
         render_limit_set(sample, resolution, out)
     except ValueError as exc:  # a sample with nothing to plot
@@ -218,10 +191,7 @@ def full_run_cmd(config_path, genus, interior_length, level, word_budget,
     except ValueError as exc:
         click.echo(f"usage error: {exc}", err=True)
         sys.exit(2)
-    try:
-        report, artifacts = run_pipeline(config)
-    except KleindimError as exc:
-        _fail_numeric(exc)
+    report, artifacts = run_pipeline(config)
     path = write_report(report, artifacts, config.out_dir)
     click.echo(f"wrote {path}")
     if not report["all_passed"]:

@@ -9,9 +9,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateScaleWindow, IncompleteBall
-from .moebius import INF, SpherePoint
 
 DEDUP_TOL = 1e-10
+# a regression window: local slopes within this spread, over this many scales
+_WINDOW_SPREAD = 0.15
+_WINDOW_MIN_LEN = 4
 _SQRT8 = 2.0 * math.sqrt(2.0)
 
 
@@ -165,8 +167,9 @@ def _ols(x, y):
     return slope, stderr
 
 
-def _stable_window(slopes, spread=0.15, min_len=4, prefer_tail=False):
-    """Longest run of consecutive local slopes varying by < spread.
+def _stable_window(slopes, prefer_tail=False):
+    """Longest run of consecutive local slopes varying by < _WINDOW_SPREAD
+    that spans at least _WINDOW_MIN_LEN scales.
 
     Returns (i, j) meaning scales i..j inclusive (j - i local slopes).
     Ties go to the later run when prefer_tail.
@@ -176,9 +179,9 @@ def _stable_window(slopes, spread=0.15, min_len=4, prefer_tail=False):
     for i in range(n):
         for j in range(i, n):
             run = slopes[i : j + 1]
-            if max(run) - min(run) >= spread:
+            if max(run) - min(run) >= _WINDOW_SPREAD:
                 break
-            if j - i + 2 >= min_len:
+            if j - i + 2 >= _WINDOW_MIN_LEN:
                 length = j - i
                 if best is None or length > best[0] or (prefer_tail and length == best[0]):
                     best = (length, i, j)
@@ -212,7 +215,7 @@ def box_dimension(sample, scales=None, with_components=True):
     win = _stable_window(local)
     if win is None:
         raise DegenerateScaleWindow(
-            "no run of 4 consecutive scales with stable local slopes"
+            f"no run of {_WINDOW_MIN_LEN} consecutive scales with stable local slopes"
         )
     i, j = win
     slope, stderr = _ols(invs[i : j + 1], logs[i : j + 1])

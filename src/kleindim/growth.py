@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,9 @@ from .subgroup import BallLimit, enumerate_ball
 
 GAP_TOL = 1e-6
 _ENDPOINT_QUANT = 1e-6
+MAX_NODES = 50_000  # strata tree size at which the build gives up
+MAX_BENDS = 5  # bends per sampled bend path, at most
+DIM_TOL = 0.1  # slack of the dimension bound check
 
 
 def entropy_bound(r):
@@ -136,8 +139,7 @@ def _lift_candidates(surface, frame, radius, max_elements):
         "boundary": _axis_endpoints(surface.boundary_matrix().conjugate_by(frame)),
     }
     cap = 2.0 * radius + 3.0
-    ball = enumerate_ball(gens, BallLimit(
-        max_displacement=cap, max_count=max_elements, slack=1.0))
+    ball = enumerate_ball(gens, BallLimit(max_displacement=cap, max_count=max_elements))
     out = []
     seen = set()
     frame_inv = frame.inverse()
@@ -171,8 +173,7 @@ def _real_stable_letter(surface):
     return qa.inverse() @ qw
 
 
-def build_strata_tree(rep, radius, max_depth=4, max_elements=200_000,
-                      max_nodes=50_000):
+def build_strata_tree(rep, radius, max_depth=4, max_elements=200_000):
     """Tree of strata reachable within `radius` of the base point.
 
     Children of a stratum are the distinct lifts of the two gluing axes;
@@ -228,9 +229,9 @@ def build_strata_tree(rep, radius, max_depth=4, max_elements=200_000,
         nodes.append(StrataNode(parent=parent_idx, depth=depth,
                                 kind=cand.kind, d=d, gap=d if depth == 1 else cand.gap,
                                 proj=proj, frame=frame))
-        if len(nodes) > max_nodes:
+        if len(nodes) > MAX_NODES:
             raise EnumerationBudgetExceeded(
-                f"strata tree exceeded {max_nodes} nodes")
+                f"strata tree exceeded {MAX_NODES} nodes")
         if depth >= max_depth:
             continue
         for c in cands[child_entry]:
@@ -401,13 +402,13 @@ class QiFit:
         return d_path / (1.0 + self.epsilon_hat) - self.c_hat <= d_space + 1e-9
 
 
-def sample_bend_paths(r, n_paths=200, max_bends=5, seed=0):
+def sample_bend_paths(r, n_paths=200, seed=0):
     """Worst-case-regime sample: legs uniform in [2r, 4r], right-angle
-    bends, up to `max_bends` bends per path."""
+    bends, up to MAX_BENDS bends per path."""
     rng = random.Random(seed)
     paths = []
     for _ in range(n_paths):
-        k = rng.randint(0, max_bends)
+        k = rng.randint(0, MAX_BENDS)
         lengths = tuple(rng.uniform(2.0 * r, 4.0 * r) for _ in range(k + 1))
         angles = (math.pi / 2.0,) * k
         paths.append(BendPath(lengths=lengths, angles=angles))
@@ -451,10 +452,10 @@ class DimBoundReport:
     passed: bool
 
 
-def dim_bound_check(dim, fit, r, tol=0.1):
-    """Check dim <= (1 + eps_hat) * (1 + ln2/(2r)) + tol."""
+def dim_bound_check(dim, fit, r):
+    """Check dim <= (1 + eps_hat) * (1 + ln2/(2r)) + DIM_TOL."""
     ent = entropy_bound(r)
     bound = (1.0 + fit.epsilon_hat) * ent
     return DimBoundReport(dim_value=dim.value, epsilon_hat=fit.epsilon_hat,
-                          entropy=ent, bound=bound, tol=tol,
-                          passed=dim.value <= bound + tol)
+                          entropy=ent, bound=bound, tol=DIM_TOL,
+                          passed=dim.value <= bound + DIM_TOL)

@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .dimension import (ScaleRow, ScaleTable, box_dimension, critical_exponent,
                         default_scales, merge_samples, sample_limit_set)
-from .errors import DegenerateScaleWindow, IncompleteBall, KleindimError
+from .errors import DegenerateScaleWindow, IncompleteBall
 from .growth import (build_strata_tree, dim_bound_check, entropy_bound,
                      leaf_count_check, qi_constants, sample_bend_paths)
 from .hnn import build_hnn, plane_angle
@@ -90,6 +90,32 @@ def _scale_table_dict(table):
     ]
 
 
+def collars(surface):
+    """Collars of the two length-1 curves and r_achieved, the smaller
+    half-width: (gamma collar, boundary collar, r_achieved)."""
+    col_gamma = collar_width(surface, (1,))
+    col_bound = collar_width(surface, surface.boundary_word())
+    return col_gamma, col_bound, min(col_gamma.measured_halfwidth,
+                                     col_bound.measured_halfwidth)
+
+
+def bound_checks(rep, r, seed):
+    """Strata tree to radius 4.5 r, its leaf-count table and the
+    quasi-geodesic fit on bend paths of leg scale r: (tree, table, fit)."""
+    tree = build_strata_tree(rep, 4.5 * r, max_depth=4)
+    leaf_table = leaf_count_check(tree, r)
+    fit = qi_constants(rep, sample_bend_paths(r, seed=seed))
+    return tree, leaf_table, fit
+
+
+def truncation_ball(rep, m, limit):
+    """Ball of the level-m truncation generators within `limit`, its
+    elements told apart by normal form in the extension group."""
+    tg = truncated_generators(rep, m)
+    return enumerate_ball(tg.matrices, limit, sigma_values=[1] * len(tg.matrices),
+                          words=tg.words, presentation=rep.presentation)
+
+
 def run_pipeline(config):
     """Build the representation, estimate dimensions, check all bounds.
 
@@ -100,9 +126,7 @@ def run_pipeline(config):
     t_start = time.time()
 
     surface = fn_surface_rep(config.genus, config.interior_length)
-    col_gamma = collar_width(surface, (1,))
-    col_bound = collar_width(surface, surface.boundary_word())
-    r_achieved = min(col_gamma.measured_halfwidth, col_bound.measured_halfwidth)
+    col_gamma, col_bound, r_achieved = collars(surface)
 
     rep = build_hnn(surface)
     diag = {
@@ -112,24 +136,16 @@ def run_pipeline(config):
         "boundary_length": surface.boundary_matrix().translation_length(),
     }
 
-    fit = qi_constants(rep, sample_bend_paths(r_achieved, seed=config.seed))
-
-    tree = build_strata_tree(rep, 4.5 * r_achieved, max_depth=4)
-    leaf_table = leaf_count_check(tree, r_achieved)
+    tree, leaf_table, fit = bound_checks(rep, r_achieved, config.seed)
 
     levels = []
     samples = {}
     tables = {}
     sample = None
     for m in range(config.level + 1):
-        tg = truncated_generators(rep, m)
         budget = config.max_elements * (m + 1)
-        ball = enumerate_ball(
-            tg.matrices,
-            BallLimit(max_word_len=config.word_budget, max_count=budget),
-            sigma_values=[1] * len(tg.matrices),
-            words=tg.words, presentation=rep.presentation,
-        )
+        ball = truncation_ball(
+            rep, m, BallLimit(max_word_len=config.word_budget, max_count=budget))
         # cumulative sample: the truncations are nested, so points from
         # lower levels remain limit points and keep the samples nested
         level_sample = sample_limit_set(ball, cap=budget,
@@ -141,13 +157,9 @@ def run_pipeline(config):
         tables[m] = table
 
         orbit = None
-        orbit_ball = enumerate_ball(
-            tg.matrices,
-            BallLimit(max_displacement=config.radius, max_count=budget,
-                      max_word_len=config.word_budget),
-            sigma_values=[1] * len(tg.matrices),
-            words=tg.words, presentation=rep.presentation,
-        )
+        orbit_ball = truncation_ball(
+            rep, m, BallLimit(max_displacement=config.radius, max_count=budget,
+                              max_word_len=config.word_budget))
         cr = orbit_ball.complete_radius
         radii = [max(2.0, cr - 4.0) + k * (cr - max(2.0, cr - 4.0)) / 4.0
                  for k in range(5)]

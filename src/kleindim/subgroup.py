@@ -9,7 +9,7 @@ balls of such generating sets feed the dimension estimators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +18,10 @@ from .moebius import MoebiusMap
 from .words import word_inverse
 
 _COLLISION_TOL = 1e-6
+# displacement band kept for expansion beyond a ball's max_displacement;
+# reduced words in a discrete free group have near-monotone prefix
+# displacement, so a small band suffices and keeps the exponential cost down
+_BAND_SLACK = 1.0
 _CHUNK = 16384  # frontier elements expanded per batch
 
 
@@ -65,8 +69,6 @@ class BallLimit:
     max_word_len: int | None = None
     max_displacement: float | None = None
     max_count: int | None = None
-    # extra displacement band kept for expansion beyond max_displacement
-    slack: float | None = None
 
 
 class OrbitElement:
@@ -175,6 +177,8 @@ def enumerate_ball(gens, limit, sigma_values=None, words=None, presentation=None
         raise ValueError("need at least one generator")
     if limit.max_word_len is None and limit.max_displacement is None and limit.max_count is None:
         raise ValueError("unbounded enumeration")
+    if limit.max_count is not None and limit.max_count < 1:
+        raise ValueError("max_count must be >= 1")
 
     ngen = len(gens)
     ncols = 2 * ngen
@@ -191,15 +195,8 @@ def enumerate_ball(gens, limit, sigma_values=None, words=None, presentation=None
         seen = {forms[0]: 0}
 
     disp_cap = limit.max_displacement
-    if disp_cap is not None:
-        # margin beyond the cap kept for expansion; reduced words in a
-        # discrete free group have near-monotone prefix displacement, so
-        # a small band suffices and keeps the exponential cost down
-        slack = limit.slack if limit.slack is not None else 1.0
-        band = disp_cap + slack
-    else:
-        band = math.inf
-    max_count = limit.max_count or (10**7)
+    band = disp_cap + _BAND_SLACK if disp_cap is not None else math.inf
+    max_count = limit.max_count if limit.max_count is not None else 10**7
     max_len = limit.max_word_len if limit.max_word_len is not None else 10**6
 
     store = _Store()
@@ -208,7 +205,7 @@ def enumerate_ball(gens, limit, sigma_values=None, words=None, presentation=None
     n_in_ball = 1
     numeric_drops = 0
     collisions = 0
-    truncated = False
+    truncated = n_in_ball >= max_count  # the identity alone fills the cap
     lo, hi = 0, 1  # the frontier is the store range [lo, hi)
     depth = 0
 

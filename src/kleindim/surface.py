@@ -22,6 +22,13 @@ from .words import evaluate_word, surface_boundary_word
 
 LENGTH_TOL = 1e-9
 GLUE_TOL = 1e-8
+COLLAR_WORD_LEN = 5  # longest word searched for a collar's nearest translate
+_COLLAR_MAX_ELEMENTS = 500_000
+# near-identity scan of discreteness_proxy: element budget, identity
+# tolerance, and the band beyond the largest generator displacement
+_PROXY_MAX_ELEMENTS = 200_000
+_PROXY_TOL = 1e-6
+_PROXY_SCAN_MARGIN = 10.0
 
 
 @dataclass(frozen=True)
@@ -372,11 +379,11 @@ def _recenter(gens):
 # -- measurements -----------------------------------------------------
 
 
-def collar_width(rep, curve, n=5, max_elements=500_000):
+def collar_width(rep, curve):
     """Half the minimal distance from the curve's axis to its translates.
 
-    Words are explored by BFS up to length `n`, pruned by an adaptive
-    displacement cap measured from a point on the axis.
+    Words are explored by BFS up to length COLLAR_WORD_LEN, pruned by an
+    adaptive displacement cap measured from a point on the axis.
     """
     curve = tuple(curve)
     cm = rep.evaluate(curve)
@@ -388,15 +395,16 @@ def collar_width(rep, curve, n=5, max_elements=500_000):
     # seed the displacement cap from a shallow pass
     best = math.inf
     witness = None
-    shallow = enumerate_ball(gens, BallLimit(max_word_len=min(2, n)))
+    shallow = enumerate_ball(gens, BallLimit(max_word_len=2))
     sd = _translate_distances(shallow.mats)
     i = int(np.argmin(sd))
     if sd[i] < best:
         best, witness = float(sd[i]), shallow.words[i]
-    cap = (2.0 * best + ell + 2.0) if math.isfinite(best) else (2.0 * n)
+    cap = (2.0 * best + ell + 2.0) if math.isfinite(best) else (2.0 * COLLAR_WORD_LEN)
     ball = enumerate_ball(
         gens,
-        BallLimit(max_word_len=n, max_displacement=cap, max_count=max_elements),
+        BallLimit(max_word_len=COLLAR_WORD_LEN, max_displacement=cap,
+                  max_count=_COLLAR_MAX_ELEMENTS),
     )
     dists = _translate_distances(ball.mats)
     i = int(np.argmin(dists))
@@ -405,7 +413,7 @@ def collar_width(rep, curve, n=5, max_elements=500_000):
     return CollarReport(
         curve=curve,
         measured_halfwidth=best / 2.0 if math.isfinite(best) else math.inf,
-        search_n=n,
+        search_n=COLLAR_WORD_LEN,
         witness=witness,
     )
 
@@ -436,7 +444,7 @@ def _translate_distances(mats):
     return dist
 
 
-def discreteness_proxy(rep, n=8, max_elements=200_000, tol=1e-6, scan_radius=None):
+def discreteness_proxy(rep, n=8):
     """Sanity guard: no short nontrivial word near the identity, and
     Jorgensen's inequality for all generator pairs.
 
@@ -444,11 +452,11 @@ def discreteness_proxy(rep, n=8, max_elements=200_000, tol=1e-6, scan_radius=Non
     base point; words that leave the band cannot return close to the
     identity without a short near-identity prefix appearing first.
     """
-    if scan_radius is None:
-        scan_radius = max(g.displacement() for g in rep.generators) + 10.0
+    scan_radius = max(g.displacement() for g in rep.generators) + _PROXY_SCAN_MARGIN
     ball = enumerate_ball(
         rep.generators,
-        BallLimit(max_word_len=n, max_displacement=scan_radius, max_count=max_elements),
+        BallLimit(max_word_len=n, max_displacement=scan_radius,
+                  max_count=_PROXY_MAX_ELEMENTS),
     )
     ident = MoebiusMap.identity()
     min_dist = math.inf
@@ -458,7 +466,7 @@ def discreteness_proxy(rep, n=8, max_elements=200_000, tol=1e-6, scan_radius=Non
         d = e.moebius().dist(ident)
         if d < min_dist:
             min_dist = d
-        if d < tol:
+        if d < _PROXY_TOL:
             raise DiscretenessSuspect(
                 f"word {e.word} within {d:.2e} of the identity", witness=e.word
             )

@@ -4,7 +4,8 @@ import functools
 import math
 
 from kleindim.hnn import build_hnn
-from kleindim.surface import collar_width, fn_surface_rep
+from kleindim.report import collars
+from kleindim.surface import fn_surface_rep
 
 # (genus, interior length) grid used by the structural suites; genus 1
 # ignores the interior length, so its entries collapse to one rep
@@ -27,9 +28,6 @@ def hnn_for(g, L):
 
 @functools.lru_cache(maxsize=None)
 def r_achieved_for(g, L):
-    surface = surface_for(g, L)
-    col_g = collar_width(surface, (1,))
-    col_b = collar_width(surface, surface.boundary_word())
-    r = min(col_g.measured_halfwidth, col_b.measured_halfwidth)
+    _, _, r = collars(surface_for(g, L))
     assert math.isfinite(r) and r > 0
     return r

@@ -41,7 +41,8 @@ from kleindim.growth import (build_strata_tree, entropy_bound,
                              sample_bend_paths, BendPath, endpoint_distance)
 from kleindim.hnn import plane_angle
 from kleindim.moebius import MoebiusMap, SpherePoint, chordal
-from kleindim.subgroup import BallLimit, enumerate_ball, truncated_generators
+from kleindim.report import truncation_ball
+from kleindim.subgroup import BallLimit, enumerate_ball
 
 GRID = helpers.GRID
 DISTINCT = sorted({helpers.grid_key(g, L) for g, L in GRID})
@@ -73,12 +74,9 @@ def _qi_fit(g, L):
 def _truncation_sample(g, L, m):
     # cumulative across levels: the truncations are nested, so points
     # sampled at lower levels stay valid and keep the samples nested
-    rep = helpers.hnn_for(g, L)
-    tg = truncated_generators(rep, m)
     budget = 50_000 * (m + 1)
-    ball = enumerate_ball(tg.matrices,
-                          BallLimit(max_word_len=64, max_count=budget),
-                          words=tg.words, presentation=rep.presentation)
+    ball = truncation_ball(helpers.hnn_for(g, L), m,
+                           BallLimit(max_word_len=64, max_count=budget))
     sample = sample_limit_set(ball, cap=budget,
                               provenance=f"g={g} L={L} m={m}")
     if m == 0:

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import helpers
 from kleindim.cli import main
 from kleindim.dimension import ScaleRow, ScaleTable, sample_from_points
+from kleindim.errors import IncompleteBall
 from kleindim.moebius import SpherePoint
 from kleindim.report import (RunConfig, read_scale_csv, render_limit_set)
 
@@ -104,7 +106,7 @@ class TestCli:
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
     def test_render_empty_sample_is_numeric_error(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("kleindim.cli.enumerate_ball", lambda *a, **k: [])
+        monkeypatch.setattr("kleindim.cli.truncation_ball", lambda *a, **k: [])
         out = tmp_path / "limitset.ppm"
         result = CliRunner().invoke(main, ["render", "-g", "1", "-m", "0",
                                            "--out", str(out)])
@@ -117,10 +119,82 @@ class TestCli:
         # a two-element ball whose one loxodromic fixes infinity
         out = tmp_path / "limitset.ppm"
         result = CliRunner().invoke(main, ["render", "-g", "1", "-m", "0",
-                                           "--max-count", "1", "--out", str(out)])
+                                           "--max-count", "2", "--out", str(out)])
         assert result.exit_code == 3
         assert "error: no sample point in the primary chart" in result.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("args, step", [
+        (["build-surface"], "collars"),
+        (["build-rep"], "build_hnn"),
+        (["enumerate", "-R", "4"], "truncation_ball"),
+        (["estimate-dim", "-m", "0", "--max-count", "200"], "box_dimension"),
+        (["check-bounds"], "bound_checks"),
+        (["render", "-m", "0"], "truncation_ball"),
+        (["full-run"], "run_pipeline"),
+    ], ids=lambda v: v[0] if isinstance(v, list) else v)
+    def test_package_error_is_numeric_error(self, tmp_path, monkeypatch, args, step):
+        def fail(*a, **k):
+            raise IncompleteBall("stopped short")
+
+        monkeypatch.setattr(f"kleindim.cli.{step}", fail)
+        monkeypatch.chdir(tmp_path)
+        result = CliRunner().invoke(main, args + ["-g", "1"])
+        assert result.exit_code == 3
+        assert "error: stopped short" in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("cmd", ["enumerate", "estimate-dim", "render"])
+    def test_max_count_zero_is_usage_error(self, tmp_path, cmd):
+        out = tmp_path / "limitset.ppm"
+        args = [cmd, "-g", "1", "--max-count", "0"]
+        if cmd == "render":
+            args += ["--out", str(out)]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2
+        assert not out.exists()
+
+    def test_max_count_one_is_the_identity(self):
+        result = CliRunner().invoke(main, ["enumerate", "-g", "1", "-m", "0",
+                                           "--max-count", "1", "-R", "6"])
+        assert result.exit_code == 0
+        out = json.loads(result.output)
+        assert out["elements"] == 1
+        assert out["truncated"] is True
+
+    def test_build_surface_reports_collars(self):
+        result = CliRunner().invoke(main, ["build-surface", "-g", "1"])
+        assert result.exit_code == 0
+        out = json.loads(result.output)
+        assert out["genus"] == 1
+        assert out["gamma_length"] == pytest.approx(1.0, abs=1e-9)
+        assert out["boundary_length"] == pytest.approx(1.0, abs=1e-9)
+        for key in ("gamma_collar_halfwidth", "boundary_collar_halfwidth"):
+            assert 0.0 < out[key] < float("inf")
+
+    def test_check_bounds_uses_the_smaller_collar(self):
+        runner = CliRunner()
+        surface = json.loads(runner.invoke(main, ["build-surface", "-g", "1"]).output)
+        result = runner.invoke(main, ["check-bounds", "-g", "1"])
+        assert result.exit_code == 0
+        out = json.loads(result.output)
+        assert out["r_achieved"] == min(surface["gamma_collar_halfwidth"],
+                                        surface["boundary_collar_halfwidth"])
+        assert out["r_achieved"] == helpers.r_achieved_for(1, 3.0)
+        assert out["leaf_violations"] == 0
+        assert out["strata_nodes"] > 1
+        assert out["epsilon_hat"] >= 0.0
+
+    def test_estimate_dim_command(self):
+        result = CliRunner().invoke(main, ["estimate-dim", "-g", "1", "-m", "1",
+                                           "--max-count", "5000"])
+        assert result.exit_code == 0
+        out = json.loads(result.output)
+        assert 0 < out["n_sample"] <= 5000
+        assert 0.0 < out["box_dimension"] <= 2.0
+        assert out["stderr"] >= 0.0
+        lo, hi = out["scale_window"]
+        assert lo < hi
 
     def test_build_rep_reports_exactness(self):
         runner = CliRunner()

@@ -7,6 +7,7 @@ import pytest
 
 import helpers
 from kleindim.moebius import Geodesic, MoebiusMap, geodesic_to_vertical
+from kleindim.report import truncation_ball
 from kleindim.subgroup import (BallLimit, enumerate_ball, sigma,
                                truncated_generators)
 from kleindim.words import word_inverse
@@ -131,10 +132,7 @@ class TestEnumerateBall:
         assert k0 <= k1
 
     def test_no_near_identity_elements(self):
-        rep = helpers.hnn_for(1, 3.0)
-        tg = truncated_generators(rep, 1)
-        ball = enumerate_ball(tg.matrices, BallLimit(max_word_len=4),
-                              words=tg.words, presentation=rep.presentation)
+        ball = truncation_ball(helpers.hnn_for(1, 3.0), 1, BallLimit(max_word_len=4))
         ident = MoebiusMap.identity()
         for e in ball:
             if e.word:
@@ -147,8 +145,7 @@ class TestEnumerateBall:
         rep = helpers.hnn_for(1, 3.0)
         tg = truncated_generators(rep, 1)
         free = enumerate_ball(tg.matrices, BallLimit(max_word_len=5))
-        ball = enumerate_ball(tg.matrices, BallLimit(max_word_len=5),
-                              words=tg.words, presentation=rep.presentation)
+        ball = truncation_ball(rep, 1, BallLimit(max_word_len=5))
         spell = {i + 1: w for i, w in enumerate(tg.words)}
         spell.update({-k: word_inverse(w) for k, w in list(spell.items())})
         forms = {rep.presentation.normal_form(sum((spell[x] for x in w), ()))
@@ -159,11 +156,8 @@ class TestEnumerateBall:
         # at (3, 5) relator rotations drift up to 1e-2 in floating point;
         # keyed by rounded matrices this ball filled a 300k cap with
         # copies of short elements (187 of displacement < 2)
-        rep = helpers.hnn_for(3, 5.0)
-        tg = truncated_generators(rep, 2)
-        ball = enumerate_ball(tg.matrices,
-                              BallLimit(max_displacement=12.5, max_count=300_000),
-                              words=tg.words, presentation=rep.presentation)
+        ball = truncation_ball(helpers.hnn_for(3, 5.0), 2,
+                               BallLimit(max_displacement=12.5, max_count=300_000))
         assert not ball.truncated
         assert int(np.count_nonzero(ball.disps < 2.0)) == 3
 
@@ -173,6 +167,25 @@ class TestEnumerateBall:
             enumerate_ball([g], BallLimit())
         with pytest.raises(ValueError):
             enumerate_ball([], BallLimit(max_word_len=2))
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_count_cap_below_one_rejected(self, cap):
+        a, b = _schottky_pair()
+        with pytest.raises(ValueError):
+            enumerate_ball([a, b], BallLimit(max_displacement=4.0, max_count=cap))
+
+    def test_count_cap_one_is_the_identity(self):
+        a, b = _schottky_pair()
+        ball = enumerate_ball([a, b], BallLimit(max_displacement=9.0, max_count=1))
+        assert ball.words == [()]
+        assert ball.truncated
+        assert ball.complete_radius == 0.0
+
+    def test_count_cap_two_stops_at_second_element(self):
+        a, b = _schottky_pair()
+        ball = enumerate_ball([a, b], BallLimit(max_displacement=9.0, max_count=2))
+        assert ball.words == [(), (1,)]
+        assert ball.truncated
 
     def test_count_growth_log_linear(self):
         a, b = _schottky_pair()
