@@ -1,10 +1,15 @@
-"""The hot enumeration kernel, in NumPy: batched 2x2 complex matrix
-products, det renormalization and sign canonicalization.
+"""The batched kernels, in NumPy: 2x2 complex matrix products, det
+renormalization and sign canonicalization for the ball enumeration;
+attracting fixed points and sphere coordinates for limit-set samples.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .moebius import FIXES_INF_TOL, LOXO_TOL, MoebiusMap
 
 KERNEL_NAME = "numpy"
 PIVOT_TOL = 1e-9
@@ -49,3 +54,155 @@ def displacements(mats):
     """Hyperbolic displacement of the base point (0, 1) for each row."""
     s = np.sum(np.abs(mats) ** 2, axis=1) / 2.0
     return np.arccosh(np.maximum(s, 1.0))
+
+
+# -- limit-set sampling ------------------------------------------------
+#
+# Sample coordinates must come out bit for bit as MoebiusMap.fixed_points
+# and abs(z) ** 2 compute them one map at a time, so the kernel replays
+# CPython's complex arithmetic on real arrays: products and quotients as
+# _Py_c_prod and _Py_c_quot, a float in a mixed operation promoted to a
+# complex (2.0 * c is (2 + 0j) * c), tr ** 2 as (1 + 0j) * (tr * tr),
+# cmath.sqrt's own algorithm, abs() as hypot and abs(z) ** 2 as
+# pow(h, 2.0), which h * h misses in the last bit.  tests/test_core.py
+# checks each primitive against CPython.
+
+_DBL_MIN = float(np.finfo(np.float64).tiny)
+# cmath.acosh switches to its large-argument formula above this
+_CM_LARGE = float(np.finfo(np.float64).max) / 4.0
+
+
+def c_prod(ar, ai, br, bi):
+    """(ar + i ai) * (br + i bi) as CPython rounds it."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def c_quot(ar, ai, br, bi):
+    """(ar + i ai) / (br + i bi) as CPython rounds it; b must not be 0."""
+    ar, ai, br, bi = (np.asarray(v, dtype=np.float64) for v in (ar, ai, br, bi))
+    wide = np.abs(br) >= np.abs(bi)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = np.where(wide, bi / br, br / bi)
+        denom = np.where(wide, br + bi * ratio, br * ratio + bi)
+        re = np.where(wide, ar + ai * ratio, ar * ratio + ai) / denom
+        im = np.where(wide, ai - ar * ratio, ai * ratio - ar) / denom
+    return re, im
+
+
+def c_sqrt(re, im):
+    """cmath.sqrt(re + i im) by CPython's algorithm: (real, imag, ok).
+
+    `ok` is False where CPython would take another route: a non-finite
+    input, or both parts below DBL_MIN without both being zero.
+    """
+    ax, ay = np.abs(re), np.abs(im)
+    zero = (re == 0.0) & (im == 0.0)
+    ok = np.isfinite(re) & np.isfinite(im) & (zero | (ax >= _DBL_MIN) | (ay >= _DBL_MIN))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ax = ax / 8.0
+        s = 2.0 * np.sqrt(ax + np.hypot(ax, ay / 8.0))
+        d = ay / (2.0 * s)
+    pos = re >= 0.0
+    out_re = np.where(zero, 0.0, np.where(pos, s, d))
+    out_im = np.where(zero, im, np.copysign(np.where(pos, d, s), im))
+    return out_re, out_im, ok
+
+
+def acosh_real_arg(re, im):
+    """x with cmath.acosh(re + i im).real == asinh(x), by CPython's formula
+    x = s1.re s2.re + s1.im s2.im, s1 = sqrt(z - 1), s2 = sqrt(z + 1):
+    (x, ok), `ok` False outside that formula's domain."""
+    s1r, s1i, ok1 = c_sqrt(re - 1.0, im)
+    s2r, s2i, ok2 = c_sqrt(re + 1.0, im)
+    ok = ok1 & ok2 & (np.abs(re) <= _CM_LARGE) & (np.abs(im) <= _CM_LARGE)
+    return s1r * s2r + s1i * s2i, ok
+
+
+def _loxodromic(tr_re, tr_im):
+    """MoebiusMap.is_loxodromic from the trace: 2 Re acosh(tr / 2) > LOXO_TOL.
+
+    NumPy's arcsinh may differ from libm's in the last bits, so values
+    near the threshold are decided by math.asinh.  Returns (mask, ok).
+    """
+    hr, hi = c_quot(tr_re, tr_im, 2.0, 0.0)
+    x, ok = acosh_real_arg(hr, hi)
+    with np.errstate(invalid="ignore"):
+        ell = 2.0 * np.arcsinh(x)
+    near = np.flatnonzero(np.abs(ell - LOXO_TOL) <= 1e-9 * LOXO_TOL)
+    ell[near] = [2.0 * math.asinh(v) for v in x[near].tolist()]
+    return ell > LOXO_TOL, ok
+
+
+def _finite(*parts):
+    return np.logical_and.reduce([np.isfinite(p) for p in parts])
+
+
+def attracting_points(mats):
+    """Attracting fixed point of each row, as MoebiusMap.is_loxodromic and
+    MoebiusMap.fixed_points find it.
+
+    mats: (n, 4) complex128 rows (a, b, c, d).  Returns (loxodromic, z,
+    infinite, scalar_rows): z holds the attracting point, 0 where it is
+    infinity or the row is not loxodromic.  Rows outside the mirrored
+    domain (non-finite intermediates, cmath.sqrt's subnormal branch,
+    cmath.acosh's large-argument branch) go through MoebiusMap itself;
+    `scalar_rows` counts them.
+    """
+    (ar, ai), (br, bi), (cr, ci), (dr, di) = ((mats[:, k].real, mats[:, k].imag)
+                                              for k in range(4))
+    ha, hb, hc, hd = (np.hypot(mats[:, k].real, mats[:, k].imag) for k in range(4))
+    tr_r, tr_i = ar + dr, ai + di
+    lox, ok = _loxodromic(tr_r, tr_i)
+    scale = np.maximum(np.maximum(ha, hb), np.maximum(hc, hd))
+    fixes_inf = hc <= FIXES_INF_TOL * scale
+
+    # fixes infinity: the other fixed point solves (a - d) z = -b
+    dar, dai = dr - ar, di - ai
+    no_other = (dar == 0.0) & (dai == 0.0)
+    other_r, other_i = c_quot(br, bi, dar, dai)
+    at_inf = (ha > hd) | no_other
+    ok_inf = no_other | _finite(other_r, other_i)
+
+    # otherwise ((a - d) +- sqrt(tr ** 2 - 4)) / (2 c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        qr, qi = c_prod(1.0, 0.0, *c_prod(tr_r, tr_i, tr_r, tr_i))
+        sr, si, ok_sqrt = c_sqrt(qr - 4.0, qi - 0.0)
+        amd_r, amd_i = ar - dr, ai - di
+        c2r, c2i = c_prod(2.0, 0.0, cr, ci)
+        z1r, z1i = c_quot(amd_r + sr, amd_i + si, c2r, c2i)
+        z2r, z2i = c_quot(amd_r - sr, amd_i - si, c2r, c2i)
+        w1r, w1i = c_prod(cr, ci, z1r, z1i)
+        w2r, w2i = c_prod(cr, ci, z2r, z2i)
+        w1 = np.hypot(w1r + dr, w1i + di)
+        w2 = np.hypot(w2r + dr, w2i + di)
+    # the attracting point has |derivative| = 1 / |c z + d|^2 < 1
+    first = w1 > w2
+    ok_two = ok_sqrt & _finite(z1r, z1i, z2r, z2i, w1, w2)
+
+    ok &= np.isfinite(scale) & (~lox | np.where(fixes_inf, ok_inf, ok_two))
+    infinite = fixes_inf & at_inf
+    z = np.empty(len(mats), dtype=np.complex128)
+    z.real = np.where(fixes_inf, np.where(at_inf, 0.0, other_r), np.where(first, z1r, z2r))
+    z.imag = np.where(fixes_inf, np.where(at_inf, 0.0, other_i), np.where(first, z1i, z2i))
+
+    scalar = np.flatnonzero(~ok)
+    for i in scalar.tolist():
+        m = MoebiusMap(*mats[i].tolist(), _normalized=True)
+        lox[i] = m.is_loxodromic()
+        if lox[i]:
+            att = m.fixed_points()[0]
+            z[i], infinite[i] = att.z, att.infinite
+    z[~lox] = 0.0
+    infinite &= lox
+    return lox, z, infinite, len(scalar)
+
+
+def sphere_xyz(z, infinite):
+    """Unit-sphere coordinates (inverse stereographic projection), (0, 0, 1)
+    at infinity; chordal distance is euclidean distance."""
+    h = np.hypot(z.real, z.imag)
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = np.float_power(h, np.full_like(h, 2.0))
+        xyz = np.stack([2.0 * z.real, 2.0 * z.imag, n - 1.0], axis=1) / (n + 1.0)[:, None]
+    xyz[infinite] = (0.0, 0.0, 1.0)
+    return xyz

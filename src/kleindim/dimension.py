@@ -3,12 +3,15 @@ connected-component (Cantor) diagnostics on the chordal sphere."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _core
 from .errors import DegenerateScaleWindow, IncompleteBall
+from .moebius import SpherePoint
 
 DEDUP_TOL = 1e-10
 # a regression window: local slopes within this spread, over this many scales
@@ -17,93 +20,123 @@ _WINDOW_MIN_LEN = 4
 _SQRT8 = 2.0 * math.sqrt(2.0)
 
 
-def _to_xyz(z):
-    """Unit-sphere embedding; chordal distance = euclidean distance."""
-    if z is None:
-        return np.array([0.0, 0.0, 1.0])
-    n = abs(z) ** 2
-    return np.array([2.0 * z.real, 2.0 * z.imag, n - 1.0]) / (n + 1.0)
-
-
 @dataclass
 class LimitSample:
-    """Deduplicated attracting fixed points of sampled loxodromics."""
+    """Deduplicated attracting fixed points of sampled loxodromics, as
+    parallel arrays; `points` builds the SpherePoints on first use."""
 
-    points: list  # SpherePoints
-    xyz: np.ndarray  # (n, 3) unit-sphere coordinates, parallel to points
-    provenance: str
-    count: int
-    skipped: int = 0
+    z: np.ndarray  # (n,) complex128, 0 at infinity
+    infinite: np.ndarray  # (n,) bool
+    xyz: np.ndarray  # (n, 3) unit-sphere coordinates
+    provenance: str = ""
+    skipped: int = 0  # non-loxodromic elements passed over
+    scalar_rows: int = 0  # elements the kernel left to MoebiusMap
+
+    @property
+    def count(self):
+        return len(self.xyz)
 
     def __len__(self):
         return self.count
 
+    @functools.cached_property
+    def points(self):
+        return [SpherePoint(z, infinite=inf)
+                for z, inf in zip(self.z.tolist(), self.infinite.tolist())]
 
-def sample_limit_set(elements, cap=100_000, provenance=""):
-    """Attracting fixed points of loxodromic elements, deduplicated.
 
-    When over the cap, elements with the longest words are kept first;
-    deeper words give better-distributed points.
+def _first_by_key(xyz):
+    """Which points the greedy dedup keeps, scanning in order.
+
+    Each point has two keys, rint(xyz / DEDUP_TOL) and
+    rint(xyz / DEDUP_TOL + 0.5), on two lattices offset by half a step
+    but held in one set, so one point's first key can meet another's
+    second.  A point is kept unless either of its keys belongs to a point
+    kept before it; a kept point adds both.  Keys are numbered by one
+    lexsort; points whose keys no other point has are always kept, and
+    the scan runs over the rest only.
     """
-    ordered = sorted(elements, key=lambda e: -len(e.word))
-    pts = []
-    coords = []
-    seen = {}
-    skipped = 0
-    for e in ordered:
-        if len(pts) >= cap:
-            break
-        m = e.moebius()
-        if not m.is_loxodromic():
-            skipped += 1
-            continue
-        att, _ = m.fixed_points()
-        xyz = _to_xyz(None if att.infinite else att.z)
-        key0 = tuple(np.rint(xyz / DEDUP_TOL).astype(np.int64))
-        key1 = tuple(np.rint(xyz / DEDUP_TOL + 0.5).astype(np.int64))
-        if key0 in seen or key1 in seen:
-            continue
-        seen[key0] = True
-        seen[key1] = True
-        pts.append(att)
-        coords.append(xyz)
-    xyz = np.array(coords) if coords else np.empty((0, 3))
-    return LimitSample(points=pts, xyz=xyz, provenance=provenance,
-                       count=len(pts), skipped=skipped)
+    n = len(xyz)
+    if n == 0:
+        return np.zeros(0, dtype=bool)
+    scaled = xyz / DEDUP_TOL
+    keys = np.concatenate([np.rint(scaled), np.rint(scaled + 0.5)]).astype(np.int64)
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    ids = np.empty(2 * n, dtype=np.int64)
+    ids[order] = np.concatenate(([0], np.cumsum(np.any(ranked[1:] != ranked[:-1], axis=1))))
+    k0, k1 = ids[:n], ids[n:]
+    owners = np.bincount(np.concatenate([k0, k1[k1 != k0]]))
+    shared = (owners[k0] > 1) | (owners[k1] > 1)
+    keep = ~shared
+    taken = bytearray(len(owners))
+    for i, a, b in zip(np.flatnonzero(shared).tolist(), k0[shared].tolist(),
+                       k1[shared].tolist()):
+        if not (taken[a] or taken[b]):
+            taken[a] = taken[b] = 1
+            keep[i] = True
+    return keep
+
+
+def sample_limit_set(ball, cap=100_000, provenance=""):
+    """Attracting fixed points of the loxodromic elements of `ball`,
+    deduplicated, at most `cap` of them.
+
+    Elements are taken longest word first, ties in ball order (a stable
+    sort on word length).  ROADMAP item 4 calls this order biased: a ball
+    cut by its count cap holds a partial last layer, which then fills
+    the sample.  It is kept until the sampling itself is redesigned, so
+    that every sample stays as it was.  Non-loxodromic elements are passed
+    over.  Dedup is `_first_by_key`'s rule: a point is dropped when either
+    of its two keys belongs to an earlier kept point.  The scan stops once
+    `cap` points are kept, so `skipped` counts only the non-loxodromic
+    elements before the cap-th kept point (none when cap <= 0).  The fixed
+    points come from `_core.attracting_points` on `ball.mats`, bit for
+    bit as `MoebiusMap.fixed_points` gives them.
+    """
+    lengths = np.fromiter(map(len, ball.words), dtype=np.int64, count=len(ball.words))
+    order = np.argsort(-lengths, kind="stable")
+    lox, z, infinite, scalar_rows = _core.attracting_points(ball.mats[order])
+    rows = np.flatnonzero(lox)
+    xyz = _core.sphere_xyz(z[rows], infinite[rows])
+    keep = np.flatnonzero(_first_by_key(xyz))[:max(cap, 0)]
+    if len(keep) < cap:
+        end = len(lox)
+    else:
+        end = int(rows[keep[-1]]) if cap > 0 else 0
+    kept = rows[keep]
+    return LimitSample(z=z[kept], infinite=infinite[kept], xyz=xyz[keep],
+                       provenance=provenance,
+                       skipped=end - int(np.count_nonzero(lox[:end])),
+                       scalar_rows=scalar_rows)
 
 
 def merge_samples(a, b):
     """Union of two samples, deduplicated; keeps b's provenance.
 
-    Limit sets of nested groups are nested, so accumulating sample
-    points across truncation levels keeps the sampled sets nested too,
-    which the box-count comparison across levels relies on.
+    The points of a, then those of b, go through `_first_by_key`'s rule:
+    a point is dropped when either of its keys belongs to an earlier kept
+    point.  A sample built by this rule keeps all its points, so b adds
+    the points a lacks.  `skipped` and `scalar_rows` add up.  Limit sets
+    of nested groups are nested, so accumulating sample points across
+    truncation levels keeps the sampled sets nested too, which the
+    box-count comparison across levels relies on.
     """
-    pts = []
-    coords = []
-    seen = {}
-    skipped = a.skipped + b.skipped
-    for sample in (a, b):
-        for p, xyz in zip(sample.points, sample.xyz):
-            key0 = tuple(np.rint(xyz / DEDUP_TOL).astype(np.int64))
-            key1 = tuple(np.rint(xyz / DEDUP_TOL + 0.5).astype(np.int64))
-            if key0 in seen or key1 in seen:
-                continue
-            seen[key0] = True
-            seen[key1] = True
-            pts.append(p)
-            coords.append(xyz)
-    xyz = np.array(coords) if coords else np.empty((0, 3))
-    return LimitSample(points=pts, xyz=xyz, provenance=b.provenance,
-                       count=len(pts), skipped=skipped)
+    xyz = np.concatenate([a.xyz, b.xyz])
+    keep = _first_by_key(xyz)
+    return LimitSample(z=np.concatenate([a.z, b.z])[keep],
+                       infinite=np.concatenate([a.infinite, b.infinite])[keep],
+                       xyz=xyz[keep], provenance=b.provenance,
+                       skipped=a.skipped + b.skipped,
+                       scalar_rows=a.scalar_rows + b.scalar_rows)
 
 
 def sample_from_points(points, provenance=""):
     """LimitSample from explicit SpherePoints (mostly for tests)."""
-    coords = [_to_xyz(None if p.infinite else p.z) for p in points]
-    xyz = np.array(coords) if coords else np.empty((0, 3))
-    return LimitSample(points=list(points), xyz=xyz, provenance=provenance,
-                       count=len(points))
+    z = np.array([p.z for p in points], dtype=np.complex128)
+    infinite = np.array([p.infinite for p in points], dtype=bool)
+    return LimitSample(z=z, infinite=infinite, xyz=_core.sphere_xyz(z, infinite),
+                       provenance=provenance)
 
 
 @dataclass(frozen=True)
@@ -138,18 +171,25 @@ def default_scales(n=10, start=1.0):
 
 
 def _box_count(sample, delta):
-    """Occupied chordal-grid cells across the two stereographic charts."""
+    """Occupied chordal-grid cells of side delta / sqrt(8) across the two
+    stereographic charts: z where |z| <= 1, 1/z elsewhere (0 at infinity)."""
+    if sample.count == 0:
+        return 0
     side = delta / _SQRT8
-    cells = set()
-    for p in sample.points:
-        if p.infinite:
-            z, chart = 0.0 + 0.0j, 1
-        elif abs(p.z) <= 1.0:
-            z, chart = p.z, 0
-        else:
-            z, chart = 1.0 / p.z, 1
-        cells.add((chart, math.floor(z.real / side), math.floor(z.imag / side)))
-    return len(cells)
+    z = sample.z
+    outer = sample.infinite | (np.hypot(z.real, z.imag) > 1.0)
+    wr, wi = _core.c_quot(1.0, 0.0, z.real, z.imag)
+    wr = np.where(sample.infinite, 0.0, np.where(outer, wr, z.real))
+    wi = np.where(sample.infinite, 0.0, np.where(outer, wi, z.imag))
+    cells = np.floor(np.stack([wr, wi]) / side).astype(np.int64)
+    cells -= cells.min(axis=1, keepdims=True)
+    span = int(cells.max()) + 1
+    if 2 * span * span >= 2**63:
+        # far below the dedup tolerance: rank the cell indices so the
+        # packed keys stay within int64
+        cells = np.unique(cells.ravel(), return_inverse=True)[1].reshape(cells.shape)
+        span = int(cells.max()) + 1
+    return len(np.unique((outer * span + cells[0]) * span + cells[1]))
 
 
 def _ols(x, y):

@@ -15,6 +15,8 @@ from .errors import ElementNotLoxodromic
 
 DET_TOL = 1e-12
 LOXO_TOL = 1e-9
+# |c| <= FIXES_INF_TOL * max|entry|: the map is taken to fix infinity
+FIXES_INF_TOL = 1e-14
 _PIVOT_TOL = 1e-9
 _ENDPOINT_TOL = 1e-12
 
@@ -244,7 +246,7 @@ class MoebiusMap:
             raise ElementNotLoxodromic("fixed points require a loxodromic map")
         a, b, c, d = self.entries()
         scale = max(abs(a), abs(b), abs(c), abs(d))
-        if abs(c) <= 1e-14 * scale:
+        if abs(c) <= FIXES_INF_TOL * scale:
             # Fixes infinity; the other fixed point solves (a-d) z = -b.
             other = SpherePoint(b / (d - a)) if abs(d - a) > 0 else INF
             if abs(a) > abs(d):

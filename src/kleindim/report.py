@@ -22,7 +22,7 @@ from .errors import DegenerateScaleWindow, IncompleteBall
 from .growth import (build_strata_tree, dim_bound_check, entropy_bound,
                      leaf_count_check, qi_constants, sample_bend_paths)
 from .hnn import build_hnn, plane_angle
-from .subgroup import BallLimit, enumerate_ball, truncated_generators
+from .subgroup import BallLimit, enumerate_ball, sigma, truncated_generators
 from .surface import collar_width, fn_surface_rep
 
 SCHEMA_VERSION = 1
@@ -112,7 +112,9 @@ def truncation_ball(rep, m, limit):
     """Ball of the level-m truncation generators within `limit`, its
     elements told apart by normal form in the extension group."""
     tg = truncated_generators(rep, m)
-    return enumerate_ball(tg.matrices, limit, sigma_values=[1] * len(tg.matrices),
+    tau = rep.stable_letter_index()
+    return enumerate_ball(tg.matrices, limit,
+                          sigma_values=[sigma(w, tau) for w in tg.words],
                           words=tg.words, presentation=rep.presentation)
 
 
@@ -251,7 +253,7 @@ def render_limit_set(sample, resolution, path):
     """
     if sample.count == 0:
         raise ValueError("empty sample")
-    zs = np.array([complex(1e9, 0.0) if p.infinite else p.z for p in sample.points])
+    zs = np.where(sample.infinite, complex(1e9, 0.0), sample.z)
     finite = np.abs(zs) < 1e8
     if not finite.any():
         raise ValueError("no sample point in the primary chart")

@@ -1,9 +1,15 @@
-"""Shared builders for the test suite, cached per process."""
+"""Shared builders for the test suite, cached per process, and scalar
+oracles of the array code."""
 
 import functools
 import math
+from types import SimpleNamespace
 
+import numpy as np
+
+from kleindim.dimension import DEDUP_TOL
 from kleindim.hnn import build_hnn
+from kleindim.moebius import Geodesic, MoebiusMap, geodesic_to_vertical
 from kleindim.report import collars
 from kleindim.surface import fn_surface_rep
 
@@ -26,8 +32,98 @@ def hnn_for(g, L):
     return build_hnn(surface_for(g, L))
 
 
+def axis_translation(p, q, length):
+    """Translation by `length` along the geodesic from p to q."""
+    f = geodesic_to_vertical(Geodesic(p, q))
+    return f.inverse() @ MoebiusMap.vertical_translation(length) @ f
+
+
 @functools.lru_cache(maxsize=None)
 def r_achieved_for(g, L):
     _, _, r = collars(surface_for(g, L))
     assert math.isfinite(r) and r > 0
     return r
+
+
+# -- scalar oracles of the limit-set sampling layer --------------------
+#
+# The one-object-at-a-time loops that dimension.sample_limit_set,
+# merge_samples and _box_count replaced; the array code must reproduce
+# them bit for bit.
+
+def scalar_xyz(z):
+    """Unit-sphere embedding of a complex number, or of infinity (None)."""
+    if z is None:
+        return np.array([0.0, 0.0, 1.0])
+    n = abs(z) ** 2
+    return np.array([2.0 * z.real, 2.0 * z.imag, n - 1.0]) / (n + 1.0)
+
+
+def _dedup_keys(xyz):
+    return (tuple(np.rint(xyz / DEDUP_TOL).astype(np.int64)),
+            tuple(np.rint(xyz / DEDUP_TOL + 0.5).astype(np.int64)))
+
+
+def scalar_sample_limit_set(ball, cap=100_000):
+    ordered = sorted(range(len(ball.words)), key=lambda i: -len(ball.words[i]))
+    pts, coords, seen, skipped = [], [], {}, 0
+    for i in ordered:
+        if len(pts) >= cap:
+            break
+        a, b, c, d = ball.mats[i]
+        m = MoebiusMap(a, b, c, d, _normalized=True)
+        if not m.is_loxodromic():
+            skipped += 1
+            continue
+        att, _ = m.fixed_points()
+        xyz = scalar_xyz(None if att.infinite else att.z)
+        key0, key1 = _dedup_keys(xyz)
+        if key0 in seen or key1 in seen:
+            continue
+        seen[key0] = seen[key1] = True
+        pts.append(att)
+        coords.append(xyz)
+    xyz = np.array(coords) if coords else np.empty((0, 3))
+    return SimpleNamespace(points=pts, xyz=xyz, count=len(pts), skipped=skipped)
+
+
+def scalar_merge_samples(a, b):
+    pts, coords, seen = [], [], {}
+    for sample in (a, b):
+        for p, xyz in zip(sample.points, sample.xyz):
+            key0, key1 = _dedup_keys(xyz)
+            if key0 in seen or key1 in seen:
+                continue
+            seen[key0] = seen[key1] = True
+            pts.append(p)
+            coords.append(xyz)
+    xyz = np.array(coords) if coords else np.empty((0, 3))
+    return SimpleNamespace(points=pts, xyz=xyz, count=len(pts),
+                           skipped=a.skipped + b.skipped)
+
+
+def scalar_box_count(points, delta):
+    side = delta / (2.0 * math.sqrt(2.0))
+    cells = set()
+    for p in points:
+        if p.infinite:
+            z, chart = 0.0 + 0.0j, 1
+        elif abs(p.z) <= 1.0:
+            z, chart = p.z, 0
+        else:
+            z, chart = 1.0 / p.z, 1
+        cells.add((chart, math.floor(z.real / side), math.floor(z.imag / side)))
+    return len(cells)
+
+
+def assert_same_sample(got, want):
+    """Equal counts, `skipped`, xyz bytes (signs of zeros included) and
+    points, against an oracle's sample."""
+    assert got.count == want.count
+    assert got.skipped == want.skipped
+    assert got.xyz.shape == want.xyz.shape
+    assert got.xyz.tobytes() == want.xyz.tobytes()
+    want_z = np.array([p.z for p in want.points], dtype=np.complex128)
+    assert got.z.tobytes() == want_z.tobytes()
+    assert got.infinite.tolist() == [p.infinite for p in want.points]
+    assert [(p.z, p.infinite) for p in got.points] == [(p.z, p.infinite) for p in want.points]

@@ -1,0 +1,149 @@
+"""Guards for the arithmetic the batched fixed-point kernel mirrors.
+
+`_core.attracting_points` reproduces MoebiusMap.fixed_points bit for bit
+by replaying CPython's complex arithmetic with real NumPy ufuncs.  These
+tests compare each primitive with CPython itself on seeded inputs, so a
+NumPy or CPython upgrade that changes one of them fails here instead of
+silently changing report bytes.
+"""
+
+import cmath
+import math
+
+import numpy as np
+import pytest
+
+from kleindim import _core
+from kleindim.moebius import LOXO_TOL, MoebiusMap
+
+_SPECIAL = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -3.0, 1e-300, -1e-300, 2.5e-308,
+            1e150, -1e150, 1e-150]
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    nan = np.isnan(got) & np.isnan(want)
+    return bool(np.all((got.view(np.int64) == want.view(np.int64)) | nan))
+
+
+def _reals(seed, n=20_000, top=150):
+    """Seeded reals of both signs from 1e-top to 1e+top, plus signed zeros
+    and other edge values."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) * 10.0 ** rng.uniform(-top, top, n)
+    return np.concatenate([x, _SPECIAL])
+
+
+def _pairs(seed, n=20_000, top=150):
+    """Seeded (re, im) pairs, plus every pair of edge values."""
+    re, im = _reals(seed, n, top), _reals(seed + 1, n, top)
+    sr, si = np.meshgrid(_SPECIAL, _SPECIAL)
+    return np.concatenate([re, sr.ravel()]), np.concatenate([im, si.ravel()])
+
+
+def _split(zs):
+    z = np.array(zs, dtype=np.complex128)
+    return z.real, z.imag
+
+
+def test_float_power_is_libm_pow():
+    # abs(z) ** 2 is pow(h, 2.0), which h * h misses in the last bit
+    h = np.abs(_reals(0, top=150))
+    got = np.float_power(h, np.full_like(h, 2.0))
+    assert _same_bits(got, [math.pow(v, 2.0) for v in h.tolist()])
+    assert _same_bits(got, [v ** 2 for v in h.tolist()])
+
+
+def test_hypot_is_complex_abs():
+    re, im = _pairs(1, top=300)
+    want = [abs(complex(a, b)) for a, b in zip(re.tolist(), im.tolist())]
+    assert _same_bits(np.hypot(re, im), want)
+
+
+def test_sqrt_mirror():
+    re, im = _pairs(2, top=300)
+    got_re, got_im, ok = _core.c_sqrt(re, im)
+    want = [cmath.sqrt(complex(a, b)) for a, b in zip(re.tolist(), im.tolist())]
+    want_re, want_im = _split(want)
+    assert ok.sum() > len(re) - 10
+    assert _same_bits(got_re[ok], want_re[ok])
+    assert _same_bits(got_im[ok], want_im[ok])
+    # outside the mirror: both parts below DBL_MIN, not both zero
+    tiny = (np.abs(re) < 2.2250738585072014e-308) & (np.abs(im) < 2.2250738585072014e-308)
+    assert np.array_equal(~ok, tiny & ~((re == 0) & (im == 0)))
+
+
+def test_quotient_and_product_mirrors():
+    ar, ai = _pairs(3)
+    br, bi = _pairs(4)
+    nonzero = (br != 0) | (bi != 0)
+    ar, ai, br, bi = ar[nonzero], ai[nonzero], br[nonzero], bi[nonzero]
+    a = [complex(x, y) for x, y in zip(ar.tolist(), ai.tolist())]
+    b = [complex(x, y) for x, y in zip(br.tolist(), bi.tolist())]
+    for got, want in ((_core.c_quot(ar, ai, br, bi), [x / y for x, y in zip(a, b)]),
+                      (_core.c_prod(ar, ai, br, bi), [x * y for x, y in zip(a, b)])):
+        want_re, want_im = _split(want)
+        assert _same_bits(got[0], want_re) and _same_bits(got[1], want_im)
+
+
+def test_mixed_float_complex_operations():
+    # CPython promotes the float to a complex, so zeros keep or lose
+    # their sign as a complex operation would leave them
+    re, im = _pairs(5)
+    z = [complex(x, y) for x, y in zip(re.tolist(), im.tolist())]
+    cases = [
+        (_core.c_prod(2.0, 0.0, re, im), [2.0 * w for w in z]),
+        (_core.c_quot(re, im, 2.0, 0.0), [w / 2.0 for w in z]),
+        (_core.c_prod(1.0, 0.0, *_core.c_prod(re, im, re, im)), [w ** 2 for w in z]),
+    ]
+    nonzero = (re != 0) | (im != 0)
+    inv = _core.c_quot(1.0, 0.0, re[nonzero], im[nonzero])
+    cases.append((inv, [1.0 / w for w, keep in zip(z, nonzero) if keep]))
+    for (got_re, got_im), want in cases:
+        want_re, want_im = _split(want)
+        assert _same_bits(got_re, want_re) and _same_bits(got_im, want_im)
+    sq_re, sq_im = _core.c_prod(1.0, 0.0, *_core.c_prod(re, im, re, im))
+    want_re, want_im = _split([w ** 2 - 4.0 for w in z])
+    assert _same_bits(sq_re - 4.0, want_re) and _same_bits(sq_im - 0.0, want_im)
+
+
+def test_acosh_mirror():
+    re, im = _pairs(6)
+    x, ok = _core.acosh_real_arg(re, im)
+    want = [cmath.acosh(complex(a, b)).real for a, b in zip(re.tolist(), im.tolist())]
+    assert ok.sum() > len(re) - 10
+    assert _same_bits([math.asinh(v) for v in x[ok].tolist()], np.array(want)[ok])
+
+
+@pytest.mark.parametrize("angle", [1.0, 2.5])
+def test_loxodromic_test_at_the_threshold(angle):
+    # loxodromics with rotation angle `angle` and translation lengths
+    # stepping through LOXO_TOL, where NumPy's arcsinh and libm's may
+    # disagree in the last bit
+    ells = LOXO_TOL + np.arange(-300, 300) * 1e-18
+    maps = [MoebiusMap.diagonal(cmath.exp(complex(ell, angle) / 2.0))
+            for ell in ells.tolist()]
+    mats = np.array([m.entries() for m in maps], dtype=np.complex128)
+    lox = _core.attracting_points(mats)[0]
+    want = [m.is_loxodromic() for m in maps]
+    assert lox.tolist() == want
+    assert 0 < sum(want) < len(want)
+
+
+@pytest.mark.parametrize("arcsinh_error", [0.0, -np.inf, np.inf])
+def test_loxodromic_threshold_one_ulp_at_a_time(monkeypatch, arcsinh_error):
+    # tr = 2 + 2iv gives asinh arguments x ~ sqrt(v) that step through
+    # the threshold one ulp at a time; an arcsinh one ulp off either way
+    # (as SIMD builds of NumPy can be) must not change the decision
+    if arcsinh_error:
+        exact = np.arcsinh
+        monkeypatch.setattr(np, "arcsinh",
+                            lambda x: np.nextafter(exact(x), arcsinh_error))
+    v0 = (LOXO_TOL / 2.0) ** 2
+    tr_im = 2.0 * (v0 + np.arange(-3000, 3000) * np.spacing(v0))
+    lox, ok = _core._loxodromic(np.full_like(tr_im, 2.0), tr_im)
+    want = [(2.0 * cmath.acosh(complex(2.0, t) / 2.0)).real > LOXO_TOL
+            for t in tr_im.tolist()]
+    assert ok.all()
+    assert lox.tolist() == want
+    assert 0 < sum(want) < len(want)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from kleindim.dimension import (LimitSample, ScaleRow, ScaleTable, _box_count, b
                                 sample_from_points, sample_limit_set)
 from kleindim.errors import DegenerateScaleWindow, IncompleteBall
 from kleindim.moebius import INF, MoebiusMap, SpherePoint
+from kleindim.report import truncation_ball
 from kleindim.subgroup import BallLimit, enumerate_ball, truncated_generators
 
 
@@ -185,8 +187,12 @@ def _cell_boundary_points(rng, delta):
     keep = rng.random(len(grid)) < 0.55
     xyz = np.array([(x, y, math.sqrt(1.0 - x * x - y * y))
                     for (x, y), kept in zip(grid, keep) if kept])
-    return LimitSample(points=[None] * len(xyz), xyz=xyz, provenance="grid",
-                       count=len(xyz))
+    # stereographic preimages, so z and xyz describe the same points; the
+    # grid's centre (0, 0, 1) is infinity
+    infinite = xyz[:, 2] == 1.0
+    z = np.zeros(len(xyz), dtype=np.complex128)
+    z[~infinite] = (xyz[~infinite, 0] + 1j * xyz[~infinite, 1]) / (1.0 - xyz[~infinite, 2])
+    return LimitSample(z=z, infinite=infinite, xyz=xyz, provenance="grid")
 
 
 class TestComponentsAgainstBruteForce:
@@ -234,6 +240,99 @@ class TestComponentsAgainstBruteForce:
             sample = sample_from_points(pts)
             for delta in (1.0, 0.01):
                 assert component_analysis(sample, delta) == _brute_components(sample.xyz, delta)
+
+
+class TestScalarOracle:
+    """The array sampling layer against the scalar loops it replaced
+    (`helpers.scalar_*`): equal counts and `skipped`, and equal bytes of
+    xyz and z, signs of zeros included."""
+
+    @pytest.mark.parametrize("key", [(1, 3.0), (3, 5.0)])
+    def test_truncation_levels(self, key):
+        # the full run's balls, samples, merges and box counts at a
+        # 10,000-element budget per level
+        rep = helpers.hnn_for(*key)
+        got = want = None
+        for m in range(3):
+            budget = 10_000 * (m + 1)
+            ball = truncation_ball(rep, m, BallLimit(max_word_len=64, max_count=budget))
+            level = sample_limit_set(ball, cap=budget)
+            level_want = helpers.scalar_sample_limit_set(ball, cap=budget)
+            helpers.assert_same_sample(level, level_want)
+            got = level if got is None else merge_samples(got, level)
+            want = (level_want if want is None
+                    else helpers.scalar_merge_samples(want, level_want))
+            helpers.assert_same_sample(got, want)
+            for delta in default_scales():
+                assert _box_count(got, delta) == helpers.scalar_box_count(want.points, delta)
+
+    def test_caps(self):
+        ball = truncation_ball(helpers.hnn_for(1, 3.0), 1, BallLimit(max_word_len=4))
+        distinct = helpers.scalar_sample_limit_set(ball, cap=len(ball)).count
+        # the identity comes last, so it is skipped only below the cap
+        for cap in (0, 1, 57, distinct - 1, distinct, len(ball), len(ball) + 100):
+            got = sample_limit_set(ball, cap=cap)
+            helpers.assert_same_sample(got, helpers.scalar_sample_limit_set(ball, cap=cap))
+        assert sample_limit_set(ball, cap=distinct).skipped == 0
+        assert sample_limit_set(ball, cap=len(ball)).skipped == 1
+
+    def test_cyclic_diagonal_groups(self):
+        # the identity, and maps fixing infinity with either fixed point
+        # attracting
+        for lam in (2.0, -1.5, 1.5 * cmath.exp(0.4j), cmath.exp(complex(1e-3, 2.0))):
+            ball = enumerate_ball([MoebiusMap.diagonal(lam)], BallLimit(max_word_len=6))
+            got = sample_limit_set(ball)
+            helpers.assert_same_sample(got, helpers.scalar_sample_limit_set(ball))
+            assert got.count == 2 and got.skipped == 1 and got.infinite.sum() == 1
+
+    def test_shared_fixed_points(self):
+        # g and g^2 share their fixed points, so most words repeat a point
+        g = helpers.axis_translation(1.0, 3.0, 2.0)
+        h = helpers.axis_translation(-1.0, -3.0, 3.0)
+        ball = enumerate_ball([g, g @ g, h], BallLimit(max_word_len=4))
+        got = sample_limit_set(ball)
+        helpers.assert_same_sample(got, helpers.scalar_sample_limit_set(ball))
+        assert got.count < len(ball) // 2
+        other = sample_limit_set(enumerate_ball([h, g], BallLimit(max_word_len=3)))
+        want = helpers.scalar_merge_samples(got, other)
+        helpers.assert_same_sample(merge_samples(got, other), want)
+        assert want.count < got.count + other.count
+
+    def test_rows_outside_the_mirror(self):
+        # trace / 2 - 1 = 5e-311 i: cmath.sqrt rescales both parts below
+        # DBL_MIN, a branch the kernel leaves to MoebiusMap
+        g = MoebiusMap.diagonal(2.0)
+        mats = np.array([[1 + 1e-310j, 0, 0, 1], g.entries(), [1, 0, 0, 1]],
+                        dtype=np.complex128)
+        ball = SimpleNamespace(mats=mats, words=[(2,), (1,), ()])
+        got = sample_limit_set(ball)
+        helpers.assert_same_sample(got, helpers.scalar_sample_limit_set(ball))
+        assert got.scalar_rows == 1 and got.skipped == 2
+
+    def test_points_and_small_scales(self):
+        pts = [INF, SpherePoint(0j), SpherePoint(-0.0 - 0.0j), SpherePoint(-2.5 + 0.0j),
+               SpherePoint(1 + 0j), SpherePoint(complex(0.3, -1e-200)),
+               SpherePoint(complex(-1e5, 3e4))]
+        sample = sample_from_points(pts)
+        want = np.array([helpers.scalar_xyz(None if p.infinite else p.z) for p in pts])
+        assert sample.xyz.tobytes() == want.tobytes()
+        arc = _arc_sample(300)
+        # 1e-9 and below pack cell keys through their ranks
+        for delta in (1.0, 0.1, 1e-9, 1e-13):
+            for s in (sample, arc):
+                assert _box_count(s, delta) == helpers.scalar_box_count(s.points, delta)
+        assert _box_count(sample_from_points([]), 0.1) == 0
+
+    def test_box_keys_do_not_wrap(self):
+        # cells (0, 0), (2^31, 0) and (0, 2^33 - 1) after the offset: packed
+        # as i * 2^33 + j in int64 the first two would wrap onto one key
+        side = 1e-10
+        cells = [(0, 0), (2**31, 0), (0, 2**33 - 1)]
+        pts = [SpherePoint(complex((i - 2**32 + 0.5) * side, (j - 2**32 + 0.5) * side))
+               for i, j in cells]
+        sample = sample_from_points(pts)
+        delta = side * 2.0 * math.sqrt(2.0)
+        assert _box_count(sample, delta) == helpers.scalar_box_count(pts, delta) == 3
 
 
 class TestScaleTable:

@@ -12,6 +12,7 @@ from kleindim.dimension import ScaleRow, ScaleTable, sample_from_points
 from kleindim.errors import IncompleteBall
 from kleindim.moebius import SpherePoint
 from kleindim.report import (RunConfig, read_scale_csv, render_limit_set)
+from kleindim.subgroup import BallResult
 
 
 class TestRunConfig:
@@ -106,7 +107,10 @@ class TestCli:
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
     def test_render_empty_sample_is_numeric_error(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("kleindim.cli.truncation_ball", lambda *a, **k: [])
+        empty = BallResult(mats=np.empty((0, 4), dtype=np.complex128), words=[],
+                           disps=np.empty(0), sigmas=np.empty(0, dtype=np.int64),
+                           complete_radius=0.0)
+        monkeypatch.setattr("kleindim.cli.truncation_ball", lambda *a, **k: empty)
         out = tmp_path / "limitset.ppm"
         result = CliRunner().invoke(main, ["render", "-g", "1", "-m", "0",
                                            "--out", str(out)])

@@ -6,21 +6,16 @@ import numpy as np
 import pytest
 
 import helpers
-from kleindim.moebius import Geodesic, MoebiusMap, geodesic_to_vertical
+from kleindim.moebius import MoebiusMap
 from kleindim.report import truncation_ball
 from kleindim.subgroup import (BallLimit, enumerate_ball, sigma,
                                truncated_generators)
 from kleindim.words import word_inverse
 
 
-def _axis_translation(p, q, length):
-    f = geodesic_to_vertical(Geodesic(p, q))
-    return f.inverse() @ MoebiusMap.vertical_translation(length) @ f
-
-
 def _schottky_pair():
     # disjoint axes, large translation length: ping-pong, hence free
-    return _axis_translation(1.0, 3.0, 4.0), _axis_translation(-1.0, -3.0, 4.0)
+    return helpers.axis_translation(1.0, 3.0, 4.0), helpers.axis_translation(-1.0, -3.0, 4.0)
 
 
 def _keys(mats):
@@ -51,6 +46,15 @@ class TestTruncatedGenerators:
             tg = truncated_generators(rep, m)
             assert len(tg.matrices) == 2 * rep.surface.genus * (m + 1)
             assert all(sigma(w, tau) == 0 for w in tg.words)
+
+    @pytest.mark.parametrize("key", [(1, 3.0), (3, 5.0)])
+    def test_truncation_balls_have_grading_zero(self, key):
+        # every generator tau^k gamma_i tau^-k has grading 0, so every
+        # element of a truncation ball does
+        rep = helpers.hnn_for(*key)
+        for m in (0, 1, 2):
+            ball = truncation_ball(rep, m, BallLimit(max_word_len=3, max_count=5_000))
+            assert len(ball) > 1 and not ball.sigmas.any()
 
     def test_level_zero_is_surface_generators(self):
         rep = helpers.hnn_for(1, 3.0)
@@ -117,7 +121,7 @@ class TestEnumerateBall:
 
     def test_sigma_propagation(self):
         g = MoebiusMap.vertical_translation(1.0)
-        h = _axis_translation(1.0, 3.0, 4.0)
+        h = helpers.axis_translation(1.0, 3.0, 4.0)
         ball = enumerate_ball([g, h], BallLimit(max_word_len=2),
                               sigma_values=[1, 0])
         for e in ball:
