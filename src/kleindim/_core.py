@@ -1,6 +1,6 @@
 """The batched kernels, in NumPy: 2x2 complex matrix products, det
-renormalization and sign canonicalization for the ball enumeration;
-attracting fixed points and sphere coordinates for limit-set samples.
+renormalization and sign fixing for the ball enumeration; attracting
+fixed points and sphere coordinates for limit-set samples.
 """
 
 from __future__ import annotations
@@ -16,14 +16,59 @@ PIVOT_TOL = 1e-9
 _REAL_TOL = 1e-12
 
 
-def canonicalize(mats):
-    """In place: renormalize to det 1 and fix the sign representative.
+# -- ball enumeration --------------------------------------------------
+#
+# expand must give the bytes that np.einsum("nab,kbc->nkac") followed by
+# the det renormalization gave, so the products replay einsum's complex
+# sum of products on real arrays: each component is a sum of two complex
+# products, accumulated from +0.0, and `0.0 + p` turns a first product of
+# -0.0 into +0.0 as einsum does.  tests/test_core.py checks the mirror
+# against einsum bit for bit.
+
+_LEFT = ([0, 0, 2, 2], [1, 1, 3, 3])  # frontier entries (a, 0), (a, 1) of entry (a, c)
+_RIGHT = ([0, 1, 0, 1], [2, 3, 2, 3])  # generator entries (0, c), (1, c)
+_BLOCK = 1024  # frontier rows per pass, so that the temporaries stay small
+
+
+def _products(frontier, gens, out):
+    """Fill out, (n, k, 4) complex128, with the rows frontier[i] @ gens[j]
+    as np.einsum("nab,kbc->nkac") computes them."""
+    fr, fi = frontier.real[:, None], frontier.imag[:, None]
+    gr, gi = gens.real[None], gens.imag[None]
+    (f0, f1), (g0, g1) = _LEFT, _RIGHT
+    x0, y0, x1, y1 = fr[..., f0], fi[..., f0], fr[..., f1], fi[..., f1]
+    u0, v0, u1, v1 = gr[..., g0], gi[..., g0], gr[..., g1], gi[..., g1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        out.real = (0.0 + (x0 * u0 - y0 * v0)) + (x1 * u1 - y1 * v1)
+        out.imag = (0.0 + (x0 * v0 + y0 * u0)) + (x1 * v1 + y1 * u1)
+
+
+def expand(frontier, gens):
+    """All products frontier[i] @ gens[j], renormalized to det 1.
+
+    frontier: (n, 4) complex128, gens: (k, 4) complex128.
+    Returns (n*k, 4) ordered with j fastest.  Rows are not sign-fixed:
+    a row and its negative are the same map, so callers fix the sign
+    (`fix_sign`) of the rows they keep.
+    """
+    out = np.empty((len(frontier), len(gens), 4), dtype=np.complex128)
+    for start in range(0, len(frontier), _BLOCK):
+        block = out[start:start + _BLOCK]
+        _products(frontier[start:start + _BLOCK], gens, block)
+        mats = block.reshape(-1, 4)
+        det = mats[:, 0] * mats[:, 3] - mats[:, 1] * mats[:, 2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mats /= np.sqrt(det)[:, None]
+    return out.reshape(-1, 4)
+
+
+def fix_sign(mats):
+    """In place: the sign representative of each det-1 row, the one whose
+    first entry of modulus above PIVOT_TOL has positive real part (or,
+    with a real part below _REAL_TOL of it, positive imaginary part).
 
     mats: (n, 4) complex128 rows (a, b, c, d).
     """
-    det = mats[:, 0] * mats[:, 3] - mats[:, 1] * mats[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mats /= np.sqrt(det)[:, None]
     absval = np.abs(mats)
     big = absval > PIVOT_TOL
     # index of the first entry with modulus above the pivot threshold
@@ -36,18 +81,6 @@ def canonicalize(mats):
         flip = np.where(re_zero, im < 0.0, re < 0.0)
         mats[flip] *= -1.0
     return mats
-
-
-def expand(frontier, gens):
-    """All products frontier[i] @ gens[j], canonicalized.
-
-    frontier: (n, 4) complex128, gens: (k, 4) complex128.
-    Returns (n*k, 4) ordered with j fastest.
-    """
-    f = frontier.reshape(-1, 2, 2)
-    g = gens.reshape(-1, 2, 2)
-    prods = np.einsum("nab,kbc->nkac", f, g).reshape(-1, 4)
-    return canonicalize(prods)
 
 
 def displacements(mats):

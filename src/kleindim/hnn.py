@@ -23,6 +23,7 @@ from .words import word_inverse
 LENGTH_TOL = 1e-8
 ANGLE_TOL = 1e-9
 _OFFSET = 128  # byte encoding of a letter: letter + _OFFSET
+_LETTER = [bytes((x,)) for x in range(256)]  # _LETTER[letter + _OFFSET] encodes letter
 
 
 class HnnPresentation:
@@ -45,15 +46,12 @@ class HnnPresentation:
         self.stable_letter = 2 * genus + 1
         if self.stable_letter >= _OFFSET:
             raise ValueError("genus too large for the byte encoding")
-        a1 = (1,)
-        w = tuple(boundary_word)
+        a1, a1_inv = _encode((1,)), _encode((-1,))
+        w, w_inv = _encode(boundary_word), _encode(word_inverse(boundary_word))
         # u^k passes tau^e as image^k: a_1^k tau = tau W^k and
-        # W^k tau^-1 = tau^-1 a_1^k; stored as (u, u^-1, image) with u
-        # encoded
-        self._through = {
-            1: (_encode(a1), _encode(word_inverse(a1)), w),
-            -1: (_encode(w), _encode(word_inverse(w)), a1),
-        }
+        # W^k tau^-1 = tau^-1 a_1^k; stored encoded as
+        # (u, u^-1, image, image^-1)
+        self._through = {1: (a1, a1_inv, w, w_inv), -1: (w, w_inv, a1, a1_inv)}
         self._stable = {e: _encode((e * self.stable_letter,)) for e in (1, -1)}
 
     def identity(self):
@@ -67,8 +65,10 @@ class HnnPresentation:
         for letter in word:
             if abs(letter) == self.stable_letter:
                 nf = self._times_stable(nf, 1 if letter > 0 else -1)
+            elif nf and nf[-1] + letter == _OFFSET:
+                nf = nf[:-1]  # the letter cancels the last one
             else:
-                nf = _append_base(nf, _encode((letter,)))
+                nf += _LETTER[letter + _OFFSET]
         return nf
 
     def to_word(self, nf):
@@ -76,9 +76,9 @@ class HnnPresentation:
 
     def _times_stable(self, nf, e):
         p = max(nf.rfind(self._stable[1]), nf.rfind(self._stable[-1]))
-        fwd, back, image = self._through[e]
+        fwd, back, image, image_inv = self._through[e]
         rep, k = _left_coset_rep(nf[p + 1:], fwd, back)
-        tail = _encode(_power(image, k))
+        tail = image * k if k >= 0 else image_inv * -k
         if not rep and p >= 0 and nf[p] == self._stable[-e][0]:
             # pinch: tau^-e u^k tau^e is the base element image^k
             return _append_base(nf[:p], tail)
@@ -87,10 +87,6 @@ class HnnPresentation:
 
 def _encode(word):
     return bytes(x + _OFFSET for x in word)
-
-
-def _power(u, k):
-    return u * k if k >= 0 else word_inverse(u) * -k
 
 
 def _append_base(nf, tail):

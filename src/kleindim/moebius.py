@@ -146,10 +146,6 @@ class MoebiusMap:
         """Rotation by `angle` about the axis {0, inf} (z -> e^{i angle} z)."""
         return cls.diagonal(cmath.exp(1j * angle / 2.0))
 
-    @classmethod
-    def from_matrix(cls, m):
-        return cls(m[0][0], m[0][1], m[1][0], m[1][1])
-
     # -- basic algebra ------------------------------------------------
 
     def entries(self):

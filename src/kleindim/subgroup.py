@@ -18,9 +18,12 @@ from .moebius import MoebiusMap
 from .words import word_inverse
 
 _COLLISION_TOL = 1e-6
-# displacement band kept for expansion beyond a ball's max_displacement;
-# reduced words in a discrete free group have near-monotone prefix
-# displacement, so a small band suffices and keeps the exponential cost down
+# displacement band kept for expansion beyond a ball's max_displacement.
+# The BFS assumes that every element within the cap has a word whose
+# prefixes all stay within the band, and nothing checks it.  It fails for
+# the extension group: at (3, 5) the radius-12 ball lacks 410 elements of
+# displacement < 10, and 56,294 of the 317,383 elements of the radius-14
+# ball lack their inverse (ROADMAP item 3).
 _BAND_SLACK = 1.0
 _CHUNK = 16384  # frontier elements expanded per batch
 
@@ -92,13 +95,16 @@ class OrbitElement:
 
 @dataclass
 class BallResult:
-    """Deduplicated orbit ball with a completeness certificate.
+    """Deduplicated orbit ball with the radius it claims to be complete to.
 
     Each group element appears once, under its first word in BFS order.
     Elements are told apart exactly: by their reduced word when the
     generators are free, by their normal form when `enumerate_ball` got
     a presentation; never by rounding their matrices.  `truncated` is set
-    when the count cap stopped the search.
+    when the count cap stopped the search.  `complete_radius` is the
+    band's claim, not a certificate: it holds only where every element
+    within it is reached through prefixes inside the displacement band
+    (see _BAND_SLACK), which nothing checks.
     """
 
     mats: np.ndarray  # (n, 4) complex128, canonical representatives
@@ -140,13 +146,16 @@ class _Store:
         self.mats = np.empty((cap, 4), dtype=np.complex128)
         self.disps = np.empty(cap)
         self.sigmas = np.empty(cap, dtype=np.int64)
-        self.cols = np.empty(cap, dtype=np.int64)  # last letter's column; -1 for ()
+        # last letter's column and the prefix's row, -1 for (); int32 holds
+        # any store that fits in memory
+        self.cols = np.empty(cap, dtype=np.int32)
+        self.parents = np.empty(cap, dtype=np.int32)
 
-    def append(self, mats, disps, sigmas, cols):
+    def append(self, mats, disps, sigmas, cols, parents):
         need = self.n + len(disps)
         if need > len(self.disps):
             cap = max(2 * len(self.disps), need)
-            for name in ("mats", "disps", "sigmas", "cols"):
+            for name in ("mats", "disps", "sigmas", "cols", "parents"):
                 old = getattr(self, name)
                 new = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
                 new[:self.n] = old[:self.n]
@@ -156,7 +165,32 @@ class _Store:
         self.disps[part] = disps
         self.sigmas[part] = sigmas
         self.cols[part] = cols
+        self.parents[part] = parents
         self.n = need
+
+    def spell(self, keep, letters):
+        """Words of the stored elements `keep` (ascending), each its
+        parent's word and the letter of its column.  Only they and their
+        prefixes are spelled; a parent is stored before its children."""
+        need = np.zeros(self.n, dtype=bool)
+        front = keep
+        while len(front):
+            need[front] = True
+            up = np.unique(self.parents[front])
+            front = up[(up >= 0) & ~need[up]]
+        spelled = [None] * self.n
+        spelled[0] = ()
+        rows = np.flatnonzero(need[1:]) + 1
+        # in chunks, so that the index lists stay small
+        for s in range(0, len(rows), _CHUNK):
+            part = rows[s:s + _CHUNK]
+            for i, p, c in zip(part.tolist(), self.parents[part].tolist(),
+                               self.cols[part].tolist()):
+                spelled[i] = spelled[p] + (letters[c],)
+        words = []
+        for s in range(0, len(keep), _CHUNK):
+            words.extend(spelled[i] for i in keep[s:s + _CHUNK].tolist())
+        return words
 
 
 def enumerate_ball(gens, limit, sigma_values=None, words=None, presentation=None):
@@ -200,8 +234,7 @@ def enumerate_ball(gens, limit, sigma_values=None, words=None, presentation=None
     max_len = limit.max_word_len if limit.max_word_len is not None else 10**6
 
     store = _Store()
-    store.append(np.array([[1, 0, 0, 1]]), [0.0], [0], [-1])
-    all_words = [()]
+    store.append(np.array([[1, 0, 0, 1]]), [0.0], [0], [-1], [-1])
     n_in_ball = 1
     numeric_drops = 0
     collisions = 0
@@ -215,23 +248,29 @@ def enumerate_ball(gens, limit, sigma_values=None, words=None, presentation=None
             c1 = min(c0 + _CHUNK, hi)
             prods = _core.expand(store.mats[c0:c1], garr)
             disps = _core.displacements(prods)
-            cols = np.tile(np.arange(ncols), c1 - c0)
-            parents = np.repeat(np.arange(c0, c1), ncols)
-            pcols = store.cols[parents]
             # immediate backtracks are not reduced words
-            reduced = (pcols < 0) | (cols != (pcols + ngen) % ncols)
-            finite = np.isfinite(prods).all(axis=1)
+            pcols = store.cols[c0:c1]
+            reduced = np.ones((c1 - c0, ncols), dtype=bool)
+            back = np.flatnonzero(pcols >= 0)
+            reduced[back, (pcols[back] + ngen) % ncols] = False
+            reduced = reduced.ravel()
+            # a row with a non-finite entry has a non-finite displacement
+            finite = np.ones(len(prods), dtype=bool)
+            nonfinite = np.flatnonzero(~np.isfinite(disps))
+            finite[nonfinite] = np.isfinite(prods[nonfinite]).all(axis=1)
             rows = np.flatnonzero(reduced & finite & (disps <= band))
+            parents, cols = np.divmod(rows, ncols)
+            parents += c0
             in_ball = disps[rows] <= disp_cap if disp_cap is not None else np.ones(len(rows), bool)
             dup_rows, dup_hits = [], []
             if presentation is not None:
                 fresh = np.zeros(len(rows), dtype=bool)
                 room_ball = max_count - n_in_ball
                 room_store = 4 * max_count - store.n
+                multiply = presentation.multiply
                 for i, (row, parent, col, inb) in enumerate(zip(
-                        rows.tolist(), parents[rows].tolist(), cols[rows].tolist(),
-                        in_ball.tolist())):
-                    form = presentation.multiply(forms[parent], col_words[col])
+                        rows.tolist(), parents.tolist(), cols.tolist(), in_ball.tolist())):
+                    form = multiply(forms[parent], col_words[col])
                     hit = seen.get(form)
                     if hit is not None:
                         dup_rows.append(row)
@@ -244,24 +283,22 @@ def enumerate_ball(gens, limit, sigma_values=None, words=None, presentation=None
                     room_store -= 1
                     if room_ball <= 0 or room_store <= 0:
                         break  # the count cap is reached at this row
-                rows = rows[fresh]
-                in_ball = in_ball[fresh]
+                rows, parents, cols, in_ball = (a[fresh] for a in (rows, parents, cols, in_ball))
             # stop at the element that reaches the count cap
             over = np.flatnonzero((n_in_ball + np.cumsum(in_ball) >= max_count)
                                   | (store.n + np.arange(1, len(rows) + 1) >= 4 * max_count))
             end_row = len(prods)
             if len(over):
                 truncated = True
-                rows = rows[:over[0] + 1]
+                rows, parents, cols = (a[:over[0] + 1] for a in (rows, parents, cols))
                 end_row = int(rows[-1])
-            numeric_drops += int(np.count_nonzero(reduced[:end_row] & ~finite[:end_row]))
+            drops = nonfinite[reduced[nonfinite] & ~finite[nonfinite]]
+            numeric_drops += int(np.count_nonzero(drops < end_row))
             n_in_ball += int(np.count_nonzero(in_ball[:len(rows)]))
-            rows_parents = parents[rows]
-            rows_cols = cols[rows]
-            store.append(prods[rows], disps[rows],
-                         store.sigmas[rows_parents] + sig_of_col[rows_cols], rows_cols)
-            all_words.extend(all_words[p] + (letters[c],)
-                             for p, c in zip(rows_parents.tolist(), rows_cols.tolist()))
+            # the sign does not change a displacement, so only kept rows
+            # are sign-fixed
+            store.append(_core.fix_sign(prods[rows]), disps[rows],
+                         store.sigmas[parents] + sig_of_col[cols], cols, parents)
             if dup_rows:
                 hits = np.array(dup_hits)
                 dups = np.array(dup_rows)
@@ -275,7 +312,7 @@ def enumerate_ball(gens, limit, sigma_values=None, words=None, presentation=None
 
     if truncated or (depth >= max_len and hi > lo):
         unexpanded_min = float(store.disps[lo:hi].min()) if hi > lo else math.inf
-        complete_radius = min(unexpanded_min, disp_cap or math.inf)
+        complete_radius = min(unexpanded_min, disp_cap if disp_cap is not None else math.inf)
         if not math.isfinite(complete_radius):
             complete_radius = 0.0
     else:
@@ -286,11 +323,15 @@ def enumerate_ball(gens, limit, sigma_values=None, words=None, presentation=None
     keep_mask = disps <= disp_cap if disp_cap is not None else np.ones(store.n, bool)
     keep_mask[0] = True
     keep = np.flatnonzero(keep_mask)
+    mats, disps, sigmas = store.mats[keep], disps[keep], store.sigmas[keep]
+    # drop the matrices and normal forms before the words are spelled, so
+    # that memory never holds both
+    store.mats = store.disps = store.sigmas = forms = seen = None
     return BallResult(
-        mats=store.mats[keep],
-        words=[all_words[i] for i in keep.tolist()],
-        disps=disps[keep],
-        sigmas=store.sigmas[keep],
+        mats=mats,
+        words=store.spell(keep, letters),
+        disps=disps,
+        sigmas=sigmas,
         complete_radius=complete_radius,
         collisions=collisions,
         truncated=truncated,

@@ -1,5 +1,5 @@
-"""Shared builders for the test suite, cached per process, and scalar
-oracles of the array code."""
+"""Shared builders for the test suite, cached per process, and oracles
+of the array code."""
 
 import functools
 import math
@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from kleindim import _core
 from kleindim.dimension import DEDUP_TOL
 from kleindim.hnn import build_hnn
 from kleindim.moebius import Geodesic, MoebiusMap, geodesic_to_vertical
@@ -127,3 +128,37 @@ def assert_same_sample(got, want):
     assert got.z.tobytes() == want_z.tobytes()
     assert got.infinite.tolist() == [p.infinite for p in want.points]
     assert [(p.z, p.infinite) for p in got.points] == [(p.z, p.infinite) for p in want.points]
+
+
+# -- oracle of the enumeration kernel ----------------------------------
+#
+# The kernel _core.expand and _core.fix_sign replaced: einsum products,
+# then det renormalization and the sign fix on every row.  Ball
+# enumeration must give the same bytes with either.
+
+def canonicalize(mats):
+    """In place: renormalize to det 1 and fix the sign representative."""
+    det = mats[:, 0] * mats[:, 3] - mats[:, 1] * mats[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mats /= np.sqrt(det)[:, None]
+    absval = np.abs(mats)
+    big = absval > _core.PIVOT_TOL
+    pivot_idx = np.argmax(big, axis=1)
+    pivot = mats[np.arange(len(mats)), pivot_idx]
+    papb = np.abs(pivot)
+    re, im = pivot.real, pivot.imag
+    re_zero = np.abs(re) <= _core._REAL_TOL * papb
+    with np.errstate(invalid="ignore"):
+        flip = np.where(re_zero, im < 0.0, re < 0.0)
+        mats[flip] *= -1.0
+    return mats
+
+
+def einsum_products(frontier, gens):
+    return np.einsum("nab,kbc->nkac", frontier.reshape(-1, 2, 2),
+                     gens.reshape(-1, 2, 2)).reshape(-1, 4)
+
+
+def einsum_expand(frontier, gens):
+    """All products frontier[i] @ gens[j], canonicalized, j fastest."""
+    return canonicalize(einsum_products(frontier, gens))

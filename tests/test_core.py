@@ -1,10 +1,13 @@
-"""Guards for the arithmetic the batched fixed-point kernel mirrors.
+"""Guards for the arithmetic the batched kernels mirror.
 
 `_core.attracting_points` reproduces MoebiusMap.fixed_points bit for bit
-by replaying CPython's complex arithmetic with real NumPy ufuncs.  These
-tests compare each primitive with CPython itself on seeded inputs, so a
-NumPy or CPython upgrade that changes one of them fails here instead of
-silently changing report bytes.
+by replaying CPython's complex arithmetic with real NumPy ufuncs.
+`_core.expand` reproduces the products of np.einsum("nab,kbc->nkac") bit
+for bit with real ufuncs, and `_core.fix_sign` on the rows the ball
+enumeration keeps gives the bytes the sign fix of every row gave.  These
+tests compare each primitive with CPython or NumPy itself on seeded
+inputs, so a NumPy or CPython upgrade that changes one of them fails here
+instead of silently changing report bytes.
 """
 
 import cmath
@@ -13,6 +16,7 @@ import math
 import numpy as np
 import pytest
 
+import helpers
 from kleindim import _core
 from kleindim.moebius import LOXO_TOL, MoebiusMap
 
@@ -147,3 +151,63 @@ def test_loxodromic_threshold_one_ulp_at_a_time(monkeypatch, arcsinh_error):
     assert ok.all()
     assert lox.tolist() == want
     assert 0 < sum(want) < len(want)
+
+
+def _matrices(seed, n):
+    """Seeded (n, 4) complex rows with parts from 1e-300 to 1e150 in
+    magnitude; a third of the parts are signed zeros, subnormals or huge
+    values whose products overflow to inf and then to nan."""
+    rng = np.random.default_rng(seed)
+    parts = rng.standard_normal((2, n, 4)) * 10.0 ** rng.uniform(-300, 150, (2, n, 4))
+    edge = rng.random((2, n, 4)) < 1 / 3
+    parts[edge] = rng.choice([0.0, -0.0, 5e-324, -1e-310, 1e200, -1e300], edge.sum(),
+                             p=[0.35, 0.35, 0.1, 0.1, 0.05, 0.05])
+    return parts[0] + 1j * parts[1]
+
+
+def _unit_rows(seed, n):
+    """Seeded det-1 rows (a, b, c, (1 + b c) / a), with pure imaginary,
+    tiny and exactly zero entries where the sign fix picks its pivot."""
+    rng = np.random.default_rng(seed)
+    a, b, c = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    a[::5] = 1j * a[::5].imag
+    a[1::5] = -1j * np.abs(a[1::5])
+    b[2::5] = 1e-12 * b[2::5]
+    b[3::5] = complex(-0.0, 0.0)
+    c[3::5] = 0.0
+    a[4::7] *= 1e-10
+    return np.stack([a, b, c, (1.0 + b * c) / a], axis=1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_products_mirror_einsum(seed):
+    frontier, gens = _matrices(seed, 3000), _matrices(seed + 100, 14)
+    got = np.empty((3000, 14, 4), dtype=np.complex128)
+    _core._products(frontier, gens, got)
+    got = got.reshape(-1, 4)
+    want = helpers.einsum_products(frontier, gens)
+    assert _same_bits(got.view(np.float64), want.view(np.float64))
+    # the inputs reach the cases the mirror must get right; einsum sums
+    # from +0.0, so its zeros are +0.0 even where both products are -0.0
+    parts = want.view(np.float64)
+    zeros = parts == 0.0
+    assert np.count_nonzero(zeros) > 1000 and not np.signbit(parts[zeros]).any()
+    assert np.count_nonzero(np.isinf(parts)) > 10 and np.count_nonzero(np.isnan(parts)) > 10
+    tiny = np.abs(parts) < 2.2250738585072014e-308
+    assert np.count_nonzero(tiny & (parts != 0.0)) > 100
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_sign_fix_of_kept_rows_is_canonicalize(seed):
+    # expand, then fix_sign on a subset of rows, equals expand-and-
+    # canonicalize of every row, on those rows
+    for frontier, gens in ((_unit_rows(seed, 2000), _unit_rows(seed + 100, 8)),
+                           (_matrices(seed, 1000), _matrices(seed + 100, 6))):
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = _core.expand(frontier, gens)
+            want = helpers.einsum_expand(frontier, gens)
+        keep = np.random.default_rng(seed).random(len(rows)) < 0.4
+        got = _core.fix_sign(rows[keep])
+        assert _same_bits(got.view(np.float64), want[keep].view(np.float64))
+        # and the sign fix decided something
+        assert not _same_bits(rows[keep].view(np.float64), want[keep].view(np.float64))

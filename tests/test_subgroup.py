@@ -1,11 +1,13 @@
 """Unit tests for grading, truncated generators, and ball enumeration."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 import helpers
+from kleindim import _core
 from kleindim.moebius import MoebiusMap
 from kleindim.report import truncation_ball
 from kleindim.subgroup import (BallLimit, enumerate_ball, sigma,
@@ -191,6 +193,16 @@ class TestEnumerateBall:
         assert ball.words == [(), (1,)]
         assert ball.truncated
 
+    def test_zero_displacement_cap_is_a_cap(self):
+        # a cap of 0.0 bounds the complete radius like any other cap
+        g = MoebiusMap.vertical_translation(0.3)
+        screw = MoebiusMap.diagonal(cmath.exp(complex(0.3, 1.0) / 2.0))
+        h = screw.conjugate_by(MoebiusMap(1, 1, 0, 1))
+        for cap in (0.0, 0.1):
+            ball = enumerate_ball([g, h], BallLimit(max_displacement=cap, max_count=2))
+            assert ball.truncated and ball.words == [()]
+            assert ball.complete_radius == cap
+
     def test_count_growth_log_linear(self):
         a, b = _schottky_pair()
         ball = enumerate_ball([a, b], BallLimit(max_word_len=6))
@@ -200,3 +212,50 @@ class TestEnumerateBall:
         slopes = [math.log(counts[k + 1] / counts[k]) for k in range(2, 6)]
         for s in slopes:
             assert s == pytest.approx(math.log(3.0), abs=1e-9)
+
+
+# -- the enumeration kernel against its einsum oracle --------------------
+
+def _truncation(key, m):
+    # a sample ball of the full run at a 10k element budget, cut by its
+    # count cap
+    return lambda: truncation_ball(helpers.hnn_for(*key), m,
+                                   BallLimit(max_word_len=64, max_count=10_000 * (m + 1)))
+
+
+def _extension(key, radius):
+    def make():
+        rep = helpers.hnn_for(*key)
+        grades = [0] * (2 * rep.surface.genus) + [1]
+        return enumerate_ball(rep.generators,
+                              BallLimit(max_displacement=radius, max_count=1_000_000),
+                              sigma_values=grades, presentation=rep.presentation)
+    return make
+
+
+def _surface_free(key, radius):
+    return lambda: enumerate_ball(helpers.surface_for(*key).generators,
+                                  BallLimit(max_displacement=radius, max_count=50_000))
+
+
+ORACLE_BALLS = {
+    **{f"truncation-{g}-{L:g}-m{m}": _truncation((g, L), m)
+       for g, L in ((1, 3.0), (3, 5.0)) for m in (0, 1, 2)},
+    "extension-3-5-R10": _extension((3, 5.0), 10.0),
+    "surface-2-3-free": _surface_free((2, 3.0), 12.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_BALLS))
+def test_kernel_matches_einsum_oracle(monkeypatch, name):
+    # expand without a sign fix, then fix_sign on the kept rows, gives the
+    # ball that einsum and a sign fix of every row gave
+    got = ORACLE_BALLS[name]()
+    monkeypatch.setattr(_core, "expand", helpers.einsum_expand)
+    want = ORACLE_BALLS[name]()
+    assert len(got) > 1000
+    for field in ("mats", "disps", "sigmas"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+    assert got.words == want.words
+    for field in ("collisions", "numeric_drops", "skipped", "truncated", "complete_radius"):
+        assert getattr(got, field) == getattr(want, field), field
