@@ -85,7 +85,10 @@ def fix_sign(mats):
 
 def displacements(mats):
     """Hyperbolic displacement of the base point (0, 1) for each row."""
-    s = np.sum(np.abs(mats) ** 2, axis=1) / 2.0
+    # the four columns added in order, as np.sum(axis=1) adds them, without
+    # the cost of a length-4 reduction
+    q = np.abs(mats) ** 2
+    s = (((q[:, 0] + q[:, 1]) + q[:, 2]) + q[:, 3]) / 2.0
     return np.arccosh(np.maximum(s, 1.0))
 
 

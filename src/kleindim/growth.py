@@ -16,12 +16,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _core
 from .errors import BoundViolation, EnumerationBudgetExceeded, UnrealizablePath
 from .moebius import BASEPOINT, MoebiusMap, hdist
 from .subgroup import BallLimit, enumerate_ball
 
 GAP_TOL = 1e-6
 _ENDPOINT_QUANT = 1e-6
+# relative margin around each threshold of the lift sieve: rows this near
+# one are left to the scalar decision
+_SIEVE_MARGIN = 1e-9
+# ball rows sieved per pass.  Whole-ball temporaries (1.6 MB each at the
+# 200k cap) stay resident as heap after the tree and added 11 MB to the
+# full run's peak RSS
+_SIEVE_ROWS = 16384
 MAX_NODES = 50_000  # strata tree size at which the build gives up
 MAX_BENDS = 5  # bends per sampled bend path, at most
 DIM_TOL = 0.1  # slack of the dimension bound check
@@ -52,7 +60,6 @@ class StrataNode:
 class StrataTree:
     nodes: list  # StrataNode; nodes[0] is the root placeholder
     radius: float
-    r_achieved: float
 
     def __len__(self):
         return len(self.nodes)
@@ -126,12 +133,59 @@ def _axis_endpoints(mat):
             None if rep.infinite else rep.z.real)
 
 
+def _image_endpoints(mats, z):
+    """_image_endpoint of the real endpoint z (None = inf) under every row
+    of `mats`, replayed on arrays with CPython's complex arithmetic:
+    (values, sure).  `sure` is False where _image_endpoint may return None
+    (within _SIEVE_MARGIN of its thresholds) or the value is not finite."""
+    (ar, ai), (br, bi), (cr, ci), (dr, di) = ((mats[:, k].real, mats[:, k].imag)
+                                              for k in range(4))
+    grow = 1.0 + _SIEVE_MARGIN
+    with np.errstate(all="ignore"):
+        if z is None:
+            vals, _ = _core.c_quot(ar, ai, cr, ci)
+            undefined = np.hypot(cr, ci) < 1e-14 * np.hypot(ar, ai) * grow
+        else:
+            # a float in a complex product is promoted to (z + 0j)
+            nr, ni = _core.c_prod(ar, ai, z, 0.0)
+            er, ei = _core.c_prod(cr, ci, z, 0.0)
+            er, ei = er + dr, ei + di
+            limit = 1e-12 * ((np.hypot(nr, ni) + np.hypot(br, bi)) + 1.0)
+            undefined = np.hypot(er, ei) < limit * grow
+            vals, _ = _core.c_quot(nr + br, ni + bi, er, ei)
+    return vals, ~undefined & np.isfinite(vals)
+
+
+def _may_lift(first, second, radius):
+    """Rows whose lift with image endpoints u, v (`first` and `second`,
+    from _image_endpoints) _vertical_gap could keep within `radius`: all
+    but those clearly outside its endpoint window, with u == v, or with a
+    gap beyond radius by more than _SIEVE_MARGIN."""
+    (u, u_sure), (v, v_sure) = first, second
+    lo, hi = 1e-9 * (1.0 - _SIEVE_MARGIN), 1e9 * (1.0 + _SIEVE_MARGIN)
+    with np.errstate(all="ignore"):
+        au, av = np.abs(u), np.abs(v)
+        val = np.abs((u + v) / (u - v))
+        near = ((au >= lo) & (au <= hi) & (av >= lo) & (av <= hi) & (u != v)
+                & (val <= np.cosh(radius) * (1.0 + _SIEVE_MARGIN)))
+    return ~(u_sure & v_sure) | near
+
+
 def _lift_candidates(surface, frame, radius, max_elements):
     """Distinct lifts of both gluing axes near the entry axis.
 
     `frame` carries the entry axis to {0, inf}; gaps are measured from
     that vertical axis and lifts are kept within `radius` of it, with the
     nearest point at bounded height so the list stays finite.
+
+    The lifts are the images of the axes under the rows of a ball, chosen
+    in two stages (_select_lifts).  An array sieve drops a row when, for
+    both axes, its image endpoints are defined, finite and clearly out:
+    outside the endpoint window, equal, or with a gap beyond `radius` by
+    more than _SIEVE_MARGIN.  Every other row gets the exact scalar
+    decision (_image_endpoint, _vertical_gap, the axial window and the
+    _geodesic_key dedup), in row order and gamma before boundary, so the
+    list is the one a scalar pass over the whole ball gives.
     """
     gens = [g.conjugate_by(frame) for g in surface.generators]
     axes = {
@@ -140,11 +194,23 @@ def _lift_candidates(surface, frame, radius, max_elements):
     }
     cap = 2.0 * radius + 3.0
     ball = enumerate_ball(gens, BallLimit(max_displacement=cap, max_count=max_elements))
+    return _select_lifts(ball.mats, axes, radius, frame.inverse())
+
+
+def _select_lifts(mats, axes, radius, frame_inv):
+    """Candidates for the images of `axes` (kind -> real endpoints, None
+    = inf) under the rows of `mats`: the sieve, then the scalar decision
+    on the rows that pass it (see _lift_candidates)."""
+    survive = np.zeros(len(mats), dtype=bool)
+    for start in range(0, len(mats), _SIEVE_ROWS):
+        part = mats[start:start + _SIEVE_ROWS]
+        for e1, e2 in axes.values():
+            survive[start:start + _SIEVE_ROWS] |= _may_lift(
+                _image_endpoints(part, e1), _image_endpoints(part, e2), radius)
     out = []
     seen = set()
-    frame_inv = frame.inverse()
-    for el in ball:
-        m = el.moebius()
+    for entries in mats[survive].tolist():
+        m = MoebiusMap(*entries, _normalized=True)
         for kind, (e1, e2) in axes.items():
             u = _image_endpoint(m, e1)
             v = _image_endpoint(m, e2)
@@ -240,13 +306,7 @@ def build_strata_tree(rep, radius, max_depth=4, max_elements=200_000):
             d_child = d + c.gap
             if d_child <= radius:
                 stack.append((idx, depth + 1, c, d_child))
-    return StrataTree(nodes=nodes, radius=radius,
-                      r_achieved=min_gap_halfwidth(nodes))
-
-
-def min_gap_halfwidth(nodes):
-    gaps = [n.gap for n in nodes[1:] if n.depth >= 2]
-    return min(gaps) / 2.0 if gaps else math.inf
+    return StrataTree(nodes=nodes, radius=radius)
 
 
 # -- leaf-count bound -------------------------------------------------

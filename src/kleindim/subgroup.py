@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _core
-from .moebius import MoebiusMap
 from .words import word_inverse
 
 _COLLISION_TOL = 1e-6
@@ -74,25 +73,6 @@ class BallLimit:
     max_count: int | None = None
 
 
-class OrbitElement:
-    """One distinct group element found by the ball enumeration."""
-
-    __slots__ = ("mat", "word", "displacement", "sigma")
-
-    def __init__(self, mat, word, displacement, sigma_value):
-        self.mat = mat
-        self.word = word
-        self.displacement = displacement
-        self.sigma = sigma_value
-
-    def moebius(self):
-        a, b, c, d = self.mat
-        return MoebiusMap(a, b, c, d, _normalized=True)
-
-    def __repr__(self):
-        return f"OrbitElement(word={self.word}, disp={self.displacement:.4f})"
-
-
 @dataclass
 class BallResult:
     """Deduplicated orbit ball with the radius it claims to be complete to.
@@ -120,13 +100,6 @@ class BallResult:
 
     def __len__(self):
         return len(self.words)
-
-    def __getitem__(self, i):
-        return OrbitElement(self.mats[i], self.words[i], float(self.disps[i]), int(self.sigmas[i]))
-
-    def __iter__(self):
-        for i in range(len(self.words)):
-            yield self[i]
 
 
 def _gen_array(gens):

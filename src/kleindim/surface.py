@@ -458,18 +458,18 @@ def discreteness_proxy(rep, n=8):
         BallLimit(max_word_len=n, max_displacement=scan_radius,
                   max_count=_PROXY_MAX_ELEMENTS),
     )
-    ident = MoebiusMap.identity()
-    min_dist = math.inf
-    for e in ball:
-        if not e.word:
-            continue
-        d = e.moebius().dist(ident)
-        if d < min_dist:
-            min_dist = d
-        if d < _PROXY_TOL:
-            raise DiscretenessSuspect(
-                f"word {e.word} within {d:.2e} of the identity", witness=e.word
-            )
+    # MoebiusMap.dist to the identity of each element but the identity,
+    # which is row 0
+    diff = ball.mats[1:] - np.array([1, 0, 0, 1], dtype=np.complex128)
+    dists = np.hypot(diff.real, diff.imag).max(axis=1)
+    close = np.flatnonzero(dists < _PROXY_TOL)
+    if len(close):
+        i = int(close[0])
+        word = ball.words[i + 1]
+        raise DiscretenessSuspect(
+            f"word {word} within {float(dists[i]):.2e} of the identity", witness=word
+        )
+    min_dist = float(dists.min()) if len(dists) else math.inf
     jmin = math.inf
     gens = rep.generators
     for i in range(len(gens)):

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from kleindim import _core
+from kleindim import _core, growth
 from kleindim.dimension import DEDUP_TOL
 from kleindim.hnn import build_hnn
 from kleindim.moebius import Geodesic, MoebiusMap, geodesic_to_vertical
@@ -162,3 +162,35 @@ def einsum_products(frontier, gens):
 def einsum_expand(frontier, gens):
     """All products frontier[i] @ gens[j], canonicalized, j fastest."""
     return canonicalize(einsum_products(frontier, gens))
+
+
+# -- oracle of the strata-tree lifts -----------------------------------
+#
+# The per-row loop growth._lift_candidates ran over the whole ball before
+# the array sieve; growth._select_lifts must give the same candidates, in
+# the same order, with the same bytes.
+
+def scalar_lift_candidates(mats, axes, radius, frame_inv):
+    out = []
+    seen = set()
+    for entries in mats.tolist():
+        m = MoebiusMap(*entries, _normalized=True)
+        for kind, (e1, e2) in axes.items():
+            u = growth._image_endpoint(m, e1)
+            v = growth._image_endpoint(m, e2)
+            gap = growth._vertical_gap(u, v)
+            if gap is None or gap > radius:
+                continue
+            if u is not None and v is not None:
+                axial = 0.5 * math.log(abs(u * v)) if abs(u * v) > 0 else 0.0
+                if abs(axial) > radius + 1.0:
+                    continue
+            key = growth._geodesic_key(u, v)
+            if key in seen:
+                continue
+            seen.add(key)
+            ends = (growth._image_endpoint(frame_inv, u), growth._image_endpoint(frame_inv, v))
+            out.append(growth._Candidate(w=m.conjugate_by(frame_inv), kind=kind,
+                                         gap=gap, ends=ends))
+    return out
+

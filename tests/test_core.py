@@ -211,3 +211,19 @@ def test_sign_fix_of_kept_rows_is_canonicalize(seed):
         assert _same_bits(got.view(np.float64), want[keep].view(np.float64))
         # and the sign fix decided something
         assert not _same_bits(rows[keep].view(np.float64), want[keep].view(np.float64))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_displacements_match_the_length_4_sum(seed):
+    # adding the four columns in order gives the bytes np.sum(axis=1) gave
+    mats = np.concatenate([_matrices(seed, 20_000), _unit_rows(seed, 5000)])
+    rng = np.random.default_rng(seed)
+    mats[rng.random(mats.shape) < 0.01] = complex(math.nan, 0.0)
+    mats[rng.random(mats.shape) < 0.01] = complex(0.0, -math.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.arccosh(np.maximum(np.sum(np.abs(mats) ** 2, axis=1) / 2.0, 1.0))
+        got = _core.displacements(mats)
+        parts = np.abs(mats) ** 2
+    assert got.tobytes() == want.tobytes()
+    assert np.isnan(want).sum() > 100 and np.isinf(want).sum() > 100
+    assert np.count_nonzero((parts > 0.0) & (parts < 2.2250738585072014e-308)) > 100

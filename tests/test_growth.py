@@ -2,10 +2,13 @@
 quasi-geodesic constants."""
 
 import math
+import struct
 
+import numpy as np
 import pytest
 
 import helpers
+from kleindim import growth
 from kleindim.dimension import DimEstimate
 from kleindim.errors import BoundViolation, UnrealizablePath
 from kleindim.growth import (BendPath, LeafRow, LeafTable, QiFit,
@@ -13,7 +16,7 @@ from kleindim.growth import (BendPath, LeafRow, LeafTable, QiFit,
                              dim_bound_check, endpoint_distance, entropy_bound,
                              leaf_count_check, qi_constants, realize_bend_path,
                              sample_bend_paths)
-from kleindim.moebius import BASEPOINT, hdist
+from kleindim.moebius import BASEPOINT, MoebiusMap, hdist
 
 
 class TestEntropyBound:
@@ -137,6 +140,152 @@ class TestStrataTree:
             if node.depth >= 2:
                 parent = tree.nodes[node.parent]
                 assert node.d == pytest.approx(parent.d + node.gap, abs=1e-9)
+
+
+def _bits(x):
+    if x is None:
+        return None
+    x = complex(x)
+    return struct.pack("<dd", x.real, x.imag)
+
+
+def _candidate_bits(cands):
+    return [(c.kind, _bits(c.gap), tuple(_bits(e) for e in c.ends),
+             tuple(_bits(e) for e in c.w.entries())) for c in cands]
+
+
+def _node_bits(tree):
+    return [(n.parent, n.depth, n.kind, _bits(n.d), _bits(n.gap),
+             tuple(_bits(e) for e in n.proj), tuple(_bits(e) for e in n.frame.entries()))
+            for n in tree.nodes]
+
+
+def _ulps(x, k=8):
+    """x and its neighbours up to k ulps either side, ascending."""
+    out, lo, hi = [x], x, x
+    for _ in range(k):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return sorted(float(v) for v in out)
+
+
+_IDENT = MoebiusMap.identity()
+_C3 = math.cosh(3.0)
+
+
+def _den(b):
+    """_image_endpoint's threshold on |c z + d| at z = 0, a = 1."""
+    return 1e-12 * ((0.0 + b) + 1.0)
+
+
+_INF, _NAN = math.inf, math.nan
+
+# (rows, axes, radius) at each threshold of the lift selection; rows are
+# (a, b, c, d) and need not have det 1.  One axis where a second one
+# would keep the rows in the sieve for its own sake.
+_EDGE_CASES = {
+    # c == 0 sends the endpoint at infinity to None; so does c just
+    # below 1e-14 |a|
+    "endpoint_at_inf": ([(1, 0.25, 0, 1)] + [(1, 0.25, c, 1) for c in _ulps(1e-14)],
+                        {"gamma": (None, 0.5)}, 25.0),
+    # |c z + d| at 1e-12 (|a z| + |b| + 1), with the image inside the
+    # endpoint window (b = 1e-4) and outside it (b = 1e-2)
+    "denominator": ([(1, b, 1, d) for b in (1e-4, 1e-2)
+                     for d in _ulps(_den(b)) + [_den(b) * (1 - 1e-6), _den(b) * (1 + 1e-6)]],
+                    {"gamma": (0.0, 5.0)}, 25.0),
+    # both endpoints round to one image, or to neighbouring floats
+    "equal_images": ([(1e8, -k * 1e-9, 1e8, 0) for k in range(1, 20)],
+                     {"gamma": (1.0, 2.0), "boundary": (3.0, 4.0)}, 40.0),
+    # |u| at the edges of _vertical_gap's endpoint window
+    "endpoint_window": ([(s, 0, 0, 1) for s in _ulps(1e-9) + _ulps(1e9) + _ulps(-1e9)],
+                        {"gamma": (1.0, -1.0)}, 25.0),
+    # |(u + v) / (u - v)| within ulps of cosh(radius), and just outside
+    # the sieve's margin
+    "gap_at_radius": ([(1, t, 0, 1) for t in _ulps(_C3, 16) + [_C3 * (1 - 2e-9), _C3 * (1 + 2e-9)]],
+                      {"gamma": (1.0, -1.0)}, 3.0),
+    # |log|u v|| / 2 at radius + 1
+    "axial_window": ([(s, 0, 0, 1) for s in _ulps(math.exp(7.0), 16)],
+                     {"gamma": (1.0, -1.0)}, 6.0),
+}
+
+_NONFINITE = [(_INF, 0, 0, 1), (1, _INF, 0, 1), (1, 0, _INF, 1), (1, 0, 0, _INF),
+              (_NAN, 0, 0, 1), (1, _NAN, 0, 1), (1, 0, _NAN, 1), (1, 0, 0, _NAN),
+              (_INF, _INF, _INF, _INF), (1e300, 1e300, 1, 1), (1, 0, 0, 0)]
+
+
+def _outcome(select, rows, axes, radius):
+    """The candidates' bits, or the error the selection raised."""
+    try:
+        return _candidate_bits(select(np.array(rows, dtype=np.complex128).reshape(-1, 4),
+                                      axes, radius, _IDENT))
+    except ValueError as exc:  # a NaN endpoint fails in _endpoint_key
+        return repr(exc)
+
+
+def _assert_same_selection(rows, axes, radius):
+    """The sieve and the scalar oracle agree on the rows together and on
+    each row alone; returns the oracle's (kind, zero gap) per row."""
+    assert (_outcome(growth._select_lifts, rows, axes, radius)
+            == _outcome(helpers.scalar_lift_candidates, rows, axes, radius))
+    decisions = []
+    for row in rows:
+        want = _outcome(helpers.scalar_lift_candidates, [row], axes, radius)
+        assert _outcome(growth._select_lifts, [row], axes, radius) == want
+        if not isinstance(want, str):
+            decisions.append(tuple((kind, gap == _bits(0.0)) for kind, gap, *_ in want))
+    return decisions
+
+
+class TestLiftSieve:
+    @pytest.mark.parametrize("key", [(1, 3.0), (3, 5.0)])
+    @pytest.mark.parametrize("entry", ["gamma", "boundary"])
+    def test_grid_lifts_match_scalar_oracle(self, key, entry, monkeypatch):
+        surface = helpers.surface_for(*key)
+        axis = surface.gamma_matrix() if entry == "gamma" else surface.boundary_matrix()
+        frame = axis.conjugator_to_standard()
+        radius = 4.5 * helpers.r_achieved_for(*key)
+        got = growth._lift_candidates(surface, frame, radius, 20_000)
+        monkeypatch.setattr(growth, "_select_lifts", helpers.scalar_lift_candidates)
+        want = growth._lift_candidates(surface, frame, radius, 20_000)
+        assert len(want) > 10
+        assert _candidate_bits(got) == _candidate_bits(want)
+
+    @pytest.mark.parametrize("case", sorted(_EDGE_CASES))
+    def test_thresholds(self, case):
+        rows, axes, radius = _EDGE_CASES[case]
+        decisions = _assert_same_selection(rows, axes, radius)
+        # the rows straddle the threshold: the oracle decides both ways
+        assert len(set(decisions)) > 1
+
+    def test_key_shared_by_gamma_and_boundary_lifts(self):
+        # the first lift of a geodesic is kept: rows in order, and gamma
+        # before boundary within a row
+        axes = {"gamma": (1.0, -1.0), "boundary": (2.0, -2.0)}
+        one, half = (1, 0, 0, 1), (0.5, 0, 0, 1)  # half's boundary lift is one's gamma lift
+        for rows, kinds in (([one, half], ["gamma", "boundary", "gamma"]),
+                            ([half, one], ["gamma", "boundary", "boundary"])):
+            _assert_same_selection(rows, axes, 25.0)
+            got = growth._select_lifts(np.array(rows, dtype=np.complex128), axes, 25.0, _IDENT)
+            assert [c.kind for c in got] == kinds
+        same = {"gamma": (1.0, -1.0), "boundary": (-1.0, 1.0)}
+        got = growth._select_lifts(np.array([one], dtype=np.complex128), same, 25.0, _IDENT)
+        assert [c.kind for c in got] == ["gamma"]
+        _assert_same_selection([one], same, 25.0)
+
+    def test_nonfinite_rows(self):
+        axes = {"gamma": (1.0, -1.0), "boundary": (None, 0.5)}
+        _assert_same_selection(_NONFINITE, axes, 25.0)
+        for row in _NONFINITE:
+            _assert_same_selection([(1, 0.25, 0, 1), row], axes, 25.0)
+
+    def test_tree_matches_scalar_oracle_tree(self, monkeypatch):
+        rep = helpers.hnn_for(1, 3.0)
+        radius = 4.0 * helpers.r_achieved_for(1, 3.0)
+        got = build_strata_tree(rep, radius, max_depth=3)
+        monkeypatch.setattr(growth, "_select_lifts", helpers.scalar_lift_candidates)
+        want = build_strata_tree(rep, radius, max_depth=3)
+        assert len(want) > 100
+        assert _node_bits(got) == _node_bits(want)
 
 
 class TestLeafCount:

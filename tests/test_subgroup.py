@@ -96,7 +96,7 @@ class TestEnumerateBall:
     def test_displacement_oracle(self):
         g = MoebiusMap.vertical_translation(1.0)
         ball = enumerate_ball([g], BallLimit(max_word_len=1))
-        by_word = {e.word: e.displacement for e in ball}
+        by_word = dict(zip(ball.words, ball.disps.tolist()))
         assert by_word[()] == 0.0
         assert by_word[(1,)] == pytest.approx(1.0, abs=1e-12)
         assert by_word[(-1,)] == pytest.approx(1.0, abs=1e-12)
@@ -126,8 +126,8 @@ class TestEnumerateBall:
         h = helpers.axis_translation(1.0, 3.0, 4.0)
         ball = enumerate_ball([g, h], BallLimit(max_word_len=2),
                               sigma_values=[1, 0])
-        for e in ball:
-            assert e.sigma == sigma(e.word, 1)
+        for word, s in zip(ball.words, ball.sigmas.tolist()):
+            assert s == sigma(word, 1)
 
     def test_truncation_monotone_in_level(self):
         rep = helpers.hnn_for(1, 3.0)
@@ -140,9 +140,9 @@ class TestEnumerateBall:
     def test_no_near_identity_elements(self):
         ball = truncation_ball(helpers.hnn_for(1, 3.0), 1, BallLimit(max_word_len=4))
         ident = MoebiusMap.identity()
-        for e in ball:
-            if e.word:
-                assert e.moebius().dist(ident) > 1e-6
+        for word, entries in zip(ball.words, ball.mats.tolist()):
+            if word:
+                assert MoebiusMap(*entries, _normalized=True).dist(ident) > 1e-6
 
     def test_relator_merges_words(self):
         # tau W tau^-1 = a_1: at length 4g+1 = 5 words of the level-1
@@ -206,7 +206,7 @@ class TestEnumerateBall:
     def test_count_growth_log_linear(self):
         a, b = _schottky_pair()
         ball = enumerate_ball([a, b], BallLimit(max_word_len=6))
-        lens = [len(e.word) for e in ball]
+        lens = [len(word) for word in ball.words]
         counts = [lens.count(k) for k in range(7)]
         # reduced words in a rank-2 free group: 4 * 3^(k-1)
         slopes = [math.log(counts[k + 1] / counts[k]) for k in range(2, 6)]
