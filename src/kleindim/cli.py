@@ -119,7 +119,7 @@ def enumerate_cmd(genus, interior_length, level, radius, max_count):
 def estimate_dim_cmd(genus, interior_length, level, max_count):
     """Box dimension of the truncated subgroup's limit-set sample."""
     sample = _sample(genus, interior_length, level, max_count)
-    est, _ = box_dimension(sample)
+    est, _ = box_dimension(sample, with_components=False)
     out = {
         "box_dimension": est.value,
         "stderr": est.stderr,

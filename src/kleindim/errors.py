@@ -25,14 +25,6 @@ class GluingResidual(KleindimError):
     """A cuff-matching condition failed beyond tolerance."""
 
 
-class DiscretenessSuspect(KleindimError):
-    """A short nontrivial word lands too close to the identity."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
 class IncompleteBall(KleindimError):
     """Orbit enumeration did not certify completeness out to the radius."""
 

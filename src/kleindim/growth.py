@@ -18,6 +18,7 @@ import numpy as np
 
 from . import _core
 from .errors import BoundViolation, EnumerationBudgetExceeded, UnrealizablePath
+from .hnn import solve_stable_letter
 from .moebius import BASEPOINT, MoebiusMap, hdist
 from .subgroup import BallLimit, enumerate_ball
 
@@ -231,14 +232,6 @@ def _select_lifts(mats, axes, radius, frame_inv):
     return out
 
 
-def _real_stable_letter(surface):
-    """Fuchsian counterpart of the stable letter: carries the boundary
-    axis to the designated curve's axis with matching translation."""
-    qa = surface.gamma_matrix().conjugator_to_standard()
-    qw = surface.boundary_matrix().conjugator_to_standard()
-    return qa.inverse() @ qw
-
-
 def build_strata_tree(rep, radius, max_depth=4, max_elements=200_000):
     """Tree of strata reachable within `radius` of the base point.
 
@@ -247,7 +240,9 @@ def build_strata_tree(rep, radius, max_depth=4, max_elements=200_000):
     `frame` unfolds the node's plane isometrically onto the base plane.
     """
     surface = rep.surface
-    t_real = _real_stable_letter(surface)
+    # Fuchsian counterpart of the stable letter: carries the boundary
+    # axis to the designated curve's axis with matching translation
+    t_real = solve_stable_letter(surface, rotation=0.0)
     a_mat = surface.gamma_matrix()
     w_mat = surface.boundary_matrix()
     qa = a_mat.conjugator_to_standard()
@@ -504,9 +499,6 @@ def qi_constants(rep, paths):
 
 @dataclass(frozen=True)
 class DimBoundReport:
-    dim_value: float
-    epsilon_hat: float
-    entropy: float
     bound: float
     tol: float
     passed: bool
@@ -514,8 +506,6 @@ class DimBoundReport:
 
 def dim_bound_check(dim, fit, r):
     """Check dim <= (1 + eps_hat) * (1 + ln2/(2r)) + DIM_TOL."""
-    ent = entropy_bound(r)
-    bound = (1.0 + fit.epsilon_hat) * ent
-    return DimBoundReport(dim_value=dim.value, epsilon_hat=fit.epsilon_hat,
-                          entropy=ent, bound=bound, tol=DIM_TOL,
+    bound = (1.0 + fit.epsilon_hat) * entropy_bound(r)
+    return DimBoundReport(bound=bound, tol=DIM_TOL,
                           passed=dim.value <= bound + DIM_TOL)

@@ -71,9 +71,6 @@ class HnnPresentation:
                 nf += _LETTER[letter + _OFFSET]
         return nf
 
-    def to_word(self, nf):
-        return tuple(x - _OFFSET for x in nf)
-
     def _times_stable(self, nf, e):
         p = max(nf.rfind(self._stable[1]), nf.rfind(self._stable[-1]))
         fwd, back, image, image_inv = self._through[e]
@@ -156,11 +153,6 @@ class HnnRep:
     def evaluate(self, word):
         return _eval(word, self.generators)
 
-    def relator_word(self):
-        tau = self.stable_letter_index()
-        w_inv = tuple(-x for x in reversed(self.surface.boundary_word()))
-        return (1,) + (tau,) + w_inv + (-tau,)
-
     def relator_residual(self):
         """Sign-canonical distance between rho(gamma_1) and T rho(W) T^-1.
 
@@ -174,7 +166,9 @@ class HnnRep:
 
 
 def solve_stable_letter(surface, rotation=math.pi / 2.0):
-    """Stable letter T with T W T^-1 = gamma_1 and plane rotation pi/2.
+    """Stable letter T with T W T^-1 = gamma_1 that turns the invariant
+    plane by `rotation`: pi/2 for the extension, 0 for its Fuchsian
+    counterpart, which unfolds the strata tree.
 
     Canonical choice: attracting fixed points matched, no translation
     offset along the axis.
@@ -191,8 +185,8 @@ def solve_stable_letter(surface, rotation=math.pi / 2.0):
     return qa.inverse() @ rot @ qw
 
 
-def build_hnn(surface, rotation=math.pi / 2.0):
-    return HnnRep(surface, solve_stable_letter(surface, rotation))
+def build_hnn(surface):
+    return HnnRep(surface, solve_stable_letter(surface))
 
 
 def _circumcircle(z1, z2, z3):

@@ -13,7 +13,6 @@ import math
 
 from .errors import ElementNotLoxodromic
 
-DET_TOL = 1e-12
 LOXO_TOL = 1e-9
 # |c| <= FIXES_INF_TOL * max|entry|: the map is taken to fix infinity
 FIXES_INF_TOL = 1e-14
@@ -38,15 +37,6 @@ class SpherePoint:
 
     def __repr__(self):
         return "SpherePoint(inf)" if self.infinite else f"SpherePoint({self.z})"
-
-    def to_r3(self):
-        """Coordinates on the unit 2-sphere (inverse stereographic projection)."""
-        if self.infinite:
-            return (0.0, 0.0, 1.0)
-        z = self.z
-        n = abs(z) ** 2
-        d = 1.0 + n
-        return (2.0 * z.real / d, 2.0 * z.imag / d, (n - 1.0) / d)
 
 
 INF = SpherePoint(infinite=True)
@@ -180,9 +170,6 @@ class MoebiusMap:
             abs(x - y) for x, y in zip(self.entries(), other.entries())
         )
 
-    def is_identity(self, tol=1e-9):
-        return self.dist(MoebiusMap.identity()) <= tol
-
     def __repr__(self):
         return f"MoebiusMap({self.a}, {self.b}, {self.c}, {self.d})"
 
@@ -209,9 +196,6 @@ class MoebiusMap:
         den = abs(u) ** 2 + (abs(c) * t) ** 2
         znew = ((a * z + b) * u.conjugate() + a * c.conjugate() * t * t) / den
         return HPoint(znew, t / den)
-
-    def apply_geodesic(self, g):
-        return Geodesic(self.apply(g.p), self.apply(g.q))
 
     def displacement(self, p=None):
         """hdist(p, M p); defaults to the base point (0, 1)."""
@@ -255,10 +239,6 @@ class MoebiusMap:
         if abs(c * z1 + d) > abs(c * z2 + d):
             return SpherePoint(z1), SpherePoint(z2)
         return SpherePoint(z2), SpherePoint(z1)
-
-    def axis(self):
-        att, rep = self.fixed_points()
-        return Geodesic(att, rep)
 
     def conjugator_to_standard(self):
         """Q with Q M Q^{-1} diagonal, attracting point sent to inf."""

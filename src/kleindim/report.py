@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dimension import (ScaleRow, ScaleTable, box_dimension, critical_exponent,
-                        default_scales, merge_samples, sample_limit_set)
+from .dimension import (box_dimension, critical_exponent, default_scales,
+                        merge_samples, sample_limit_set)
 from .errors import DegenerateScaleWindow, IncompleteBall
 from .growth import (build_strata_tree, dim_bound_check, entropy_bound,
                      leaf_count_check, qi_constants, sample_bend_paths)
@@ -282,14 +282,3 @@ def render_limit_set(sample, resolution, path):
     }
     path.with_suffix(".json").write_text(json.dumps(sidecar, sort_keys=True) + "\n")
     return path
-
-
-def read_scale_csv(path):
-    """Inverse of ScaleTable.to_csv."""
-    lines = Path(path).read_text().strip().split("\n")
-    rows = []
-    for line in lines[1:]:
-        d, c, comp, md = line.split(",")
-        rows.append(ScaleRow(delta=float(d), box_count=int(c),
-                             components=int(comp), max_diam=float(md)))
-    return ScaleTable(rows=rows)

@@ -15,40 +15,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DiscretenessSuspect, GluingResidual, NoDiscreteSolution
+from .errors import GluingResidual, NoDiscreteSolution
 from .moebius import MoebiusMap
 from .subgroup import BallLimit, enumerate_ball
 from .words import evaluate_word, surface_boundary_word
 
-LENGTH_TOL = 1e-9
 GLUE_TOL = 1e-8
+# length of the boundary geodesic and of the designated curve; the stable
+# letter conjugates one to the other, so they must agree
+BOUNDARY_LENGTH = 1.0
 COLLAR_WORD_LEN = 5  # longest word searched for a collar's nearest translate
 _COLLAR_MAX_ELEMENTS = 500_000
-# near-identity scan of discreteness_proxy: element budget, identity
-# tolerance, and the band beyond the largest generator displacement
-_PROXY_MAX_ELEMENTS = 200_000
-_PROXY_TOL = 1e-6
-_PROXY_SCAN_MARGIN = 10.0
-
-
-@dataclass(frozen=True)
-class FrickeTriple:
-    """Traces (tr X, tr Y, tr XY) of a two-generator group."""
-
-    x: float
-    y: float
-    z: float
-
-    def commutator_trace(self):
-        x, y, z = self.x, self.y, self.z
-        return x * x + y * y + z * z - x * y * z - 2.0
 
 
 @dataclass(frozen=True)
 class CollarReport:
-    curve: tuple
     measured_halfwidth: float
-    search_n: int
     witness: tuple | None
 
 
@@ -60,7 +42,6 @@ class SurfaceRep:
             raise ValueError("need 2g generators")
         self.genus = genus
         self.generators = list(generators)
-        self.gamma_index = 1
         self.gluing_residuals = list(gluing_residuals or [])
         self._check()
 
@@ -81,33 +62,10 @@ class SurfaceRep:
         return self.evaluate(self.boundary_word())
 
     def gamma_matrix(self):
-        return self.generators[self.gamma_index - 1]
+        return self.generators[0]
 
 
 # -- two-generator building blocks ------------------------------------
-
-
-def pants_rep(l1, l2, l3):
-    """Normal-form matrices for a pair of pants with cuff lengths l1,l2,l3."""
-    if min(l1, l2, l3) <= 0:
-        raise ValueError("cuff lengths must be positive")
-    x = -2.0 * math.cosh(l1 / 2.0)
-    y = -2.0 * math.cosh(l2 / 2.0)
-    z = -2.0 * math.cosh(l3 / 2.0)
-    zeta = (-z + math.sqrt(z * z - 4.0)) / 2.0  # root with |zeta| > 1
-    X = MoebiusMap(x, 1.0, -1.0, 0.0)
-    Y = MoebiusMap(0.0, zeta, -1.0 / zeta, y)
-    return X, Y
-
-
-def _two_generator_matrices(x, t):
-    """Real matrices with tr A = x, tr B = tr AB = t."""
-    if t * t < 4.0:
-        raise NoDiscreteSolution(f"second generator trace {t} is elliptic")
-    zeta = (-t - math.copysign(math.sqrt(t * t - 4.0), t)) / 2.0
-    A = MoebiusMap(x, 1.0, -1.0, 0.0)
-    B = MoebiusMap(0.0, zeta, -1.0 / zeta, t)
-    return A, B
 
 
 def one_holed_torus_rep(len_gamma, len_boundary):
@@ -127,7 +85,10 @@ def _torus_rep_from_traces(x, kappa):
     if t_sq < 4.0:
         raise NoDiscreteSolution("no real hyperbolic solution for the ansatz")
     t = math.sqrt(t_sq)
-    A, B = _two_generator_matrices(x, t)
+    # real matrices with tr A = x, tr B = tr AB = t
+    zeta = (-t - math.sqrt(t * t - 4.0)) / 2.0
+    A = MoebiusMap(x, 1.0, -1.0, 0.0)
+    B = MoebiusMap(0.0, zeta, -1.0 / zeta, t)
     # normalize: axis of the interior curve becomes {0, inf}
     q = A.conjugator_to_standard()
     gens = [A.conjugate_by(q), B.conjugate_by(q)]
@@ -140,12 +101,6 @@ def _torus_rep_from_traces(x, kappa):
 # the boundary identity exact after conversion back to double.
 
 _F = np.longdouble
-
-
-def _raw(m):
-    return np.array(
-        [[m.a.real, m.b.real], [m.c.real, m.d.real]], dtype=_F
-    )
 
 
 def _wrap(arr):
@@ -207,16 +162,14 @@ def _side_of_axis(frame, mats):
 _FLIP = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=_F)
 
 
-def _match_piece(gens, boundary, target, ambient_refs, twist):
+def _match_piece(gens, boundary, target, ambient_refs):
     """Conjugate a piece so its boundary matrix equals `target` exactly,
     with its limit set on the opposite side from `ambient_refs`."""
     qk = _diag_frame_raw(boundary)
     qx = _diag_frame_raw(target)
     if _side_of_axis(qk, gens) == _side_of_axis(qx, ambient_refs):
         qk = _FLIP @ qk
-    half = np.exp(_F(twist) / 2.0)
-    tw = np.array([[half, 0.0], [0.0, 1.0 / half]], dtype=_F)
-    q = _inv2(qx) @ tw @ qk
+    q = _inv2(qx) @ qk
     new_gens = [_conj_raw(q, g) for g in gens]
     moved = _conj_raw(q, boundary)
     # the piece boundary is a product of commutators, so its SL(2) sign is
@@ -267,27 +220,24 @@ def _torus_raw(interior_length, boundary_length):
     return A, B
 
 
-def fn_surface_rep(g, interior_length, boundary_length=1.0, twists=None):
+def fn_surface_rep(g, interior_length):
     """Genus-g one-holed surface via torus/pants amalgamation.
 
-    The designated curve (first generator) has length 1; other handle
-    curves and all connector cuffs have length `interior_length`.
+    The boundary and the designated curve (first generator) have length
+    BOUNDARY_LENGTH; other handle curves and all connector cuffs have
+    length `interior_length`.
     """
     if g < 1:
         raise ValueError("genus must be >= 1")
     if g == 1:
-        return one_holed_torus_rep(1.0, boundary_length)
+        return one_holed_torus_rep(BOUNDARY_LENGTH, BOUNDARY_LENGTH)
     L = float(interior_length)
-    twists = list(twists or [])
     residuals = []
-
-    def next_twist():
-        return twists.pop(0) if twists else 0.0
 
     def torus_into(target, target_len, refs, first):
         # one torus, conjugated once so its boundary matches the target cuff
-        gens = list(_torus_raw(1.0 if first else L, target_len))
-        out, res = _match_piece(gens, _boundary_raw(gens), target, refs, next_twist())
+        gens = list(_torus_raw(BOUNDARY_LENGTH if first else L, target_len))
+        out, res = _match_piece(gens, _boundary_raw(gens), target, refs)
         residuals.append(res)
         return out
 
@@ -298,12 +248,12 @@ def fn_surface_rep(g, interior_length, boundary_length=1.0, twists=None):
             rgens = torus_into(Y, L, [X] + lgens, False)
         else:
             Xs, Ys = _pants_raw(L, L, L)
-            sub, res = _match_piece([Xs, Ys], Xs @ Ys, Y, [X] + lgens, next_twist())
+            sub, res = _match_piece([Xs, Ys], Xs @ Ys, Y, [X] + lgens)
             residuals.append(res)
             rgens = build(n - 1, sub[0], sub[1], False)
         return lgens + rgens
 
-    X, Y = _pants_raw(L, L, boundary_length)
+    X, Y = _pants_raw(L, L, BOUNDARY_LENGTH)
     gens = build(g, X, Y, True)
     bnd = _boundary_raw(gens)
     cuff = X @ Y
@@ -323,15 +273,8 @@ def _axis_unit_normalize(gens):
     leftover freedom (translation along the axis) is spent keeping the
     generator entries small.
     """
-    att, rep = _fixed_points_raw(gens[0])
-    if np.isinf(att):
-        m = np.array([[1.0, -rep], [0.0, 1.0]], dtype=_F)
-    elif np.isinf(rep):
-        m = np.array([[0.0, 1.0], [1.0, -att]], dtype=_F)
-    else:
-        m = np.array([[1.0, -rep], [1.0, -att]], dtype=_F)
     cay = np.array(_CAYLEY, dtype=_F)
-    q0 = cay @ m
+    q0 = cay @ _diag_frame_raw(gens[0])
     base = [_conj_raw(q0, g) for g in gens]
 
     cay64 = np.asarray(cay, dtype=float)
@@ -385,7 +328,6 @@ def collar_width(rep, curve):
     Words are explored by BFS up to length COLLAR_WORD_LEN, pruned by an
     adaptive displacement cap measured from a point on the axis.
     """
-    curve = tuple(curve)
     cm = rep.evaluate(curve)
     frame = cm.conjugator_to_standard()
     # work in coordinates where the curve axis is {0, inf}
@@ -411,9 +353,7 @@ def collar_width(rep, curve):
     if dists[i] < best:
         best, witness = float(dists[i]), ball.words[i]
     return CollarReport(
-        curve=curve,
         measured_halfwidth=best / 2.0 if math.isfinite(best) else math.inf,
-        search_n=COLLAR_WORD_LEN,
         witness=witness,
     )
 
@@ -443,51 +383,3 @@ def _translate_distances(mats):
     dist = np.where(same_axis, np.inf, np.maximum(dist, 0.0))
     return dist
 
-
-def discreteness_proxy(rep, n=8):
-    """Sanity guard: no short nontrivial word near the identity, and
-    Jorgensen's inequality for all generator pairs.
-
-    The near-identity scan is restricted to a displacement band around the
-    base point; words that leave the band cannot return close to the
-    identity without a short near-identity prefix appearing first.
-    """
-    scan_radius = max(g.displacement() for g in rep.generators) + _PROXY_SCAN_MARGIN
-    ball = enumerate_ball(
-        rep.generators,
-        BallLimit(max_word_len=n, max_displacement=scan_radius,
-                  max_count=_PROXY_MAX_ELEMENTS),
-    )
-    # MoebiusMap.dist to the identity of each element but the identity,
-    # which is row 0
-    diff = ball.mats[1:] - np.array([1, 0, 0, 1], dtype=np.complex128)
-    dists = np.hypot(diff.real, diff.imag).max(axis=1)
-    close = np.flatnonzero(dists < _PROXY_TOL)
-    if len(close):
-        i = int(close[0])
-        word = ball.words[i + 1]
-        raise DiscretenessSuspect(
-            f"word {word} within {float(dists[i]):.2e} of the identity", witness=word
-        )
-    min_dist = float(dists.min()) if len(dists) else math.inf
-    jmin = math.inf
-    gens = rep.generators
-    for i in range(len(gens)):
-        for j in range(len(gens)):
-            if i == j:
-                continue
-            a, b = gens[i], gens[j]
-            comm = a @ b @ a.inverse() @ b.inverse()
-            val = abs(a.trace() ** 2 - 4.0) + abs(comm.trace() - 2.0)
-            jmin = min(jmin, val)
-            if val < 1.0 - 1e-12:
-                raise DiscretenessSuspect(
-                    f"Jorgensen inequality fails for generators {i + 1},{j + 1}: {val}",
-                    witness=(i + 1, j + 1),
-                )
-    return {
-        "max_word_len": n,
-        "words_checked": len(ball),
-        "min_identity_distance": min_dist,
-        "jorgensen_min": jmin,
-    }

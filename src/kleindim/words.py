@@ -31,8 +31,10 @@ def word_inverse(word):
 def evaluate_word(word, generators):
     """Evaluate a (freely reduced) word; generators[i-1] realizes letter i.
 
-    The product is taken pairwise (balanced tree) to limit rounding
-    accumulation on long words.
+    Words of up to 96 letters are multiplied in the matrix-chain order
+    that minimizes the summed norms of the intermediate products (an
+    O(n^3) search), which limits rounding on words that nearly cancel;
+    longer words are multiplied left to right.
     """
     letters = free_reduce(word)
     if not letters:

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from kleindim import _core, growth
+from kleindim import _core, growth, hnn
 from kleindim.dimension import DEDUP_TOL
 from kleindim.hnn import build_hnn
 from kleindim.moebius import Geodesic, MoebiusMap, geodesic_to_vertical
@@ -44,6 +44,18 @@ def r_achieved_for(g, L):
     _, _, r = collars(surface_for(g, L))
     assert math.isfinite(r) and r > 0
     return r
+
+
+def to_word(nf):
+    """The word that a normal form of hnn.HnnPresentation spells."""
+    return tuple(x - hnn._OFFSET for x in nf)
+
+
+def relator_word(rep):
+    """The HNN relator a_1 tau W^-1 tau^-1 of an extension `rep`."""
+    tau = rep.stable_letter_index()
+    w_inv = tuple(-x for x in reversed(rep.surface.boundary_word()))
+    return (1,) + (tau,) + w_inv + (-tau,)
 
 
 # -- scalar oracles of the limit-set sampling layer --------------------

@@ -18,7 +18,7 @@ from kleindim.dimension import (LimitSample, ScaleRow, ScaleTable, _box_count, b
 from kleindim.errors import DegenerateScaleWindow, IncompleteBall
 from kleindim.moebius import INF, MoebiusMap, SpherePoint
 from kleindim.report import truncation_ball
-from kleindim.subgroup import BallLimit, enumerate_ball, truncated_generators
+from kleindim.subgroup import BallLimit, enumerate_ball
 
 
 def _arc_sample(n):

@@ -41,11 +41,12 @@ class TestSolveStableLetter:
 class TestEvaluateWord:
     def test_empty_word(self):
         rep = helpers.hnn_for(1, 3.0)
-        assert rep.evaluate(()).is_identity(1e-12)
+        assert rep.evaluate(()).dist(MoebiusMap.identity()) <= 1e-12
 
     def test_relator_word_near_identity(self):
         rep = helpers.hnn_for(1, 3.0)
-        assert rep.evaluate(rep.relator_word()).is_identity(1e-7)
+        relator = rep.evaluate(helpers.relator_word(rep))
+        assert relator.dist(MoebiusMap.identity()) <= 1e-7
 
     def test_homomorphism_on_random_words(self):
         rep = helpers.hnn_for(1, 3.0)
@@ -121,12 +122,12 @@ class TestNormalForm:
             assert pres.normal_form(w[:i] + rng.choice(relators) + w[i:]) == nf
             assert pres.normal_form(w + word_inverse(w)) == pres.identity()
             # the normal form spells the same element
-            assert pres.normal_form(pres.to_word(nf)) == nf
+            assert pres.normal_form(helpers.to_word(nf)) == nf
 
     def test_base_group_embeds(self):
         pres, _, _, _ = self._setup(2)
         for w in [(1,), (2, -1, 3), (1, 2, -1, -2, 3, 4, -3, -4)]:
-            assert pres.to_word(pres.normal_form(w)) == w
+            assert helpers.to_word(pres.normal_form(w)) == w
 
     @pytest.mark.parametrize("g", [1, 2])
     def test_coset_ties_resolved_once(self, g):
@@ -142,7 +143,7 @@ class TestNormalForm:
     def test_conjugation_rules(self):
         pres, tau, w, _ = self._setup(1)
         # tau W^2 tau^-1 = a_1^2 and tau^-1 a_1^-1 tau = W^-1
-        assert pres.to_word(pres.normal_form((tau,) + w * 2 + (-tau,))) == (1, 1)
-        assert pres.to_word(pres.normal_form((-tau, -1, tau))) == word_inverse(w)
+        assert helpers.to_word(pres.normal_form((tau,) + w * 2 + (-tau,))) == (1, 1)
+        assert helpers.to_word(pres.normal_form((-tau, -1, tau))) == word_inverse(w)
         # no pinch: tau^-1 W tau is already reduced
-        assert len(pres.to_word(pres.normal_form((-tau,) + w + (tau,)))) == 6
+        assert len(helpers.to_word(pres.normal_form((-tau,) + w + (tau,)))) == 6

@@ -1,4 +1,4 @@
-"""Unit tests for configuration, rendering, table round-trips, and the CLI."""
+"""Unit tests for configuration, rendering, table export, and the CLI."""
 
 import json
 
@@ -7,11 +7,12 @@ import pytest
 from click.testing import CliRunner
 
 import helpers
+from kleindim import dimension
 from kleindim.cli import main
 from kleindim.dimension import ScaleRow, ScaleTable, sample_from_points
 from kleindim.errors import IncompleteBall
 from kleindim.moebius import SpherePoint
-from kleindim.report import (RunConfig, read_scale_csv, render_limit_set)
+from kleindim.report import RunConfig, render_limit_set
 from kleindim.subgroup import BallResult
 
 
@@ -78,15 +79,15 @@ class TestRender:
 
 
 class TestScaleCsvRoundTrip:
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self):
+        # floats are written by repr, so every bit survives a read-back
         table = ScaleTable(rows=[
             ScaleRow(delta=1.0, box_count=4, components=2, max_diam=0.5),
-            ScaleRow(delta=0.5, box_count=9, components=5, max_diam=0.125),
+            ScaleRow(delta=0.5, box_count=9, components=5, max_diam=0.1 + 0.2),
         ])
-        path = tmp_path / "scales.csv"
-        path.write_text(table.to_csv())
-        back = read_scale_csv(path)
-        assert back.rows == table.rows
+        assert table.to_csv() == ("delta,box_count,components,max_diam\n"
+                                  "1.0,4,2,0.5\n"
+                                  "0.5,9,5,0.30000000000000004\n")
 
 
 class TestCli:
@@ -199,6 +200,19 @@ class TestCli:
         assert out["stderr"] >= 0.0
         lo, hi = out["scale_window"]
         assert lo < hi
+
+    def test_estimate_dim_skips_components(self, monkeypatch):
+        # only the dimension estimate is printed, so the component columns
+        # of the scale table are never computed
+        def refuse(sample, delta):
+            raise AssertionError("component_analysis called")
+
+        monkeypatch.setattr(dimension, "component_analysis", refuse)
+        result = CliRunner().invoke(main, ["estimate-dim", "-m", "0",
+                                           "--max-count", "200"])
+        assert result.exception is None
+        assert result.exit_code == 0
+        assert 0 < json.loads(result.output)["n_sample"] <= 200
 
     def test_build_rep_reports_exactness(self):
         runner = CliRunner()
