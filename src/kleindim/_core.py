@@ -9,11 +9,9 @@ import math
 
 import numpy as np
 
-from .moebius import FIXES_INF_TOL, LOXO_TOL, MoebiusMap
+from .moebius import FIXES_INF_TOL, LOXO_TOL, PIVOT_TOL, REAL_TOL, MoebiusMap
 
 KERNEL_NAME = "numpy"
-PIVOT_TOL = 1e-9
-_REAL_TOL = 1e-12
 
 
 # -- ball enumeration --------------------------------------------------
@@ -63,9 +61,8 @@ def expand(frontier, gens):
 
 
 def fix_sign(mats):
-    """In place: the sign representative of each det-1 row, the one whose
-    first entry of modulus above PIVOT_TOL has positive real part (or,
-    with a real part below _REAL_TOL of it, positive imaginary part).
+    """In place: the sign representative of each det-1 row, by the sign
+    rule of moebius._canonical_sign and its PIVOT_TOL and REAL_TOL.
 
     mats: (n, 4) complex128 rows (a, b, c, d).
     """
@@ -76,7 +73,7 @@ def fix_sign(mats):
     pivot = mats[np.arange(len(mats)), pivot_idx]
     papb = np.abs(pivot)
     re, im = pivot.real, pivot.imag
-    re_zero = np.abs(re) <= _REAL_TOL * papb
+    re_zero = np.abs(re) <= REAL_TOL * papb
     with np.errstate(invalid="ignore"):
         flip = np.where(re_zero, im < 0.0, re < 0.0)
         mats[flip] *= -1.0

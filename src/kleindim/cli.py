@@ -10,6 +10,7 @@ import json
 import sys
 
 import click
+from click.core import ParameterSource
 
 from .dimension import box_dimension, sample_limit_set
 from .errors import KleindimError
@@ -177,9 +178,18 @@ def render_cmd(genus, interior_length, level, max_count, resolution, out):
 @click.option("--resolution", type=int, default=512, show_default=True)
 def full_run_cmd(config_path, genus, interior_length, level, word_budget,
                  radius, scales, seed, out, resolution):
-    """Full pipeline; writes report.json, CSV tables and the image."""
+    """Full pipeline; writes report.json, CSV tables and the image.
+
+    With --config every setting comes from the file, so no other option
+    may be given."""
     try:
         if config_path:
+            ctx = click.get_current_context()
+            given = [max(p.opts, key=len) for p in ctx.command.params
+                     if p.name != "config_path" and ctx.get_parameter_source(p.name)
+                     is ParameterSource.COMMANDLINE]
+            if given:
+                raise ValueError(f"--config cannot be combined with {', '.join(given)}")
             config = RunConfig.from_json(config_path)
         else:
             config = RunConfig(genus=genus, interior_length=interior_length,

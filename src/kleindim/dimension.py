@@ -28,7 +28,6 @@ class LimitSample:
     z: np.ndarray  # (n,) complex128, 0 at infinity
     infinite: np.ndarray  # (n,) bool
     xyz: np.ndarray  # (n, 3) unit-sphere coordinates
-    provenance: str = ""
     skipped: int = 0  # non-loxodromic elements passed over
     scalar_rows: int = 0  # elements the kernel left to MoebiusMap
 
@@ -78,7 +77,7 @@ def _first_by_key(xyz):
     return keep
 
 
-def sample_limit_set(ball, cap=100_000, provenance=""):
+def sample_limit_set(ball, cap=100_000):
     """Attracting fixed points of the loxodromic elements of `ball`,
     deduplicated, at most `cap` of them.
 
@@ -106,13 +105,12 @@ def sample_limit_set(ball, cap=100_000, provenance=""):
         end = int(rows[keep[-1]]) if cap > 0 else 0
     kept = rows[keep]
     return LimitSample(z=z[kept], infinite=infinite[kept], xyz=xyz[keep],
-                       provenance=provenance,
                        skipped=end - int(np.count_nonzero(lox[:end])),
                        scalar_rows=scalar_rows)
 
 
 def merge_samples(a, b):
-    """Union of two samples, deduplicated; keeps b's provenance.
+    """Union of two samples, deduplicated.
 
     The points of a, then those of b, go through `_first_by_key`'s rule:
     a point is dropped when either of its keys belongs to an earlier kept
@@ -126,17 +124,15 @@ def merge_samples(a, b):
     keep = _first_by_key(xyz)
     return LimitSample(z=np.concatenate([a.z, b.z])[keep],
                        infinite=np.concatenate([a.infinite, b.infinite])[keep],
-                       xyz=xyz[keep], provenance=b.provenance,
-                       skipped=a.skipped + b.skipped,
+                       xyz=xyz[keep], skipped=a.skipped + b.skipped,
                        scalar_rows=a.scalar_rows + b.scalar_rows)
 
 
-def sample_from_points(points, provenance=""):
+def sample_from_points(points):
     """LimitSample from explicit SpherePoints (mostly for tests)."""
     z = np.array([p.z for p in points], dtype=np.complex128)
     infinite = np.array([p.infinite for p in points], dtype=bool)
-    return LimitSample(z=z, infinite=infinite, xyz=_core.sphere_xyz(z, infinite),
-                       provenance=provenance)
+    return LimitSample(z=z, infinite=infinite, xyz=_core.sphere_xyz(z, infinite))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,11 @@ from .errors import ElementNotLoxodromic
 LOXO_TOL = 1e-9
 # |c| <= FIXES_INF_TOL * max|entry|: the map is taken to fix infinity
 FIXES_INF_TOL = 1e-14
-_PIVOT_TOL = 1e-9
+# the sign rule of canonical representatives: the first entry of modulus
+# above PIVOT_TOL gets positive real part or, when the real part is at
+# most REAL_TOL times that modulus, positive imaginary part
+PIVOT_TOL = 1e-9
+REAL_TOL = 1e-12
 _ENDPOINT_TOL = 1e-12
 
 
@@ -197,14 +201,6 @@ class MoebiusMap:
         znew = ((a * z + b) * u.conjugate() + a * c.conjugate() * t * t) / den
         return HPoint(znew, t / den)
 
-    def displacement(self, p=None):
-        """hdist(p, M p); defaults to the base point (0, 1)."""
-        if p is None:
-            a, b, c, d = self.entries()
-            s = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
-            return math.acosh(max(1.0, s / 2.0))
-        return hdist(p, self.apply(p))
-
     # -- classification -----------------------------------------------
 
     def complex_translation_length(self):
@@ -248,8 +244,8 @@ class MoebiusMap:
 
 def _canonical_sign(a, b, c, d):
     for z in (a, b, c, d):
-        if abs(z) > _PIVOT_TOL:
-            if abs(z.real) <= 1e-12 * abs(z):
+        if abs(z) > PIVOT_TOL:
+            if abs(z.real) <= REAL_TOL * abs(z):
                 flip = z.imag < 0
             else:
                 flip = z.real < 0

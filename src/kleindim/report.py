@@ -22,10 +22,24 @@ from .errors import DegenerateScaleWindow, IncompleteBall
 from .growth import (build_strata_tree, dim_bound_check, entropy_bound,
                      leaf_count_check, qi_constants, sample_bend_paths)
 from .hnn import build_hnn, plane_angle
-from .subgroup import BallLimit, enumerate_ball, sigma, truncated_generators
+from .subgroup import BallLimit, enumerate_ball, truncated_generators
 from .surface import collar_width, fn_surface_rep
 
 SCHEMA_VERSION = 1
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# the values each RunConfig field type admits, keyed by its annotation:
+# an int is not a bool, a float may be an int, scales are numbers
+_ADMITS = {
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": _is_number,
+    "str": lambda v: isinstance(v, str),
+    "list": lambda v: isinstance(v, list) and all(map(_is_number, v)),
+}
 
 
 @dataclass
@@ -42,6 +56,10 @@ class RunConfig:
     max_elements: int = 50_000  # per-level base element budget
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _ADMITS[f.type](value):
+                raise ValueError(f"{f.name} must be of type {f.type}, not {value!r}")
         if self.genus < 1:
             raise ValueError("genus must be >= 1")
         if self.interior_length <= 0:
@@ -52,8 +70,6 @@ class RunConfig:
             raise ValueError("budgets must be positive")
         if not self.scales or any(s <= 0 for s in self.scales):
             raise ValueError("scales must be positive")
-        if self.seed is None:
-            raise ValueError("seed is mandatory")
         if self.max_elements < 100:
             raise ValueError("element budget too small")
 
@@ -69,25 +85,6 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         return cls(**data)
-
-
-def _estimate_dict(est):
-    if est is None:
-        return None
-    return {
-        "value": est.value,
-        "stderr": est.stderr,
-        "scale_window": list(est.scale_window),
-        "method": est.method,
-    }
-
-
-def _scale_table_dict(table):
-    return [
-        {"delta": r.delta, "box_count": r.box_count,
-         "components": r.components, "max_diam": r.max_diam, "row": i}
-        for i, r in enumerate(table.rows)
-    ]
 
 
 def collars(surface):
@@ -110,12 +107,12 @@ def bound_checks(rep, r, seed):
 
 def truncation_ball(rep, m, limit):
     """Ball of the level-m truncation generators within `limit`, its
-    elements told apart by normal form in the extension group."""
+    elements told apart by normal form in the extension group.  Every
+    generator tau^k gamma_i tau^-k has grading 0, enumerate_ball's
+    default."""
     tg = truncated_generators(rep, m)
-    tau = rep.stable_letter_index()
-    return enumerate_ball(tg.matrices, limit,
-                          sigma_values=[sigma(w, tau) for w in tg.words],
-                          words=tg.words, presentation=rep.presentation)
+    return enumerate_ball(tg.matrices, limit, words=tg.words,
+                          presentation=rep.presentation)
 
 
 def run_pipeline(config):
@@ -150,8 +147,7 @@ def run_pipeline(config):
             rep, m, BallLimit(max_word_len=config.word_budget, max_count=budget))
         # cumulative sample: the truncations are nested, so points from
         # lower levels remain limit points and keep the samples nested
-        level_sample = sample_limit_set(ball, cap=budget,
-                                        provenance=f"truncation m={m}")
+        level_sample = sample_limit_set(ball, cap=budget)
         sample = (level_sample if sample is None
                   else merge_samples(sample, level_sample))
         box, table = box_dimension(sample, scales=config.scales)
@@ -174,21 +170,18 @@ def run_pipeline(config):
             "m": m,
             "n_elements": len(ball),
             "n_sample": len(sample),
-            "box": _estimate_dict(box),
-            "orbit": _estimate_dict(orbit),
+            "box": asdict(box),
+            "orbit": asdict(orbit) if orbit else None,
             "orbit_complete_radius": cr,
-            "scale_table": _scale_table_dict(table),
-            "dim_bound": {
-                "bound": verdict.bound,
-                "tol": verdict.tol,
-                "passed": verdict.passed,
-            },
+            "scale_table": [{**asdict(row), "row": i}
+                            for i, row in enumerate(table.rows)],
+            "dim_bound": asdict(verdict),
         })
 
     report = {
         "schema": SCHEMA_VERSION,
         "version": __version__,
-        "config": {**asdict(config), "scales": list(config.scales)},
+        "config": asdict(config),
         "surface": {
             "genus": config.genus,
             "interior_length": config.interior_length,
@@ -198,13 +191,7 @@ def run_pipeline(config):
             "gluing_residuals": surface.gluing_residuals,
         },
         "hnn": diag,
-        "qi_fit": {
-            "epsilon_hat": fit.epsilon_hat,
-            "c_hat": fit.c_hat,
-            "n_samples": fit.n_samples,
-            "max_ratio": fit.max_ratio,
-            "min_ratio": fit.min_ratio,
-        },
+        "qi_fit": asdict(fit),
         "entropy_bound": entropy_bound(r_achieved),
         "strata": {
             "nodes": len(tree),

@@ -27,17 +27,6 @@ _BAND_SLACK = 1.0
 _CHUNK = 16384  # frontier elements expanded per batch
 
 
-def sigma(word, stable_letter):
-    """Exponent sum of the stable letter in a word."""
-    n = 0
-    for letter in word:
-        if letter == stable_letter:
-            n += 1
-        elif letter == -stable_letter:
-            n -= 1
-    return n
-
-
 @dataclass(frozen=True)
 class TruncationGenerators:
     """Matrices for {tau^k gamma_i tau^-k : 0 <= k <= m}."""

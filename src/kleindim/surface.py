@@ -31,7 +31,6 @@ _COLLAR_MAX_ELEMENTS = 500_000
 @dataclass(frozen=True)
 class CollarReport:
     measured_halfwidth: float
-    witness: tuple | None
 
 
 class SurfaceRep:
@@ -335,27 +334,16 @@ def collar_width(rep, curve):
     ell = cm.translation_length()
 
     # seed the displacement cap from a shallow pass
-    best = math.inf
-    witness = None
     shallow = enumerate_ball(gens, BallLimit(max_word_len=2))
-    sd = _translate_distances(shallow.mats)
-    i = int(np.argmin(sd))
-    if sd[i] < best:
-        best, witness = float(sd[i]), shallow.words[i]
+    best = float(np.min(_translate_distances(shallow.mats)))
     cap = (2.0 * best + ell + 2.0) if math.isfinite(best) else (2.0 * COLLAR_WORD_LEN)
     ball = enumerate_ball(
         gens,
         BallLimit(max_word_len=COLLAR_WORD_LEN, max_displacement=cap,
                   max_count=_COLLAR_MAX_ELEMENTS),
     )
-    dists = _translate_distances(ball.mats)
-    i = int(np.argmin(dists))
-    if dists[i] < best:
-        best, witness = float(dists[i]), ball.words[i]
-    return CollarReport(
-        measured_halfwidth=best / 2.0 if math.isfinite(best) else math.inf,
-        witness=witness,
-    )
+    best = min(best, float(np.min(_translate_distances(ball.mats))))
+    return CollarReport(measured_halfwidth=best / 2.0)
 
 
 def _translate_distances(mats):

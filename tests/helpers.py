@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from kleindim import _core, growth, hnn
+from kleindim import growth, hnn, moebius
 from kleindim.dimension import DEDUP_TOL
 from kleindim.hnn import build_hnn
 from kleindim.moebius import Geodesic, MoebiusMap, geodesic_to_vertical
@@ -49,6 +49,17 @@ def r_achieved_for(g, L):
 def to_word(nf):
     """The word that a normal form of hnn.HnnPresentation spells."""
     return tuple(x - hnn._OFFSET for x in nf)
+
+
+def sigma(word, stable_letter):
+    """Exponent sum of the stable letter in a word: its grading."""
+    n = 0
+    for letter in word:
+        if letter == stable_letter:
+            n += 1
+        elif letter == -stable_letter:
+            n -= 1
+    return n
 
 
 def relator_word(rep):
@@ -154,12 +165,12 @@ def canonicalize(mats):
     with np.errstate(divide="ignore", invalid="ignore"):
         mats /= np.sqrt(det)[:, None]
     absval = np.abs(mats)
-    big = absval > _core.PIVOT_TOL
+    big = absval > moebius.PIVOT_TOL
     pivot_idx = np.argmax(big, axis=1)
     pivot = mats[np.arange(len(mats)), pivot_idx]
     papb = np.abs(pivot)
     re, im = pivot.real, pivot.imag
-    re_zero = np.abs(re) <= _core._REAL_TOL * papb
+    re_zero = np.abs(re) <= moebius.REAL_TOL * papb
     with np.errstate(invalid="ignore"):
         flip = np.where(re_zero, im < 0.0, re < 0.0)
         mats[flip] *= -1.0

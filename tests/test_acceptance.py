@@ -76,8 +76,7 @@ def _truncation_sample(g, L, m):
     budget = 50_000 * (m + 1)
     ball = truncation_ball(helpers.hnn_for(g, L), m,
                            BallLimit(max_word_len=64, max_count=budget))
-    sample = sample_limit_set(ball, cap=budget,
-                              provenance=f"g={g} L={L} m={m}")
+    sample = sample_limit_set(ball, cap=budget)
     if m == 0:
         return sample
     return merge_samples(_truncation_sample(g, L, m - 1), sample)

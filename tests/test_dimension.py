@@ -192,7 +192,7 @@ def _cell_boundary_points(rng, delta):
     infinite = xyz[:, 2] == 1.0
     z = np.zeros(len(xyz), dtype=np.complex128)
     z[~infinite] = (xyz[~infinite, 0] + 1j * xyz[~infinite, 1]) / (1.0 - xyz[~infinite, 2])
-    return LimitSample(z=z, infinite=infinite, xyz=xyz, provenance="grid")
+    return LimitSample(z=z, infinite=infinite, xyz=xyz)
 
 
 class TestComponentsAgainstBruteForce:

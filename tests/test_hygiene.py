@@ -5,15 +5,23 @@ Parses `src/kleindim/*.py` and checks that
   the public API and is exempt), and
 - every module-level `_private` name and `UPPER_CASE` constant is used:
   referenced in its own module outside its definition, imported by
-  another package module, or read as `module.NAME` by `perfbench/`.
+  another package module, or read as `module.NAME` by `perfbench/`, and
+- every non-dunder method and every dataclass field of a module-level
+  class is read in `src/kleindim` or `perfbench/`: as an attribute
+  `x.name`, as a bare name in its class body (`__matmul__ = compose`), or,
+  for a field, by `dataclasses.asdict` writing its class whole into the
+  report.
 """
 
 import ast
 import functools
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
+
+from kleindim import report
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "kleindim"
@@ -91,3 +99,68 @@ def test_private_names_and_constants_used(path):
                     and (module, name) not in _used_from_outside()):
                 unused.append(name)
     assert unused == []
+
+
+# never read yet; ROADMAP item 3 adds it to the report
+UNREAD_MEMBERS = {"BallResult.numeric_drops"}
+
+
+def _is_dataclass(cls):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def _members(cls):
+    """Non-dunder methods and, for a dataclass, fields defined in a class
+    body."""
+    for stmt in cls.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not (stmt.name.startswith("__") and stmt.name.endswith("__")):
+                yield stmt.name
+        elif (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+              and _is_dataclass(cls)):
+            yield stmt.target.id
+
+
+@functools.cache
+def _attribute_reads():
+    """Attribute names read as `x.name` in the package or perfbench/."""
+    paths = list(PACKAGE.glob("*.py")) + list((ROOT / "perfbench").glob("*.py"))
+    return {n.attr for path in paths for n in ast.walk(_tree(path))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+@functools.cache
+def _serialized_classes():
+    """Names of the dataclasses whose instances the pipeline passes whole
+    to `asdict`, recorded on a small genus-1 run."""
+    seen = set()
+    asdict = report.asdict
+
+    def recording(obj):
+        seen.add(type(obj).__name__)
+        return asdict(obj)
+
+    config = report.RunConfig(level=0, word_budget=8, radius=4.0, max_elements=100)
+    with mock.patch.object(report, "asdict", recording):
+        report.run_pipeline(config)
+    return seen
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_methods_and_fields_read(path):
+    unread = []
+    for cls in _tree(path).body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        in_body = _loads(s for s in cls.body
+                         if not isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef)))
+        for name in _members(cls):
+            if name in _attribute_reads() or name in in_body:
+                continue
+            if _is_dataclass(cls) and cls.name in _serialized_classes():
+                continue
+            if f"{cls.name}.{name}" not in UNREAD_MEMBERS:
+                unread.append(f"{cls.name}.{name}")
+    assert unread == []

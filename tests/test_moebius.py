@@ -4,9 +4,11 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 import helpers
+from kleindim import _core
 from kleindim.errors import ElementNotLoxodromic
 from kleindim.moebius import (BASEPOINT, INF, Geodesic, HPoint, MoebiusMap,
                               SpherePoint, chordal, geodesic_distance,
@@ -136,11 +138,12 @@ class TestClassification:
             assert abs(d.a) > 1.0  # attracting fixed point at infinity
 
     def test_displacement_matches_hdist(self):
+        # the base-point displacement of each row of a ball
         rng = random.Random(8)
-        for _ in range(25):
-            m = _random_map(rng)
-            assert m.displacement() == pytest.approx(
-                hdist(BASEPOINT, m.apply(BASEPOINT)), abs=1e-9)
+        maps = [_random_map(rng) for _ in range(25)]
+        disps = _core.displacements(np.array([m.entries() for m in maps]))
+        for m, d in zip(maps, disps.tolist()):
+            assert d == pytest.approx(hdist(BASEPOINT, m.apply(BASEPOINT)), abs=1e-9)
 
 
 class TestGeodesics:

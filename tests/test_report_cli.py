@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 import helpers
-from kleindim import dimension
+from kleindim import dimension, report
 from kleindim.cli import main
 from kleindim.dimension import ScaleRow, ScaleTable, sample_from_points
 from kleindim.errors import IncompleteBall
@@ -30,10 +30,21 @@ class TestRunConfig:
         {"scales": [0.5, -0.25]},
         {"seed": None},
         {"max_elements": 10},
+        {"genus": "2"},
+        {"genus": True},
+        {"level": 1.0},
+        {"radius": "11"},
+        {"scales": [1.0, "0.5"]},
+        {"scales": [1.0, False]},
+        {"scales": 0.5},
+        {"out_dir": 3},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             RunConfig(**kwargs).validate()
+
+    def test_int_accepted_for_float(self):
+        RunConfig(interior_length=3, radius=11, scales=[1, 0.5]).validate()
 
     def test_json_round_trip(self, tmp_path):
         config = RunConfig(genus=2, level=1, seed=7, scales=[1.0, 0.5, 0.25])
@@ -106,6 +117,23 @@ class TestCli:
         assert result.exit_code == 2
         assert "usage error:" in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    def test_config_value_of_wrong_type_is_usage_error(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"genus": "2"}')
+        result = CliRunner().invoke(main, ["full-run", "--config", str(path)])
+        assert result.exit_code == 2
+        assert "usage error: genus must be of type int" in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    def test_config_with_other_flags_is_usage_error(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"genus": 1, "out_dir": str(tmp_path / "o1")}))
+        result = CliRunner().invoke(main, ["full-run", "--config", str(path), "-g", "2",
+                                           "--out", str(tmp_path / "o2")])
+        assert result.exit_code == 2
+        assert "usage error: --config cannot be combined with --genus, --out" in result.output
+        assert not (tmp_path / "o1").exists() and not (tmp_path / "o2").exists()
 
     def test_render_empty_sample_is_numeric_error(self, tmp_path, monkeypatch):
         empty = BallResult(mats=np.empty((0, 4), dtype=np.complex128), words=[],
@@ -189,6 +217,32 @@ class TestCli:
         assert out["leaf_violations"] == 0
         assert out["strata_nodes"] > 1
         assert out["epsilon_hat"] >= 0.0
+
+    @staticmethod
+    def _break_leaf_bound(monkeypatch):
+        # r = 1e9 drives every leaf bound down to 2, which the default
+        # torus tree exceeds
+        check = report.leaf_count_check
+        monkeypatch.setattr(report, "leaf_count_check", lambda tree, r: check(tree, 1e9))
+
+    def test_check_bounds_leaf_violation_exits_1(self, monkeypatch):
+        self._break_leaf_bound(monkeypatch)
+        result = CliRunner().invoke(main, ["check-bounds", "-g", "1"])
+        assert result.exit_code == 1
+        assert json.loads(result.output)["leaf_violations"] > 0
+
+    def test_full_run_leaf_violation_fails_the_report(self, tmp_path, monkeypatch):
+        self._break_leaf_bound(monkeypatch)
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, ["full-run", "-g", "1", "-m", "0",
+                                           "--out", str(out)])
+        assert result.exit_code == 1
+        written = json.loads((out / "report.json").read_text())
+        assert written["strata"]["leaf_violations"] > 0
+        assert written["all_passed"] is False
+        assert all(level["dim_bound"]["passed"] for level in written["levels"])
+        leaves = (out / "leaves.csv").read_text().splitlines()
+        assert len(leaves) == 1 + written["strata"]["leaf_rows"]
 
     def test_estimate_dim_command(self):
         result = CliRunner().invoke(main, ["estimate-dim", "-g", "1", "-m", "1",
