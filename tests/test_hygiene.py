@@ -10,17 +10,23 @@ Parses `src/kleindim/*.py` and checks that
   class is read in `src/kleindim` or `perfbench/`: as an attribute
   `x.name`, as a bare name in its class body (`__matmul__ = compose`), or,
   for a field, by `dataclasses.asdict` writing its class whole into the
-  report.
+  report, and
+- building genus-2 and genus-3 surfaces imports no SciPy, which the
+  package does not depend on.
 """
 
 import ast
 import functools
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
+import kleindim
 from kleindim import report
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -164,3 +170,24 @@ def test_methods_and_fields_read(path):
             if f"{cls.name}.{name}" not in UNREAD_MEMBERS:
                 unread.append(f"{cls.name}.{name}")
     assert unread == []
+
+
+_NO_SCIPY = """
+import sys
+from click.testing import CliRunner
+from kleindim.cli import main
+from kleindim.hnn import build_hnn
+from kleindim.surface import fn_surface_rep
+build_hnn(fn_surface_rep(3, 5.0))
+result = CliRunner().invoke(main, ["build-surface", "-g", "2"])
+assert result.exit_code == 0, result.output
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_surface_build_imports_no_scipy():
+    src = str(Path(kleindim.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", _NO_SCIPY], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

@@ -110,6 +110,30 @@ class TestFnSurfaceRep:
             fn_surface_rep(0, 3.0)
 
 
+class TestAxisNormalization:
+    """At genus >= 2 the designated curve's axis is {-1, +1}, and the
+    translation along it leaves the least summed squared generator
+    entries."""
+
+    KEYS = [(2, 3.0), (2, 5.0), (3, 5.0)]
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_axis_endpoints(self, key):
+        ends = helpers.surface_for(*key).gamma_matrix().fixed_points()
+        assert sorted(p.z.real for p in ends) == pytest.approx([-1.0, 1.0], abs=1e-12)
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_translation_minimizes_entries(self, key):
+        gens = helpers.surface_for(*key).generators
+
+        def cost(s):
+            k = helpers.axis_translation(-1.0, 1.0, s)
+            return sum(abs(x) ** 2 for g in gens for x in g.conjugate_by(k).entries())
+
+        best = cost(0.0)
+        assert cost(1e-6) >= best and cost(-1e-6) >= best
+
+
 class TestCollarWidth:
     def test_cyclic_rep_has_no_competitor(self):
         v = MoebiusMap.vertical_translation(1.0)
