@@ -10,13 +10,10 @@ __version__ = "0.1.0"
 
 from .moebius import (  # noqa: F401
     BASEPOINT,
-    Geodesic,
     HPoint,
     INF,
     MoebiusMap,
     SpherePoint,
     chordal,
-    geodesic_distance,
     hdist,
-    point_to_geodesic,
 )

@@ -1,29 +1,25 @@
 """Command-line interface.
 
+Every subcommand builds one `RunConfig`, validated as `full-run`'s is,
+runs the stages of `report.run_pipeline` it needs and prints what those
+stages put in the report, keyed by its path in report.json.
+
 Exit codes: 0 pass, 1 a bound or invariant check failed, 2 usage error,
 3 numeric/construction error.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
+from pathlib import Path
 
 import click
 from click.core import ParameterSource
 
-from .dimension import box_dimension, sample_limit_set
+from . import report
 from .errors import KleindimError
-from .hnn import build_hnn, plane_angle
-from .report import (RunConfig, bound_checks, collars, render_limit_set,
-                     run_pipeline, truncation_ball, write_report)
-from .subgroup import BallLimit
-from .surface import fn_surface_rep
-
-
-def _fail_numeric(exc):
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(3)
 
 
 class _Main(click.Group):
@@ -33,7 +29,8 @@ class _Main(click.Group):
         try:
             return super().invoke(ctx)
         except KleindimError as exc:
-            _fail_numeric(exc)
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(3)
 
 
 @click.group(cls=_Main)
@@ -41,147 +38,35 @@ def main():
     """Hyperbolic limit-set construction and dimension estimation."""
 
 
-_shared = [
-    click.option("--genus", "-g", type=int, default=1, show_default=True),
-    click.option("--interior-length", "-L", type=float, default=3.0, show_default=True),
-]
-_max_count = click.option("--max-count", type=click.IntRange(min=1), default=100_000,
-                          show_default=True)
+def floats(value):
+    """A comma-separated list of numbers, or a copy of the default list."""
+    return list(value) if isinstance(value, list) else [float(s) for s in value.split(",")]
 
 
-def _with_shared(fn):
-    for opt in reversed(_shared):
-        fn = opt(fn)
-    return fn
+_DEFAULTS = report.RunConfig()
+# one option per RunConfig field, its default the field's
+_OPTIONS = {
+    name: click.option(*decls, name, type=kind, default=getattr(_DEFAULTS, name),
+                       show_default=True, help=help)
+    for name, decls, kind, help in [
+        ("genus", ["--genus", "-g"], int, None),
+        ("interior_length", ["--interior-length", "-L"], float, None),
+        ("level", ["--level", "-m"], int, "truncation level m"),
+        ("word_budget", ["--word-budget", "-N"], int, "longest word enumerated"),
+        ("radius", ["--radius", "-R"], float, "orbit ball displacement radius"),
+        ("scales", ["--scales"], floats, "comma-separated box-count scales"),
+        ("seed", ["--seed"], int, "bend-path seed"),
+        ("out_dir", ["--out"], click.Path(), "output directory"),
+        ("resolution", ["--resolution"], int, "image side in pixels"),
+        ("max_elements", ["--max-elements"], int,
+         "element budget per level: level m's balls hold at most max_elements*(m+1)"),
+    ]
+}
 
 
-def _rep(genus, length):
-    return build_hnn(fn_surface_rep(genus, length))
-
-
-def _sample(genus, length, level, max_count):
-    """Limit-set sample of the level's truncation ball, capped at max_count."""
-    ball = truncation_ball(_rep(genus, length), level, BallLimit(max_count=max_count))
-    return sample_limit_set(ball, cap=max_count)
-
-
-@main.command("build-surface")
-@_with_shared
-def build_surface_cmd(genus, interior_length):
-    """Build the surface representation and print its diagnostics."""
-    surface = fn_surface_rep(genus, interior_length)
-    col_g, col_b, _ = collars(surface)
-    out = {
-        "genus": genus,
-        "gamma_length": surface.gamma_matrix().translation_length(),
-        "boundary_length": surface.boundary_matrix().translation_length(),
-        "gluing_residuals": surface.gluing_residuals,
-        "gamma_collar_halfwidth": col_g.measured_halfwidth,
-        "boundary_collar_halfwidth": col_b.measured_halfwidth,
-    }
-    click.echo(json.dumps(out, sort_keys=True, indent=2))
-
-
-@main.command("build-rep")
-@_with_shared
-def build_rep_cmd(genus, interior_length):
-    """Build the extension and print the exactness diagnostics."""
-    rep = _rep(genus, interior_length)
-    out = {
-        "relator_residual": rep.relator_residual(),
-        "plane_angle": plane_angle(rep.T),
-        "stable_letter_index": rep.stable_letter_index(),
-    }
-    click.echo(json.dumps(out, sort_keys=True, indent=2))
-
-
-@main.command("enumerate")
-@_with_shared
-@click.option("--level", "-m", type=int, default=0, show_default=True)
-@click.option("--radius", "-R", type=float, default=10.0, show_default=True)
-@_max_count
-def enumerate_cmd(genus, interior_length, level, radius, max_count):
-    """Enumerate an orbit ball of the truncated subgroup."""
-    ball = truncation_ball(_rep(genus, interior_length), level,
-                           BallLimit(max_displacement=radius, max_count=max_count))
-    out = {
-        "elements": len(ball),
-        "complete_radius": ball.complete_radius,
-        "truncated": ball.truncated,
-        "collisions": ball.collisions,
-    }
-    click.echo(json.dumps(out, sort_keys=True, indent=2))
-
-
-@main.command("estimate-dim")
-@_with_shared
-@click.option("--level", "-m", type=int, default=2, show_default=True)
-@_max_count
-def estimate_dim_cmd(genus, interior_length, level, max_count):
-    """Box dimension of the truncated subgroup's limit-set sample."""
-    sample = _sample(genus, interior_length, level, max_count)
-    est, _ = box_dimension(sample, with_components=False)
-    out = {
-        "box_dimension": est.value,
-        "stderr": est.stderr,
-        "scale_window": list(est.scale_window),
-        "n_sample": len(sample),
-    }
-    click.echo(json.dumps(out, sort_keys=True, indent=2))
-
-
-@main.command("check-bounds")
-@_with_shared
-@click.option("--seed", type=int, default=0, show_default=True)
-def check_bounds_cmd(genus, interior_length, seed):
-    """Leaf-count and quasi-geodesic bound checks; exit 1 on failure."""
-    rep = _rep(genus, interior_length)
-    _, _, r_achieved = collars(rep.surface)
-    tree, table, fit = bound_checks(rep, r_achieved, seed)
-    out = {
-        "r_achieved": r_achieved,
-        "strata_nodes": len(tree),
-        "leaf_violations": len(table.violations()),
-        "epsilon_hat": fit.epsilon_hat,
-    }
-    click.echo(json.dumps(out, sort_keys=True, indent=2))
-    if table.violations():
-        sys.exit(1)
-
-
-@main.command("render")
-@_with_shared
-@click.option("--level", "-m", type=int, default=2, show_default=True)
-@_max_count
-@click.option("--resolution", type=int, default=512, show_default=True)
-@click.option("--out", type=click.Path(), default="limitset.ppm", show_default=True)
-def render_cmd(genus, interior_length, level, max_count, resolution, out):
-    """Render the limit-set sample to a P6 image."""
-    sample = _sample(genus, interior_length, level, max_count)
-    try:
-        render_limit_set(sample, resolution, out)
-    except ValueError as exc:  # a sample with nothing to plot
-        _fail_numeric(exc)
-    click.echo(f"wrote {out}")
-
-
-@main.command("full-run")
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@_with_shared
-@click.option("--level", "-m", type=int, default=2, show_default=True)
-@click.option("--word-budget", "-N", type=int, default=64, show_default=True)
-@click.option("--radius", "-R", type=float, default=11.0, show_default=True)
-@click.option("--scales", type=str, default=None,
-              help="comma-separated scale list")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path(), default="out", show_default=True)
-@click.option("--resolution", type=int, default=512, show_default=True)
-def full_run_cmd(config_path, genus, interior_length, level, word_budget,
-                 radius, scales, seed, out, resolution):
-    """Full pipeline; writes report.json, CSV tables and the image.
-
-    With --config every setting comes from the file, so no other option
-    may be given."""
+def _config(config_path, values):
+    """The validated RunConfig of the options given, or of --config alone;
+    exit 2 when it is not valid."""
     try:
         if config_path:
             ctx = click.get_current_context()
@@ -190,21 +75,124 @@ def full_run_cmd(config_path, genus, interior_length, level, word_budget,
                      is ParameterSource.COMMANDLINE]
             if given:
                 raise ValueError(f"--config cannot be combined with {', '.join(given)}")
-            config = RunConfig.from_json(config_path)
+            config = report.RunConfig.from_json(config_path)
         else:
-            config = RunConfig(genus=genus, interior_length=interior_length,
-                               level=level, word_budget=word_budget, radius=radius,
-                               seed=seed, out_dir=out, resolution=resolution)
-            if scales:
-                config.scales = [float(s) for s in scales.split(",")]
+            config = report.RunConfig(**values)
         config.validate()
     except ValueError as exc:
         click.echo(f"usage error: {exc}", err=True)
         sys.exit(2)
-    report, artifacts = run_pipeline(config)
-    path = write_report(report, artifacts, config.out_dir)
+    return config
+
+
+def _command(name, *fields):
+    """Subcommand `name` with an option for each RunConfig field in
+    `fields` and --config; the function is called with the config."""
+
+    def register(fn):
+        @functools.wraps(fn)
+        def run(config_path, **values):
+            return fn(_config(config_path, values))
+
+        for field in reversed(fields):
+            run = _OPTIONS[field](run)
+        run = click.option("--config", "config_path", type=click.Path(exists=True),
+                           help="JSON file of RunConfig fields, instead of options")(run)
+        return main.command(name)(run)
+
+    return register
+
+
+def _echo(out):
+    click.echo(json.dumps(out, sort_keys=True, indent=2))
+
+
+def _extension(config):
+    """report's surface and extension stages: (rep, report["surface"],
+    report["hnn"])."""
+    surface, surface_section = report.surface_stage(config)
+    rep, hnn_section = report.extension_stage(surface)
+    return rep, surface_section, hnn_section
+
+
+def _top_sample(config):
+    """The cumulative sample of level config.level and its level section."""
+    rep, _, _ = _extension(config)
+    sample = None
+    for m in range(config.level + 1):
+        sample, level = report.sample_stage(rep, m, config, sample)
+    return sample, level
+
+
+@_command("build-surface", "genus", "interior_length")
+def build_surface_cmd(config):
+    """Build the surface representation; print report["surface"]."""
+    _, section = report.surface_stage(config)
+    _echo({"surface": section})
+
+
+@_command("build-rep", "genus", "interior_length")
+def build_rep_cmd(config):
+    """Build the extension; print report["hnn"], its exactness."""
+    _, _, section = _extension(config)
+    _echo({"hnn": section})
+
+
+@_command("enumerate", "genus", "interior_length", "level", "word_budget", "radius",
+          "max_elements")
+def enumerate_cmd(config):
+    """Enumerate level m's orbit ball; print its size and the critical
+    exponent fitted on it."""
+    rep, _, _ = _extension(config)
+    ball, section = report.orbit_stage(rep, config.level, config)
+    m = config.level
+    _echo({f"levels[{m}].orbit": section["orbit"],
+           f"levels[{m}].orbit_complete_radius": section["orbit_complete_radius"],
+           "orbit_ball": ball})
+
+
+@_command("estimate-dim", "genus", "interior_length", "level", "word_budget", "scales",
+          "max_elements")
+def estimate_dim_cmd(config):
+    """Box dimension of level m's cumulative limit-set sample."""
+    sample, level = _top_sample(config)
+    _, _, section = report.box_stage(sample, config, with_components=False)
+    m = config.level
+    _echo({f"levels[{m}].box": section["box"],
+           f"levels[{m}].n_sample": level["n_sample"]})
+
+
+@_command("check-bounds", "genus", "interior_length", "seed")
+def check_bounds_cmd(config):
+    """Leaf-count and quasi-geodesic bound checks; exit 1 on failure."""
+    rep, surface_section, _ = _extension(config)
+    r = surface_section["r_achieved"]
+    _, _, sections = report.bound_checks(rep, r, config.seed)
+    _echo({"surface.r_achieved": r, **sections})
+    if sections["strata"]["leaf_violations"]:
+        sys.exit(1)
+
+
+@_command("render", "genus", "interior_length", "level", "word_budget", "max_elements",
+          "resolution", "out_dir")
+def render_cmd(config):
+    """Render level m's cumulative sample as full-run's limitset.ppm."""
+    sample, _ = _top_sample(config)
+    path = report.render_limit_set(sample, config.resolution,
+                                   Path(config.out_dir) / report.IMAGE)
     click.echo(f"wrote {path}")
-    if not report["all_passed"]:
+
+
+@_command("full-run", *_OPTIONS)
+def full_run_cmd(config):
+    """Full pipeline; writes report.json, CSV tables and the image.
+
+    With --config every setting comes from the file, so no other option
+    may be given."""
+    results, artifacts = report.run_pipeline(config)
+    path = report.write_report(results, artifacts, config.out_dir)
+    click.echo(f"wrote {path}")
+    if not results["all_passed"]:
         sys.exit(1)
 
 

@@ -5,6 +5,11 @@ class KleindimError(Exception):
     """Base class for all package errors."""
 
 
+class NumericError(KleindimError, ValueError):
+    """A computation left nothing usable: a singular or drifted matrix,
+    or a sample with no point to plot."""
+
+
 class ElementNotLoxodromic(KleindimError):
     """Raised when an operation requires a loxodromic element."""
 

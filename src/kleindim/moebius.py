@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import ElementNotLoxodromic
+from .errors import ElementNotLoxodromic, NumericError
 
 LOXO_TOL = 1e-9
 # |c| <= FIXES_INF_TOL * max|entry|: the map is taken to fix infinity
@@ -21,7 +21,6 @@ FIXES_INF_TOL = 1e-14
 # most REAL_TOL times that modulus, positive imaginary part
 PIVOT_TOL = 1e-9
 REAL_TOL = 1e-12
-_ENDPOINT_TOL = 1e-12
 
 
 class SpherePoint:
@@ -88,22 +87,6 @@ def hdist(p, q):
     return math.acosh(1.0 + num / (2.0 * p.t * q.t))
 
 
-class Geodesic:
-    """Unordered pair of distinct ideal endpoints."""
-
-    __slots__ = ("p", "q")
-
-    def __init__(self, p, q):
-        p, q = sphere_point(p), sphere_point(q)
-        if chordal(p, q) < _ENDPOINT_TOL:
-            raise ValueError("geodesic endpoints coincide")
-        self.p = p
-        self.q = q
-
-    def __repr__(self):
-        return f"Geodesic({self.p}, {self.q})"
-
-
 class MoebiusMap:
     """Unit-determinant 2x2 complex matrix, sign-canonicalized."""
 
@@ -114,7 +97,7 @@ class MoebiusMap:
         if not _normalized:
             det = a * d - b * c
             if det == 0:
-                raise ValueError("singular matrix")
+                raise NumericError("singular matrix")
             s = cmath.sqrt(det)
             a, b, c, d = a / s, b / s, c / s, d / s
             a, b, c, d = _canonical_sign(a, b, c, d)
@@ -264,29 +247,3 @@ def _frame_from_endpoints(att, rep):
     if rep.infinite:
         return MoebiusMap(0, 1, 1, -att.z)
     return MoebiusMap(1, -rep.z, 1, -att.z)
-
-
-def geodesic_to_vertical(g):
-    """Mobius map carrying g to the vertical axis {0, inf} (g.p -> 0)."""
-    return _frame_from_endpoints(g.q, g.p)
-
-
-def geodesic_distance(g1, g2):
-    """Minimal hyperbolic distance between two geodesics (0 if they meet)."""
-    q = geodesic_to_vertical(g1)
-    u = q.apply(g2.p)
-    v = q.apply(g2.q)
-    if u.infinite or v.infinite:
-        return 0.0
-    if abs(u.z) < 1e-13 or abs(v.z) < 1e-13:
-        return 0.0
-    w = (u.z + v.z) / (u.z - v.z)
-    d = cmath.acosh(w).real
-    return max(0.0, d)
-
-
-def point_to_geodesic(p, g):
-    """Distance from an upper half-space point to a geodesic."""
-    q = geodesic_to_vertical(g)
-    img = q._apply_hpoint(p if isinstance(p, HPoint) else HPoint(p, 1.0))
-    return math.asinh(abs(img.z) / img.t)

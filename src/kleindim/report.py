@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .dimension import (box_dimension, critical_exponent, default_scales,
                         merge_samples, sample_limit_set)
-from .errors import DegenerateScaleWindow, IncompleteBall
+from .errors import DegenerateScaleWindow, IncompleteBall, NumericError
 from .growth import (build_strata_tree, dim_bound_check, entropy_bound,
                      leaf_count_check, qi_constants, sample_bend_paths)
 from .hnn import build_hnn, plane_angle
@@ -26,6 +26,8 @@ from .subgroup import BallLimit, enumerate_ball, truncated_generators
 from .surface import collar_width, fn_surface_rep
 
 SCHEMA_VERSION = 1
+# the rendered top-level sample, written by write_report and `kleindim render`
+IMAGE = "limitset.ppm"
 
 
 def _is_number(v):
@@ -66,8 +68,10 @@ class RunConfig:
             raise ValueError("interior length must be positive")
         if self.level < 0:
             raise ValueError("truncation level must be >= 0")
-        if self.word_budget < 1 or self.radius <= 0 or self.resolution < 8:
+        if self.word_budget < 1 or self.radius <= 0:
             raise ValueError("budgets must be positive")
+        if self.resolution < 8:
+            raise ValueError("resolution must be >= 8")
         if not self.scales or any(s <= 0 for s in self.scales):
             raise ValueError("scales must be positive")
         if self.max_elements < 100:
@@ -87,22 +91,53 @@ class RunConfig:
         return cls(**data)
 
 
-def collars(surface):
-    """Collars of the two length-1 curves and r_achieved, the smaller
-    half-width: (gamma collar, boundary collar, r_achieved)."""
-    col_gamma = collar_width(surface, (1,))
-    col_bound = collar_width(surface, surface.boundary_word())
-    return col_gamma, col_bound, min(col_gamma.measured_halfwidth,
-                                     col_bound.measured_halfwidth)
+def surface_stage(config):
+    """The surface group and the collars of its two length-1 curves:
+    (surface, report["surface"]).  r_achieved is the smaller collar
+    half-width."""
+    surface = fn_surface_rep(config.genus, config.interior_length)
+    col_gamma = collar_width(surface, (1,)).measured_halfwidth
+    col_bound = collar_width(surface, surface.boundary_word()).measured_halfwidth
+    return surface, {
+        "genus": config.genus,
+        "interior_length": config.interior_length,
+        "gamma_collar_halfwidth": col_gamma,
+        "boundary_collar_halfwidth": col_bound,
+        "r_achieved": min(col_gamma, col_bound),
+        "gluing_residuals": surface.gluing_residuals,
+    }
+
+
+def extension_stage(surface):
+    """The extension by the stable letter and its exactness diagnostics:
+    (rep, report["hnn"])."""
+    rep = build_hnn(surface)
+    return rep, {
+        "relator_residual": rep.relator_residual(),
+        "plane_angle": plane_angle(rep.T),
+        "gamma_length": surface.gamma_matrix().translation_length(),
+        "boundary_length": surface.boundary_matrix().translation_length(),
+    }
 
 
 def bound_checks(rep, r, seed):
     """Strata tree to radius 4.5 r, its leaf-count table and the
-    quasi-geodesic fit on bend paths of leg scale r: (tree, table, fit)."""
+    quasi-geodesic fit on bend paths of leg scale r: (fit, leaf table,
+    the report's "qi_fit", "entropy_bound" and "strata")."""
     tree = build_strata_tree(rep, 4.5 * r, max_depth=4)
     leaf_table = leaf_count_check(tree, r)
     fit = qi_constants(rep, sample_bend_paths(r, seed=seed))
-    return tree, leaf_table, fit
+    return fit, leaf_table, {
+        "qi_fit": asdict(fit),
+        "entropy_bound": entropy_bound(r),
+        "strata": {
+            "nodes": len(tree),
+            "max_depth": tree.max_depth(),
+            "min_gap": tree.min_gap() if math.isfinite(tree.min_gap()) else None,
+            "leaf_rows": len(leaf_table.rows),
+            "leaf_violations": len(leaf_table.violations()),
+        },
+    }
 
 
 def truncation_ball(rep, m, limit):
@@ -115,8 +150,60 @@ def truncation_ball(rep, m, limit):
                           presentation=rep.presentation)
 
 
+def _budget(config, m):
+    return config.max_elements * (m + 1)
+
+
+def sample_stage(rep, m, config, sample):
+    """Level m's cumulative sample: `sample`, that of level m - 1 (None at
+    m = 0), merged with the sample of level m's ball.  The truncations
+    are nested, so points of lower levels remain limit points and the
+    samples stay nested.  Returns (sample, the m, n_elements and n_sample
+    of report["levels"][m])."""
+    budget = _budget(config, m)
+    ball = truncation_ball(
+        rep, m, BallLimit(max_word_len=config.word_budget, max_count=budget))
+    level_sample = sample_limit_set(ball, cap=budget)
+    sample = level_sample if sample is None else merge_samples(sample, level_sample)
+    return sample, {"m": m, "n_elements": len(ball), "n_sample": len(sample)}
+
+
+def box_stage(sample, config, with_components=True):
+    """Box dimension of a level's sample on the configured scales: (box,
+    scale table, its "box" and "scale_table").  Without components the
+    table's component columns read 0; the estimate does not use them."""
+    box, table = box_dimension(sample, scales=config.scales,
+                               with_components=with_components)
+    return box, table, {
+        "box": asdict(box),
+        "scale_table": [{**asdict(row), "row": i} for i, row in enumerate(table.rows)],
+    }
+
+
+def orbit_stage(rep, m, config):
+    """Critical exponent of level m's displacement ball: (its element
+    count, truncated flag and collisions, and the "orbit" and
+    "orbit_complete_radius" of report["levels"][m]).  The fit runs over
+    five radii ending at the ball's complete radius; it is None when the
+    ball is not complete that far or no window is usable."""
+    ball = truncation_ball(
+        rep, m, BallLimit(max_displacement=config.radius, max_count=_budget(config, m),
+                          max_word_len=config.word_budget))
+    cr = ball.complete_radius
+    radii = [max(2.0, cr - 4.0) + k * (cr - max(2.0, cr - 4.0)) / 4.0
+             for k in range(5)]
+    try:
+        orbit = asdict(critical_exponent(ball, radii))
+    except (IncompleteBall, DegenerateScaleWindow):
+        orbit = None
+    described = {"elements": len(ball), "truncated": ball.truncated,
+                 "collisions": ball.collisions}
+    return described, {"orbit": orbit, "orbit_complete_radius": cr}
+
+
 def run_pipeline(config):
-    """Build the representation, estimate dimensions, check all bounds.
+    """Build the representation, estimate dimensions, check all bounds:
+    the stages above in order, the levels' in a loop over m.
 
     Returns (report_dict, artifacts) where artifacts maps file names to
     table objects and samples used by the exporters.
@@ -124,82 +211,30 @@ def run_pipeline(config):
     config.validate()
     t_start = time.time()
 
-    surface = fn_surface_rep(config.genus, config.interior_length)
-    col_gamma, col_bound, r_achieved = collars(surface)
-
-    rep = build_hnn(surface)
-    diag = {
-        "relator_residual": rep.relator_residual(),
-        "plane_angle": plane_angle(rep.T),
-        "gamma_length": surface.gamma_matrix().translation_length(),
-        "boundary_length": surface.boundary_matrix().translation_length(),
-    }
-
-    tree, leaf_table, fit = bound_checks(rep, r_achieved, config.seed)
+    surface, surface_section = surface_stage(config)
+    r_achieved = surface_section["r_achieved"]
+    rep, hnn_section = extension_stage(surface)
+    fit, leaf_table, bound_sections = bound_checks(rep, r_achieved, config.seed)
 
     levels = []
     samples = {}
     tables = {}
     sample = None
     for m in range(config.level + 1):
-        budget = config.max_elements * (m + 1)
-        ball = truncation_ball(
-            rep, m, BallLimit(max_word_len=config.word_budget, max_count=budget))
-        # cumulative sample: the truncations are nested, so points from
-        # lower levels remain limit points and keep the samples nested
-        level_sample = sample_limit_set(ball, cap=budget)
-        sample = (level_sample if sample is None
-                  else merge_samples(sample, level_sample))
-        box, table = box_dimension(sample, scales=config.scales)
+        sample, level = sample_stage(rep, m, config, sample)
+        box, tables[m], box_section = box_stage(sample, config)
+        _, orbit_section = orbit_stage(rep, m, config)
         samples[m] = sample
-        tables[m] = table
-
-        orbit = None
-        orbit_ball = truncation_ball(
-            rep, m, BallLimit(max_displacement=config.radius, max_count=budget,
-                              max_word_len=config.word_budget))
-        cr = orbit_ball.complete_radius
-        radii = [max(2.0, cr - 4.0) + k * (cr - max(2.0, cr - 4.0)) / 4.0
-                 for k in range(5)]
-        try:
-            orbit = critical_exponent(orbit_ball, radii)
-        except (IncompleteBall, DegenerateScaleWindow):
-            orbit = None
-        verdict = dim_bound_check(box, fit, r_achieved)
-        levels.append({
-            "m": m,
-            "n_elements": len(ball),
-            "n_sample": len(sample),
-            "box": asdict(box),
-            "orbit": asdict(orbit) if orbit else None,
-            "orbit_complete_radius": cr,
-            "scale_table": [{**asdict(row), "row": i}
-                            for i, row in enumerate(table.rows)],
-            "dim_bound": asdict(verdict),
-        })
+        levels.append({**level, **box_section, **orbit_section,
+                       "dim_bound": asdict(dim_bound_check(box, fit, r_achieved))})
 
     report = {
         "schema": SCHEMA_VERSION,
         "version": __version__,
         "config": asdict(config),
-        "surface": {
-            "genus": config.genus,
-            "interior_length": config.interior_length,
-            "gamma_collar_halfwidth": col_gamma.measured_halfwidth,
-            "boundary_collar_halfwidth": col_bound.measured_halfwidth,
-            "r_achieved": r_achieved,
-            "gluing_residuals": surface.gluing_residuals,
-        },
-        "hnn": diag,
-        "qi_fit": asdict(fit),
-        "entropy_bound": entropy_bound(r_achieved),
-        "strata": {
-            "nodes": len(tree),
-            "max_depth": tree.max_depth(),
-            "min_gap": tree.min_gap() if math.isfinite(tree.min_gap()) else None,
-            "leaf_rows": len(leaf_table.rows),
-            "leaf_violations": len(leaf_table.violations()),
-        },
+        "surface": surface_section,
+        "hnn": hnn_section,
+        **bound_sections,
         "levels": levels,
         "all_passed": all(lv["dim_bound"]["passed"] for lv in levels)
         and not leaf_table.violations(),
@@ -227,23 +262,24 @@ def write_report(report, artifacts, out_dir):
     (out / "leaves.csv").write_text(artifacts["leaf_table"].to_csv())
     top = max(artifacts["samples"])
     resolution = report["config"]["resolution"]
-    render_limit_set(artifacts["samples"][top], resolution,
-                     out / "limitset.ppm")
+    render_limit_set(artifacts["samples"][top], resolution, out / IMAGE)
     return out / "report.json"
 
 
 def render_limit_set(sample, resolution, path):
-    """Square binary P6 image of the primary stereographic chart.
+    """Square binary P6 image of the primary stereographic chart, its
+    directory made if missing; nothing is written for a sample with no
+    point to plot.
 
     Chart bounds (the sample's bounding square, padded 5%) go to a
     sidecar JSON next to the image.
     """
     if sample.count == 0:
-        raise ValueError("empty sample")
+        raise NumericError("empty sample")
     zs = np.where(sample.infinite, complex(1e9, 0.0), sample.z)
     finite = np.abs(zs) < 1e8
     if not finite.any():
-        raise ValueError("no sample point in the primary chart")
+        raise NumericError("no sample point in the primary chart")
     zs = zs[finite]
     lo_x, hi_x = float(np.min(zs.real)), float(np.max(zs.real))
     lo_y, hi_y = float(np.min(zs.imag)), float(np.max(zs.imag))
@@ -255,6 +291,7 @@ def render_limit_set(sample, resolution, path):
     img = np.zeros((n, n), dtype=np.uint8)
     img[n - 1 - iy, ix] = 255
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     rgb = np.repeat(img[:, :, None], 3, axis=2)
     with open(path, "wb") as fh:
         fh.write(f"P6\n{n} {n}\n255\n".encode())

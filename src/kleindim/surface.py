@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GluingResidual, NoDiscreteSolution
+from .errors import GluingResidual, NoDiscreteSolution, NumericError
 from .moebius import MoebiusMap
 from .subgroup import BallLimit, enumerate_ball
 from .words import evaluate_word, surface_boundary_word
@@ -47,9 +47,9 @@ class SurfaceRep:
     def _check(self):
         for g in self.generators:
             if max(abs(g.a.imag), abs(g.b.imag), abs(g.c.imag), abs(g.d.imag)) > 1e-9:
-                raise ValueError("surface generators must be real")
+                raise NumericError("surface generators must be real")
             if abs(g.det() - 1.0) > 1e-9:
-                raise ValueError("generator determinant drifted")
+                raise NumericError("generator determinant drifted")
 
     def boundary_word(self):
         return surface_boundary_word(self.genus)

@@ -10,8 +10,8 @@ import numpy as np
 from kleindim import growth, hnn, moebius
 from kleindim.dimension import DEDUP_TOL
 from kleindim.hnn import build_hnn
-from kleindim.moebius import Geodesic, MoebiusMap, geodesic_to_vertical
-from kleindim.report import collars
+from kleindim.moebius import MoebiusMap, SpherePoint
+from kleindim.report import RunConfig, surface_stage
 from kleindim.surface import fn_surface_rep
 
 # (genus, interior length) grid used by the structural suites; genus 1
@@ -35,13 +35,13 @@ def hnn_for(g, L):
 
 def axis_translation(p, q, length):
     """Translation by `length` along the geodesic from p to q."""
-    f = geodesic_to_vertical(Geodesic(p, q))
+    f = moebius._frame_from_endpoints(SpherePoint(q), SpherePoint(p))
     return f.inverse() @ MoebiusMap.vertical_translation(length) @ f
 
 
 @functools.lru_cache(maxsize=None)
 def r_achieved_for(g, L):
-    _, _, r = collars(surface_for(g, L))
+    r = surface_stage(RunConfig(genus=g, interior_length=L))[1]["r_achieved"]
     assert math.isfinite(r) and r > 0
     return r
 

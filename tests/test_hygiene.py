@@ -12,10 +12,14 @@ Parses `src/kleindim/*.py` and checks that
   for a field, by `dataclasses.asdict` writing its class whole into the
   report, and
 - building genus-2 and genus-3 surfaces imports no SciPy, which the
-  package does not depend on.
+  package does not depend on, and
+- every subcommand option but --config sets a RunConfig field, with the
+  field's default and the same flags in every subcommand, so the CLI and
+  the report cannot drift apart.
 """
 
 import ast
+import dataclasses
 import functools
 import os
 import re
@@ -28,6 +32,7 @@ import pytest
 
 import kleindim
 from kleindim import report
+from kleindim.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "kleindim"
@@ -191,3 +196,21 @@ def test_surface_build_imports_no_scipy():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_options_are_run_config_fields():
+    defaults = report.RunConfig()
+    fields = {f.name for f in dataclasses.fields(defaults)}
+    flags = {}
+    wrong = []
+    for command in main.commands.values():
+        for param in command.params:
+            if param.name == "config_path":
+                continue
+            label = f"{command.name} {max(param.opts, key=len)}"
+            if param.name not in fields or param.default != getattr(defaults, param.name):
+                wrong.append(label)
+            elif flags.setdefault(param.name, param.opts) != param.opts:
+                wrong.append(label)
+    assert wrong == []
+    assert set(flags) == fields

@@ -9,10 +9,8 @@ import pytest
 
 import helpers
 from kleindim import _core
-from kleindim.errors import ElementNotLoxodromic
-from kleindim.moebius import (BASEPOINT, INF, Geodesic, HPoint, MoebiusMap,
-                              SpherePoint, chordal, geodesic_distance,
-                              geodesic_to_vertical, hdist, point_to_geodesic)
+from kleindim.errors import ElementNotLoxodromic, NumericError
+from kleindim.moebius import BASEPOINT, INF, HPoint, MoebiusMap, SpherePoint, chordal, hdist
 
 
 def _random_map(rng):
@@ -73,6 +71,12 @@ class TestMoebiusBasics:
         for _ in range(25):
             m = _random_map(rng)
             assert (m @ m.inverse()).dist(MoebiusMap.identity()) <= 1e-10
+
+    def test_singular_matrix_is_a_numeric_error(self):
+        # a package error, which the CLI maps to exit 3, and a ValueError
+        with pytest.raises(NumericError) as info:
+            MoebiusMap(1, 2, 2, 4)
+        assert isinstance(info.value, ValueError)
 
     def test_apply_is_projective_action(self):
         m = MoebiusMap(1, 1, 1, 2)  # z -> (z+1)/(z+2)
@@ -144,46 +148,6 @@ class TestClassification:
         disps = _core.displacements(np.array([m.entries() for m in maps]))
         for m, d in zip(maps, disps.tolist()):
             assert d == pytest.approx(hdist(BASEPOINT, m.apply(BASEPOINT)), abs=1e-9)
-
-
-class TestGeodesics:
-    def test_coincident_endpoints_rejected(self):
-        with pytest.raises(ValueError):
-            Geodesic(1.0, 1.0)
-
-    def test_distance_oracle(self):
-        # vertical axis to the half circle over [1, 3]: cosh d = (1+3)/(3-1)
-        g1 = Geodesic(0.0, INF)
-        g2 = Geodesic(1.0, 3.0)
-        assert geodesic_distance(g1, g2) == pytest.approx(math.acosh(2.0), abs=1e-12)
-
-    def test_distance_symmetric_and_invariant(self):
-        rng = random.Random(9)
-        g1 = Geodesic(0.0, INF)
-        g2 = Geodesic(1.0, 3.0)
-        assert geodesic_distance(g2, g1) == pytest.approx(
-            geodesic_distance(g1, g2), abs=1e-9)
-        for _ in range(10):
-            q = _random_map(rng)
-            moved = [Geodesic(q.apply(g.p), q.apply(g.q)) for g in (g1, g2)]
-            assert geodesic_distance(*moved) == pytest.approx(
-                geodesic_distance(g1, g2), abs=1e-8)
-
-    def test_crossing_geodesics_distance_zero(self):
-        assert geodesic_distance(Geodesic(0.0, INF), Geodesic(-1.0, 1.0)) == 0.0
-
-    def test_geodesic_to_vertical(self):
-        g = Geodesic(2.0, 5.0)
-        q = geodesic_to_vertical(g)
-        assert q.apply(g.p).z == pytest.approx(0.0)
-        assert q.apply(g.q).infinite
-
-    def test_point_to_geodesic(self):
-        axis = Geodesic(0.0, INF)
-        assert point_to_geodesic(HPoint(0j, 2.0), axis) == pytest.approx(0.0, abs=1e-12)
-        # horizontal offset 1 at height 1: sinh d = |z|/t = 1
-        assert point_to_geodesic(HPoint(1 + 0j, 1.0), axis) == pytest.approx(
-            math.asinh(1.0), abs=1e-12)
 
 
 class TestTraceIdentity:

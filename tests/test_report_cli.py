@@ -1,6 +1,7 @@
 """Unit tests for configuration, rendering, table export, and the CLI."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from kleindim.dimension import ScaleRow, ScaleTable, sample_from_points
 from kleindim.errors import IncompleteBall
 from kleindim.moebius import SpherePoint
 from kleindim.report import RunConfig, render_limit_set
-from kleindim.subgroup import BallResult
+from kleindim.subgroup import BallLimit, BallResult
 
 
 class TestRunConfig:
@@ -139,8 +140,8 @@ class TestCli:
         empty = BallResult(mats=np.empty((0, 4), dtype=np.complex128), words=[],
                            disps=np.empty(0), sigmas=np.empty(0, dtype=np.int64),
                            complete_radius=0.0)
-        monkeypatch.setattr("kleindim.cli.truncation_ball", lambda *a, **k: empty)
-        out = tmp_path / "limitset.ppm"
+        monkeypatch.setattr(report, "truncation_ball", lambda *a, **k: empty)
+        out = tmp_path / "out"
         result = CliRunner().invoke(main, ["render", "-g", "1", "-m", "0",
                                            "--out", str(out)])
         assert result.exit_code == 3
@@ -148,20 +149,23 @@ class TestCli:
         assert isinstance(result.exception, SystemExit)
         assert not out.exists()
 
-    def test_render_sample_at_infinity_is_numeric_error(self, tmp_path):
+    def test_render_sample_at_infinity_is_numeric_error(self, tmp_path, monkeypatch):
         # a two-element ball whose one loxodromic fixes infinity
-        out = tmp_path / "limitset.ppm"
+        ball = report.truncation_ball
+        monkeypatch.setattr(report, "truncation_ball",
+                            lambda rep, m, limit: ball(rep, m, BallLimit(max_count=2)))
+        out = tmp_path / "out"
         result = CliRunner().invoke(main, ["render", "-g", "1", "-m", "0",
-                                           "--max-count", "2", "--out", str(out)])
+                                           "--out", str(out)])
         assert result.exit_code == 3
         assert "error: no sample point in the primary chart" in result.output
         assert not out.exists()
 
     @pytest.mark.parametrize("args, step", [
-        (["build-surface"], "collars"),
+        (["build-surface"], "collar_width"),
         (["build-rep"], "build_hnn"),
         (["enumerate", "-R", "4"], "truncation_ball"),
-        (["estimate-dim", "-m", "0", "--max-count", "200"], "box_dimension"),
+        (["estimate-dim", "-m", "0", "--max-elements", "200"], "box_dimension"),
         (["check-bounds"], "bound_checks"),
         (["render", "-m", "0"], "truncation_ball"),
         (["full-run"], "run_pipeline"),
@@ -170,53 +174,75 @@ class TestCli:
         def fail(*a, **k):
             raise IncompleteBall("stopped short")
 
-        monkeypatch.setattr(f"kleindim.cli.{step}", fail)
+        monkeypatch.setattr(report, step, fail)
         monkeypatch.chdir(tmp_path)
         result = CliRunner().invoke(main, args + ["-g", "1"])
         assert result.exit_code == 3
         assert "error: stopped short" in result.output
         assert isinstance(result.exception, SystemExit)
 
-    @pytest.mark.parametrize("cmd", ["enumerate", "estimate-dim", "render"])
-    def test_max_count_zero_is_usage_error(self, tmp_path, cmd):
-        out = tmp_path / "limitset.ppm"
-        args = [cmd, "-g", "1", "--max-count", "0"]
-        if cmd == "render":
-            args += ["--out", str(out)]
+    def test_singular_matrix_is_numeric_error(self):
+        # the level-5 truncation generators at (3,5) lose their determinant
+        result = CliRunner().invoke(main, ["estimate-dim", "-g", "3", "-L", "5", "-m", "5",
+                                           "--max-elements", "100"])
+        assert result.exit_code == 3
+        assert "error: singular matrix" in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("args", [
+        ["enumerate", "-m", "-1"],
+        ["estimate-dim", "-g", "0"],
+        ["render", "--resolution", "0"],
+        ["build-surface", "-g", "2", "-L", "-1"],
+        ["full-run", "--max-elements", "99"],
+    ], ids=" ".join)
+    def test_usage_error_writes_nothing(self, tmp_path, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 2
-        assert not out.exists()
+        assert "usage error:" in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert list(tmp_path.iterdir()) == []
 
-    def test_max_count_one_is_the_identity(self):
-        result = CliRunner().invoke(main, ["enumerate", "-g", "1", "-m", "0",
-                                           "--max-count", "1", "-R", "6"])
+    @pytest.mark.parametrize("cmd", ["enumerate", "estimate-dim", "render"])
+    def test_max_elements_below_100_is_usage_error(self, tmp_path, monkeypatch, cmd):
+        monkeypatch.chdir(tmp_path)
+        result = CliRunner().invoke(main, [cmd, "-g", "1", "--max-elements", "99"])
+        assert result.exit_code == 2
+        assert "usage error: element budget too small" in result.output
+        assert list(tmp_path.iterdir()) == []
+
+    def test_max_elements_caps_the_orbit_ball(self):
+        # level m's balls hold at most max_elements * (m + 1) elements
+        result = CliRunner().invoke(main, ["enumerate", "-g", "1", "-m", "1",
+                                           "--max-elements", "100", "-R", "20"])
         assert result.exit_code == 0
         out = json.loads(result.output)
-        assert out["elements"] == 1
-        assert out["truncated"] is True
+        assert out["orbit_ball"]["elements"] == 200
+        assert out["orbit_ball"]["truncated"] is True
+        assert out["levels[1].orbit_complete_radius"] < 20.0
 
     def test_build_surface_reports_collars(self):
         result = CliRunner().invoke(main, ["build-surface", "-g", "1"])
         assert result.exit_code == 0
-        out = json.loads(result.output)
+        out = json.loads(result.output)["surface"]
         assert out["genus"] == 1
-        assert out["gamma_length"] == pytest.approx(1.0, abs=1e-9)
-        assert out["boundary_length"] == pytest.approx(1.0, abs=1e-9)
         for key in ("gamma_collar_halfwidth", "boundary_collar_halfwidth"):
             assert 0.0 < out[key] < float("inf")
 
     def test_check_bounds_uses_the_smaller_collar(self):
         runner = CliRunner()
         surface = json.loads(runner.invoke(main, ["build-surface", "-g", "1"]).output)
+        surface = surface["surface"]
         result = runner.invoke(main, ["check-bounds", "-g", "1"])
         assert result.exit_code == 0
         out = json.loads(result.output)
-        assert out["r_achieved"] == min(surface["gamma_collar_halfwidth"],
-                                        surface["boundary_collar_halfwidth"])
-        assert out["r_achieved"] == helpers.r_achieved_for(1, 3.0)
-        assert out["leaf_violations"] == 0
-        assert out["strata_nodes"] > 1
-        assert out["epsilon_hat"] >= 0.0
+        assert out["surface.r_achieved"] == min(surface["gamma_collar_halfwidth"],
+                                                surface["boundary_collar_halfwidth"])
+        assert out["surface.r_achieved"] == helpers.r_achieved_for(1, 3.0)
+        assert out["strata"]["leaf_violations"] == 0
+        assert out["strata"]["nodes"] > 1
+        assert out["qi_fit"]["epsilon_hat"] >= 0.0
 
     @staticmethod
     def _break_leaf_bound(monkeypatch):
@@ -229,7 +255,7 @@ class TestCli:
         self._break_leaf_bound(monkeypatch)
         result = CliRunner().invoke(main, ["check-bounds", "-g", "1"])
         assert result.exit_code == 1
-        assert json.loads(result.output)["leaf_violations"] > 0
+        assert json.loads(result.output)["strata"]["leaf_violations"] > 0
 
     def test_full_run_leaf_violation_fails_the_report(self, tmp_path, monkeypatch):
         self._break_leaf_bound(monkeypatch)
@@ -246,13 +272,15 @@ class TestCli:
 
     def test_estimate_dim_command(self):
         result = CliRunner().invoke(main, ["estimate-dim", "-g", "1", "-m", "1",
-                                           "--max-count", "5000"])
+                                           "--max-elements", "5000"])
         assert result.exit_code == 0
         out = json.loads(result.output)
-        assert 0 < out["n_sample"] <= 5000
-        assert 0.0 < out["box_dimension"] <= 2.0
-        assert out["stderr"] >= 0.0
-        lo, hi = out["scale_window"]
+        # the cumulative sample: at most 5,000 points from level 0, 10,000 from 1
+        assert 0 < out["levels[1].n_sample"] <= 15000
+        box = out["levels[1].box"]
+        assert 0.0 < box["value"] <= 2.0
+        assert box["stderr"] >= 0.0
+        lo, hi = box["scale_window"]
         assert lo < hi
 
     def test_estimate_dim_skips_components(self, monkeypatch):
@@ -263,19 +291,20 @@ class TestCli:
 
         monkeypatch.setattr(dimension, "component_analysis", refuse)
         result = CliRunner().invoke(main, ["estimate-dim", "-m", "0",
-                                           "--max-count", "200"])
+                                           "--max-elements", "200"])
         assert result.exception is None
         assert result.exit_code == 0
-        assert 0 < json.loads(result.output)["n_sample"] <= 200
+        assert 0 < json.loads(result.output)["levels[0].n_sample"] <= 200
 
     def test_build_rep_reports_exactness(self):
         runner = CliRunner()
         result = runner.invoke(main, ["build-rep", "-g", "1"])
         assert result.exit_code == 0
-        out = json.loads(result.output)
+        out = json.loads(result.output)["hnn"]
         assert out["relator_residual"] <= 1e-9
         assert abs(out["plane_angle"] - 1.5707963267948966) <= 1e-9
-        assert out["stable_letter_index"] == 3
+        assert out["gamma_length"] == pytest.approx(1.0, abs=1e-9)
+        assert out["boundary_length"] == pytest.approx(1.0, abs=1e-9)
 
     def test_enumerate_command(self):
         runner = CliRunner()
@@ -283,8 +312,8 @@ class TestCli:
                                       "-R", "6.0"])
         assert result.exit_code == 0
         out = json.loads(result.output)
-        assert out["elements"] > 1
-        assert out["complete_radius"] == pytest.approx(6.0)
+        assert out["orbit_ball"]["elements"] > 1
+        assert out["levels[0].orbit_complete_radius"] == pytest.approx(6.0)
 
     def test_help_lists_subcommands(self):
         runner = CliRunner()
@@ -293,3 +322,51 @@ class TestCli:
         for cmd in ("build-surface", "build-rep", "enumerate", "estimate-dim",
                     "check-bounds", "render", "full-run"):
             assert cmd in result.output
+
+
+# a small config that every subcommand and full-run share
+SMALL = ["-g", "1", "-m", "1", "--max-elements", "1000"]
+
+
+def _at(data, path):
+    """The value at a printed key such as "levels[1].box" in report.json."""
+    for part in re.findall(r"[^.\[\]]+", path):
+        data = data[int(part)] if isinstance(data, list) else data[part]
+    return data
+
+
+class TestOnePipeline:
+    """Every subcommand prints the numbers full-run writes for the same
+    config, keyed by their paths in report.json."""
+
+    @pytest.fixture(scope="class")
+    def full_run(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("full") / "out"
+        result = CliRunner().invoke(main, ["full-run", *SMALL, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        return out, json.loads((out / "report.json").read_text())
+
+    @pytest.mark.parametrize("args", [
+        ["build-surface", "-g", "1"],
+        ["build-rep", "-g", "1"],
+        ["enumerate", *SMALL],
+        ["estimate-dim", *SMALL],
+        ["check-bounds", "-g", "1"],
+    ], ids=lambda args: args[0])
+    def test_printed_values_are_the_reports(self, full_run, args):
+        _, written = full_run
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0, result.output
+        printed = json.loads(result.output)
+        # the orbit ball's size is the one printed value not in the report
+        printed.pop("orbit_ball", None)
+        assert printed
+        for path, value in printed.items():
+            assert value == _at(written, path), path
+
+    def test_render_writes_full_runs_image(self, full_run, tmp_path):
+        out, _ = full_run
+        result = CliRunner().invoke(main, ["render", *SMALL, "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        for name in (report.IMAGE, "limitset.json"):
+            assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
