@@ -21,6 +21,7 @@ from .errors import BoundViolation, EnumerationBudgetExceeded, UnrealizablePath
 from .hnn import solve_stable_letter
 from .moebius import BASEPOINT, MoebiusMap, hdist
 from .subgroup import BallLimit, enumerate_ball
+from .words import word_inverse
 
 GAP_TOL = 1e-6
 _ENDPOINT_QUANT = 1e-6
@@ -57,10 +58,29 @@ class StrataNode:
     frame: MoebiusMap  # local stratum coords -> base-plane coords
 
 
+@dataclass(frozen=True)
+class LiftBall:
+    """The displacement ball one entry's lift list was taken from.
+
+    `complete_radius` is the band's claim (BallResult), not a
+    certificate.  `missing_inverses` counts the ball's words whose
+    inverse word it lacks; a missing inverse has the same displacement,
+    so the ball is complete at most to `min_missing_disp`, the smallest
+    displacement among them (None when there is none)."""
+
+    elements: int
+    cap: float
+    complete_radius: float
+    truncated: bool
+    missing_inverses: int
+    min_missing_disp: float | None
+
+
 @dataclass
 class StrataTree:
     nodes: list  # StrataNode; nodes[0] is the root placeholder
     radius: float
+    lift_balls: dict  # entry kind -> LiftBall
 
     def __len__(self):
         return len(self.nodes)
@@ -73,9 +93,13 @@ class StrataTree:
         return max(n.depth for n in self.nodes)
 
 
-def _dist_point_geodesic(p1, p2, q1, q2):
-    """Distance from the base point i to the geodesic with real projective
-    endpoints (p1:p2), (q1:q2): sinh d = |p1 q1 + p2 q2| / |p1 q2 - p2 q1|."""
+def _base_distance(e1, e2):
+    """Distance from the base point i to the geodesic with real endpoints
+    e1, e2 (None = inf)."""
+    p1, p2 = (e1, 1.0) if e1 is not None else (1.0, 0.0)
+    q1, q2 = (e2, 1.0) if e2 is not None else (1.0, 0.0)
+    # projective endpoints (p1:p2), (q1:q2):
+    # sinh d = |p1 q1 + p2 q2| / |p1 q2 - p2 q1|
     num = abs(p1 * q1 + p2 * q2)
     den = abs(p1 * q2 - p2 * q1)
     if den == 0.0:
@@ -112,7 +136,8 @@ def _geodesic_key(e1, e2):
 
 @dataclass
 class _Candidate:
-    w: MoebiusMap  # representative surface-group element
+    m: MoebiusMap  # representative surface-group element, entry frame
+    w: MoebiusMap  # the same element in standard coordinates
     kind: str
     gap: float  # separation from the entry axis ({0, inf} in local frame)
     ends: tuple  # endpoints in the stratum's standard coordinates
@@ -172,42 +197,99 @@ def _may_lift(first, second, radius):
     return ~(u_sure & v_sure) | near
 
 
-def _lift_candidates(surface, frame, radius, max_elements):
-    """Distinct lifts of both gluing axes near the entry axis.
-
-    `frame` carries the entry axis to {0, inf}; gaps are measured from
-    that vertical axis and lifts are kept within `radius` of it, with the
-    nearest point at bounded height so the list stays finite.
-
-    The lifts are the images of the axes under the rows of a ball, chosen
-    in two stages (_select_lifts).  An array sieve drops a row when, for
-    both axes, its image endpoints are defined, finite and clearly out:
-    outside the endpoint window, equal, or with a gap beyond `radius` by
-    more than _SIEVE_MARGIN.  Every other row gets the exact scalar
-    decision (_image_endpoint, _vertical_gap, the axial window and the
-    _geodesic_key dedup), in row order and gamma before boundary, so the
-    list is the one a scalar pass over the whole ball gives.
-    """
+def _entry_frame(surface, entry):
+    """The frame carrying the axis of `entry` to {0, inf} (attracting end
+    at inf), the surface generators in it, and the real endpoints of both
+    gluing axes in it."""
+    frame = entry.conjugator_to_standard()
     gens = [g.conjugate_by(frame) for g in surface.generators]
     axes = {
         "gamma": _axis_endpoints(surface.gamma_matrix().conjugate_by(frame)),
         "boundary": _axis_endpoints(surface.boundary_matrix().conjugate_by(frame)),
     }
-    cap = 2.0 * radius + 3.0
+    return frame, gens, axes
+
+
+def _lift_candidates(surface, entry, radius, max_elements):
+    """Distinct lifts of both gluing axes near the axis of `entry` (the
+    gamma or the boundary matrix), and the LiftBall they came from.
+
+    In the frame that carries the entry axis to {0, inf}, `entry` is
+    z -> e^l z, l its translation length: it keeps every gap and adds l
+    to a lift's axial offset 0.5 log|u v|, the log height of the lift's
+    foot on the vertical axis.  The list holds the lifts within `radius`
+    of that axis with |axial| <= radius + 1, built in three steps.
+
+    - Ball: the displacement ball of the frame generators to cap =
+      radius + 1 + the larger distance from i to either axis.  A lift
+      with gap <= radius and |axial| <= l/2 passes within radius + l/2
+      of i, and moving along it by its own length-1 element gives an
+      element w taking the axis to it with d(i, w i) <= cap.
+    - Representatives: _select_lifts over the ball's rows and their
+      inverses, with the half-open axial window [-l/2, l/2).  An
+      inverse lies in the true ball too, and the band search can miss
+      it (LiftBall.missing_inverses).
+    - Translates: each representative times the exact diagonal
+      diag(e^{kl/2}, e^{-kl/2}) for |k| <= ceil((radius + 1)/l + 1/2),
+      through _select_lifts again for the representative's own axis,
+      with the window |axial| <= radius + 1.  Products with `entry`'s
+      own matrix would add its rounding to every translate.
+
+    The coset argument holds only as far as the ball is complete, and
+    its complete radius is the band's claim (BallResult).
+    """
+    frame, gens, axes = _entry_frame(surface, entry)
+    frame_inv = frame.inverse()
+    cap = radius + 1.0 + max(_base_distance(*ends) for ends in axes.values())
     ball = enumerate_ball(gens, BallLimit(max_displacement=cap, max_count=max_elements))
-    return _select_lifts(ball.mats, axes, radius, frame.inverse())
+    inverses = ball.mats[:, [3, 1, 2, 0]] * np.array([1, -1, -1, 1])
+    rows = np.concatenate([ball.mats, inverses])
+    ell = entry.translation_length()
+    reps = _select_lifts(rows, axes, radius, frame_inv, (-0.5 * ell, 0.5 * ell))
+
+    top = math.ceil((radius + 1.0) / ell + 0.5)
+    diagonals = np.array([[math.exp(0.5 * k * ell)] * 2 + [math.exp(-0.5 * k * ell)] * 2
+                          for k in range(-top, top + 1)])
+    window = (-(radius + 1.0), math.nextafter(radius + 1.0, math.inf))
+    out = []
+    for kind, ends in axes.items():
+        base = np.array([c.m.entries() for c in reps if c.kind == kind],
+                        dtype=np.complex128).reshape(-1, 4)
+        translates = (diagonals[:, None, :] * base[None, :, :]).reshape(-1, 4)
+        out += _select_lifts(translates, {kind: ends}, radius, frame_inv, window)
+    return out, _lift_ball(ball, cap)
 
 
-def _select_lifts(mats, axes, radius, frame_inv):
+def _lift_ball(ball, cap):
+    """The LiftBall record of a lift ball enumerated to `cap`."""
+    words = set(ball.words)
+    missing = [disp for word, disp in zip(ball.words, ball.disps.tolist())
+               if word_inverse(word) not in words]
+    return LiftBall(elements=len(ball), cap=cap, complete_radius=ball.complete_radius,
+                    truncated=ball.truncated, missing_inverses=len(missing),
+                    min_missing_disp=min(missing, default=None))
+
+
+def _select_lifts(mats, axes, radius, frame_inv, window):
     """Candidates for the images of `axes` (kind -> real endpoints, None
-    = inf) under the rows of `mats`: the sieve, then the scalar decision
-    on the rows that pass it (see _lift_candidates)."""
+    = inf) under the rows of `mats`, within `radius` of the vertical
+    axis and with axial offset in the half-open `window` (lo, hi).
+
+    An array sieve drops a row when, for every axis, its image endpoints
+    are defined, finite and clearly out: outside the endpoint window,
+    equal, or with a gap beyond `radius` by more than _SIEVE_MARGIN.
+    Every other row gets the exact scalar decision (_image_endpoint,
+    _vertical_gap, the axial window and the _geodesic_key dedup), in row
+    order and in the order of `axes` within a row, so the list is the one
+    a scalar pass over all rows gives.
+    """
     survive = np.zeros(len(mats), dtype=bool)
     for start in range(0, len(mats), _SIEVE_ROWS):
         part = mats[start:start + _SIEVE_ROWS]
         for e1, e2 in axes.values():
             survive[start:start + _SIEVE_ROWS] |= _may_lift(
                 _image_endpoints(part, e1), _image_endpoints(part, e2), radius)
+    lo, hi = window
     out = []
     seen = set()
     for entries in mats[survive].tolist():
@@ -220,14 +302,14 @@ def _select_lifts(mats, axes, radius, frame_inv):
                 continue
             if u is not None and v is not None:
                 axial = 0.5 * math.log(abs(u * v)) if abs(u * v) > 0 else 0.0
-                if abs(axial) > radius + 1.0:
+                if not lo <= axial < hi:
                     continue
             key = _geodesic_key(u, v)
             if key in seen:
                 continue
             seen.add(key)
             ends = (_image_endpoint(frame_inv, u), _image_endpoint(frame_inv, v))
-            out.append(_Candidate(w=m.conjugate_by(frame_inv), kind=kind,
+            out.append(_Candidate(m=m, w=m.conjugate_by(frame_inv), kind=kind,
                                   gap=gap, ends=ends))
     return out
 
@@ -243,16 +325,15 @@ def build_strata_tree(rep, radius, max_depth=4, max_elements=200_000):
     # Fuchsian counterpart of the stable letter: carries the boundary
     # axis to the designated curve's axis with matching translation
     t_real = solve_stable_letter(surface, rotation=0.0)
-    a_mat = surface.gamma_matrix()
-    w_mat = surface.boundary_matrix()
-    qa = a_mat.conjugator_to_standard()
-    qw = w_mat.conjugator_to_standard()
 
     # candidate lifts per entry type, in standard surface coordinates
-    cands = {
-        "gamma": _lift_candidates(surface, qa, radius, max_elements),
-        "boundary": _lift_candidates(surface, qw, radius, max_elements),
-    }
+    cands, lift_balls = {}, {}
+    for kind, entry in (("gamma", surface.gamma_matrix()),
+                        ("boundary", surface.boundary_matrix())):
+        cands[kind], lift_balls[kind] = _lift_candidates(surface, entry, radius,
+                                                         max_elements)
+
+    gaps = {kind: np.array([c.gap for c in cs], dtype=float) for kind, cs in cands.items()}
 
     ident = MoebiusMap.identity()
     root = StrataNode(parent=-1, depth=0, kind="", d=0.0, gap=0.0,
@@ -262,9 +343,7 @@ def build_strata_tree(rep, radius, max_depth=4, max_elements=200_000):
     # depth-1 children: lifts measured from the base point itself
     stack = []
     for c in cands["gamma"] + cands["boundary"]:
-        p1, p2 = (c.ends[0], 1.0) if c.ends[0] is not None else (1.0, 0.0)
-        q1, q2 = (c.ends[1], 1.0) if c.ends[1] is not None else (1.0, 0.0)
-        d = _dist_point_geodesic(p1, p2, q1, q2)
+        d = _base_distance(*c.ends)
         if d <= radius:
             stack.append((0, 1, c, d))
 
@@ -295,13 +374,13 @@ def build_strata_tree(rep, radius, max_depth=4, max_elements=200_000):
                 f"strata tree exceeded {MAX_NODES} nodes")
         if depth >= max_depth:
             continue
-        for c in cands[child_entry]:
-            if c.gap < GAP_TOL:
-                continue  # the entry geodesic itself
-            d_child = d + c.gap
-            if d_child <= radius:
-                stack.append((idx, depth + 1, c, d_child))
-    return StrataTree(nodes=nodes, radius=radius)
+        # children in list order; a gap below GAP_TOL is the entry
+        # geodesic itself
+        d_child = d + gaps[child_entry]
+        children = cands[child_entry]
+        for i in np.flatnonzero((gaps[child_entry] >= GAP_TOL) & (d_child <= radius)).tolist():
+            stack.append((idx, depth + 1, children[i], float(d_child[i])))
+    return StrataTree(nodes=nodes, radius=radius, lift_balls=lift_balls)
 
 
 # -- leaf-count bound -------------------------------------------------

@@ -25,7 +25,7 @@ from .hnn import build_hnn, plane_angle
 from .subgroup import BallLimit, enumerate_ball, truncated_generators
 from .surface import collar_width, fn_surface_rep
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 # the rendered top-level sample, written by write_report and `kleindim render`
 IMAGE = "limitset.ppm"
 
@@ -136,6 +136,7 @@ def bound_checks(rep, r, seed):
             "min_gap": tree.min_gap() if math.isfinite(tree.min_gap()) else None,
             "leaf_rows": len(leaf_table.rows),
             "leaf_violations": len(leaf_table.violations()),
+            "lift_balls": {kind: asdict(ball) for kind, ball in tree.lift_balls.items()},
         },
     }
 

@@ -22,7 +22,13 @@ _COLLISION_TOL = 1e-6
 # prefixes all stay within the band, and nothing checks it.  It fails for
 # the extension group: at (3, 5) the radius-12 ball lacks 410 elements of
 # displacement < 10, and 56,294 of the 317,383 elements of the radius-14
-# ball lack their inverse (ROADMAP item 3).
+# ball lack their inverse (ROADMAP item 5).  It fails for the genus-3
+# surface groups in a lift frame too, where the generators a_2 ... b_3
+# move the base point 11.7 to 18.5.  At (3, 3) in the gamma frame the
+# word (6, 5, -6, -5, 4, 3, -4, -3, 2) has displacement 7.1, but every
+# prefix of length 1 to 7 lies at 15.0 to 18.2, so the lift ball to 12.5
+# lacks it and its inverse; the strata tree's lift lists there miss 7 to
+# 21 lifts that a ball to 2R + 3 reaches (growth._lift_candidates).
 _BAND_SLACK = 1.0
 _CHUNK = 16384  # frontier elements expanded per batch
 

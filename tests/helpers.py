@@ -190,10 +190,12 @@ def einsum_expand(frontier, gens):
 # -- oracle of the strata-tree lifts -----------------------------------
 #
 # The per-row loop growth._lift_candidates ran over the whole ball before
-# the array sieve; growth._select_lifts must give the same candidates, in
-# the same order, with the same bytes.
+# the array sieve, with the axial window as a parameter;
+# growth._select_lifts must give the same candidates, in the same order,
+# with the same bytes.
 
-def scalar_lift_candidates(mats, axes, radius, frame_inv):
+def scalar_lift_candidates(mats, axes, radius, frame_inv, window):
+    lo, hi = window
     out = []
     seen = set()
     for entries in mats.tolist():
@@ -206,14 +208,14 @@ def scalar_lift_candidates(mats, axes, radius, frame_inv):
                 continue
             if u is not None and v is not None:
                 axial = 0.5 * math.log(abs(u * v)) if abs(u * v) > 0 else 0.0
-                if abs(axial) > radius + 1.0:
+                if not lo <= axial < hi:
                     continue
             key = growth._geodesic_key(u, v)
             if key in seen:
                 continue
             seen.add(key)
             ends = (growth._image_endpoint(frame_inv, u), growth._image_endpoint(frame_inv, v))
-            out.append(growth._Candidate(w=m.conjugate_by(frame_inv), kind=kind,
+            out.append(growth._Candidate(m=m, w=m.conjugate_by(frame_inv), kind=kind,
                                          gap=gap, ends=ends))
     return out
 

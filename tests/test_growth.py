@@ -3,6 +3,7 @@ quasi-geodesic constants."""
 
 import math
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from kleindim.growth import (BendPath, LeafRow, LeafTable, QiFit,
                              leaf_count_check, qi_constants, realize_bend_path,
                              sample_bend_paths)
 from kleindim.moebius import BASEPOINT, MoebiusMap, hdist
+from kleindim.subgroup import BallLimit, enumerate_ball
 
 
 class TestEntropyBound:
@@ -178,11 +180,18 @@ def _den(b):
     return 1e-12 * ((0.0 + b) + 1.0)
 
 
+def _closed_window(radius):
+    """|axial| <= radius + 1 as the half-open window (lo, hi) that
+    _select_lifts takes."""
+    return (-(radius + 1.0), math.nextafter(radius + 1.0, math.inf))
+
+
 _INF, _NAN = math.inf, math.nan
 
-# (rows, axes, radius) at each threshold of the lift selection; rows are
-# (a, b, c, d) and need not have det 1.  One axis where a second one
-# would keep the rows in the sieve for its own sake.
+# (rows, axes, radius) at each threshold of the lift selection, with the
+# translates' window unless a fourth item gives one; rows are (a, b, c, d)
+# and need not have det 1.  One axis where a second one would keep the
+# rows in the sieve for its own sake.
 _EDGE_CASES = {
     # c == 0 sends the endpoint at infinity to None; so does c just
     # below 1e-14 |a|
@@ -206,6 +215,11 @@ _EDGE_CASES = {
     # |log|u v|| / 2 at radius + 1
     "axial_window": ([(s, 0, 0, 1) for s in _ulps(math.exp(7.0), 16)],
                      {"gamma": (1.0, -1.0)}, 6.0),
+    # log|u v| / 2 at either end of the representatives' window
+    # [-1/2, 1/2): its upper end is excluded, its lower end included
+    "representative_window": ([(s, 0, 0, 1) for t in (0.5, -0.5)
+                               for s in _ulps(math.exp(t), 16)],
+                              {"gamma": (1.0, -1.0)}, 6.0, (-0.5, 0.5)),
 }
 
 _NONFINITE = [(_INF, 0, 0, 1), (1, _INF, 0, 1), (1, 0, _INF, 1), (1, 0, 0, _INF),
@@ -213,24 +227,24 @@ _NONFINITE = [(_INF, 0, 0, 1), (1, _INF, 0, 1), (1, 0, _INF, 1), (1, 0, 0, _INF)
               (_INF, _INF, _INF, _INF), (1e300, 1e300, 1, 1), (1, 0, 0, 0)]
 
 
-def _outcome(select, rows, axes, radius):
+def _outcome(select, rows, axes, radius, window=None):
     """The candidates' bits, or the error the selection raised."""
     try:
         return _candidate_bits(select(np.array(rows, dtype=np.complex128).reshape(-1, 4),
-                                      axes, radius, _IDENT))
+                                      axes, radius, _IDENT, window or _closed_window(radius)))
     except ValueError as exc:  # a NaN endpoint fails in _endpoint_key
         return repr(exc)
 
 
-def _assert_same_selection(rows, axes, radius):
+def _assert_same_selection(rows, axes, radius, window=None):
     """The sieve and the scalar oracle agree on the rows together and on
     each row alone; returns the oracle's (kind, zero gap) per row."""
-    assert (_outcome(growth._select_lifts, rows, axes, radius)
-            == _outcome(helpers.scalar_lift_candidates, rows, axes, radius))
+    assert (_outcome(growth._select_lifts, rows, axes, radius, window)
+            == _outcome(helpers.scalar_lift_candidates, rows, axes, radius, window))
     decisions = []
     for row in rows:
-        want = _outcome(helpers.scalar_lift_candidates, [row], axes, radius)
-        assert _outcome(growth._select_lifts, [row], axes, radius) == want
+        want = _outcome(helpers.scalar_lift_candidates, [row], axes, radius, window)
+        assert _outcome(growth._select_lifts, [row], axes, radius, window) == want
         if not isinstance(want, str):
             decisions.append(tuple((kind, gap == _bits(0.0)) for kind, gap, *_ in want))
     return decisions
@@ -241,19 +255,16 @@ class TestLiftSieve:
     @pytest.mark.parametrize("entry", ["gamma", "boundary"])
     def test_grid_lifts_match_scalar_oracle(self, key, entry, monkeypatch):
         surface = helpers.surface_for(*key)
-        axis = surface.gamma_matrix() if entry == "gamma" else surface.boundary_matrix()
-        frame = axis.conjugator_to_standard()
         radius = 4.5 * helpers.r_achieved_for(*key)
-        got = growth._lift_candidates(surface, frame, radius, 20_000)
+        got, _ = growth._lift_candidates(surface, _entry(surface, entry), radius, 20_000)
         monkeypatch.setattr(growth, "_select_lifts", helpers.scalar_lift_candidates)
-        want = growth._lift_candidates(surface, frame, radius, 20_000)
+        want, _ = growth._lift_candidates(surface, _entry(surface, entry), radius, 20_000)
         assert len(want) > 10
         assert _candidate_bits(got) == _candidate_bits(want)
 
     @pytest.mark.parametrize("case", sorted(_EDGE_CASES))
     def test_thresholds(self, case):
-        rows, axes, radius = _EDGE_CASES[case]
-        decisions = _assert_same_selection(rows, axes, radius)
+        decisions = _assert_same_selection(*_EDGE_CASES[case])
         # the rows straddle the threshold: the oracle decides both ways
         assert len(set(decisions)) > 1
 
@@ -265,10 +276,12 @@ class TestLiftSieve:
         for rows, kinds in (([one, half], ["gamma", "boundary", "gamma"]),
                             ([half, one], ["gamma", "boundary", "boundary"])):
             _assert_same_selection(rows, axes, 25.0)
-            got = growth._select_lifts(np.array(rows, dtype=np.complex128), axes, 25.0, _IDENT)
+            got = growth._select_lifts(np.array(rows, dtype=np.complex128), axes, 25.0,
+                                       _IDENT, _closed_window(25.0))
             assert [c.kind for c in got] == kinds
         same = {"gamma": (1.0, -1.0), "boundary": (-1.0, 1.0)}
-        got = growth._select_lifts(np.array([one], dtype=np.complex128), same, 25.0, _IDENT)
+        got = growth._select_lifts(np.array([one], dtype=np.complex128), same, 25.0,
+                                   _IDENT, _closed_window(25.0))
         assert [c.kind for c in got] == ["gamma"]
         _assert_same_selection([one], same, 25.0)
 
@@ -286,6 +299,130 @@ class TestLiftSieve:
         want = build_strata_tree(rep, radius, max_depth=3)
         assert len(want) > 100
         assert _node_bits(got) == _node_bits(want)
+
+
+def _entry(surface, kind):
+    return surface.gamma_matrix() if kind == "gamma" else surface.boundary_matrix()
+
+
+def _selection_over_ball(surface, kind, radius, cap, max_count):
+    """The lifts _select_lifts takes from the displacement ball of the
+    entry frame's generators to `cap`, in the window |axial| <= radius + 1,
+    and that ball."""
+    frame, gens, axes = growth._entry_frame(surface, _entry(surface, kind))
+    ball = enumerate_ball(gens, BallLimit(max_displacement=cap, max_count=max_count))
+    return growth._select_lifts(ball.mats, axes, radius, frame.inverse(),
+                                _closed_window(radius)), ball
+
+
+def _unmatched(lifts, pool, rtol):
+    """The lifts with no lift of the same kind in `pool` whose endpoints
+    agree within `rtol` relative (inf with inf)."""
+    def ends(cands):
+        return np.array([sorted(math.inf if e is None else e for e in c.ends)
+                         for c in cands]).reshape(-1, 2)
+    out = []
+    for kind in ("gamma", "boundary"):
+        mine = [c for c in lifts if c.kind == kind]
+        theirs = ends([c for c in pool if c.kind == kind])[None]
+        for start in range(0, len(mine), 256):
+            e = ends(mine[start:start + 256])[:, None]
+            with np.errstate(invalid="ignore"):
+                close = (theirs == e) | (np.abs(theirs - e) <= rtol * (1.0 + np.abs(e)))
+            found = close.all(axis=2).any(axis=1)
+            out += [c for c, ok in zip(mine[start:start + 256], found) if not ok]
+    return out
+
+
+class TestLiftsModuloEntryAxis:
+    """The lift list is built from one fundamental domain of the entry
+    element and its exact translates along the entry axis."""
+
+    @pytest.mark.parametrize("radius", [4.0, 5.0])
+    @pytest.mark.parametrize("kind", ["gamma", "boundary"])
+    def test_keys_match_an_untruncated_large_ball(self, radius, kind):
+        # a lift with gap <= R and |axial| <= R + 1 passes within 2R + 1
+        # of i, so a coset representative lies within 2R + 1.5 + d(i, far
+        # axis): a ball that needs no translates
+        surface = helpers.surface_for(1, 3.0)
+        got, lift_ball = growth._lift_candidates(surface, _entry(surface, kind), radius,
+                                                 200_000)
+        _, _, axes = growth._entry_frame(surface, _entry(surface, kind))
+        cap = 2.0 * radius + 1.5 + max(growth._base_distance(*e) for e in axes.values())
+        want, ball = _selection_over_ball(surface, kind, radius, cap, 2_000_000)
+        assert not ball.truncated and not lift_ball.truncated
+        assert len(ball) > 10 * lift_ball.elements
+        assert len(want) > 20
+        keys = sorted((c.kind, growth._geodesic_key(*c.ends)) for c in got)
+        assert keys == sorted((c.kind, growth._geodesic_key(*c.ends)) for c in want)
+
+    @pytest.mark.parametrize("key", [(1, 3.0), (2, 3.0), (2, 4.0), (2, 5.0)])
+    @pytest.mark.parametrize("kind", ["gamma", "boundary"])
+    def test_no_lift_of_the_count_capped_ball_is_lost(self, key, kind):
+        # the lists taken from 200,000-element balls to 2R + 3, cut by
+        # their count cap, hold nothing the new lists lack (below genus 3)
+        surface = helpers.surface_for(*key)
+        radius = 4.5 * helpers.r_achieved_for(*key)
+        got, lift_ball = growth._lift_candidates(surface, _entry(surface, kind), radius,
+                                                 200_000)
+        old, ball = _selection_over_ball(surface, kind, radius, 2.0 * radius + 3.0, 200_000)
+        assert ball.truncated and not lift_ball.truncated
+        assert _unmatched(old, got, 1e-6) == []
+        assert len(got) > len(old)
+
+    @pytest.mark.parametrize("key", [(1, 3.0), (2, 4.0), (3, 5.0)])
+    @pytest.mark.parametrize("kind", ["gamma", "boundary"])
+    def test_list_is_closed_under_the_entry_translation(self, key, kind):
+        surface = helpers.surface_for(*key)
+        radius = 4.5 * helpers.r_achieved_for(*key)
+        entry = _entry(surface, kind)
+        got, _ = growth._lift_candidates(surface, entry, radius, 200_000)
+        frame, _, axes = growth._entry_frame(surface, entry)
+        ell = entry.translation_length()
+
+        def framed(c):
+            ends = [growth._image_endpoint(c.m, e) for e in axes[c.kind]]
+            return SimpleNamespace(kind=c.kind, ends=ends)
+
+        listed = [framed(c) for c in got]
+        moved = []
+        for c in listed:
+            u, v = c.ends
+            if u is None or v is None or growth._vertical_gap(u, v) < growth.GAP_TOL:
+                continue
+            axial = 0.5 * math.log(abs(u * v))
+            for sign in (1, -1):
+                if abs(axial + sign * ell) <= radius + 1.0 - 1e-6:
+                    scale = math.exp(sign * ell)
+                    moved.append(SimpleNamespace(kind=c.kind, ends=[u * scale, v * scale]))
+        assert len(moved) > len(got)
+        # _endpoint_key quantises x / (1 + |x|) in steps of about 1e-6, so
+        # toward either end of the axis a lift can share its key with a
+        # distinct lift, which the dedup keeps instead
+        keys = {growth._geodesic_key(*c.ends) for c in listed}
+        merged = _unmatched(moved, listed, 1e-9)
+        for c in merged:
+            assert growth._geodesic_key(*c.ends) in keys
+            assert not 1e-3 < abs(c.ends[0]) < 1e3
+        assert len(merged) <= 0.01 * len(moved)
+
+
+class TestLiftBallRecord:
+    def test_record_shows_what_is_not_certified(self):
+        surface = helpers.surface_for(1, 3.0)
+        radius = 4.5 * helpers.r_achieved_for(1, 3.0)
+        entry = surface.boundary_matrix()
+        _, rec = growth._lift_candidates(surface, entry, radius, 200_000)
+        _, _, axes = growth._entry_frame(surface, entry)
+        assert rec.cap == radius + 1.0 + max(growth._base_distance(*e) for e in axes.values())
+        assert not rec.truncated and rec.complete_radius == rec.cap
+        # the band claims the whole cap, yet the ball lacks the inverses
+        # of some of its own words, well inside it
+        assert rec.missing_inverses > 0
+        assert rec.min_missing_disp < rec.cap - 1.0
+        _, small = growth._lift_candidates(surface, entry, radius, 100)
+        assert small.truncated and small.elements <= 100
+        assert small.complete_radius < small.cap
 
 
 class TestLeafCount:
