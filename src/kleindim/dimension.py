@@ -147,12 +147,6 @@ class ScaleRow:
 class ScaleTable:
     rows: list
 
-    def to_csv(self):
-        lines = ["delta,box_count,components,max_diam"]
-        for r in self.rows:
-            lines.append(f"{r.delta!r},{r.box_count},{r.components},{r.max_diam!r}")
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class DimEstimate:
@@ -226,6 +220,32 @@ def _stable_window(slopes, prefer_tail=False):
     return best[1], best[2] + 1
 
 
+def _window_fit(xs, counts, prefer_tail=False, fallback=None):
+    """Least-squares slope of ln(count) against xs over the stable window
+    of local slopes: (slope, stderr, i, j), fitted on xs[i..j].
+
+    With no stable window the fit takes the last `fallback` points, or
+    raises DegenerateScaleWindow when `fallback` is None.  A count of 0
+    (an empty sample or ball) raises DegenerateScaleWindow.
+    """
+    if min(counts) < 1:
+        raise DegenerateScaleWindow("empty sample or ball: a count of 0 leaves no slope")
+    logs = [math.log(c) for c in counts]
+    local = [
+        (logs[i + 1] - logs[i]) / (xs[i + 1] - xs[i]) for i in range(len(xs) - 1)
+    ]
+    win = _stable_window(local, prefer_tail=prefer_tail)
+    if win is None:
+        if fallback is None:
+            raise DegenerateScaleWindow(
+                f"no run of {_WINDOW_MIN_LEN} consecutive scales with stable local slopes"
+            )
+        win = max(0, len(xs) - fallback), len(xs) - 1
+    i, j = win
+    slope, stderr = _ols(xs[i : j + 1], logs[i : j + 1])
+    return slope, stderr, i, j
+
+
 def box_dimension(sample, scales=None, with_components=True):
     """Box-counting dimension with an automatically chosen scale window.
 
@@ -242,19 +262,7 @@ def box_dimension(sample, scales=None, with_components=True):
         comp, diam = component_analysis(sample, d) if with_components else (0, 0.0)
         rows.append(ScaleRow(delta=d, box_count=c, components=comp, max_diam=diam))
     table = ScaleTable(rows=rows)
-
-    logs = [math.log(c) for c in counts]
-    invs = [math.log(1.0 / d) for d in scales]
-    local = [
-        (logs[i + 1] - logs[i]) / (invs[i + 1] - invs[i]) for i in range(len(scales) - 1)
-    ]
-    win = _stable_window(local)
-    if win is None:
-        raise DegenerateScaleWindow(
-            f"no run of {_WINDOW_MIN_LEN} consecutive scales with stable local slopes"
-        )
-    i, j = win
-    slope, stderr = _ols(invs[i : j + 1], logs[i : j + 1])
+    slope, stderr, i, j = _window_fit([math.log(1.0 / d) for d in scales], counts)
     est = DimEstimate(
         value=max(slope, 0.0),
         stderr=stderr,
@@ -276,18 +284,7 @@ def critical_exponent(ball, radii):
         )
     disps = np.sort(ball.disps)
     counts = [int(np.searchsorted(disps, r, side="right")) for r in radii]
-    if min(counts) < 1:
-        raise DegenerateScaleWindow("empty orbit count at the smallest radius")
-    logs = [math.log(c) for c in counts]
-    local = [
-        (logs[i + 1] - logs[i]) / (radii[i + 1] - radii[i]) for i in range(len(radii) - 1)
-    ]
-    win = _stable_window(local, prefer_tail=True)
-    if win is None:
-        i, j = max(0, len(radii) - 4), len(radii) - 1
-    else:
-        i, j = win
-    slope, stderr = _ols(radii[i : j + 1], logs[i : j + 1])
+    slope, stderr, i, j = _window_fit(radii, counts, prefer_tail=True, fallback=4)
     return DimEstimate(
         value=max(slope, 0.0),
         stderr=stderr,

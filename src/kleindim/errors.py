@@ -19,7 +19,8 @@ class LengthMismatch(KleindimError):
 
 
 class PlanesDisjoint(KleindimError):
-    """The image plane misses the reference plane entirely."""
+    """The image plane misses the reference plane or only touches it at
+    the sphere at infinity."""
 
 
 class NoDiscreteSolution(KleindimError):

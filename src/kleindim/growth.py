@@ -28,9 +28,10 @@ _ENDPOINT_QUANT = 1e-6
 # relative margin around each threshold of the lift sieve: rows this near
 # one are left to the scalar decision
 _SIEVE_MARGIN = 1e-9
-# ball rows sieved per pass.  Whole-ball temporaries (1.6 MB each at the
-# 200k cap) stay resident as heap after the tree and added 11 MB to the
-# full run's peak RSS
+# ball rows sieved per pass.  Whole-ball temporaries stay resident as heap
+# after the tree: sieving each ball in one pass raised the full-run-torus
+# benchmark's peak RSS from 141.4 to 142.1 MB and its wall time by 0.2 to
+# 0.4 s (2 of 2 runs; an earlier pair read 141.5 -> 145.6 MB), 2-core VM
 _SIEVE_ROWS = 16384
 MAX_NODES = 50_000  # strata tree size at which the build gives up
 MAX_BENDS = 5  # bends per sampled bend path, at most
@@ -400,12 +401,6 @@ class LeafTable:
     def violations(self):
         return [r for r in self.rows if r.leaves_at_d > r.bound]
 
-    def to_csv(self):
-        lines = ["d,leaves_at_d,bound"]
-        for r in self.rows:
-            lines.append(f"{r.d!r},{r.leaves_at_d},{r.bound!r}")
-        return "\n".join(lines) + "\n"
-
 
 def _finite_chart(endpoints_list, shifts=(2.718281828, 4.6692016, 7.389056)):
     """Map all real/inf endpoints and the base point through z -> -1/(z-s)
@@ -418,7 +413,7 @@ def _finite_chart(endpoints_list, shifts=(2.718281828, 4.6692016, 7.389056)):
                     ok = False
         if ok:
             m = MoebiusMap(0.0, -1.0, 1.0, -s)
-            z0 = m._apply_hpoint(BASEPOINT)
+            z0 = m.apply(BASEPOINT)
             conv = []
             for e1, e2 in endpoints_list:
                 a = -1.0 / (e1 - s) if e1 is not None else 0.0
@@ -517,7 +512,7 @@ def realize_bend_path(path):
 
 def endpoint_distance(path):
     m = realize_bend_path(path)
-    return hdist(BASEPOINT, m._apply_hpoint(BASEPOINT))
+    return hdist(BASEPOINT, m.apply(BASEPOINT))
 
 
 @dataclass(frozen=True)

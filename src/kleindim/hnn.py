@@ -10,13 +10,10 @@ approximate it.
 
 from __future__ import annotations
 
-import cmath
 import math
 
-import numpy as np
-
 from .errors import LengthMismatch, PlanesDisjoint
-from .moebius import INF, MoebiusMap
+from .moebius import MoebiusMap
 from .words import evaluate_word as _eval
 from .words import word_inverse
 
@@ -189,45 +186,26 @@ def build_hnn(surface):
     return HnnRep(surface, solve_stable_letter(surface))
 
 
-def _circumcircle(z1, z2, z3):
-    """Center and radius of the circle through three complex points."""
-    m = np.array(
-        [
-            [2.0 * z1.real, 2.0 * z1.imag, 1.0],
-            [2.0 * z2.real, 2.0 * z2.imag, 1.0],
-            [2.0 * z3.real, 2.0 * z3.imag, 1.0],
-        ]
-    )
-    rhs = np.array([abs(z1) ** 2, abs(z2) ** 2, abs(z3) ** 2])
-    cx, cy, s = np.linalg.solve(m, rhs)
-    center = complex(cx, cy)
-    radius = math.sqrt(max(s + cx * cx + cy * cy, 0.0))
-    return center, radius
-
-
 def plane_angle(T):
     """Dihedral angle between the vertical plane over the real line and
-    its image under T, in [0, pi/2]."""
-    images = [T.apply(p) for p in (0.0, 1.0, INF)]
-    finite = [p.z for p in images if not p.infinite]
-    if len(finite) == 3:
-        # collinear images mean the circline is a euclidean line
-        u, v, w = finite
-        area = (v - u).real * (w - u).imag - (v - u).imag * (w - u).real
-        if abs(area) <= 1e-12 * (abs(v - u) * abs(w - u) + 1e-300):
-            finite = [u, v]
-    if len(finite) == 2:
-        # the image circline is a euclidean line through two points
-        p, q = finite
-        delta = q - p
-        if abs(delta.imag) <= 1e-12 * abs(delta):
-            if abs(p.imag) > ANGLE_TOL:
-                raise PlanesDisjoint("image plane is parallel to the reference plane")
+    its image under T, in [0, pi/2].
+
+    For unit-determinant T = (a, b, c, d) the inversive product of the
+    real line and its image (Beardon, The Geometry of Discrete Groups,
+    ch. 3) is I = Re(conj(a) d - conj(b) c), and the angle is acos |I|.
+    |I| > 1 means the planes are disjoint.  |I| = 1 means they are tangent,
+    unless T preserves the real line, i.e. Im(conj(a) b) and
+    Im(conj(c) d) vanish, when they coincide and the angle is 0.  Both
+    tests take ANGLE_TOL as their slack, so an angle below about
+    sqrt(2 ANGLE_TOL) reads as tangent or as 0.
+    """
+    a, b, c, d = T.entries()
+    cos = abs((a.conjugate() * d - b.conjugate() * c).real)
+    if cos > 1.0 + ANGLE_TOL:
+        raise PlanesDisjoint(f"image plane misses the reference plane (|I| = {cos})")
+    if cos >= 1.0 - ANGLE_TOL:
+        if (abs((a.conjugate() * b).imag) <= ANGLE_TOL
+                and abs((c.conjugate() * d).imag) <= ANGLE_TOL):
             return 0.0
-        theta = abs(cmath.phase(delta)) % math.pi
-        return min(theta, math.pi - theta)
-    center, radius = _circumcircle(*finite)
-    gap = abs(center.imag)
-    if gap > radius + ANGLE_TOL:
-        raise PlanesDisjoint(f"image hemisphere misses the reference plane by {gap - radius}")
-    return math.acos(min(gap / radius, 1.0))
+        raise PlanesDisjoint("image plane is tangent to the reference plane")
+    return math.acos(cos)

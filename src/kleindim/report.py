@@ -16,10 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dimension import (box_dimension, critical_exponent, default_scales,
+from .dimension import (ScaleRow, box_dimension, critical_exponent, default_scales,
                         merge_samples, sample_limit_set)
 from .errors import DegenerateScaleWindow, IncompleteBall, NumericError
-from .growth import (build_strata_tree, dim_bound_check, entropy_bound,
+from .growth import (LeafRow, build_strata_tree, dim_bound_check, entropy_bound,
                      leaf_count_check, qi_constants, sample_bend_paths)
 from .hnn import build_hnn, plane_angle
 from .subgroup import BallLimit, enumerate_ball, truncated_generators
@@ -259,12 +259,22 @@ def write_report(report, artifacts, out_dir):
     (out / "timing.json").write_text(
         json.dumps({"wall_clock_seconds": artifacts["wall_clock"]}) + "\n")
     for m, table in artifacts["scale_tables"].items():
-        (out / f"scales_m{m}.csv").write_text(table.to_csv())
-    (out / "leaves.csv").write_text(artifacts["leaf_table"].to_csv())
+        (out / f"scales_m{m}.csv").write_text(table_csv(ScaleRow, table.rows))
+    (out / "leaves.csv").write_text(table_csv(LeafRow, artifacts["leaf_table"].rows))
     top = max(artifacts["samples"])
     resolution = report["config"]["resolution"]
     render_limit_set(artifacts["samples"][top], resolution, out / IMAGE)
     return out / "report.json"
+
+
+def table_csv(row_type, rows):
+    """CSV text of `rows`, instances of the dataclass `row_type`: a header
+    of its field names, then each row's values by repr, so every float
+    survives a read-back bit for bit."""
+    names = [f.name for f in fields(row_type)]
+    lines = [",".join(names)]
+    lines += [",".join(repr(getattr(r, n)) for n in names) for r in rows]
+    return "\n".join(lines) + "\n"
 
 
 def render_limit_set(sample, resolution, path):

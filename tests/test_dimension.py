@@ -17,7 +17,7 @@ from kleindim.dimension import (LimitSample, ScaleRow, ScaleTable, _box_count, b
                                 sample_from_points, sample_limit_set)
 from kleindim.errors import DegenerateScaleWindow, IncompleteBall
 from kleindim.moebius import INF, MoebiusMap, SpherePoint
-from kleindim.report import truncation_ball
+from kleindim.report import table_csv, truncation_ball
 from kleindim.subgroup import BallLimit, enumerate_ball
 
 
@@ -339,10 +339,11 @@ class TestScaleTable:
     def test_csv_header_and_rows(self):
         table = ScaleTable(rows=[ScaleRow(delta=0.5, box_count=3,
                                           components=2, max_diam=0.25)])
-        csv = table.to_csv()
+        csv = table_csv(ScaleRow, table.rows)
         lines = csv.strip().split("\n")
         assert lines[0] == "delta,box_count,components,max_diam"
         assert len(lines) == 2
 
     def test_empty_table_is_header_only(self):
-        assert ScaleTable(rows=[]).to_csv() == "delta,box_count,components,max_diam\n"
+        assert table_csv(ScaleRow, ScaleTable(rows=[]).rows) == (
+            "delta,box_count,components,max_diam\n")

@@ -18,6 +18,7 @@ from kleindim.growth import (BendPath, LeafRow, LeafTable, QiFit,
                              leaf_count_check, qi_constants, realize_bend_path,
                              sample_bend_paths)
 from kleindim.moebius import BASEPOINT, MoebiusMap, hdist
+from kleindim.report import table_csv
 from kleindim.subgroup import BallLimit, enumerate_ball
 
 
@@ -445,7 +446,7 @@ class TestLeafCount:
 
     def test_csv_header(self):
         table = LeafTable(rows=[LeafRow(d=1.0, leaves_at_d=2, bound=4.0)])
-        assert table.to_csv().startswith("d,leaves_at_d,bound\n")
+        assert table_csv(LeafRow, table.rows) == "d,leaves_at_d,bound\n1.0,2,4.0\n"
 
     def test_corrupted_radius_detected(self):
         # a huge r drives every bound down to 2, so every multiplicity

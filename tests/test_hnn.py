@@ -78,6 +78,42 @@ class TestPlaneAngle:
         with pytest.raises(PlanesDisjoint):
             plane_angle(t)
 
+    def test_tangent_image_circle_detected(self):
+        t = MoebiusMap(0.0, 1.0, 1.0, -1j)  # z -> 1/(z - i), image circle through 0
+        with pytest.raises(PlanesDisjoint):
+            plane_angle(t)
+
+    @staticmethod
+    def _real_map(rng):
+        """A random real Mobius map, of either determinant sign; it
+        preserves the real line."""
+        while True:
+            entries = [rng.uniform(-2.0, 2.0) for _ in range(4)]
+            if abs(entries[0] * entries[3] - entries[1] * entries[2]) > 0.1:
+                return MoebiusMap(*entries)
+
+    def test_invariant_under_real_maps(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            t = MoebiusMap(*(complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4)))
+            p, q = self._real_map(rng), self._real_map(rng)
+            try:
+                angle = plane_angle(t)
+            except PlanesDisjoint:
+                with pytest.raises(PlanesDisjoint):
+                    plane_angle(p @ t @ q)
+                continue
+            assert plane_angle(p @ t @ q) == pytest.approx(angle, abs=1e-12)
+
+    def test_rotation_about_a_geodesic_in_the_plane(self):
+        # q R(alpha) q^-1 turns the plane by alpha about q's image of the
+        # vertical axis, which lies in the plane
+        rng = random.Random(6)
+        for alpha in [rng.uniform(1e-3, math.pi / 2.0) for _ in range(50)] + [math.pi / 2.0]:
+            q = self._real_map(rng)
+            t = MoebiusMap.vertical_rotation(alpha).conjugate_by(q)
+            assert plane_angle(t) == pytest.approx(alpha, abs=1e-12)
+
 
 class TestConjugationInvariance:
     def test_diagnostics_stable_under_real_conjugation(self):

@@ -11,6 +11,8 @@ Parses `src/kleindim/*.py` and checks that
   `x.name`, as a bare name in its class body (`__matmul__ = compose`), or,
   for a field, by `dataclasses.asdict` writing its class whole into the
   report, and
+- no module reads another object's single-underscore attribute: `x._name`
+  is read only with x `self` or `cls`, and
 - building genus-2 and genus-3 surfaces imports no SciPy, which the
   package does not depend on, and
 - every subcommand option but --config sets a RunConfig field, with the
@@ -112,7 +114,7 @@ def test_private_names_and_constants_used(path):
     assert unused == []
 
 
-# never read yet; ROADMAP item 3 adds it to the report
+# never read yet; ROADMAP item 5 adds it to the report
 UNREAD_MEMBERS = {"BallResult.numeric_drops"}
 
 
@@ -175,6 +177,24 @@ def test_methods_and_fields_read(path):
             if f"{cls.name}.{name}" not in UNREAD_MEMBERS:
                 unread.append(f"{cls.name}.{name}")
     assert unread == []
+
+
+def _private_reads(tree):
+    """Reads `x._name` in `tree`, x anything but `self` or `cls`."""
+    return [ast.unparse(n) for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+            and n.attr.startswith("_") and not n.attr.startswith("__")
+            and not (isinstance(n.value, ast.Name) and n.value.id in ("self", "cls"))]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_private_attribute_read_from_outside(path):
+    assert _private_reads(_tree(path)) == []
+
+
+def test_private_attribute_reads_are_found():
+    tree = ast.parse("m._apply_hpoint(p)\nself._x\ncls._y\nx.__class__\nx._z = 1")
+    assert _private_reads(tree) == ["m._apply_hpoint"]
 
 
 _NO_SCIPY = """

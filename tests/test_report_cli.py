@@ -13,7 +13,7 @@ from kleindim.cli import main
 from kleindim.dimension import ScaleRow, ScaleTable, sample_from_points
 from kleindim.errors import IncompleteBall
 from kleindim.moebius import SpherePoint
-from kleindim.report import RunConfig, render_limit_set
+from kleindim.report import RunConfig, render_limit_set, table_csv
 from kleindim.subgroup import BallLimit, BallResult
 
 
@@ -97,9 +97,9 @@ class TestScaleCsvRoundTrip:
             ScaleRow(delta=1.0, box_count=4, components=2, max_diam=0.5),
             ScaleRow(delta=0.5, box_count=9, components=5, max_diam=0.1 + 0.2),
         ])
-        assert table.to_csv() == ("delta,box_count,components,max_diam\n"
-                                  "1.0,4,2,0.5\n"
-                                  "0.5,9,5,0.30000000000000004\n")
+        assert table_csv(ScaleRow, table.rows) == ("delta,box_count,components,max_diam\n"
+                                                   "1.0,4,2,0.5\n"
+                                                   "0.5,9,5,0.30000000000000004\n")
 
 
 class TestCli:
@@ -148,6 +148,18 @@ class TestCli:
         assert "error: empty sample" in result.output
         assert isinstance(result.exception, SystemExit)
         assert not out.exists()
+
+    @pytest.mark.parametrize("args", [["estimate-dim"], ["full-run"]], ids=" ".join)
+    def test_empty_sample_is_numeric_error(self, tmp_path, monkeypatch, args):
+        # a one-element ball holds only the identity, so no limit point
+        ball = report.truncation_ball
+        monkeypatch.setattr(report, "truncation_ball",
+                            lambda rep, m, limit: ball(rep, m, BallLimit(max_count=1)))
+        monkeypatch.chdir(tmp_path)
+        result = CliRunner().invoke(main, args + ["-g", "1", "-m", "0"])
+        assert result.exit_code == 3
+        assert "error: empty sample" in result.output
+        assert isinstance(result.exception, SystemExit)
 
     def test_render_sample_at_infinity_is_numeric_error(self, tmp_path, monkeypatch):
         # a two-element ball whose one loxodromic fixes infinity
