@@ -25,7 +25,7 @@ KERNEL_NAME = "numpy"
 
 _LEFT = ([0, 0, 2, 2], [1, 1, 3, 3])  # frontier entries (a, 0), (a, 1) of entry (a, c)
 _RIGHT = ([0, 1, 0, 1], [2, 3, 2, 3])  # generator entries (0, c), (1, c)
-_BLOCK = 1024  # frontier rows per pass, so that the temporaries stay small
+_BLOCK = 16384  # products per pass, so that the temporaries stay small
 
 
 def _products(frontier, gens, out):
@@ -50,9 +50,10 @@ def expand(frontier, gens):
     (`fix_sign`) of the rows they keep.
     """
     out = np.empty((len(frontier), len(gens), 4), dtype=np.complex128)
-    for start in range(0, len(frontier), _BLOCK):
-        block = out[start:start + _BLOCK]
-        _products(frontier[start:start + _BLOCK], gens, block)
+    step = max(_BLOCK // max(len(gens), 1), 1)
+    for start in range(0, len(frontier), step):
+        block = out[start:start + step]
+        _products(frontier[start:start + step], gens, block)
         mats = block.reshape(-1, 4)
         det = mats[:, 0] * mats[:, 3] - mats[:, 1] * mats[:, 2]
         with np.errstate(divide="ignore", invalid="ignore"):

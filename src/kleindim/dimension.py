@@ -309,10 +309,54 @@ def _cross_within(a, b, d2):
     return False
 
 
+def _facing_test(a, b, dot_needed):
+    """Decide a cell pair from its facing points where that is clear:
+    True when a pair with a . b >= dot_needed surely exists, False when
+    none surely does, None when only _cross_within can tell.
+
+    Hit: the point of each cell nearest the other cell's centroid is
+    tested against every point of the other cell, and a dot product of
+    at least dot_needed + _FACING_MARGIN is a hit.  Miss: every point of
+    one cell lies at squared distance above 2 (1 - dot_needed) +
+    2 _FACING_MARGIN, about delta^2 + 2e-12, from the other cell's
+    bounding box, which holds every point of that cell.
+
+    The margins make the decision the one _cross_within would make.  The
+    points are unit vectors to within a few ulps, and a 3-term dot
+    product of them lies within 3.4e-16 of the exact value however it is
+    evaluated: elementwise here, by BLAS there, in any order, with or
+    without fused multiply-adds.  So the two evaluations differ by less
+    than 1e-15, and a hit with the 1e-12 margin is a hit for
+    _cross_within.  For a miss, |p - q|^2 >= dist(p, box)^2 holds exactly
+    and p . q = (|p|^2 + |q|^2 - |p - q|^2) / 2, so every dot product
+    lies below dot_needed - _FACING_MARGIN up to a few ulps of the
+    computed distance, norms and dot_needed.  Only elementwise NumPy is
+    used: BLAS products of 3-column blocks spin a second OpenBLAS thread.
+    """
+    for near, far in ((a, b), (b, a)):
+        centre = far.mean(axis=0)
+        gap = near - centre
+        p = near[np.argmin(gap[:, 0] * gap[:, 0] + gap[:, 1] * gap[:, 1]
+                           + gap[:, 2] * gap[:, 2])]
+        dots = far[:, 0] * p[0] + far[:, 1] * p[1] + far[:, 2] * p[2]
+        if float(dots.max()) >= dot_needed + _FACING_MARGIN:
+            return True
+    clear = 2.0 * (1.0 - dot_needed) + 2.0 * _FACING_MARGIN
+    for near, far in ((a, b), (b, a)):
+        gap = np.maximum(np.maximum(far.min(axis=0) - near, near - far.max(axis=0)), 0.0)
+        if float((gap[:, 0] * gap[:, 0] + gap[:, 1] * gap[:, 1]
+                  + gap[:, 2] * gap[:, 2]).min()) > clear:
+            return False
+    return None
+
+
 # Cell pairs with at most this many point pairs are tested in one
-# vectorised pass; larger ones go through _cross_within, which can stop at
-# the first hit and is skipped once the two cells are already joined.
+# vectorised pass; larger ones go through _facing_test, then, when it
+# cannot tell, through _cross_within, which can stop at the first hit.
+# Both are skipped once the two cells are already joined.
 _SMALL_PAIR = 256
+# absolute margin in dot-product terms of _facing_test's decisions
+_FACING_MARGIN = 1e-12
 # point pairs per vectorised pass, to bound memory
 _PAIR_CHUNK = 1 << 18
 # exact O(k^2) diameter up to this component size, double sweep above
@@ -413,10 +457,18 @@ def component_analysis(sample, delta):
     Returns (component_count, max_component_diameter).  The graph is
     built on cells first: points are binned in cubes of side
     delta / sqrt(3), so points sharing a cube are always joined and an
-    edge can only join cubes at most 2 apart on every axis.  Each pair of
-    occupied nearby cubes is tested point pair by point pair, vectorised
-    when small, and a union-find runs over cubes, not points.  The
-    diameter is exact (all pairs) for components of at most 4,000 points
+    edge can only join cubes at most 2 apart on every axis.  A union-find
+    runs over cubes, not points, and the pairs of occupied nearby cubes
+    are decided in this order:
+    - small pairs (at most 256 point pairs), every point pair in one
+      vectorised pass;
+    - each large pair whose cubes are not yet joined: by _facing_test's
+      hit test (the points nearest the other cube's centroid), then by
+      its miss test (distances to the other cube's bounding box), both
+      with margins that make them agree with the exact test;
+    - the large pairs neither test decides, point pair by point pair in
+      _cross_within, which stops at the first hit.
+    The diameter is exact (all pairs) for components of at most 4,000 points
     and a double-sweep lower bound above; components whose bounding box
     is smaller than the largest diameter so far are skipped, which
     leaves the maximum unchanged.
@@ -441,7 +493,10 @@ def component_analysis(sample, delta):
             continue
         a = xyz[order[starts[i]:starts[i] + counts[i]]]
         b = xyz[order[starts[j]:starts[j] + counts[j]]]
-        if _cross_within(a, b, delta * delta):
+        joined = _facing_test(a, b, dot_needed)
+        if joined is None:
+            joined = _cross_within(a, b, delta * delta)
+        if joined:
             uf.union(i, j)
 
     roots = np.array([uf.find(i) for i in range(len(counts))])

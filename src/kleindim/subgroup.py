@@ -31,6 +31,18 @@ _COLLISION_TOL = 1e-6
 # 21 lifts that a ball to 2R + 3 reaches (growth._lift_candidates).
 _BAND_SLACK = 1.0
 _CHUNK = 16384  # frontier elements expanded per batch
+# _beyond_band's rounding bounds, with u = 2^-53 and S = tr G tr H: the
+# Gram sum, the products and each determinant err by less than 25 u S
+# (64 u here); the product's determinant by less than 6.4 u sqrt(T S),
+# T = ||g h||^2 (16 u here)
+_SIEVE_ROUNDING = 2.0**-47
+_DET_ROUNDING = 2.0**-49
+# relative margin of _beyond_band's displacement test, far above the few
+# dozen ulps of the renormalisation, of cosh and of arccosh
+_SIEVE_MARGIN = 1e-9
+# a matrix whose tr G lies outside this range is never dropped, so no term
+# of the bounds overflows or underflows
+_SIEVE_RANGE = (1e-100, 1e100)
 
 
 @dataclass(frozen=True)
@@ -106,6 +118,86 @@ def _gen_array(gens):
     return np.array(rows, dtype=np.complex128)
 
 
+def _gram(mats, left):
+    """Per row g = (a, b, c, d): the terms (x00, x11, Re x01, Im x01) of
+    X = g* g (left) or X = g g* (not left), tr X, and lower and upper
+    bounds on |det g| for g as stored."""
+    (ar, ai), (br, bi), (cr, ci), (dr, di) = ((mats[:, k].real, mats[:, k].imag)
+                                              for k in range(4))
+    if left:
+        # columns (a, c) and (b, d)
+        x00 = ((ar * ar + ai * ai) + cr * cr) + ci * ci
+        x11 = ((br * br + bi * bi) + dr * dr) + di * di
+        re = ((ar * br + ai * bi) + cr * dr) + ci * di
+        im = ((ar * bi - ai * br) + cr * di) - ci * dr
+    else:
+        # rows (a, b) and (c, d)
+        x00 = ((ar * ar + ai * ai) + br * br) + bi * bi
+        x11 = ((cr * cr + ci * ci) + dr * dr) + di * di
+        re = ((ar * cr + ai * ci) + br * dr) + bi * di
+        im = ((ai * cr - ar * ci) + bi * dr) - br * di
+    tr = x00 + x11
+    det = np.abs(mats[:, 0] * mats[:, 3] - mats[:, 1] * mats[:, 2])
+    # ad - bc errs by less than 3 u (|a d| + |b c|) + 1.5 u |ad - bc| <= 3 u tr
+    slack = _SIEVE_ROUNDING * tr
+    return x00, x11, re, im, tr, np.maximum(det - slack, 0.0), det + slack
+
+
+def _beyond_band(frontier, gterms, band):
+    """(n, k) mask of the products frontier[i] @ gens[j] that the exact
+    path surely drops as beyond `band`: `_core.expand` gives a finite row
+    whose displacement exceeds band.  `gterms` is `_gram` of the
+    generators with left=False.
+
+    Decided before any product from T = ||g h||^2 = tr(G H), G = g* g,
+    H = h h*: four real products per pair, elementwise (no BLAS).  With
+    S = tr G tr H, u = 2^-53 and d_lo, d_hi `_gram`'s bounds on |det|:
+    - the computed tr(G H) and the computed product's squared norm both
+      lie within 25 u S of T (Gram terms and `_core._products`);
+    - the product's computed determinant lies within 6.4 u sqrt(T S) of
+      det g det h (the products' error moves the determinant by
+      ||g h|| ||E||, its own rounding adds 1.5 u ||g h||^2 + 1.5 u |det|,
+      and T >= 2 |det g det h|).
+    A pair is dropped when the computed tr(G H) (norm2) satisfies both
+      norm2 - 64 u S > 2 cosh(band) (1 + _SIEVE_MARGIN)
+                       (d_hi(g) d_hi(h) + 64 u S)   and
+      d_lo(g)^2 d_lo(h)^2 > (16 u)^2 2 norm2 S,
+    where the first gives norm2 > 64 u S, hence T < 2 norm2.  The second
+    makes the computed determinant nonzero, so the renormalised row is
+    finite (with tr G and tr H in _SIEVE_RANGE nothing overflows).  Its
+    squared norm is the product's over |det|, so by the first its
+    displacement arccosh(norm^2 / 2) exceeds band.
+    """
+    g00, g11, g01r, g01i, gtr, glo, ghi = _gram(frontier, left=True)
+    h00, h11, h01r, h01i, htr, hlo, hhi = gterms
+    lo, hi = _SIEVE_RANGE
+    with np.errstate(over="ignore", invalid="ignore"):
+        need = 2.0 * np.cosh(band) * (1.0 + _SIEVE_MARGIN)
+        # a row outside the range gets nan bounds, which drop nothing
+        gtr = np.where((gtr > lo) & (gtr < hi), gtr, np.nan)
+        htr = np.where((htr > lo) & (htr < hi), htr, np.nan)
+        # tr(G H) = g00 h00 + g11 h11 + 2 Re(g01 conj(h01))
+        norm2 = ((g00[:, None] * h00[None] + g11[:, None] * h11[None])
+                 + (2.0 * g01r)[:, None] * h01r[None]) + (2.0 * g01i)[:, None] * h01i[None]
+        far = norm2 > ((need * ghi)[:, None] * hhi[None]
+                       + ((need + 1.0) * _SIEVE_ROUNDING * gtr)[:, None] * htr[None])
+        far &= ((glo * glo)[:, None] * (hlo * hlo)[None]
+                > (2.0 * _DET_ROUNDING**2 * gtr)[:, None] * htr[None] * norm2)
+    return far
+
+
+def _expand_pairs(frontier, garr, flat):
+    """`_core.expand` rows frontier[i] @ garr[j] for the flat indices
+    i * len(garr) + j only, in their order: one call per column."""
+    rows, cols = np.divmod(flat, len(garr))
+    out = np.empty((len(flat), 4), dtype=np.complex128)
+    for j in range(len(garr)):
+        at = np.flatnonzero(cols == j)
+        if len(at):
+            out[at] = _core.expand(frontier[rows[at]], garr[j:j + 1])
+    return out
+
+
 class _Store:
     """Growable column arrays of the elements found so far."""
 
@@ -174,6 +266,17 @@ def enumerate_ball(gens, limit, sigma_values=None, words=None, presentation=None
     their matrices have drifted apart.  The output order is (word
     length, lexicographic word).  `sigma_values[i]` is the grading of
     generator i (default 0).
+
+    Each frontier row is multiplied only by the columns that can give a
+    kept row.  Backtracks are dropped before any product.  With a
+    `max_displacement`, a sieve (`_beyond_band`) also drops each product
+    whose squared norm tr(g* g h h*), less a bound on its rounding of
+    64 u tr(g* g) tr(h h*) (u = 2^-53), already puts it beyond the band,
+    and whose determinant is surely nonzero, so that the exact path would
+    have dropped it as beyond the band and not as a numeric drop.  The
+    remaining products go through `_core.expand`, `_core.displacements`
+    and the exact decision unchanged, so the ball is bit for bit the one
+    that forming every product gives.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -185,6 +288,7 @@ def enumerate_ball(gens, limit, sigma_values=None, words=None, presentation=None
     ngen = len(gens)
     ncols = 2 * ngen
     garr = _gen_array(gens)
+    gterms = _gram(garr, left=False)
     gsig = list(sigma_values or [0] * ngen)
     # letter for column j of garr; inverse column of j is (j + ngen) % 2n
     letters = [i + 1 for i in range(ngen)] + [-(i + 1) for i in range(ngen)]
@@ -214,20 +318,25 @@ def enumerate_ball(gens, limit, sigma_values=None, words=None, presentation=None
         depth += 1
         for c0 in range(lo, hi, _CHUNK):
             c1 = min(c0 + _CHUNK, hi)
-            prods = _core.expand(store.mats[c0:c1], garr)
-            disps = _core.displacements(prods)
+            frontier = store.mats[c0:c1]
             # immediate backtracks are not reduced words
             pcols = store.cols[c0:c1]
-            reduced = np.ones((c1 - c0, ncols), dtype=bool)
+            formed = np.ones((c1 - c0, ncols), dtype=bool)
             back = np.flatnonzero(pcols >= 0)
-            reduced[back, (pcols[back] + ngen) % ncols] = False
-            reduced = reduced.ravel()
+            formed[back, (pcols[back] + ngen) % ncols] = False
+            if math.isfinite(band):
+                formed &= ~_beyond_band(frontier, gterms, band)
+            # products are formed for these flat indices (frontier row) *
+            # ncols + (column) only, and kept in that order
+            flat = np.flatnonzero(formed)
+            prods = _expand_pairs(frontier, garr, flat)
+            disps = _core.displacements(prods)
             # a row with a non-finite entry has a non-finite displacement
             finite = np.ones(len(prods), dtype=bool)
             nonfinite = np.flatnonzero(~np.isfinite(disps))
             finite[nonfinite] = np.isfinite(prods[nonfinite]).all(axis=1)
-            rows = np.flatnonzero(reduced & finite & (disps <= band))
-            parents, cols = np.divmod(rows, ncols)
+            rows = np.flatnonzero(finite & (disps <= band))
+            parents, cols = np.divmod(flat[rows], ncols)
             parents += c0
             in_ball = disps[rows] <= disp_cap if disp_cap is not None else np.ones(len(rows), bool)
             dup_rows, dup_hits = [], []
@@ -260,7 +369,7 @@ def enumerate_ball(gens, limit, sigma_values=None, words=None, presentation=None
                 truncated = True
                 rows, parents, cols = (a[:over[0] + 1] for a in (rows, parents, cols))
                 end_row = int(rows[-1])
-            drops = nonfinite[reduced[nonfinite] & ~finite[nonfinite]]
+            drops = nonfinite[~finite[nonfinite]]
             numeric_drops += int(np.count_nonzero(drops < end_row))
             n_in_ball += int(np.count_nonzero(in_ball[:len(rows)]))
             # the sign does not change a displacement, so only kept rows

@@ -179,6 +179,33 @@ def _clustered_points(rng):
     return sample_from_points(pts)
 
 
+_FACING_DELTA = 0.05
+
+
+def _facing_cells(gap, rng, n=40):
+    """Two cells of n points each, mirror images across the plane x = 0,
+    whose closest pair (-s, y0, z0), (s, y0, z0) lies at distance
+    2 s = _FACING_DELTA + gap.  Every other point of a cell lies at least
+    1e-3 further out along x, so the closest pair's points are the ones
+    nearest the other cell's centroid, and the pair's distance is also
+    each point's distance from the other cell's bounding box.  At
+    delta = _FACING_DELTA each cell is one cube of the grid."""
+    s, y0 = (_FACING_DELTA + gap) / 2.0, 0.246
+    x = -s - np.concatenate(([0.0], rng.uniform(1e-3, 3e-3, n - 1)))
+    y = y0 + np.concatenate(([0.0], rng.uniform(0.0, 3e-3, n - 1)))
+    z = np.sqrt(1.0 - x * x - y * y)
+    xyz = np.concatenate([np.stack([x, y, z], axis=1), np.stack([-x, y, z], axis=1)])
+    # stereographic preimages, so z and xyz describe the same points
+    return LimitSample(z=(xyz[:, 0] + 1j * xyz[:, 1]) / (1.0 - xyz[:, 2]),
+                       infinite=np.zeros(len(xyz), dtype=bool), xyz=xyz)
+
+
+def _joined(a, b):
+    return LimitSample(z=np.concatenate([a.z, b.z]),
+                       infinite=np.concatenate([a.infinite, b.infinite]),
+                       xyz=np.concatenate([a.xyz, b.xyz]))
+
+
 def _cell_boundary_points(rng, delta):
     """Unit vectors with x and y on multiples of the cell side delta/sqrt(3):
     a random subset of a square grid, each point on a cell boundary."""
@@ -197,34 +224,57 @@ def _cell_boundary_points(rng, delta):
 
 class TestComponentsAgainstBruteForce:
     """component_analysis against an all-pairs union under the same
-    predicate, on seeded samples, through both cell-pair paths."""
+    predicate, on seeded samples, through every way a cell pair is
+    decided."""
 
     DELTAS = [0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.004]
 
     @pytest.fixture
     def paths(self, monkeypatch):
-        """Counts of cell pairs sent down the small- and large-pair paths."""
-        seen = {"small": 0, "large": 0}
-        small, cross = dimension._small_pairs_linked, dimension._cross_within
+        """Counts of the cell pairs tested as small pairs, the large pairs
+        _facing_test decided as hits and as misses, and the large pairs
+        sent to _cross_within."""
+        seen = {"small": 0, "hit": 0, "miss": 0, "cross": 0}
+        small = dimension._small_pairs_linked
+        facing, cross = dimension._facing_test, dimension._cross_within
 
         def count_small(pts, starts, counts, first, second, dot_needed):
             seen["small"] += len(first)
             return small(pts, starts, counts, first, second, dot_needed)
 
-        def count_large(a, b, d2):
-            seen["large"] += 1
+        def count_facing(a, b, dot_needed):
+            linked = facing(a, b, dot_needed)
+            if linked is not None:
+                seen["hit" if linked else "miss"] += 1
+            return linked
+
+        def count_cross(a, b, d2):
+            seen["cross"] += 1
             return cross(a, b, d2)
 
         monkeypatch.setattr(dimension, "_small_pairs_linked", count_small)
-        monkeypatch.setattr(dimension, "_cross_within", count_large)
+        monkeypatch.setattr(dimension, "_facing_test", count_facing)
+        monkeypatch.setattr(dimension, "_cross_within", count_cross)
         return seen
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_clustered(self, paths, seed):
-        sample = _clustered_points(np.random.default_rng(seed))
+        # the facing cells lie apart from every cluster and, at delta =
+        # 0.05, only _cross_within can decide them
+        sample = _joined(_clustered_points(np.random.default_rng(seed)),
+                         _facing_cells(-1e-13, np.random.default_rng(seed)))
         for delta in self.DELTAS:
             assert component_analysis(sample, delta) == _brute_components(sample.xyz, delta)
-        assert paths["small"] > 0 and paths["large"] > 0
+        assert min(paths.values()) > 0, paths
+
+    @pytest.mark.parametrize("gap", [-1e-13, 1e-13])
+    def test_near_threshold_pair_reaches_cross_within(self, paths, gap):
+        sample = _facing_cells(gap, np.random.default_rng(0))
+        got = component_analysis(sample, _FACING_DELTA)
+        assert got == _brute_components(sample.xyz, _FACING_DELTA)
+        # joined just below delta, apart just above it
+        assert got[0] == (1 if gap < 0 else 2)
+        assert paths == {"small": 0, "hit": 0, "miss": 0, "cross": 1}
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_points_on_cell_boundaries(self, seed):

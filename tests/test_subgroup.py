@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import helpers
-from kleindim import _core
+from kleindim import _core, growth, subgroup
 from kleindim.moebius import MoebiusMap
-from kleindim.report import truncation_ball
+from kleindim.report import RunConfig, truncation_ball
 from kleindim.subgroup import BallLimit, enumerate_ball, truncated_generators
 from kleindim.words import word_inverse
 
@@ -258,3 +258,138 @@ def test_kernel_matches_einsum_oracle(monkeypatch, name):
     assert got.words == want.words
     for field in ("collisions", "numeric_drops", "skipped", "truncated", "complete_radius"):
         assert getattr(got, field) == getattr(want, field), field
+
+
+# -- the band sieve against a keep-every-row oracle ----------------------
+
+BALL_FIELDS = ("mats", "disps", "sigmas", "words", "complete_radius", "collisions",
+               "truncated", "skipped", "numeric_drops")
+
+
+def _orbit(key, m):
+    # level m's orbit ball of the default full run
+    config = RunConfig()
+    return lambda: [truncation_ball(helpers.hnn_for(*key), m, BallLimit(
+        max_displacement=config.radius, max_count=config.max_elements * (m + 1),
+        max_word_len=config.word_budget))]
+
+
+def _lift_balls(key):
+    # the two balls growth._lift_candidates enumerates for the strata tree
+    def make():
+        surface = helpers.surface_for(*key)
+        radius = 4.5 * helpers.r_achieved_for(*key)
+        balls = []
+
+        def recorded(gens, limit):
+            balls.append(enumerate_ball(gens, limit))
+            return balls[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(growth, "enumerate_ball", recorded)
+            for entry in (surface.gamma_matrix(), surface.boundary_matrix()):
+                growth._lift_candidates(surface, entry, radius, 200_000)
+        return balls
+    return make
+
+
+SIEVE_BALLS = {
+    "extension-3-5-R10": lambda: [_extension((3, 5.0), 10.0)()],
+    **{f"orbit-{g}-{L:g}-m{m}": _orbit((g, L), m)
+       for g, L in ((1, 3.0), (3, 3.0)) for m in (0, 1, 2)},
+    "lifts-3-5": _lift_balls((3, 5.0)),
+}
+
+
+def _field_bytes(ball, field):
+    value = getattr(ball, field)
+    if isinstance(value, np.ndarray):
+        return value.tobytes()
+    return value.hex() if isinstance(value, float) else value
+
+
+@pytest.mark.parametrize("name", sorted(SIEVE_BALLS))
+def test_band_sieve_matches_keep_all_oracle(monkeypatch, name):
+    # the balls with every product formed, the sieve keeping every row
+    dropped = []
+    sieve = subgroup._beyond_band
+
+    def counted(frontier, gterms, band):
+        far = sieve(frontier, gterms, band)
+        dropped.append(int(np.count_nonzero(far)))
+        return far
+
+    monkeypatch.setattr(subgroup, "_beyond_band", counted)
+    got = SIEVE_BALLS[name]()
+    monkeypatch.setattr(subgroup, "_beyond_band", lambda frontier, gterms, band:
+                        np.zeros((len(frontier), len(gterms[0])), dtype=bool))
+    want = SIEVE_BALLS[name]()
+    assert sum(dropped) > 0
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert len(g) > 100
+        for field in BALL_FIELDS:
+            assert _field_bytes(g, field) == _field_bytes(w, field), field
+
+
+def _times(x, y):
+    return (x.reshape(-1, 2, 2) @ y.reshape(-1, 2, 2)).reshape(-1, 4)
+
+
+def _at_displacement(rng, disps):
+    """Rows k1 diag(e^(d/2), e^(-d/2)) k2 with k1, k2 random in SU(2): the
+    displacement of the base point is d."""
+    def su2(n):
+        a, b = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        norm = np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2)
+        a, b = a / norm, b / norm
+        return np.stack([a, b, -b.conj(), a.conj()], axis=1)
+
+    return _times(_times(su2(len(disps)), _diagonal(disps)), su2(len(disps)))
+
+
+def _diagonal(disps):
+    half = np.exp(np.asarray(disps) / 2.0)
+    rows = np.zeros((len(half), 4), dtype=np.complex128)
+    rows[:, 0], rows[:, 3] = half, 1.0 / half
+    return rows
+
+
+def _on_one_axis(disps, angle=0.3):
+    """Real translations by d along one axis through the base point."""
+    c, s = math.cos(angle), math.sin(angle)
+    turn = np.array([[c, s, -s, c]] * len(disps), dtype=np.complex128)
+    back = np.array([[c, -s, s, c]] * len(disps), dtype=np.complex128)
+    return _times(_times(turn, _diagonal(disps)), back)
+
+
+def test_band_sieve_never_drops_a_row_the_exact_path_keeps():
+    rng = np.random.default_rng(0)
+    band = 18.4
+    # frontier entries up to about 1e4; half the rows within 1e-12 of the
+    # band, and rows (x + 1, x, x, x - 1) of exact determinant -1 that
+    # rounds to 0 or -2
+    x = np.array([1e8, 3e7, 1e6])
+    frontier = np.concatenate([
+        _at_displacement(rng, band + rng.uniform(-1e-12, 1e-12, 2000)),
+        _at_displacement(rng, rng.uniform(0.0, band, 1000)),
+        _on_one_axis(rng.uniform(band - 2.0, band, 1000)),
+        np.stack([x + 1.0, x, x, x - 1.0], axis=1).astype(np.complex128)])
+    # rotations about the base point keep a row's displacement; the
+    # translations along the frontier's one axis make real products with
+    # entries near 1e8, whose computed determinants are rounding noise and
+    # often 0
+    gens = np.concatenate([_at_displacement(rng, np.zeros(4)),
+                           _at_displacement(rng, rng.uniform(0.1, band, 5)),
+                           _on_one_axis(rng.uniform(band, band + 4.0, 5))])
+    far = subgroup._beyond_band(frontier, subgroup._gram(gens, left=False), band).ravel()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        prods = _core.expand(frontier, gens)
+        disps = _core.displacements(prods)
+    finite = np.isfinite(prods).all(axis=1)
+    assert not (far & ~(finite & (disps > band))).any()
+    # the rows reach the cases the bound must get right, and it decides
+    assert np.count_nonzero(np.abs(disps - band) <= 1e-12) > 1000
+    assert np.count_nonzero(~finite) > 10
+    assert np.abs(frontier).max() > 5e3
+    assert 0.2 < np.count_nonzero(far) / len(far) < 0.9
