@@ -16,49 +16,46 @@ KERNEL_NAME = "numpy"
 
 # -- ball enumeration --------------------------------------------------
 #
-# expand must give the bytes that np.einsum("nab,kbc->nkac") followed by
-# the det renormalization gave, so the products replay einsum's complex
-# sum of products on real arrays: each component is a sum of two complex
-# products, accumulated from +0.0, and `0.0 + p` turns a first product of
-# -0.0 into +0.0 as einsum does.  tests/test_core.py checks the mirror
-# against einsum bit for bit.
+# expand must give, for each pair of rows, the bytes that
+# np.einsum("nab,kbc->nkac") followed by the det renormalization gave, so
+# the products replay einsum's complex sum of products on real arrays:
+# each component is a sum of two complex products, accumulated from +0.0,
+# and `0.0 + p` turns a first product of -0.0 into +0.0 as einsum does.
+# tests/test_core.py checks the mirror against einsum bit for bit.
 
-_LEFT = ([0, 0, 2, 2], [1, 1, 3, 3])  # frontier entries (a, 0), (a, 1) of entry (a, c)
-_RIGHT = ([0, 1, 0, 1], [2, 3, 2, 3])  # generator entries (0, c), (1, c)
+_LEFT = ([0, 0, 2, 2], [1, 1, 3, 3])  # left entries (a, 0), (a, 1) of entry (a, c)
+_RIGHT = ([0, 1, 0, 1], [2, 3, 2, 3])  # right entries (0, c), (1, c)
 _BLOCK = 16384  # products per pass, so that the temporaries stay small
 
 
-def _products(frontier, gens, out):
-    """Fill out, (n, k, 4) complex128, with the rows frontier[i] @ gens[j]
-    as np.einsum("nab,kbc->nkac") computes them."""
-    fr, fi = frontier.real[:, None], frontier.imag[:, None]
-    gr, gi = gens.real[None], gens.imag[None]
+def _products(left, right, out):
+    """Fill out, (n, 4) complex128, with the rows left[i] @ right[i] as
+    np.einsum("nab,kbc->nkac") computes each of them."""
+    lr, li, rr, ri = left.real, left.imag, right.real, right.imag
     (f0, f1), (g0, g1) = _LEFT, _RIGHT
-    x0, y0, x1, y1 = fr[..., f0], fi[..., f0], fr[..., f1], fi[..., f1]
-    u0, v0, u1, v1 = gr[..., g0], gi[..., g0], gr[..., g1], gi[..., g1]
+    x0, y0, x1, y1 = lr[:, f0], li[:, f0], lr[:, f1], li[:, f1]
+    u0, v0, u1, v1 = rr[:, g0], ri[:, g0], rr[:, g1], ri[:, g1]
     with np.errstate(over="ignore", invalid="ignore"):
         out.real = (0.0 + (x0 * u0 - y0 * v0)) + (x1 * u1 - y1 * v1)
         out.imag = (0.0 + (x0 * v0 + y0 * u0)) + (x1 * v1 + y1 * u1)
 
 
-def expand(frontier, gens):
-    """All products frontier[i] @ gens[j], renormalized to det 1.
+def expand(left, right):
+    """The products left[i] @ right[i], renormalized to det 1.
 
-    frontier: (n, 4) complex128, gens: (k, 4) complex128.
-    Returns (n*k, 4) ordered with j fastest.  Rows are not sign-fixed:
-    a row and its negative are the same map, so callers fix the sign
+    left, right: (n, 4) complex128 rows (a, b, c, d); returns (n, 4),
+    computed in passes of _BLOCK rows.  Rows are not sign-fixed: a row
+    and its negative are the same map, so callers fix the sign
     (`fix_sign`) of the rows they keep.
     """
-    out = np.empty((len(frontier), len(gens), 4), dtype=np.complex128)
-    step = max(_BLOCK // max(len(gens), 1), 1)
-    for start in range(0, len(frontier), step):
-        block = out[start:start + step]
-        _products(frontier[start:start + step], gens, block)
-        mats = block.reshape(-1, 4)
-        det = mats[:, 0] * mats[:, 3] - mats[:, 1] * mats[:, 2]
+    out = np.empty((len(left), 4), dtype=np.complex128)
+    for start in range(0, len(left), _BLOCK):
+        block = out[start:start + _BLOCK]
+        _products(left[start:start + _BLOCK], right[start:start + _BLOCK], block)
+        det = block[:, 0] * block[:, 3] - block[:, 1] * block[:, 2]
         with np.errstate(divide="ignore", invalid="ignore"):
-            mats /= np.sqrt(det)[:, None]
-    return out.reshape(-1, 4)
+            block /= np.sqrt(det)[:, None]
+    return out
 
 
 def fix_sign(mats):

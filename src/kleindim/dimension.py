@@ -293,69 +293,59 @@ def critical_exponent(ball, radii):
     )
 
 
-def _cross_within(a, b, d2):
-    """Any pair across the two unit-vector sets at squared distance <= d2.
+def _dots(a, b):
+    """a . b as (x x' + y y') + z z', with a and b broadcast against each
+    other: the one form in which this module takes a dot product, so that
+    every test of a pair of points rounds it alike."""
+    return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]) + a[..., 2] * b[..., 2]
 
-    Squared distance is 2 - 2 (a . b); chunked to bound memory, with an
-    early exit on the first hit.
-    """
-    dot_needed = 1.0 - d2 / 2.0
-    step = 2048
-    for i in range(0, len(a), step):
-        blk = a[i : i + step]
-        for j in range(0, len(b), step):
-            if float(np.max(blk @ b[j : j + step].T)) >= dot_needed:
-                return True
-    return False
+
+def _pair_blocks(a, b):
+    """The dot products of every point of a with every point of b, in
+    blocks of rows of a against columns of b, at most _PAIR_CHUNK each."""
+    cols = min(len(b), _PAIR_CHUNK)
+    rows = max(_PAIR_CHUNK // cols, 1)
+    for i in range(0, len(a), rows):
+        for j in range(0, len(b), cols):
+            yield _dots(a[i:i + rows, None], b[None, j:j + cols])
 
 
 def _facing_test(a, b, dot_needed):
     """Decide a cell pair from its facing points where that is clear:
-    True when a pair with a . b >= dot_needed surely exists, False when
-    none surely does, None when only _cross_within can tell.
+    True when a pair with a . b >= dot_needed exists, False when none
+    surely does, None when only the exhaustive test can tell.
 
     Hit: the point of each cell nearest the other cell's centroid is
-    tested against every point of the other cell, and a dot product of
-    at least dot_needed + _FACING_MARGIN is a hit.  Miss: every point of
-    one cell lies at squared distance above 2 (1 - dot_needed) +
-    2 _FACING_MARGIN, about delta^2 + 2e-12, from the other cell's
-    bounding box, which holds every point of that cell.
-
-    The margins make the decision the one _cross_within would make.  The
-    points are unit vectors to within a few ulps, and a 3-term dot
-    product of them lies within 3.4e-16 of the exact value however it is
-    evaluated: elementwise here, by BLAS there, in any order, with or
-    without fused multiply-adds.  So the two evaluations differ by less
-    than 1e-15, and a hit with the 1e-12 margin is a hit for
-    _cross_within.  For a miss, |p - q|^2 >= dist(p, box)^2 holds exactly
-    and p . q = (|p|^2 + |q|^2 - |p - q|^2) / 2, so every dot product
-    lies below dot_needed - _FACING_MARGIN up to a few ulps of the
-    computed distance, norms and dot_needed.  Only elementwise NumPy is
-    used: BLAS products of 3-column blocks spin a second OpenBLAS thread.
+    tested against every point of the other cell.  Its dot products are
+    `_dots`, as in the exhaustive test, so a hit here is a hit there.
+    Miss: every point of one cell lies at squared distance above
+    2 (1 - dot_needed) + 2 _FACING_MARGIN, about delta^2 + 2e-12, from
+    the other cell's bounding box, which holds every point of that cell.
+    |p - q|^2 >= dist(p, box)^2 holds exactly and p . q = (|p|^2 + |q|^2
+    - |p - q|^2) / 2, so every dot product lies below dot_needed -
+    _FACING_MARGIN up to a few ulps of the computed distance, norms and
+    dot_needed; the margin makes the miss one the exhaustive test would
+    find too.
     """
     for near, far in ((a, b), (b, a)):
-        centre = far.mean(axis=0)
-        gap = near - centre
-        p = near[np.argmin(gap[:, 0] * gap[:, 0] + gap[:, 1] * gap[:, 1]
-                           + gap[:, 2] * gap[:, 2])]
-        dots = far[:, 0] * p[0] + far[:, 1] * p[1] + far[:, 2] * p[2]
-        if float(dots.max()) >= dot_needed + _FACING_MARGIN:
+        gap = near - far.mean(axis=0)
+        p = near[np.argmin(_dots(gap, gap))]
+        if float(_dots(far, p).max()) >= dot_needed:
             return True
     clear = 2.0 * (1.0 - dot_needed) + 2.0 * _FACING_MARGIN
     for near, far in ((a, b), (b, a)):
         gap = np.maximum(np.maximum(far.min(axis=0) - near, near - far.max(axis=0)), 0.0)
-        if float((gap[:, 0] * gap[:, 0] + gap[:, 1] * gap[:, 1]
-                  + gap[:, 2] * gap[:, 2]).min()) > clear:
+        if float(_dots(gap, gap).min()) > clear:
             return False
     return None
 
 
 # Cell pairs with at most this many point pairs are tested in one
 # vectorised pass; larger ones go through _facing_test, then, when it
-# cannot tell, through _cross_within, which can stop at the first hit.
-# Both are skipped once the two cells are already joined.
+# cannot tell, through every point pair, stopping at the first block with
+# a hit.  Both are skipped once the two cells are already joined.
 _SMALL_PAIR = 256
-# absolute margin in dot-product terms of _facing_test's decisions
+# absolute margin in dot-product terms of _facing_test's miss test
 _FACING_MARGIN = 1e-12
 # point pairs per vectorised pass, to bound memory
 _PAIR_CHUNK = 1 << 18
@@ -425,7 +415,7 @@ def _small_pairs_linked(pts, starts, counts, first, second, dot_needed):
         within = np.arange(len(pair)) - (ends[pair] - size[pair] - base)
         ia = starts[first[pair]] + within // nb[pair]
         ib = starts[second[pair]] + within % nb[pair]
-        hit = np.einsum("ij,ij->i", pts[ia], pts[ib]) >= dot_needed
+        hit = _dots(pts[ia], pts[ib]) >= dot_needed
         linked[pair[hit]] = True
         lo = hi
     return linked
@@ -464,14 +454,16 @@ def component_analysis(sample, delta):
       vectorised pass;
     - each large pair whose cubes are not yet joined: by _facing_test's
       hit test (the points nearest the other cube's centroid), then by
-      its miss test (distances to the other cube's bounding box), both
-      with margins that make them agree with the exact test;
-    - the large pairs neither test decides, point pair by point pair in
-      _cross_within, which stops at the first hit.
-    The diameter is exact (all pairs) for components of at most 4,000 points
-    and a double-sweep lower bound above; components whose bounding box
-    is smaller than the largest diameter so far are skipped, which
-    leaves the maximum unchanged.
+      its miss test (distances to the other cube's bounding box, with a
+      margin that makes it agree with the exact test);
+    - the large pairs neither test decides, every point pair, block by
+      block, stopping at the first block with a hit.
+    Every dot product, here and in the diameters, is `_dots`, so a pair
+    rounds alike in every test.  The diameter is exact (all pairs, in
+    blocks) for components of at most 4,000 points and a double-sweep
+    lower bound above; components whose bounding box is smaller than the
+    largest diameter so far are skipped, which leaves the maximum
+    unchanged.
     """
     if sample.count == 0:
         return 0, 0.0
@@ -495,7 +487,7 @@ def component_analysis(sample, delta):
         b = xyz[order[starts[j]:starts[j] + counts[j]]]
         joined = _facing_test(a, b, dot_needed)
         if joined is None:
-            joined = _cross_within(a, b, delta * delta)
+            joined = any(float(d.max()) >= dot_needed for d in _pair_blocks(a, b))
         if joined:
             uf.union(i, j)
 
@@ -509,7 +501,7 @@ def component_analysis(sample, delta):
     box = np.maximum.reduceat(grouped, begins) - np.minimum.reduceat(grouped, begins)
     # a diameter never exceeds its bounding box's diagonal; the margin
     # covers the rounding of sqrt(2 - 2 a . b)
-    bound = np.sqrt(np.sum(box * box, axis=1)) + 1e-6
+    bound = np.sqrt(_dots(box, box)) + 1e-6
     max_diam = 0.0
     multi = np.flatnonzero(sizes > 1)
     for c in multi[np.argsort(-bound[multi], kind="stable")]:
@@ -517,7 +509,8 @@ def component_analysis(sample, delta):
             break
         pts = xyz[by_comp[begins[c]:begins[c] + sizes[c]]]
         if sizes[c] <= _EXACT_DIAM:
-            diam = math.sqrt(max(2.0 - 2.0 * float(np.min(pts @ pts.T)), 0.0))
+            low = min(float(d.min()) for d in _pair_blocks(pts, pts))
+            diam = math.sqrt(max(2.0 - 2.0 * low, 0.0))
         else:
             diam = _double_sweep(pts)
         max_diam = max(max_diam, diam)
@@ -529,7 +522,7 @@ def _double_sweep(pts):
     i = 0
     best = 0.0
     for _ in range(4):
-        d = 2.0 - 2.0 * pts @ pts[i]
+        d = 2.0 - 2.0 * _dots(pts, pts[i])
         j = int(np.argmax(d))
         best = max(best, math.sqrt(max(float(d[j]), 0.0)))
         i = j

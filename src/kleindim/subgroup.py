@@ -186,18 +186,6 @@ def _beyond_band(frontier, gterms, band):
     return far
 
 
-def _expand_pairs(frontier, garr, flat):
-    """`_core.expand` rows frontier[i] @ garr[j] for the flat indices
-    i * len(garr) + j only, in their order: one call per column."""
-    rows, cols = np.divmod(flat, len(garr))
-    out = np.empty((len(flat), 4), dtype=np.complex128)
-    for j in range(len(garr)):
-        at = np.flatnonzero(cols == j)
-        if len(at):
-            out[at] = _core.expand(frontier[rows[at]], garr[j:j + 1])
-    return out
-
-
 class _Store:
     """Growable column arrays of the elements found so far."""
 
@@ -274,9 +262,10 @@ def enumerate_ball(gens, limit, sigma_values=None, words=None, presentation=None
     64 u tr(g* g) tr(h h*) (u = 2^-53), already puts it beyond the band,
     and whose determinant is surely nonzero, so that the exact path would
     have dropped it as beyond the band and not as a numeric drop.  The
-    remaining products go through `_core.expand`, `_core.displacements`
-    and the exact decision unchanged, so the ball is bit for bit the one
-    that forming every product gives.
+    remaining (frontier row, generator) pairs go through one paired
+    `_core.expand` per frontier chunk, then `_core.displacements` and the
+    exact decision unchanged, so the ball is bit for bit the one that
+    forming every product gives.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -329,7 +318,7 @@ def enumerate_ball(gens, limit, sigma_values=None, words=None, presentation=None
             # products are formed for these flat indices (frontier row) *
             # ncols + (column) only, and kept in that order
             flat = np.flatnonzero(formed)
-            prods = _expand_pairs(frontier, garr, flat)
+            prods = _core.expand(frontier[flat // ncols], garr[flat % ncols])
             disps = _core.displacements(prods)
             # a row with a non-finite entry has a non-finite displacement
             finite = np.ones(len(prods), dtype=bool)

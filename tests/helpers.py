@@ -187,6 +187,24 @@ def einsum_expand(frontier, gens):
     return canonicalize(einsum_products(frontier, gens))
 
 
+def outer_pairs(frontier, gens):
+    """The rows (frontier[i], gens[j]) of every product, j fastest, as the
+    two operands of a paired product."""
+    return np.repeat(frontier, len(gens), axis=0), np.tile(gens, (len(frontier), 1))
+
+
+def einsum_expand_pairs(left, right):
+    """The products left[i] @ right[i], canonicalized: einsum_expand of
+    the rows of left that share each right operand."""
+    out = np.empty_like(left)
+    gens, inverse = np.unique(right, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    for k in range(len(gens)):
+        at = np.flatnonzero(inverse == k)
+        out[at] = einsum_expand(left[at], gens[k:k + 1])
+    return out
+
+
 # -- oracle of the strata-tree lifts -----------------------------------
 #
 # The per-row loop growth._lift_candidates ran over the whole ball before

@@ -2,9 +2,10 @@
 
 `_core.attracting_points` reproduces MoebiusMap.fixed_points bit for bit
 by replaying CPython's complex arithmetic with real NumPy ufuncs.
-`_core.expand` reproduces the products of np.einsum("nab,kbc->nkac") bit
-for bit with real ufuncs, and `_core.fix_sign` on the rows the ball
-enumeration keeps gives the bytes the sign fix of every row gave.  These
+`_core.expand` reproduces, pair by pair, the products of
+np.einsum("nab,kbc->nkac") bit for bit with real ufuncs, and
+`_core.fix_sign` on the rows the ball enumeration keeps gives the bytes
+the sign fix of every row gave.  These
 tests compare each primitive with CPython or NumPy itself on seeded
 inputs, so a NumPy or CPython upgrade that changes one of them fails here
 instead of silently changing report bytes.
@@ -182,9 +183,9 @@ def _unit_rows(seed, n):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_products_mirror_einsum(seed):
     frontier, gens = _matrices(seed, 3000), _matrices(seed + 100, 14)
-    got = np.empty((3000, 14, 4), dtype=np.complex128)
-    _core._products(frontier, gens, got)
-    got = got.reshape(-1, 4)
+    left, right = helpers.outer_pairs(frontier, gens)
+    got = np.empty((3000 * 14, 4), dtype=np.complex128)
+    _core._products(left, right, got)
     want = helpers.einsum_products(frontier, gens)
     assert _same_bits(got.view(np.float64), want.view(np.float64))
     # the inputs reach the cases the mirror must get right; einsum sums
@@ -204,7 +205,7 @@ def test_sign_fix_of_kept_rows_is_canonicalize(seed):
     for frontier, gens in ((_unit_rows(seed, 2000), _unit_rows(seed + 100, 8)),
                            (_matrices(seed, 1000), _matrices(seed + 100, 6))):
         with np.errstate(over="ignore", invalid="ignore"):
-            rows = _core.expand(frontier, gens)
+            rows = _core.expand(*helpers.outer_pairs(frontier, gens))
             want = helpers.einsum_expand(frontier, gens)
         keep = np.random.default_rng(seed).random(len(rows)) < 0.4
         got = _core.fix_sign(rows[keep])

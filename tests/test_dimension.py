@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -148,20 +149,35 @@ class TestComponentAnalysis:
         assert component_analysis(sample_from_points([]), 0.1) == (0, 0.0)
 
 
+def _brute_dots(xyz, k):
+    """Dot products of point k with every point, in component_analysis's
+    documented form (x x' + y y') + z z', one row at a time."""
+    x, y, z = xyz.T
+    return (x[k] * x + y[k] * y) + z[k] * z
+
+
+def _brute_diameter(xyz):
+    return math.sqrt(max(2.0 - 2.0 * min(float(_brute_dots(xyz, k).min())
+                                         for k in range(len(xyz))), 0.0))
+
+
 def _brute_components(xyz, delta):
     """All-pairs reference: join every pair with a . b >= 1 - delta^2 / 2;
     the exact diameter of every component."""
     n = len(xyz)
     if n == 0:
         return 0, 0.0
-    i, j = np.nonzero(xyz @ xyz.T >= 1.0 - delta * delta / 2.0)
+    edges = [np.flatnonzero(_brute_dots(xyz, k) >= 1.0 - delta * delta / 2.0)
+             for k in range(n)]
+    i = np.repeat(np.arange(n), [len(e) for e in edges])
+    j = np.concatenate(edges)
     count, labels = connected_components(coo_matrix((np.ones(len(i)), (i, j)), shape=(n, n)),
                                          directed=False)
     max_diam = 0.0
     for c in range(count):
         pts = xyz[np.flatnonzero(labels == c)]
         if len(pts) > 1:
-            max_diam = max(max_diam, math.sqrt(max(2.0 - 2.0 * float(np.min(pts @ pts.T)), 0.0)))
+            max_diam = max(max_diam, _brute_diameter(pts))
     return count, max_diam
 
 
@@ -233,10 +249,11 @@ class TestComponentsAgainstBruteForce:
     def paths(self, monkeypatch):
         """Counts of the cell pairs tested as small pairs, the large pairs
         _facing_test decided as hits and as misses, and the large pairs
-        sent to _cross_within."""
-        seen = {"small": 0, "hit": 0, "miss": 0, "cross": 0}
+        sent to the exhaustive test: the calls of _pair_blocks on two
+        cells (a diameter passes one component as both arguments)."""
+        seen = {"small": 0, "hit": 0, "miss": 0, "exhaustive": 0}
         small = dimension._small_pairs_linked
-        facing, cross = dimension._facing_test, dimension._cross_within
+        facing, blocks = dimension._facing_test, dimension._pair_blocks
 
         def count_small(pts, starts, counts, first, second, dot_needed):
             seen["small"] += len(first)
@@ -248,33 +265,38 @@ class TestComponentsAgainstBruteForce:
                 seen["hit" if linked else "miss"] += 1
             return linked
 
-        def count_cross(a, b, d2):
-            seen["cross"] += 1
-            return cross(a, b, d2)
+        def count_blocks(a, b):
+            if a is not b:
+                seen["exhaustive"] += 1
+            return blocks(a, b)
 
         monkeypatch.setattr(dimension, "_small_pairs_linked", count_small)
         monkeypatch.setattr(dimension, "_facing_test", count_facing)
-        monkeypatch.setattr(dimension, "_cross_within", count_cross)
+        monkeypatch.setattr(dimension, "_pair_blocks", count_blocks)
         return seen
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_clustered(self, paths, seed):
         # the facing cells lie apart from every cluster and, at delta =
-        # 0.05, only _cross_within can decide them
+        # 0.05, only the exhaustive test can decide them
         sample = _joined(_clustered_points(np.random.default_rng(seed)),
-                         _facing_cells(-1e-13, np.random.default_rng(seed)))
+                         _facing_cells(1e-13, np.random.default_rng(seed)))
         for delta in self.DELTAS:
             assert component_analysis(sample, delta) == _brute_components(sample.xyz, delta)
         assert min(paths.values()) > 0, paths
 
     @pytest.mark.parametrize("gap", [-1e-13, 1e-13])
-    def test_near_threshold_pair_reaches_cross_within(self, paths, gap):
+    def test_near_threshold_pair(self, paths, gap):
         sample = _facing_cells(gap, np.random.default_rng(0))
         got = component_analysis(sample, _FACING_DELTA)
         assert got == _brute_components(sample.xyz, _FACING_DELTA)
-        # joined just below delta, apart just above it
-        assert got[0] == (1 if gap < 0 else 2)
-        assert paths == {"small": 0, "hit": 0, "miss": 0, "cross": 1}
+        # joined just below delta, by the hit test, which rounds as the
+        # exhaustive test does; apart just above it, where neither the hit
+        # nor the miss test can tell
+        if gap < 0:
+            assert got[0] == 1 and paths == {"small": 0, "hit": 1, "miss": 0, "exhaustive": 0}
+        else:
+            assert got[0] == 2 and paths == {"small": 0, "hit": 0, "miss": 0, "exhaustive": 1}
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_points_on_cell_boundaries(self, seed):
@@ -290,6 +312,32 @@ class TestComponentsAgainstBruteForce:
             sample = sample_from_points(pts)
             for delta in (1.0, 0.01):
                 assert component_analysis(sample, delta) == _brute_components(sample.xyz, delta)
+
+    def test_exact_diameter_in_bounded_memory(self):
+        # one component of 4,000 points, whose diameter is taken over all
+        # pairs: a 4,000 x 4,000 product would take 128 MB.  The farthest
+        # pair is the last two points, outside the first block of pairs.
+        rng = np.random.default_rng(0)
+        n = 4000
+        radius = 0.01 * np.sqrt(rng.random(n - 2))
+        angle = rng.uniform(0.0, 2.0 * math.pi, n - 2)
+        u = np.concatenate([radius * np.cos(angle), [-0.012, 0.012]])
+        v = np.concatenate([radius * np.sin(angle), [0.0, 0.0]])
+        # the tangent plane at (0.6, 0, 0.8), projected back to the sphere
+        xyz = (np.array([0.6, 0.0, 0.8]) + u[:, None] * np.array([0.8, 0.0, -0.6])
+               + v[:, None] * np.array([0.0, 1.0, 0.0]))
+        xyz /= np.sqrt(np.sum(xyz * xyz, axis=1))[:, None]
+        sample = LimitSample(z=(xyz[:, 0] + 1j * xyz[:, 1]) / (1.0 - xyz[:, 2]),
+                             infinite=np.zeros(n, dtype=bool), xyz=xyz)
+        tracemalloc.start()
+        try:
+            got = component_analysis(sample, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n <= dimension._EXACT_DIAM
+        assert got == (1, _brute_diameter(xyz))
+        assert peak < 32 * 2**20
 
 
 class TestScalarOracle:

@@ -13,6 +13,10 @@ Parses `src/kleindim/*.py` and checks that
   report, and
 - no module reads another object's single-underscore attribute: `x._name`
   is read only with x `self` or `cls`, and
+- `dimension.py` and `_core.py` take no matrix product: no `@` and no
+  call of einsum, dot, matmul, inner or tensordot, so their one
+  elementwise form of each product stays the only one and no BLAS
+  thread starts, and
 - building genus-2 and genus-3 surfaces imports no SciPy, which the
   package does not depend on, and
 - every subcommand option but --config sets a RunConfig field, with the
@@ -195,6 +199,29 @@ def test_no_private_attribute_read_from_outside(path):
 def test_private_attribute_reads_are_found():
     tree = ast.parse("m._apply_hpoint(p)\nself._x\ncls._y\nx.__class__\nx._z = 1")
     assert _private_reads(tree) == ["m._apply_hpoint"]
+
+
+_PRODUCT_CALLS = {"einsum", "dot", "matmul", "inner", "tensordot"}
+
+
+def _matrix_products(tree):
+    """The `@` operators and the calls named in _PRODUCT_CALLS in `tree`."""
+    return [ast.unparse(n) for n in ast.walk(tree)
+            if isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.MatMult)
+            or isinstance(n, ast.Call)
+            and getattr(n.func, "attr", getattr(n.func, "id", None)) in _PRODUCT_CALLS]
+
+
+@pytest.mark.parametrize("path", [PACKAGE / "dimension.py", PACKAGE / "_core.py"],
+                         ids=lambda p: p.stem)
+def test_no_matrix_products(path):
+    assert _matrix_products(_tree(path)) == []
+
+
+def test_matrix_products_are_found():
+    tree = ast.parse("a @ b\nc @= d\nnp.einsum('i,i', e, f)\ng.dot(h)\nmatmul(i, j)\n"
+                     "np.inner(k, l)\nnp.tensordot(m, n)\nnp.add(o, p)\nnp.dots(q, r)")
+    assert len(_matrix_products(tree)) == 7
 
 
 _NO_SCIPY = """

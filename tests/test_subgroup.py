@@ -250,7 +250,7 @@ def test_kernel_matches_einsum_oracle(monkeypatch, name):
     # expand without a sign fix, then fix_sign on the kept rows, gives the
     # ball that einsum and a sign fix of every row gave
     got = ORACLE_BALLS[name]()
-    monkeypatch.setattr(_core, "expand", helpers.einsum_expand)
+    monkeypatch.setattr(_core, "expand", helpers.einsum_expand_pairs)
     want = ORACLE_BALLS[name]()
     assert len(got) > 1000
     for field in ("mats", "disps", "sigmas"):
@@ -384,7 +384,7 @@ def test_band_sieve_never_drops_a_row_the_exact_path_keeps():
                            _on_one_axis(rng.uniform(band, band + 4.0, 5))])
     far = subgroup._beyond_band(frontier, subgroup._gram(gens, left=False), band).ravel()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        prods = _core.expand(frontier, gens)
+        prods = _core.expand(*helpers.outer_pairs(frontier, gens))
         disps = _core.displacements(prods)
     finite = np.isfinite(prods).all(axis=1)
     assert not (far & ~(finite & (disps > band))).any()
