@@ -226,8 +226,12 @@ def _window_fit(xs, counts, prefer_tail=False, fallback=None):
 
     With no stable window the fit takes the last `fallback` points, or
     raises DegenerateScaleWindow when `fallback` is None.  A count of 0
-    (an empty sample or ball) raises DegenerateScaleWindow.
+    (an empty sample or ball) or xs not strictly increasing (a repeated
+    scale or radius) raises DegenerateScaleWindow.
     """
+    if any(x1 <= x0 for x0, x1 in zip(xs, xs[1:])):
+        raise DegenerateScaleWindow("abscissae not strictly increasing: a repeated "
+                                    "scale or radius leaves no slope")
     if min(counts) < 1:
         raise DegenerateScaleWindow("empty sample or ball: a count of 0 leaves no slope")
     logs = [math.log(c) for c in counts]

@@ -14,13 +14,11 @@ import math
 
 from .errors import LengthMismatch, PlanesDisjoint
 from .moebius import MoebiusMap
+from .words import _LETTER, _OFFSET, _append_base, _encode, word_inverse
 from .words import evaluate_word as _eval
-from .words import word_inverse
 
 LENGTH_TOL = 1e-8
 ANGLE_TOL = 1e-9
-_OFFSET = 128  # byte encoding of a letter: letter + _OFFSET
-_LETTER = [bytes((x,)) for x in range(256)]  # _LETTER[letter + _OFFSET] encodes letter
 
 
 class HnnPresentation:
@@ -34,8 +32,8 @@ class HnnPresentation:
     no pinch tau^e 1 tau^-e.  By the normal form theorem for HNN
     extensions (Lyndon-Schupp, Combinatorial Group Theory, ch. IV.2)
     two words are equal in the group exactly when their normal forms
-    coincide.  Normal forms are `bytes`, one byte per letter, so they
-    hash and compare cheaply; right multiplication only rewrites the
+    coincide.  Normal forms are `bytes` in the encoding of `words`, so
+    they hash and compare cheaply; right multiplication only rewrites the
     last syllable.
     """
 
@@ -77,20 +75,6 @@ class HnnPresentation:
             # pinch: tau^-e u^k tau^e is the base element image^k
             return _append_base(nf[:p], tail)
         return nf[:p + 1] + rep + self._stable[e] + tail
-
-
-def _encode(word):
-    return bytes(x + _OFFSET for x in word)
-
-
-def _append_base(nf, tail):
-    """Freely reduced nf * tail for encoded base letters tail; they can
-    only cancel against the trailing base segment of nf."""
-    c = 0
-    n = len(nf)
-    while c < len(tail) and c < n and nf[n - 1 - c] + tail[c] == 2 * _OFFSET:
-        c += 1
-    return nf[:n - c] + tail[c:]
 
 
 def _common_suffix(seg, w):

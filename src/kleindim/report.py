@@ -24,6 +24,7 @@ from .growth import (LeafRow, build_strata_tree, dim_bound_check, entropy_bound,
 from .hnn import build_hnn, plane_angle
 from .subgroup import BallLimit, enumerate_ball, truncated_generators
 from .surface import collar_width, fn_surface_rep
+from .words import _OFFSET
 
 SCHEMA_VERSION = 2
 # the rendered top-level sample, written by write_report and `kleindim render`
@@ -62,18 +63,24 @@ class RunConfig:
             value = getattr(self, f.name)
             if not _ADMITS[f.type](value):
                 raise ValueError(f"{f.name} must be of type {f.type}, not {value!r}")
+        if not all(map(math.isfinite, [self.interior_length, self.radius, *self.scales])):
+            raise ValueError("interior length, radius and scales must be finite")
         if self.genus < 1:
             raise ValueError("genus must be >= 1")
         if self.interior_length <= 0:
             raise ValueError("interior length must be positive")
         if self.level < 0:
             raise ValueError("truncation level must be >= 0")
+        if 2 * self.genus * (self.level + 1) >= _OFFSET:
+            raise ValueError("genus and level too large for the byte encoding of words")
         if self.word_budget < 1 or self.radius <= 0:
             raise ValueError("budgets must be positive")
         if self.resolution < 8:
             raise ValueError("resolution must be >= 8")
         if not self.scales or any(s <= 0 for s in self.scales):
             raise ValueError("scales must be positive")
+        if len(set(self.scales)) < len(self.scales):
+            raise ValueError("scales must be distinct")
         if self.max_elements < 100:
             raise ValueError("element budget too small")
 
@@ -143,12 +150,12 @@ def bound_checks(rep, r, seed):
 
 def truncation_ball(rep, m, limit):
     """Ball of the level-m truncation generators within `limit`, its
-    elements told apart by normal form in the extension group.  Every
-    generator tau^k gamma_i tau^-k has grading 0, enumerate_ball's
+    elements told apart by free reduction on the free basis S_m of H_m
+    (`subgroup.FreeForms`; at m = 0 the generators are that basis).
+    Every generator tau^k gamma_i tau^-k has grading 0, enumerate_ball's
     default."""
     tg = truncated_generators(rep, m)
-    return enumerate_ball(tg.matrices, limit, words=tg.words,
-                          presentation=rep.presentation)
+    return enumerate_ball(tg.matrices, limit, presentation=tg.presentation)
 
 
 def _budget(config, m):

@@ -2,8 +2,10 @@
 
 The extension group carries a grading counting stable-letter exponents;
 its kernel restricted to the positive strata is generated, at truncation
-level m, by the conjugates tau^k gamma_i tau^-k for 0 <= k <= m.  Orbit
-balls of such generating sets feed the dimension estimators.
+level m, by the conjugates tau^k gamma_i tau^-k for 0 <= k <= m.  That
+truncation group H_m is free, and its elements are told apart by free
+reduction on a free basis.  Orbit balls of such generating sets feed the
+dimension estimators.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _core
-from .words import word_inverse
+from .words import _OFFSET, _append_base, _encode, free_reduce, word_inverse
 
 _COLLISION_TOL = 1e-6
 # displacement band kept for expansion beyond a ball's max_displacement.
@@ -22,7 +24,7 @@ _COLLISION_TOL = 1e-6
 # prefixes all stay within the band, and nothing checks it.  It fails for
 # the extension group: at (3, 5) the radius-12 ball lacks 410 elements of
 # displacement < 10, and 56,294 of the 317,383 elements of the radius-14
-# ball lack their inverse (ROADMAP item 5).  It fails for the genus-3
+# ball lack their inverse (ROADMAP item 7).  It fails for the genus-3
 # surface groups in a lift frame too, where the generators a_2 ... b_3
 # move the base point 11.7 to 18.5.  At (3, 3) in the gamma frame the
 # word (6, 5, -6, -5, 4, 3, -4, -3, 2) has displacement 7.1, but every
@@ -47,14 +49,59 @@ _SIEVE_RANGE = (1e-100, 1e100)
 
 @dataclass(frozen=True)
 class TruncationGenerators:
-    """Matrices for {tau^k gamma_i tau^-k : 0 <= k <= m}."""
+    """Matrices for T_m = {tau^k gamma_i tau^-k : 0 <= k <= m}, k outer,
+    and the identity of the group H_m they generate (None at m = 0, where
+    T_0 is a free basis)."""
 
     level: int
     matrices: list
     words: list  # words in the extension's letters, parallel to matrices
+    presentation: FreeForms | None
 
     def __post_init__(self):
         assert len(self.matrices) == len(self.words)
+
+
+class FreeForms:
+    """Elements of H_m as byte-encoded reduced words on its free basis
+    S_m: T_m without tau^k a_1 tau^-k (k < m), which is tau^(k+1) W
+    tau^-(k+1), W in level-(k+1) letters with its a_1 expanded in turn.
+    H_m is a chain of copies of F_2g amalgamated along a_1 = W, a_1
+    primitive, hence free on S_m (Serre, Trees, 1980; Lyndon-Schupp ch.
+    IV), so two words are equal in H_m exactly when their forms are.
+    Letter k * 2g + i is tau^k gamma_i tau^-k.  The image of
+    tau^k a_1 tau^-k doubles in length with each level above k: 4 and 10
+    letters at genus 1 and m = 2, 4094 at m = 10."""
+
+    def __init__(self, genus, boundary_word, level):
+        rank = 2 * genus
+        if rank * (level + 1) >= _OFFSET:
+            raise ValueError("truncation level too large for the byte encoding")
+        images = {}
+        for k in range(level, -1, -1):
+            up = (k + 1) * rank
+            for i in range(1, rank + 1):
+                x = k * rank + i
+                images[x] = (free_reduce(y for v in boundary_word
+                                         for y in images[v + up if v > 0 else v - up])
+                             if i == 1 and k < level else (x,))
+                images[-x] = word_inverse(images[x])
+        self._images = {x: _encode(w) for x, w in images.items()}
+
+    def identity(self):
+        return b""
+
+    def multiply(self, nf, word):
+        """Form of (element nf) * word, word in the letters of T_m."""
+        for letter in word:
+            image = self._images[letter]
+            if len(image) > 1:
+                nf = _append_base(nf, image)
+            elif nf and nf[-1] + image[0] == 2 * _OFFSET:
+                nf = nf[:-1]  # the letter cancels the last one
+            else:
+                nf += image
+        return nf
 
 
 def truncated_generators(rep, m):
@@ -70,7 +117,8 @@ def truncated_generators(rep, m):
             w = prefix + (i,) + suffix
             mats.append(rep.evaluate(w))
             wds.append(w)
-    return TruncationGenerators(level=m, matrices=mats, words=wds)
+    forms = FreeForms(rep.surface.genus, rep.surface.boundary_word(), m) if m else None
+    return TruncationGenerators(level=m, matrices=mats, words=wds, presentation=forms)
 
 
 @dataclass(frozen=True)
@@ -86,9 +134,10 @@ class BallResult:
 
     Each group element appears once, under its first word in BFS order.
     Elements are told apart exactly: by their reduced word when the
-    generators are free, by their normal form when `enumerate_ball` got
-    a presentation; never by rounding their matrices.  `truncated` is set
-    when the count cap stopped the search.  `complete_radius` is the
+    generators are free, by the form of `enumerate_ball`'s presentation
+    when it got one (a reduced S_m word for a truncation ball, a Britton
+    normal form for the extension group); never by rounding their
+    matrices.  `truncated` is set when the count cap stopped the search.  `complete_radius` is the
     band's claim, not a certificate: it holds only where every element
     within it is reached through prefixes inside the displacement band
     (see _BAND_SLACK), which nothing checks.
@@ -241,19 +290,19 @@ class _Store:
         return words
 
 
-def enumerate_ball(gens, limit, sigma_values=None, words=None, presentation=None):
+def enumerate_ball(gens, limit, sigma_values=None, presentation=None):
     """BFS over reduced words in `gens` and their inverses.
 
     Exactly one element per distinct group element, told apart by an
     exact identity; matrices serve only for displacements and fixed
     points.  Without a `presentation` the generators are taken to
     generate freely, so every reduced word is its own element.  With
-    one, `words[i]` spells generator i in the presentation's letters
-    (default: the letter i + 1) and elements are keyed by their normal
-    form, so words that are equal in the group are merged however far
-    their matrices have drifted apart.  The output order is (word
-    length, lexicographic word).  `sigma_values[i]` is the grading of
-    generator i (default 0).
+    one (`FreeForms`, `hnn.HnnPresentation`), generator i is its letter
+    i + 1 and elements are keyed by the forms its `identity()` and
+    `multiply(form, word)` give, so words that are equal in the group are
+    merged however far their matrices have drifted apart.  The output
+    order is (word length, lexicographic word).  `sigma_values[i]` is the
+    grading of generator i (default 0).
 
     Each frontier row is multiplied only by the columns that can give a
     kept row.  Backtracks are dropped before any product.  With a
@@ -284,9 +333,7 @@ def enumerate_ball(gens, limit, sigma_values=None, words=None, presentation=None
     sig_of_col = np.array([gsig[i] for i in range(ngen)] + [-gsig[i] for i in range(ngen)],
                           dtype=np.int64)
     if presentation is not None:
-        gwords = [tuple(w) for w in (words or [(i + 1,) for i in range(ngen)])]
-        col_words = gwords + [word_inverse(w) for w in gwords]
-        forms = [presentation.identity()]  # normal form of each stored element
+        forms = [presentation.identity()]  # form of each stored element
         seen = {forms[0]: 0}
 
     disp_cap = limit.max_displacement
@@ -336,7 +383,7 @@ def enumerate_ball(gens, limit, sigma_values=None, words=None, presentation=None
                 multiply = presentation.multiply
                 for i, (row, parent, col, inb) in enumerate(zip(
                         rows.tolist(), parents.tolist(), cols.tolist(), in_ball.tolist())):
-                    form = multiply(forms[parent], col_words[col])
+                    form = multiply(forms[parent], (letters[col],))
                     hit = seen.get(form)
                     if hit is not None:
                         dup_rows.append(row)
@@ -390,7 +437,7 @@ def enumerate_ball(gens, limit, sigma_values=None, words=None, presentation=None
     keep_mask[0] = True
     keep = np.flatnonzero(keep_mask)
     mats, disps, sigmas = store.mats[keep], disps[keep], store.sigmas[keep]
-    # drop the matrices and normal forms before the words are spelled, so
+    # drop the matrices and forms before the words are spelled, so
     # that memory never holds both
     store.mats = store.disps = store.sigmas = forms = seen = None
     return BallResult(

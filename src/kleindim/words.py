@@ -11,6 +11,11 @@ import math
 
 from .moebius import MoebiusMap
 
+# words compared exactly are bytes, one per letter, which hash and compare
+# cheaply: letter + _OFFSET, for |letter| < 128
+_OFFSET = 128
+_LETTER = [bytes((x,)) for x in range(256)]  # _LETTER[letter + _OFFSET] encodes letter
+
 
 def free_reduce(word):
     out = []
@@ -26,6 +31,20 @@ def free_reduce(word):
 
 def word_inverse(word):
     return tuple(-letter for letter in reversed(word))
+
+
+def _encode(word):
+    return bytes(x + _OFFSET for x in word)
+
+
+def _append_base(nf, tail):
+    """Freely reduced nf * tail for encoded freely reduced words nf and
+    tail: only the head of tail can cancel, against the end of nf."""
+    c = 0
+    n = len(nf)
+    while c < len(tail) and c < n and nf[n - 1 - c] + tail[c] == 2 * _OFFSET:
+        c += 1
+    return nf[:n - c] + tail[c:]
 
 
 def evaluate_word(word, generators):

@@ -7,11 +7,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from kleindim import growth, hnn, moebius
+from kleindim import growth, moebius, words
 from kleindim.dimension import DEDUP_TOL
 from kleindim.hnn import build_hnn
 from kleindim.moebius import MoebiusMap, SpherePoint
 from kleindim.report import RunConfig, surface_stage
+from kleindim.subgroup import truncated_generators
 from kleindim.surface import fn_surface_rep
 
 # (genus, interior length) grid used by the structural suites; genus 1
@@ -47,8 +48,34 @@ def r_achieved_for(g, L):
 
 
 def to_word(nf):
-    """The word that a normal form of hnn.HnnPresentation spells."""
-    return tuple(x - hnn._OFFSET for x in nf)
+    """The word that a byte-encoded form (hnn.HnnPresentation,
+    subgroup.FreeForms) spells."""
+    return tuple(x - words._OFFSET for x in nf)
+
+
+class BrittonTruncation:
+    """Identity in the level-m truncation group by Britton normal forms of
+    the extension: each truncation letter spelled in the extension's
+    letters, then hnn.HnnPresentation.multiply.  The reference for
+    subgroup.FreeForms, which must tell the same elements apart."""
+
+    def __init__(self, rep, m):
+        spell = truncated_generators(rep, m).words
+        self.spell = {i + 1: w for i, w in enumerate(spell)}
+        self.spell.update({-x: words.word_inverse(w) for x, w in list(self.spell.items())})
+        self.presentation = rep.presentation
+
+    def identity(self):
+        return self.presentation.identity()
+
+    def multiply(self, nf, word):
+        for letter in word:
+            nf = self.presentation.multiply(nf, self.spell[letter])
+        return nf
+
+    def spelled(self, word):
+        """A word in truncation letters, spelled in the extension's."""
+        return sum((self.spell[x] for x in word), ())
 
 
 def sigma(word, stable_letter):

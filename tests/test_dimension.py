@@ -119,6 +119,20 @@ class TestCriticalExponent:
         est = critical_exponent(ball, [6.0, 7.0, 8.0, 9.0, 10.0])
         assert 0.0 < est.value < 1.0
 
+    @pytest.mark.parametrize("xs", [[2.0] * 5, [1.0, 2.0, 2.0, 3.0, 4.0], [1.0, 3.0, 2.0, 4.0, 5.0]],
+                             ids=["all-equal", "one-repeat", "decreasing"])
+    def test_window_needs_increasing_abscissae(self, xs):
+        # five equal radii come from an orbit ball complete to 2.0; they
+        # used to divide by zero in the local slopes
+        with pytest.raises(DegenerateScaleWindow):
+            dimension._window_fit(xs, [1, 2, 4, 8, 16], prefer_tail=True, fallback=4)
+
+    def test_repeated_radius_is_degenerate(self):
+        g = MoebiusMap.vertical_translation(1.0)
+        ball = enumerate_ball([g], BallLimit(max_displacement=2.0))
+        with pytest.raises(DegenerateScaleWindow):
+            critical_exponent(ball, [2.0] * 5)
+
 
 class TestComponentAnalysis:
     def test_two_far_points(self):

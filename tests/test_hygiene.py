@@ -118,7 +118,7 @@ def test_private_names_and_constants_used(path):
     assert unused == []
 
 
-# never read yet; ROADMAP item 5 adds it to the report
+# never read yet; ROADMAP item 7 adds it to the report
 UNREAD_MEMBERS = {"BallResult.numeric_drops"}
 
 

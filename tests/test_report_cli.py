@@ -1,6 +1,7 @@
 """Unit tests for configuration, rendering, table export, and the CLI."""
 
 import json
+import math
 import re
 
 import numpy as np
@@ -39,6 +40,15 @@ class TestRunConfig:
         {"scales": [1.0, False]},
         {"scales": 0.5},
         {"out_dir": 3},
+        {"interior_length": math.nan},
+        {"interior_length": math.inf},
+        {"radius": math.nan},
+        {"radius": math.inf},
+        {"scales": [math.nan, 0.5, 0.25]},
+        {"scales": [1.0, math.inf]},
+        {"scales": [0.5, 0.5, 0.25]},
+        {"genus": 64, "level": 0},
+        {"genus": 1, "level": 63},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -118,6 +128,32 @@ class TestCli:
         assert result.exit_code == 2
         assert "usage error:" in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("text", [
+        '{"radius": NaN}',
+        '{"interior_length": Infinity}',
+        '{"scales": [0.5, NaN, 0.125]}',
+        '{"scales": [0.5, 0.25, 0.25]}',
+    ])
+    def test_non_finite_or_repeated_config_is_usage_error(self, tmp_path, monkeypatch, text):
+        # Python's json reads NaN and Infinity; report.json could not
+        # hold them
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        for cmd in ("enumerate", "estimate-dim", "full-run"):
+            result = CliRunner().invoke(main, [cmd, "--config", str(path)])
+            assert result.exit_code == 2, cmd
+            assert "usage error:" in result.output
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_orbit_ball_complete_to_two_has_no_orbit(self):
+        # its five fit radii all equal 2.0: no window, so orbit is null
+        result = CliRunner().invoke(main, ["enumerate", "-R", "2"])
+        assert result.exit_code == 0
+        out = json.loads(result.output)
+        assert out["levels[2].orbit"] is None
+        assert out["levels[2].orbit_complete_radius"] == 2.0
 
     def test_config_value_of_wrong_type_is_usage_error(self, tmp_path):
         path = tmp_path / "config.json"
@@ -207,6 +243,14 @@ class TestCli:
         ["render", "--resolution", "0"],
         ["build-surface", "-g", "2", "-L", "-1"],
         ["full-run", "--max-elements", "99"],
+        ["enumerate", "-m", "0", "--max-elements", "1000", "-R", "nan"],
+        ["enumerate", "-R", "inf"],
+        ["build-surface", "-L", "nan"],
+        ["full-run", "-L", "nan"],
+        ["estimate-dim", "--scales", "nan,0.5,0.25,0.125"],
+        ["estimate-dim", "--scales", "0.5,0.5,0.25,0.125,0.0625"],
+        ["full-run", "--scales", "0.5,0.25,0.25"],
+        ["enumerate", "-g", "1", "-m", "63"],
     ], ids=" ".join)
     def test_usage_error_writes_nothing(self, tmp_path, monkeypatch, args):
         monkeypatch.chdir(tmp_path)

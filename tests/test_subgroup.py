@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 import helpers
-from kleindim import _core, growth, subgroup
+from kleindim import _core, growth, hnn, subgroup
 from kleindim.moebius import MoebiusMap
 from kleindim.report import RunConfig, truncation_ball
-from kleindim.subgroup import BallLimit, enumerate_ball, truncated_generators
-from kleindim.words import word_inverse
+from kleindim.subgroup import BallLimit, FreeForms, enumerate_ball, truncated_generators
+from kleindim.words import evaluate_word, free_reduce, surface_boundary_word
 
 
 def _schottky_pair():
@@ -151,10 +151,8 @@ class TestEnumerateBall:
         tg = truncated_generators(rep, 1)
         free = enumerate_ball(tg.matrices, BallLimit(max_word_len=5))
         ball = truncation_ball(rep, 1, BallLimit(max_word_len=5))
-        spell = {i + 1: w for i, w in enumerate(tg.words)}
-        spell.update({-k: word_inverse(w) for k, w in list(spell.items())})
-        forms = {rep.presentation.normal_form(sum((spell[x] for x in w), ()))
-                 for w in ball.words}
+        spelled = helpers.BrittonTruncation(rep, 1).spelled
+        forms = {rep.presentation.normal_form(spelled(w)) for w in ball.words}
         assert len(forms) == len(ball) < len(free)
 
     def test_normal_form_keys_keep_ball_discrete(self):
@@ -330,6 +328,101 @@ def test_band_sieve_matches_keep_all_oracle(monkeypatch, name):
         assert len(g) > 100
         for field in BALL_FIELDS:
             assert _field_bytes(g, field) == _field_bytes(w, field), field
+
+
+# -- identity in H_m: free reduction on S_m against Britton normal forms --
+
+# each key's displacement cap for the reference balls, far enough that
+# at m >= 1 they merge words equal in the group
+_REFERENCE_RADIUS = {(1, 3.0): 9.0, (2, 4.0): 12.0, (3, 5.0): 12.5}
+
+
+@pytest.mark.parametrize("kind", ["word-length", "displacement"])
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+@pytest.mark.parametrize("key", sorted(_REFERENCE_RADIUS), ids=str)
+def test_free_reduction_matches_britton(key, m, kind):
+    # H_m is free on S_m, so the S_m forms tell apart exactly the
+    # elements that the extension's normal forms do
+    if kind == "word-length":
+        limit = BallLimit(max_word_len=64, max_count=5_000 * (m + 1))
+    else:
+        limit = BallLimit(max_displacement=_REFERENCE_RADIUS[key], max_count=20_000,
+                          max_word_len=64)
+    rep = helpers.hnn_for(*key)
+    tg = truncated_generators(rep, m)
+    got = truncation_ball(rep, m, limit)
+    want = enumerate_ball(tg.matrices, limit, presentation=helpers.BrittonTruncation(rep, m))
+    assert len(got) > 300
+    for field in BALL_FIELDS:
+        assert _field_bytes(got, field) == _field_bytes(want, field), field
+    if kind == "displacement" and m:
+        # relations merged words: the free ball differs
+        assert enumerate_ball(tg.matrices, limit).words != got.words
+
+
+def test_truncation_ball_needs_no_britton_forms(monkeypatch):
+    def fail(*args):
+        raise AssertionError("HnnPresentation.multiply called")
+
+    monkeypatch.setattr(hnn.HnnPresentation, "multiply", fail)
+    rep = helpers.hnn_for(1, 3.0)
+    ball = truncation_ball(rep, 2, BallLimit(max_displacement=9.0, max_count=20_000))
+    assert len(ball) > 1000
+
+
+def _images(rep, m):
+    """S_m image of each letter of T_m and its inverse, as a word."""
+    forms = FreeForms(rep.surface.genus, rep.surface.boundary_word(), m)
+    n = 2 * rep.surface.genus * (m + 1)
+    return {x: helpers.to_word(forms.multiply(forms.identity(), (x,)))
+            for x in range(-n, n + 1) if x}
+
+
+class TestFreeForms:
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    @pytest.mark.parametrize("key", sorted({helpers.grid_key(*k) for k in helpers.GRID}), ids=str)
+    def test_images_are_the_generators(self, key, m):
+        rep = helpers.hnn_for(*key)
+        g = rep.surface.genus
+        images = _images(rep, m)
+        # S_m: 2g(m+1) - m letters, each image freely reduced
+        assert len({abs(x) for w in images.values() for x in w}) == 2 * g * (m + 1) - m
+        assert all(free_reduce(w) == w for w in images.values())
+        # each image spelled in the extension's letters has the normal
+        # form of the generator's word
+        spelled = helpers.BrittonTruncation(rep, m).spelled
+        pres = rep.presentation
+        for x, w in images.items():
+            assert pres.normal_form(spelled(w)) == pres.normal_form(spelled((x,))), x
+
+    def test_torus_level_two_images(self):
+        images = _images(helpers.hnn_for(1, 3.0), 2)
+        assert images[1] == (5, 6, -5, -6, 4, 6, 5, -6, -5, -4)
+        assert images[3] == (5, 6, -5, -6)
+        assert all(images[x] == (x,) for x in (2, 4, 5, 6))
+        assert images[-1] == tuple(-x for x in reversed(images[1]))
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_images_evaluate_to_the_generators(self, m):
+        # only at genus 1 and low levels: the longer images at higher genus
+        # drift far in floating point, which is why identity is decided on
+        # words
+        rep = helpers.hnn_for(1, 3.0)
+        mats = truncated_generators(rep, m).matrices
+        for x, w in _images(rep, m).items():
+            if x > 0:
+                assert evaluate_word(w, mats).dist(mats[x - 1]) <= 1e-9, x
+
+    def test_level_zero_needs_no_forms(self):
+        assert truncated_generators(helpers.hnn_for(1, 3.0), 0).presentation is None
+
+    def test_byte_encoding_bounds_the_letters(self):
+        # 2g(m+1) letters must stay below 128; the check comes before the
+        # images, whose length doubles with each level
+        FreeForms(21, surface_boundary_word(21), 2)  # 126 letters
+        for genus, m in ((21, 3), (1, 63), (64, 0)):
+            with pytest.raises(ValueError):
+                FreeForms(genus, surface_boundary_word(genus), m)
 
 
 def _times(x, y):
