@@ -251,21 +251,21 @@ def _window_fit(xs, counts, prefer_tail=False, fallback=None):
 
 
 def box_dimension(sample, scales=None, with_components=True):
-    """Box-counting dimension with an automatically chosen scale window.
+    """Box-counting dimension with an automatically chosen scale window,
+    and the scale table, coarsest scale first.
 
-    The per-scale component columns are costly on large samples; pass
-    with_components=False to leave them zero when only the dimension
-    estimate is needed.
+    The table's component columns come from one `component_table` pass
+    over the scales; with_components=False leaves them zero, as the
+    dimension estimate does not use them.
     """
     if scales is None:
         scales = default_scales()
     scales = sorted(scales, reverse=True)
     counts = [_box_count(sample, d) for d in scales]
-    rows = []
-    for d, c in zip(scales, counts):
-        comp, diam = component_analysis(sample, d) if with_components else (0, 0.0)
-        rows.append(ScaleRow(delta=d, box_count=c, components=comp, max_diam=diam))
-    table = ScaleTable(rows=rows)
+    comps = (component_table(sample, scales) if with_components
+             else [(0, 0.0)] * len(scales))
+    table = ScaleTable(rows=[ScaleRow(delta=d, box_count=c, components=k, max_diam=diam)
+                             for d, c, (k, diam) in zip(scales, counts, comps)])
     slope, stderr, i, j = _window_fit([math.log(1.0 / d) for d in scales], counts)
     est = DimEstimate(
         value=max(slope, 0.0),
@@ -312,6 +312,14 @@ def _pair_blocks(a, b):
     for i in range(0, len(a), rows):
         for j in range(0, len(b), cols):
             yield _dots(a[i:i + rows, None], b[None, j:j + cols])
+
+
+def _min_dot(pts):
+    """The least a . b over all pairs of pts, each unordered pair once
+    (a . b and b . a round alike), in blocks of at most _PAIR_CHUNK."""
+    rows = max(_PAIR_CHUNK // len(pts), 1)
+    return min(float(_dots(pts[i:i + rows, None], pts[None, i:]).min())
+               for i in range(0, len(pts), rows))
 
 
 def _facing_test(a, b, dot_needed):
@@ -443,17 +451,57 @@ class _UnionFind:
         if ri != rj:
             self.parent[max(ri, rj)] = min(ri, rj)
 
+    def roots(self):
+        """The root of every element, as an array, by pointer jumping."""
+        p = np.array(self.parent)
+        while True:
+            q = p[p]
+            if np.array_equal(q, p):
+                return p
+            p = q
+
 
 def component_analysis(sample, delta):
     """Components of the graph joining sample points at chordal distance
     <= delta, that is with unit vectors a . b >= 1 - delta^2 / 2.
 
-    Returns (component_count, max_component_diameter).  The graph is
+    Returns (component_count, max_component_diameter): the one-scale case
+    of `component_table`, through the same kernel.
+    """
+    return component_table(sample, [delta])[0]
+
+
+def component_table(sample, scales):
+    """`component_analysis` at every delta of `scales`, in their order, in
+    one pass run from the finest scale to the coarsest.
+
+    The graph at delta' < delta is a subgraph of the graph at delta: in
+    floating point too, 1 - delta'^2 / 2 >= 1 - delta^2 / 2.  So every
+    component at delta is a union of components at delta' (single
+    linkage), and each scale starts from the partition of the finer
+    scale before it, whatever the scales are; `_components_at` says how.
+    Only one scale's labels and diameters are held at a time.
+    """
+    rows = [None] * len(scales)
+    finer = None
+    for k in sorted(range(len(scales)), key=scales.__getitem__):
+        rows[k], finer = _components_at(sample, scales[k], finer)
+    return rows
+
+
+def _components_at(sample, delta, finer):
+    """(component_count, max_component_diameter) at delta, and the
+    partition it found, (labels of the points, component sizes,
+    diameters, NaN where not taken), for the next coarser scale.
+
+    `finer` is that partition at a finer scale, or None.  The graph is
     built on cells first: points are binned in cubes of side
     delta / sqrt(3), so points sharing a cube are always joined and an
     edge can only join cubes at most 2 apart on every axis.  A union-find
-    runs over cubes, not points, and the pairs of occupied nearby cubes
-    are decided in this order:
+    runs over cubes, not points.  It starts from `finer`: the cubes that
+    hold the points of one finer component are joined, and the pairs of
+    nearby cubes already joined are dropped.  The rest are decided in
+    this order:
     - small pairs (at most 256 point pairs), every point pair in one
       vectorised pass;
     - each large pair whose cubes are not yet joined: by _facing_test's
@@ -465,12 +513,15 @@ def component_analysis(sample, delta):
     Every dot product, here and in the diameters, is `_dots`, so a pair
     rounds alike in every test.  The diameter is exact (all pairs, in
     blocks) for components of at most 4,000 points and a double-sweep
-    lower bound above; components whose bounding box is smaller than the
-    largest diameter so far are skipped, which leaves the maximum
-    unchanged.
+    lower bound above, from the component's lowest-index point; either
+    is a function of the point set.  So a component with the size of the
+    finer component of its first point is that component and keeps its
+    diameter.  The others are taken in decreasing order of their
+    bounding box, and those whose box is smaller than the largest
+    diameter so far are skipped, which leaves the maximum unchanged.
     """
     if sample.count == 0:
-        return 0, 0.0
+        return (0, 0.0), finer
     xyz = sample.xyz
     side = delta / math.sqrt(3.0)
     cell_of, counts, first, second = _cell_pairs(np.floor(xyz / side).astype(np.int64))
@@ -479,6 +530,17 @@ def component_analysis(sample, delta):
     dot_needed = 1.0 - delta * delta / 2.0
 
     uf = _UnionFind(len(counts))
+    if finer is not None:
+        finer_comp, finer_sizes, finer_diams = finer
+        # the distinct (finer component, cube) pairs, by component; each
+        # cube is joined to the one before it in its component
+        comps, cubes = np.divmod(np.unique(finer_comp * len(counts) + cell_of), len(counts))
+        shared = comps[1:] == comps[:-1]
+        for i, j in zip(cubes[:-1][shared].tolist(), cubes[1:][shared].tolist()):
+            uf.union(i, j)
+        roots = uf.roots()
+        apart = roots[first] != roots[second]
+        first, second = first[apart], second[apart]
     small = counts[first] * counts[second] <= _SMALL_PAIR
     linked = _small_pairs_linked(xyz[order], starts, counts, first[small],
                                  second[small], dot_needed)
@@ -495,30 +557,35 @@ def component_analysis(sample, delta):
         if joined:
             uf.union(i, j)
 
-    roots = np.array([uf.find(i) for i in range(len(counts))])
-    _, comp = np.unique(roots[cell_of], return_inverse=True)
+    comp = np.unique(uf.roots(), return_inverse=True)[1][cell_of]
     # members of each component in ascending point index
     by_comp = np.argsort(comp, kind="stable")
     sizes = np.bincount(comp)
     begins = np.cumsum(sizes) - sizes
+    diams = np.where(sizes > 1, np.nan, 0.0)
+    if finer is not None:
+        # the finer component of each component's first point
+        head = finer_comp[by_comp[begins]]
+        same = sizes == finer_sizes[head]
+        diams[same] = finer_diams[head[same]]
     grouped = xyz[by_comp]
     box = np.maximum.reduceat(grouped, begins) - np.minimum.reduceat(grouped, begins)
     # a diameter never exceeds its bounding box's diagonal; the margin
     # covers the rounding of sqrt(2 - 2 a . b)
     bound = np.sqrt(_dots(box, box)) + 1e-6
-    max_diam = 0.0
-    multi = np.flatnonzero(sizes > 1)
-    for c in multi[np.argsort(-bound[multi], kind="stable")]:
+    known = ~np.isnan(diams)
+    max_diam = float(diams[known].max(initial=0.0))
+    todo = np.flatnonzero(~known)
+    for c in todo[np.argsort(-bound[todo], kind="stable")]:
         if bound[c] < max_diam:
             break
-        pts = xyz[by_comp[begins[c]:begins[c] + sizes[c]]]
+        pts = grouped[begins[c]:begins[c] + sizes[c]]
         if sizes[c] <= _EXACT_DIAM:
-            low = min(float(d.min()) for d in _pair_blocks(pts, pts))
-            diam = math.sqrt(max(2.0 - 2.0 * low, 0.0))
+            diams[c] = math.sqrt(max(2.0 - 2.0 * _min_dot(pts), 0.0))
         else:
-            diam = _double_sweep(pts)
-        max_diam = max(max_diam, diam)
-    return len(sizes), max_diam
+            diams[c] = _double_sweep(pts)
+        max_diam = max(max_diam, float(diams[c]))
+    return (len(sizes), max_diam), (comp, sizes, diams)
 
 
 def _double_sweep(pts):

@@ -32,7 +32,7 @@ from click.testing import CliRunner
 
 import helpers
 from kleindim.cli import main as cli_main
-from kleindim.dimension import (box_dimension, component_analysis,
+from kleindim.dimension import (box_dimension, component_table,
                                 critical_exponent, merge_samples,
                                 sample_from_points, sample_limit_set)
 from kleindim.growth import (build_strata_tree, entropy_bound,
@@ -235,7 +235,7 @@ def test_criterion_7_cantor_structure():
     largest = _largest_r()
     sample = _truncation_sample(*largest, 2)
     scales = [0.4 * 0.5**k for k in range(5)]
-    rows = [component_analysis(sample, d) for d in scales]
+    rows = component_table(sample, scales)
     counts = [r[0] for r in rows]
     diams = [r[1] for r in rows]
     count_ok = all(counts[i + 1] > counts[i] for i in range(4))
@@ -249,7 +249,7 @@ def test_criterion_7_cantor_structure():
     assert not full.truncated
     assert full.sigmas.max() > 0 and full.sigmas.min() < 0
     control = sample_limit_set(full, cap=len(full))
-    control_counts = [component_analysis(control, d)[0] for d in scales]
+    control_counts = [count for count, _ in component_table(control, scales)]
     control_ok = all(c == 1 for c in control_counts)
 
     ratios = [diams[i] / diams[i + 1] if diams[i + 1] > 0 else math.inf

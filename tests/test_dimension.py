@@ -13,12 +13,12 @@ from scipy.sparse.csgraph import connected_components
 import helpers
 from kleindim import dimension
 from kleindim.dimension import (LimitSample, ScaleRow, ScaleTable, _box_count, box_dimension,
-                                component_analysis, critical_exponent,
+                                component_analysis, component_table, critical_exponent,
                                 default_scales, merge_samples,
                                 sample_from_points, sample_limit_set)
 from kleindim.errors import DegenerateScaleWindow, IncompleteBall
 from kleindim.moebius import INF, MoebiusMap, SpherePoint
-from kleindim.report import table_csv, truncation_ball
+from kleindim.report import RunConfig, sample_stage, table_csv, truncation_ball
 from kleindim.subgroup import BallLimit, enumerate_ball
 
 
@@ -263,8 +263,7 @@ class TestComponentsAgainstBruteForce:
     def paths(self, monkeypatch):
         """Counts of the cell pairs tested as small pairs, the large pairs
         _facing_test decided as hits and as misses, and the large pairs
-        sent to the exhaustive test: the calls of _pair_blocks on two
-        cells (a diameter passes one component as both arguments)."""
+        sent to the exhaustive test: the calls of _pair_blocks."""
         seen = {"small": 0, "hit": 0, "miss": 0, "exhaustive": 0}
         small = dimension._small_pairs_linked
         facing, blocks = dimension._facing_test, dimension._pair_blocks
@@ -280,8 +279,7 @@ class TestComponentsAgainstBruteForce:
             return linked
 
         def count_blocks(a, b):
-            if a is not b:
-                seen["exhaustive"] += 1
+            seen["exhaustive"] += 1
             return blocks(a, b)
 
         monkeypatch.setattr(dimension, "_small_pairs_linked", count_small)
@@ -352,6 +350,54 @@ class TestComponentsAgainstBruteForce:
         assert n <= dimension._EXACT_DIAM
         assert got == (1, _brute_diameter(xyz))
         assert peak < 32 * 2**20
+
+
+class TestComponentTable:
+    """The fine-to-coarse pass against the one-scale path and the
+    all-pairs reference, scale by scale, on the samples above."""
+
+    UNSORTED = [0.013, 0.3, 0.0071, 0.05, 0.11, 0.021]
+
+    @staticmethod
+    def _check(sample, scales):
+        got = component_table(sample, scales)
+        assert len(got) == len(scales)
+        for delta, row in zip(scales, got):
+            assert row == component_analysis(sample, delta)
+            assert row == _brute_components(sample.xyz, delta)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_clustered(self, seed):
+        sample = _joined(_clustered_points(np.random.default_rng(seed)),
+                         _facing_cells(1e-13, np.random.default_rng(seed)))
+        self._check(sample, TestComponentsAgainstBruteForce.DELTAS)
+        self._check(sample, self.UNSORTED)
+
+    @pytest.mark.parametrize("gap", [-1e-13, 1e-13])
+    def test_near_threshold_pair(self, gap):
+        sample = _facing_cells(gap, np.random.default_rng(0))
+        self._check(sample, [_FACING_DELTA, 0.01, 0.2, _FACING_DELTA / 2])
+
+    def test_points_on_cell_boundaries(self):
+        sample = _cell_boundary_points(np.random.default_rng(0), 0.05)
+        self._check(sample, TestComponentsAgainstBruteForce.DELTAS)
+        self._check(sample, self.UNSORTED)
+
+    def test_single_point_and_empty(self):
+        for pts in ([INF], [SpherePoint(0.3 + 0.1j)], []):
+            self._check(sample_from_points(pts), self.UNSORTED)
+
+    def test_default_level_two_sample(self):
+        # every scale bit for bit, through box_dimension's own call
+        config = RunConfig()
+        rep = helpers.hnn_for(config.genus, config.interior_length)
+        sample = None
+        for m in range(config.level + 1):
+            sample, _ = sample_stage(rep, m, config, sample)
+        _, table = box_dimension(sample, config.scales)
+        for row, delta in zip(table.rows, config.scales):
+            count, diam = component_analysis(sample, delta)
+            assert (row.delta, row.components, row.max_diam.hex()) == (delta, count, diam.hex())
 
 
 class TestScalarOracle:

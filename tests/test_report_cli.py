@@ -341,16 +341,21 @@ class TestCli:
 
     def test_estimate_dim_skips_components(self, monkeypatch):
         # only the dimension estimate is printed, so the component columns
-        # of the scale table are never computed
-        def refuse(sample, delta):
-            raise AssertionError("component_analysis called")
+        # of the scale table are never computed: the one component kernel,
+        # which every scale of every table goes through, is never entered
+        def refuse(sample, delta, finer):
+            raise AssertionError("component kernel called")
 
-        monkeypatch.setattr(dimension, "component_analysis", refuse)
+        monkeypatch.setattr(dimension, "_components_at", refuse)
         result = CliRunner().invoke(main, ["estimate-dim", "-m", "0",
                                            "--max-elements", "200"])
         assert result.exception is None
         assert result.exit_code == 0
         assert 0 < json.loads(result.output)["levels[0].n_sample"] <= 200
+        # the stub is where a table with components would go
+        sample = sample_from_points([SpherePoint(0j), SpherePoint(1 + 0j)])
+        with pytest.raises(AssertionError, match="component kernel called"):
+            dimension.box_dimension(sample, [1.0, 0.5])
 
     def test_build_rep_reports_exactness(self):
         runner = CliRunner()
