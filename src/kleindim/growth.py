@@ -25,8 +25,8 @@ from .words import word_inverse
 
 GAP_TOL = 1e-6
 _ENDPOINT_QUANT = 1e-6
-# relative margin around each threshold of the lift sieve: rows this near
-# one are left to the scalar decision
+# relative margin of the lift sieve's gap test: a row whose |(u + v) /
+# (u - v)| lies this near cosh(radius) is left to the scalar acosh
 _SIEVE_MARGIN = 1e-9
 # ball rows sieved per pass.  Whole-ball temporaries stay resident as heap
 # after the tree: sieving each ball in one pass raised the full-run-torus
@@ -163,39 +163,37 @@ def _axis_endpoints(mat):
 def _image_endpoints(mats, z):
     """_image_endpoint of the real endpoint z (None = inf) under every row
     of `mats`, replayed on arrays with CPython's complex arithmetic:
-    (values, sure).  `sure` is False where _image_endpoint may return None
-    (within _SIEVE_MARGIN of its thresholds) or the value is not finite."""
+    (values, defined), bit for bit but for the sign of a NaN.  `defined`
+    is False exactly where _image_endpoint returns None.  Where it divides
+    by zero instead (c, or c z + d, is 0 and its threshold 0 or NaN) the
+    value is NaN."""
     (ar, ai), (br, bi), (cr, ci), (dr, di) = ((mats[:, k].real, mats[:, k].imag)
                                               for k in range(4))
-    grow = 1.0 + _SIEVE_MARGIN
     with np.errstate(all="ignore"):
         if z is None:
             vals, _ = _core.c_quot(ar, ai, cr, ci)
-            undefined = np.hypot(cr, ci) < 1e-14 * np.hypot(ar, ai) * grow
+            undefined = np.hypot(cr, ci) < 1e-14 * np.hypot(ar, ai)
         else:
             # a float in a complex product is promoted to (z + 0j)
             nr, ni = _core.c_prod(ar, ai, z, 0.0)
             er, ei = _core.c_prod(cr, ci, z, 0.0)
             er, ei = er + dr, ei + di
-            limit = 1e-12 * ((np.hypot(nr, ni) + np.hypot(br, bi)) + 1.0)
-            undefined = np.hypot(er, ei) < limit * grow
+            undefined = np.hypot(er, ei) < 1e-12 * ((np.hypot(nr, ni) + np.hypot(br, bi)) + 1.0)
             vals, _ = _core.c_quot(nr + br, ni + bi, er, ei)
-    return vals, ~undefined & np.isfinite(vals)
+    return vals, ~undefined
 
 
-def _may_lift(first, second, radius):
-    """Rows whose lift with image endpoints u, v (`first` and `second`,
-    from _image_endpoints) _vertical_gap could keep within `radius`: all
-    but those clearly outside its endpoint window, with u == v, or with a
-    gap beyond radius by more than _SIEVE_MARGIN."""
-    (u, u_sure), (v, v_sure) = first, second
-    lo, hi = 1e-9 * (1.0 - _SIEVE_MARGIN), 1e9 * (1.0 + _SIEVE_MARGIN)
+def _may_lift(u, u_defined, v, v_defined, radius):
+    """Rows whose lift with image endpoints u, v (from _image_endpoints)
+    _vertical_gap could keep within `radius`: all but those with both
+    endpoints defined and outside its endpoint window, equal, or with a
+    gap beyond radius by more than _SIEVE_MARGIN.  A NaN endpoint is never
+    ruled out."""
     with np.errstate(all="ignore"):
         au, av = np.abs(u), np.abs(v)
-        val = np.abs((u + v) / (u - v))
-        near = ((au >= lo) & (au <= hi) & (av >= lo) & (av <= hi) & (u != v)
-                & (val <= np.cosh(radius) * (1.0 + _SIEVE_MARGIN)))
-    return ~(u_sure & v_sure) | near
+        out = ((au < 1e-9) | (av < 1e-9) | (au > 1e9) | (av > 1e9) | (u == v)
+               | (np.abs((u + v) / (u - v)) > np.cosh(radius) * (1.0 + _SIEVE_MARGIN)))
+    return ~(u_defined & v_defined & out)
 
 
 def _entry_frame(surface, entry):
@@ -276,28 +274,29 @@ def _select_lifts(mats, axes, radius, frame_inv, window):
     = inf) under the rows of `mats`, within `radius` of the vertical
     axis and with axial offset in the half-open `window` (lo, hi).
 
-    An array sieve drops a row when, for every axis, its image endpoints
-    are defined, finite and clearly out: outside the endpoint window,
-    equal, or with a gap beyond `radius` by more than _SIEVE_MARGIN.
-    Every other row gets the exact scalar decision (_image_endpoint,
-    _vertical_gap, the axial window and the _geodesic_key dedup), in row
-    order and in the order of `axes` within a row, so the list is the one
-    a scalar pass over all rows gives.
+    Each row's image endpoints come from _image_endpoints, once per axis,
+    in passes of _SIEVE_ROWS rows.  A (row, axis) pair that _may_lift
+    rules out is dropped; every other pair gets the exact scalar decision
+    (_vertical_gap, the axial window and the _geodesic_key dedup) on those
+    values, in row order and in the order of `axes` within a row, so the
+    list is the one a scalar pass of _image_endpoint over all rows gives.
+    Only a kept lift gets a MoebiusMap and its endpoints in standard
+    coordinates.
     """
-    survive = np.zeros(len(mats), dtype=bool)
-    for start in range(0, len(mats), _SIEVE_ROWS):
-        part = mats[start:start + _SIEVE_ROWS]
-        for e1, e2 in axes.values():
-            survive[start:start + _SIEVE_ROWS] |= _may_lift(
-                _image_endpoints(part, e1), _image_endpoints(part, e2), radius)
+    kinds = list(axes)
     lo, hi = window
     out = []
     seen = set()
-    for entries in mats[survive].tolist():
-        m = MoebiusMap(*entries, _normalized=True)
-        for kind, (e1, e2) in axes.items():
-            u = _image_endpoint(m, e1)
-            v = _image_endpoint(m, e2)
+    for start in range(0, len(mats), _SIEVE_ROWS):
+        part = mats[start:start + _SIEVE_ROWS]
+        images = [_image_endpoints(part, e1) + _image_endpoints(part, e2)
+                  for e1, e2 in axes.values()]
+        # the (row, axis) pairs _may_lift keeps, row by row, and their
+        # u, u_defined, v, v_defined
+        rows, axis = np.nonzero(np.stack([_may_lift(*image, radius) for image in images], 1))
+        columns = (np.stack(column, 1)[rows, axis].tolist() for column in zip(*images))
+        for row, a, u, u_defined, v, v_defined in zip(rows.tolist(), axis.tolist(), *columns):
+            u, v = (u if u_defined else None), (v if v_defined else None)
             gap = _vertical_gap(u, v)
             if gap is None or gap > radius:
                 continue
@@ -309,8 +308,9 @@ def _select_lifts(mats, axes, radius, frame_inv, window):
             if key in seen:
                 continue
             seen.add(key)
+            m = MoebiusMap(*part[row].tolist(), _normalized=True)
             ends = (_image_endpoint(frame_inv, u), _image_endpoint(frame_inv, v))
-            out.append(_Candidate(m=m, w=m.conjugate_by(frame_inv), kind=kind,
+            out.append(_Candidate(m=m, w=m.conjugate_by(frame_inv), kind=kinds[a],
                                   gap=gap, ends=ends))
     return out
 
@@ -442,14 +442,17 @@ def leaf_count_check(tree, r):
     e1 = np.array([a for a, _ in ends])
     e2 = np.array([b for _, b in ends])
 
-    # sep[m] over targets: does node m's entry geodesic separate the base
-    # point from each target geodesic
+    # sep over targets: does node m's entry geodesic separate the base
+    # point from each target geodesic.  The nodes are in depth-first
+    # preorder, so a node's parent is the last node kept one level up, and
+    # one chain mask per depth suffices: chain_ok[k] is node last[k]'s
     z_in = np.abs(z0 - centers) < radii
     counts = np.ones(n - 1, dtype=np.int64)  # the base stratum always counts
-    chain_ok = [None] * n
-    chain_ok[0] = np.ones(n - 1, dtype=bool)
+    chain_ok, last = {0: np.ones(n - 1, dtype=bool)}, {0: 0}
     for m in range(1, n):
         nd = nodes[m]
+        if last.get(nd.depth - 1) != nd.parent:
+            raise ValueError("strata nodes are not in depth-first preorder")
         c, rad = centers[m - 1], radii[m - 1]
         in1 = (e1 - c) ** 2 < rad * rad
         in2 = (e2 - c) ** 2 < rad * rad
@@ -458,8 +461,8 @@ def leaf_count_check(tree, r):
         else:
             sep = in1 & in2
         sep[m - 1] = False  # a geodesic does not separate from itself
-        ok = chain_ok[nd.parent] & sep
-        chain_ok[m] = ok
+        ok = chain_ok[nd.depth - 1] & sep
+        chain_ok[nd.depth], last[nd.depth] = ok, m
         counts += ok
 
     rows = [LeafRow(d=0.0, leaves_at_d=1, bound=2.0)]

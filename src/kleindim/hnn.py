@@ -128,9 +128,6 @@ class HnnRep:
         self.generators = list(surface.generators) + [T]
         self.presentation = HnnPresentation(surface.genus, surface.boundary_word())
 
-    def stable_letter_index(self):
-        return 2 * self.surface.genus + 1
-
     def evaluate(self, word):
         return _eval(word, self.generators)
 

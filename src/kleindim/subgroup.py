@@ -53,7 +53,6 @@ class TruncationGenerators:
     and the identity of the group H_m they generate (None at m = 0, where
     T_0 is a free basis)."""
 
-    level: int
     matrices: list
     words: list  # words in the extension's letters, parallel to matrices
     presentation: FreeForms | None
@@ -108,7 +107,7 @@ def truncated_generators(rep, m):
     """Level-m generating set of the positive-strata subgroup."""
     if m < 0:
         raise ValueError("level must be >= 0")
-    tau = rep.stable_letter_index()
+    tau = rep.presentation.stable_letter
     mats, wds = [], []
     for k in range(m + 1):
         prefix = (tau,) * k
@@ -118,7 +117,7 @@ def truncated_generators(rep, m):
             mats.append(rep.evaluate(w))
             wds.append(w)
     forms = FreeForms(rep.surface.genus, rep.surface.boundary_word(), m) if m else None
-    return TruncationGenerators(level=m, matrices=mats, words=wds, presentation=forms)
+    return TruncationGenerators(matrices=mats, words=wds, presentation=forms)
 
 
 @dataclass(frozen=True)
@@ -167,24 +166,17 @@ def _gen_array(gens):
     return np.array(rows, dtype=np.complex128)
 
 
-def _gram(mats, left):
+def _gram(mats):
     """Per row g = (a, b, c, d): the terms (x00, x11, Re x01, Im x01) of
-    X = g* g (left) or X = g g* (not left), tr X, and lower and upper
-    bounds on |det g| for g as stored."""
+    X = g* g, from the columns (a, c) and (b, d), tr X, and lower and
+    upper bounds on |det g| for g as stored.  The terms of g g* are those
+    of the conjugate transpose, rows (conj a, conj c, conj b, conj d)."""
     (ar, ai), (br, bi), (cr, ci), (dr, di) = ((mats[:, k].real, mats[:, k].imag)
                                               for k in range(4))
-    if left:
-        # columns (a, c) and (b, d)
-        x00 = ((ar * ar + ai * ai) + cr * cr) + ci * ci
-        x11 = ((br * br + bi * bi) + dr * dr) + di * di
-        re = ((ar * br + ai * bi) + cr * dr) + ci * di
-        im = ((ar * bi - ai * br) + cr * di) - ci * dr
-    else:
-        # rows (a, b) and (c, d)
-        x00 = ((ar * ar + ai * ai) + br * br) + bi * bi
-        x11 = ((cr * cr + ci * ci) + dr * dr) + di * di
-        re = ((ar * cr + ai * ci) + br * dr) + bi * di
-        im = ((ai * cr - ar * ci) + bi * dr) - br * di
+    x00 = ((ar * ar + ai * ai) + cr * cr) + ci * ci
+    x11 = ((br * br + bi * bi) + dr * dr) + di * di
+    re = ((ar * br + ai * bi) + cr * dr) + ci * di
+    im = ((ar * bi - ai * br) + cr * di) - ci * dr
     tr = x00 + x11
     det = np.abs(mats[:, 0] * mats[:, 3] - mats[:, 1] * mats[:, 2])
     # ad - bc errs by less than 3 u (|a d| + |b c|) + 1.5 u |ad - bc| <= 3 u tr
@@ -196,13 +188,16 @@ def _beyond_band(frontier, gterms, band):
     """(n, k) mask of the products frontier[i] @ gens[j] that the exact
     path surely drops as beyond `band`: `_core.expand` gives a finite row
     whose displacement exceeds band.  `gterms` is `_gram` of the
-    generators with left=False.
+    generators' conjugate transposes, the terms of h h*.
 
     Decided before any product from T = ||g h||^2 = tr(G H), G = g* g,
     H = h h*: four real products per pair, elementwise (no BLAS).  With
-    S = tr G tr H, u = 2^-53 and d_lo, d_hi `_gram`'s bounds on |det|:
+    S = tr G tr H, u = 2^-53 and d_lo, d_hi `_gram`'s bounds on |det|
+    (|det h*| = |det h|, tr(h h*) = tr(h* h)):
     - the computed tr(G H) and the computed product's squared norm both
-      lie within 25 u S of T (Gram terms and `_core._products`);
+      lie within 25 u S of T (Gram terms and `_core._products`; these
+      bounds and _gram's on |det| hold in any order of summation, so for
+      H's terms taken from h* too);
     - the product's computed determinant lies within 6.4 u sqrt(T S) of
       det g det h (the products' error moves the determinant by
       ||g h|| ||E||, its own rounding adds 1.5 u ||g h||^2 + 1.5 u |det|,
@@ -217,7 +212,7 @@ def _beyond_band(frontier, gterms, band):
     squared norm is the product's over |det|, so by the first its
     displacement arccosh(norm^2 / 2) exceeds band.
     """
-    g00, g11, g01r, g01i, gtr, glo, ghi = _gram(frontier, left=True)
+    g00, g11, g01r, g01i, gtr, glo, ghi = _gram(frontier)
     h00, h11, h01r, h01i, htr, hlo, hhi = gterms
     lo, hi = _SIEVE_RANGE
     with np.errstate(over="ignore", invalid="ignore"):
@@ -326,7 +321,7 @@ def enumerate_ball(gens, limit, sigma_values=None, presentation=None):
     ngen = len(gens)
     ncols = 2 * ngen
     garr = _gen_array(gens)
-    gterms = _gram(garr, left=False)
+    gterms = _gram(np.conj(garr[:, [0, 2, 1, 3]]))
     gsig = list(sigma_values or [0] * ngen)
     # letter for column j of garr; inverse column of j is (j + ngen) % 2n
     letters = [i + 1 for i in range(ngen)] + [-(i + 1) for i in range(ngen)]

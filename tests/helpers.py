@@ -91,7 +91,7 @@ def sigma(word, stable_letter):
 
 def relator_word(rep):
     """The HNN relator a_1 tau W^-1 tau^-1 of an extension `rep`."""
-    tau = rep.stable_letter_index()
+    tau = rep.presentation.stable_letter
     w_inv = tuple(-x for x in reversed(rep.surface.boundary_word()))
     return (1,) + (tau,) + w_inv + (-tau,)
 
@@ -264,3 +264,39 @@ def scalar_lift_candidates(mats, axes, radius, frame_inv, window):
                                          gap=gap, ends=ends))
     return out
 
+
+
+# -- oracle of the leaf-count table -------------------------------------
+#
+# growth.leaf_count_check as it was before it kept one chain mask per
+# depth: one mask per node, read through the node's parent index, n^2
+# bytes in all.  The tables must agree row for row.
+
+def per_node_leaf_table(tree, r):
+    nodes = tree.nodes
+    n = len(nodes)
+    if n == 1:
+        return growth.LeafTable(rows=[growth.LeafRow(d=0.0, leaves_at_d=1, bound=2.0)])
+    z0, ends = growth._finite_chart([nd.proj for nd in nodes[1:]])
+    centers = np.array([(a + b) / 2.0 for a, b in ends])
+    radii = np.array([abs(a - b) / 2.0 for a, b in ends])
+    e1 = np.array([a for a, _ in ends])
+    e2 = np.array([b for _, b in ends])
+    z_in = np.abs(z0 - centers) < radii
+    counts = np.ones(n - 1, dtype=np.int64)
+    chain_ok = [None] * n
+    chain_ok[0] = np.ones(n - 1, dtype=bool)
+    for m in range(1, n):
+        c, rad = centers[m - 1], radii[m - 1]
+        in1 = (e1 - c) ** 2 < rad * rad
+        in2 = (e2 - c) ** 2 < rad * rad
+        sep = ~in1 & ~in2 if z_in[m - 1] else in1 & in2
+        sep[m - 1] = False
+        chain_ok[m] = chain_ok[nodes[m].parent] & sep
+        counts += chain_ok[m]
+    rows = [growth.LeafRow(d=0.0, leaves_at_d=1, bound=2.0)]
+    for m in sorted(range(1, n), key=lambda m: nodes[m].d):
+        d = nodes[m].d
+        rows.append(growth.LeafRow(d=d, leaves_at_d=int(counts[m - 1]),
+                                   bound=2.0 ** (1.0 + d / (2.0 * r))))
+    return growth.LeafTable(rows=rows)

@@ -1,8 +1,11 @@
 """Unit tests for the strata-tree model, entropy/leaf bounds, and
 quasi-geodesic constants."""
 
+import dataclasses
+import functools
 import math
 import struct
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -302,6 +305,67 @@ class TestLiftSieve:
         assert _node_bits(got) == _node_bits(want)
 
 
+class TestImageEndpoints:
+    """_image_endpoints is _image_endpoint on arrays, bit for bit, and
+    _select_lifts evaluates each row once."""
+
+    @staticmethod
+    def _assert_matches_scalar(rows, zs):
+        mats = np.array(rows, dtype=np.complex128).reshape(-1, 4)
+        for z in zs:
+            vals, defined = growth._image_endpoints(mats, z)
+            for row, val, ok in zip(mats.tolist(), vals.tolist(), defined.tolist()):
+                try:
+                    want = growth._image_endpoint(MoebiusMap(*row, _normalized=True), z)
+                except ZeroDivisionError:
+                    assert ok and math.isnan(val), (row, z)
+                    continue
+                assert ok == (want is not None), (row, z)
+                if ok and math.isnan(want):
+                    assert math.isnan(val), (row, z)  # of either sign
+                elif ok:
+                    assert _bits(val) == _bits(want), (row, z)
+
+    def test_edge_and_nonfinite_rows(self):
+        rows = [row for case in _EDGE_CASES.values() for row in case[0]] + _NONFINITE
+        zs = {None, 0.0, 1.0, -1.0, 0.5, 5.0}
+        zs |= {e for case in _EDGE_CASES.values() for ends in case[1].values() for e in ends}
+        self._assert_matches_scalar(rows, sorted(zs, key=lambda z: (z is not None, z)))
+
+    @pytest.mark.parametrize("entry", ["gamma", "boundary"])
+    def test_grid_lift_ball_and_inverses(self, entry):
+        surface = helpers.surface_for(1, 3.0)
+        radius = 4.5 * helpers.r_achieved_for(1, 3.0)
+        _, gens, axes = growth._entry_frame(surface, _entry(surface, entry))
+        cap = radius + 1.0 + max(growth._base_distance(*ends) for ends in axes.values())
+        ball = enumerate_ball(gens, BallLimit(max_displacement=cap, max_count=200_000))
+        assert 500 < len(ball) < 20_000
+        inverses = ball.mats[:, [3, 1, 2, 0]] * np.array([1, -1, -1, 1])
+        zs = [None, 0.0] + [e for ends in axes.values() for e in ends]
+        self._assert_matches_scalar(np.concatenate([ball.mats, inverses]), zs)
+
+    def test_rejected_rows_are_not_evaluated_again(self, monkeypatch):
+        surface = helpers.surface_for(1, 3.0)
+        radius = 4.5 * helpers.r_achieved_for(1, 3.0)
+        frame, gens, axes = growth._entry_frame(surface, surface.gamma_matrix())
+        ball = enumerate_ball(gens, BallLimit(max_displacement=radius + 3.0, max_count=50_000))
+        calls = {"endpoint": 0, "map": 0}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(growth, "_image_endpoint", counted("endpoint", growth._image_endpoint))
+        monkeypatch.setattr(growth, "MoebiusMap", counted("map", growth.MoebiusMap))
+        got = growth._select_lifts(ball.mats, axes, radius, frame.inverse(),
+                                   _closed_window(radius))
+        # a map and two standard-coordinate endpoints per kept lift
+        assert 10 < len(got) < len(ball) // 5
+        assert calls == {"endpoint": 2 * len(got), "map": len(got)}
+
+
 def _entry(surface, kind):
     return surface.gamma_matrix() if kind == "gamma" else surface.boundary_matrix()
 
@@ -426,6 +490,16 @@ class TestLiftBallRecord:
         assert small.complete_radius < small.cap
 
 
+_GRID_KEYS = sorted({helpers.grid_key(*k) for k in helpers.GRID})
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_tree(key):
+    """The strata tree of `key` as report.bound_checks builds it."""
+    return build_strata_tree(helpers.hnn_for(*key), 4.5 * helpers.r_achieved_for(*key),
+                             max_depth=4)
+
+
 class TestLeafCount:
     def test_bound_arithmetic(self):
         r = 1.25
@@ -463,6 +537,46 @@ class TestLeafCount:
     def test_violation_rows_reported(self):
         table = LeafTable(rows=[LeafRow(d=1.0, leaves_at_d=5, bound=4.0)])
         assert len(table.violations()) == 1
+
+    @pytest.mark.parametrize("key", _GRID_KEYS, ids=str)
+    def test_grid_trees_are_in_depth_first_preorder(self, key):
+        # each node's parent is the last node before it one level up,
+        # which leaf_count_check's one mask per depth relies on
+        nodes = _grid_tree(key).nodes
+        last = {0: 0}
+        for m, node in enumerate(nodes[1:], start=1):
+            assert node.parent == last[node.depth - 1]
+            last[node.depth] = m
+
+    @pytest.mark.parametrize("key", _GRID_KEYS, ids=str)
+    def test_grid_tables_match_per_node_oracle(self, key):
+        tree, r = _grid_tree(key), helpers.r_achieved_for(*key)
+        assert len(tree) > 100
+        assert leaf_count_check(tree, r) == helpers.per_node_leaf_table(tree, r)
+
+    def test_memory_grows_with_depth_not_nodes(self):
+        # one chain mask per node took 32 MB here
+        key = (2, 5.0)
+        tree, r = _grid_tree(key), helpers.r_achieved_for(*key)
+        assert len(tree) > 5000
+        tracemalloc.start()
+        try:
+            leaf_count_check(tree, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e6
+
+    def test_nodes_out_of_preorder_rejected(self):
+        # a depth-2 node moved under the first depth-1 node, whose
+        # subtree ended before a later depth-1 node
+        nodes = list(_grid_tree((1, 3.0)).nodes)
+        assert nodes[1].depth == 1
+        k = next(m for m, node in enumerate(nodes) if node.depth == 2 and node.parent > 1)
+        nodes[k] = dataclasses.replace(nodes[k], parent=1)
+        moved = growth.StrataTree(nodes=nodes, radius=1.0, lift_balls={})
+        with pytest.raises(ValueError, match="preorder"):
+            leaf_count_check(moved, 1.0)
 
 
 class TestDimBoundCheck:

@@ -42,7 +42,7 @@ class TestSigma:
 class TestTruncatedGenerators:
     def test_counts_and_grading(self):
         rep = helpers.hnn_for(1, 3.0)
-        tau = rep.stable_letter_index()
+        tau = rep.presentation.stable_letter
         for m in (0, 1, 2):
             tg = truncated_generators(rep, m)
             assert len(tg.matrices) == 2 * rep.surface.genus * (m + 1)
@@ -66,7 +66,7 @@ class TestTruncatedGenerators:
     def test_level_relation(self):
         # the conjugated boundary at level k+1 lands in the level-k group
         rep = helpers.hnn_for(1, 3.0)
-        tau = rep.stable_letter_index()
+        tau = rep.presentation.stable_letter
         w = rep.surface.boundary_word()
         for k in (0, 1):
             lhs = rep.evaluate((tau,) * (k + 1) + w + (-tau,) * (k + 1))
@@ -475,7 +475,8 @@ def test_band_sieve_never_drops_a_row_the_exact_path_keeps():
     gens = np.concatenate([_at_displacement(rng, np.zeros(4)),
                            _at_displacement(rng, rng.uniform(0.1, band, 5)),
                            _on_one_axis(rng.uniform(band, band + 4.0, 5))])
-    far = subgroup._beyond_band(frontier, subgroup._gram(gens, left=False), band).ravel()
+    gterms = subgroup._gram(np.conj(gens[:, [0, 2, 1, 3]]))
+    far = subgroup._beyond_band(frontier, gterms, band).ravel()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         prods = _core.expand(*helpers.outer_pairs(frontier, gens))
         disps = _core.displacements(prods)
@@ -486,3 +487,38 @@ def test_band_sieve_never_drops_a_row_the_exact_path_keeps():
     assert np.count_nonzero(~finite) > 10
     assert np.abs(frontier).max() > 5e3
     assert 0.2 < np.count_nonzero(far) / len(far) < 0.9
+
+
+def _row_gram(mats):
+    """The terms of X = h h* from the rows (a, b) and (c, d) of each h, as
+    `_gram` took the generators' terms before it had one formula."""
+    (ar, ai), (br, bi), (cr, ci), (dr, di) = ((mats[:, k].real, mats[:, k].imag)
+                                              for k in range(4))
+    x00 = ((ar * ar + ai * ai) + br * br) + bi * bi
+    x11 = ((cr * cr + ci * ci) + dr * dr) + di * di
+    re = ((ar * cr + ai * ci) + br * dr) + bi * di
+    im = ((ai * cr - ar * ci) + bi * dr) - br * di
+    det = np.abs(mats[:, 0] * mats[:, 3] - mats[:, 1] * mats[:, 2])
+    return x00, x11, re, im, x00 + x11, det
+
+
+def test_gram_of_conjugate_transpose_is_row_gram():
+    rng = np.random.default_rng(1)
+    shape = (20_000, 4)
+    scale = np.exp(rng.uniform(-8.0, 8.0, (shape[0], 1)))
+    rows = [(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale]
+    for key in ((1, 3.0), (3, 5.0)):
+        rep = helpers.hnn_for(*key)
+        rows.append(subgroup._gen_array(rep.generators))
+        rows.append(subgroup._gen_array(truncated_generators(rep, 2).matrices))
+    mats = np.concatenate(rows)
+    x00, x11, re, im, tr, lo, hi = subgroup._gram(np.conj(mats[:, [0, 2, 1, 3]]))
+    w00, w11, wre, wim, wtr, wdet = _row_gram(mats)
+    for got, want in ((x00, w00), (x11, w11), (re, wre), (tr, wtr)):
+        assert got.tobytes() == want.tobytes()
+    # Im x01 and |det| sum their products in another order
+    u = 2.0**-53
+    assert (np.abs(im - wim) <= 4 * u * tr).all()
+    slack = subgroup._SIEVE_ROUNDING * tr
+    assert (np.abs(hi - slack - wdet) <= 4 * u * tr).all()
+    assert (lo <= np.maximum(wdet - slack, 0.0) + 4 * u * tr).all()
