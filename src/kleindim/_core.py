@@ -25,7 +25,10 @@ KERNEL_NAME = "numpy"
 
 _LEFT = ([0, 0, 2, 2], [1, 1, 3, 3])  # left entries (a, 0), (a, 1) of entry (a, c)
 _RIGHT = ([0, 1, 0, 1], [2, 3, 2, 3])  # right entries (0, c), (1, c)
-_BLOCK = 16384  # products per pass, so that the temporaries stay small
+# items one pass of every batched kernel holds (products, frontier rows x
+# columns, lift rows x axes, point pairs), so that no transient outgrows
+# the kept data; each decides item by item, so no result depends on it
+PASS_BUDGET = 1 << 15
 
 
 def _products(left, right, out):
@@ -44,14 +47,14 @@ def expand(left, right):
     """The products left[i] @ right[i], renormalized to det 1.
 
     left, right: (n, 4) complex128 rows (a, b, c, d); returns (n, 4),
-    computed in passes of _BLOCK rows.  Rows are not sign-fixed: a row
+    computed in passes of PASS_BUDGET rows.  Rows are not sign-fixed: a row
     and its negative are the same map, so callers fix the sign
     (`fix_sign`) of the rows they keep.
     """
     out = np.empty((len(left), 4), dtype=np.complex128)
-    for start in range(0, len(left), _BLOCK):
-        block = out[start:start + _BLOCK]
-        _products(left[start:start + _BLOCK], right[start:start + _BLOCK], block)
+    for s in range(0, len(left), PASS_BUDGET):
+        block = out[s:s + PASS_BUDGET]
+        _products(left[s:s + PASS_BUDGET], right[s:s + PASS_BUDGET], block)
         det = block[:, 0] * block[:, 3] - block[:, 1] * block[:, 2]
         with np.errstate(divide="ignore", invalid="ignore"):
             block /= np.sqrt(det)[:, None]
@@ -109,7 +112,11 @@ def c_prod(ar, ai, br, bi):
 
 
 def c_quot(ar, ai, br, bi):
-    """(ar + i ai) / (br + i bi) as CPython rounds it; b must not be 0."""
+    """(ar + i ai) / (br + i bi) as CPython rounds it, but a zero divisor
+    gives NaN, where CPython raises ZeroDivisionError, and a NaN part of
+    the divisor gives a NaN of its sign, where CPython gives +NaN.
+    growth._image_endpoints, which meets both, reads no NaN's sign and
+    marks a zero divisor undefined wherever its threshold is positive."""
     ar, ai, br, bi = (np.asarray(v, dtype=np.float64) for v in (ar, ai, br, bi))
     wide = np.abs(br) >= np.abs(bi)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

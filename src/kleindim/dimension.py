@@ -306,9 +306,9 @@ def _dots(a, b):
 
 def _pair_blocks(a, b):
     """The dot products of every point of a with every point of b, in
-    blocks of rows of a against columns of b, at most _PAIR_CHUNK each."""
-    cols = min(len(b), _PAIR_CHUNK)
-    rows = max(_PAIR_CHUNK // cols, 1)
+    blocks of at most `_core.PASS_BUDGET`, rows of a against columns of b."""
+    cols = min(len(b), _core.PASS_BUDGET)
+    rows = max(_core.PASS_BUDGET // cols, 1)
     for i in range(0, len(a), rows):
         for j in range(0, len(b), cols):
             yield _dots(a[i:i + rows, None], b[None, j:j + cols])
@@ -316,8 +316,8 @@ def _pair_blocks(a, b):
 
 def _min_dot(pts):
     """The least a . b over all pairs of pts, each unordered pair once
-    (a . b and b . a round alike), in blocks of at most _PAIR_CHUNK."""
-    rows = max(_PAIR_CHUNK // len(pts), 1)
+    (a . b and b . a round alike), in blocks of `_core.PASS_BUDGET`."""
+    rows = max(_core.PASS_BUDGET // len(pts), 1)
     return min(float(_dots(pts[i:i + rows, None], pts[None, i:]).min())
                for i in range(0, len(pts), rows))
 
@@ -359,8 +359,6 @@ def _facing_test(a, b, dot_needed):
 _SMALL_PAIR = 256
 # absolute margin in dot-product terms of _facing_test's miss test
 _FACING_MARGIN = 1e-12
-# point pairs per vectorised pass, to bound memory
-_PAIR_CHUNK = 1 << 18
 # exact O(k^2) diameter up to this component size, double sweep above
 _EXACT_DIAM = 4000
 # the 62 cell offsets in {-2..2}^3 that are lexicographically positive:
@@ -412,8 +410,8 @@ def _small_pairs_linked(pts, starts, counts, first, second, dot_needed):
     """Which cell pairs hold a point pair with a . b >= dot_needed.
 
     `pts` holds the points grouped by cell, cell k at starts[k]; every
-    point pair of every cell pair is tested, in chunks.
-    """
+    point pair of every cell pair is tested, in passes of at most
+    `_core.PASS_BUDGET` point pairs or of one cell pair."""
     nb = counts[second]
     size = counts[first] * nb
     ends = np.cumsum(size)
@@ -421,7 +419,7 @@ def _small_pairs_linked(pts, starts, counts, first, second, dot_needed):
     lo = 0
     while lo < len(first):
         base = ends[lo] - size[lo]
-        hi = max(int(np.searchsorted(ends, base + _PAIR_CHUNK, side="right")), lo + 1)
+        hi = max(int(np.searchsorted(ends, base + _core.PASS_BUDGET, side="right")), lo + 1)
         pair = np.repeat(np.arange(lo, hi), size[lo:hi])
         # position of each point pair within its cell pair, row-major
         within = np.arange(len(pair)) - (ends[pair] - size[pair] - base)

@@ -28,11 +28,6 @@ _ENDPOINT_QUANT = 1e-6
 # relative margin of the lift sieve's gap test: a row whose |(u + v) /
 # (u - v)| lies this near cosh(radius) is left to the scalar acosh
 _SIEVE_MARGIN = 1e-9
-# ball rows sieved per pass.  Whole-ball temporaries stay resident as heap
-# after the tree: sieving each ball in one pass raised the full-run-torus
-# benchmark's peak RSS from 141.4 to 142.1 MB and its wall time by 0.2 to
-# 0.4 s (2 of 2 runs; an earlier pair read 141.5 -> 145.6 MB), 2-core VM
-_SIEVE_ROWS = 16384
 MAX_NODES = 50_000  # strata tree size at which the build gives up
 MAX_BENDS = 5  # bends per sampled bend path, at most
 DIM_TOL = 0.1  # slack of the dimension bound check
@@ -275,20 +270,21 @@ def _select_lifts(mats, axes, radius, frame_inv, window):
     axis and with axial offset in the half-open `window` (lo, hi).
 
     Each row's image endpoints come from _image_endpoints, once per axis,
-    in passes of _SIEVE_ROWS rows.  A (row, axis) pair that _may_lift
-    rules out is dropped; every other pair gets the exact scalar decision
-    (_vertical_gap, the axial window and the _geodesic_key dedup) on those
-    values, in row order and in the order of `axes` within a row, so the
-    list is the one a scalar pass of _image_endpoint over all rows gives.
-    Only a kept lift gets a MoebiusMap and its endpoints in standard
-    coordinates.
+    in passes of `_core.PASS_BUDGET` (row, axis) pairs.  A pair that
+    _may_lift rules out is dropped; every other pair gets the exact scalar
+    decision (_vertical_gap, the axial window and the _geodesic_key dedup)
+    on those values, in row order and in the order of `axes` within a row,
+    so the list is the one a scalar pass of _image_endpoint over all rows
+    gives.  Only a kept lift gets a MoebiusMap and its endpoints in
+    standard coordinates.
     """
     kinds = list(axes)
     lo, hi = window
     out = []
     seen = set()
-    for start in range(0, len(mats), _SIEVE_ROWS):
-        part = mats[start:start + _SIEVE_ROWS]
+    step = max(_core.PASS_BUDGET // len(kinds), 1)
+    for start in range(0, len(mats), step):
+        part = mats[start:start + step]
         images = [_image_endpoints(part, e1) + _image_endpoints(part, e2)
                   for e1, e2 in axes.values()]
         # the (row, axis) pairs _may_lift keeps, row by row, and their

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import resource
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -209,29 +210,42 @@ def orbit_stage(rep, m, config):
     return described, {"orbit": orbit, "orbit_complete_radius": cr}
 
 
+def _timed(stages, name, level, stage, *args):
+    """stage(*args), with its wall seconds and the process's ru_maxrss
+    after it (a high-water mark, in MB) appended to `stages`."""
+    start = time.perf_counter()
+    out = stage(*args)
+    stages.append({"stage": name, "level": level, "wall_s": time.perf_counter() - start,
+                   "ru_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0})
+    return out
+
+
 def run_pipeline(config):
     """Build the representation, estimate dimensions, check all bounds:
     the stages above in order, the levels' in a loop over m.
 
     Returns (report_dict, artifacts) where artifacts maps file names to
-    table objects and samples used by the exporters.
+    table objects and samples used by the exporters, and "stages" to each
+    stage's `_timed` record, in the order the stages ran.
     """
     config.validate()
     t_start = time.time()
+    stages = []
 
-    surface, surface_section = surface_stage(config)
+    surface, surface_section = _timed(stages, "surface", None, surface_stage, config)
     r_achieved = surface_section["r_achieved"]
-    rep, hnn_section = extension_stage(surface)
-    fit, leaf_table, bound_sections = bound_checks(rep, r_achieved, config.seed)
+    rep, hnn_section = _timed(stages, "extension", None, extension_stage, surface)
+    fit, leaf_table, bound_sections = _timed(stages, "bound_checks", None, bound_checks,
+                                             rep, r_achieved, config.seed)
 
     levels = []
     samples = {}
     tables = {}
     sample = None
     for m in range(config.level + 1):
-        sample, level = sample_stage(rep, m, config, sample)
-        box, tables[m], box_section = box_stage(sample, config)
-        _, orbit_section = orbit_stage(rep, m, config)
+        sample, level = _timed(stages, "sample", m, sample_stage, rep, m, config, sample)
+        box, tables[m], box_section = _timed(stages, "box", m, box_stage, sample, config)
+        _, orbit_section = _timed(stages, "orbit", m, orbit_stage, rep, m, config)
         samples[m] = sample
         levels.append({**level, **box_section, **orbit_section,
                        "dim_bound": asdict(dim_bound_check(box, fit, r_achieved))})
@@ -252,6 +266,7 @@ def run_pipeline(config):
         "scale_tables": tables,
         "leaf_table": leaf_table,
         "wall_clock": time.time() - t_start,
+        "stages": stages,
     }
     return report, artifacts
 
@@ -263,8 +278,8 @@ def write_report(report, artifacts, out_dir):
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(
         json.dumps(report, sort_keys=True, indent=2) + "\n")
-    (out / "timing.json").write_text(
-        json.dumps({"wall_clock_seconds": artifacts["wall_clock"]}) + "\n")
+    (out / "timing.json").write_text(json.dumps(
+        {"wall_clock_seconds": artifacts["wall_clock"], "stages": artifacts["stages"]}) + "\n")
     for m, table in artifacts["scale_tables"].items():
         (out / f"scales_m{m}.csv").write_text(table_csv(ScaleRow, table.rows))
     (out / "leaves.csv").write_text(table_csv(LeafRow, artifacts["leaf_table"].rows))

@@ -32,7 +32,6 @@ _COLLISION_TOL = 1e-6
 # lacks it and its inverse; the strata tree's lift lists there miss 7 to
 # 21 lifts that a ball to 2R + 3 reaches (growth._lift_candidates).
 _BAND_SLACK = 1.0
-_CHUNK = 16384  # frontier elements expanded per batch
 # _beyond_band's rounding bounds, with u = 2^-53 and S = tr G tr H: the
 # Gram sum, the products and each determinant err by less than 25 u S
 # (64 u here); the product's determinant by less than 6.4 u sqrt(T S),
@@ -54,11 +53,7 @@ class TruncationGenerators:
     T_0 is a free basis)."""
 
     matrices: list
-    words: list  # words in the extension's letters, parallel to matrices
     presentation: FreeForms | None
-
-    def __post_init__(self):
-        assert len(self.matrices) == len(self.words)
 
 
 class FreeForms:
@@ -108,16 +103,10 @@ def truncated_generators(rep, m):
     if m < 0:
         raise ValueError("level must be >= 0")
     tau = rep.presentation.stable_letter
-    mats, wds = [], []
-    for k in range(m + 1):
-        prefix = (tau,) * k
-        suffix = (-tau,) * k
-        for i in range(1, 2 * rep.surface.genus + 1):
-            w = prefix + (i,) + suffix
-            mats.append(rep.evaluate(w))
-            wds.append(w)
+    mats = [rep.evaluate((tau,) * k + (i,) + (-tau,) * k)
+            for k in range(m + 1) for i in range(1, 2 * rep.surface.genus + 1)]
     forms = FreeForms(rep.surface.genus, rep.surface.boundary_word(), m) if m else None
-    return TruncationGenerators(matrices=mats, words=wds, presentation=forms)
+    return TruncationGenerators(matrices=mats, presentation=forms)
 
 
 @dataclass(frozen=True)
@@ -273,15 +262,16 @@ class _Store:
         spelled = [None] * self.n
         spelled[0] = ()
         rows = np.flatnonzero(need[1:]) + 1
-        # in chunks, so that the index lists stay small
-        for s in range(0, len(rows), _CHUNK):
-            part = rows[s:s + _CHUNK]
+        # in passes, so that the index lists stay small
+        step = _core.PASS_BUDGET
+        for s in range(0, len(rows), step):
+            part = rows[s:s + step]
             for i, p, c in zip(part.tolist(), self.parents[part].tolist(),
                                self.cols[part].tolist()):
                 spelled[i] = spelled[p] + (letters[c],)
         words = []
-        for s in range(0, len(keep), _CHUNK):
-            words.extend(spelled[i] for i in keep[s:s + _CHUNK].tolist())
+        for s in range(0, len(keep), step):
+            words.extend(spelled[i] for i in keep[s:s + step].tolist())
         return words
 
 
@@ -307,9 +297,10 @@ def enumerate_ball(gens, limit, sigma_values=None, presentation=None):
     and whose determinant is surely nonzero, so that the exact path would
     have dropped it as beyond the band and not as a numeric drop.  The
     remaining (frontier row, generator) pairs go through one paired
-    `_core.expand` per frontier chunk, then `_core.displacements` and the
-    exact decision unchanged, so the ball is bit for bit the one that
-    forming every product gives.
+    `_core.expand` per pass of `_core.PASS_BUDGET` // 2n frontier rows (2n
+    columns: products and sieve terms fit the budget at any genus and
+    level), then `_core.displacements` and the exact decision unchanged,
+    so the ball is bit for bit the one that forming every product gives.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -344,11 +335,12 @@ def enumerate_ball(gens, limit, sigma_values=None, presentation=None):
     truncated = n_in_ball >= max_count  # the identity alone fills the cap
     lo, hi = 0, 1  # the frontier is the store range [lo, hi)
     depth = 0
+    step = max(_core.PASS_BUDGET // ncols, 1)
 
     while hi > lo and depth < max_len and not truncated:
         depth += 1
-        for c0 in range(lo, hi, _CHUNK):
-            c1 = min(c0 + _CHUNK, hi)
+        for c0 in range(lo, hi, step):
+            c1 = min(c0 + step, hi)
             frontier = store.mats[c0:c1]
             # immediate backtracks are not reduced words
             pcols = store.cols[c0:c1]

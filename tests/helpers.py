@@ -12,7 +12,6 @@ from kleindim.dimension import DEDUP_TOL
 from kleindim.hnn import build_hnn
 from kleindim.moebius import MoebiusMap, SpherePoint
 from kleindim.report import RunConfig, surface_stage
-from kleindim.subgroup import truncated_generators
 from kleindim.surface import fn_surface_rep
 
 # (genus, interior length) grid used by the structural suites; genus 1
@@ -53,6 +52,15 @@ def to_word(nf):
     return tuple(x - words._OFFSET for x in nf)
 
 
+def truncation_words(rep, m):
+    """The level-m truncation letters tau^k gamma_i tau^-k spelled in the
+    extension's letters, k outer: the words whose matrices
+    subgroup.truncated_generators lists."""
+    tau = rep.presentation.stable_letter
+    return [(tau,) * k + (i,) + (-tau,) * k
+            for k in range(m + 1) for i in range(1, 2 * rep.surface.genus + 1)]
+
+
 class BrittonTruncation:
     """Identity in the level-m truncation group by Britton normal forms of
     the extension: each truncation letter spelled in the extension's
@@ -60,8 +68,7 @@ class BrittonTruncation:
     subgroup.FreeForms, which must tell the same elements apart."""
 
     def __init__(self, rep, m):
-        spell = truncated_generators(rep, m).words
-        self.spell = {i + 1: w for i, w in enumerate(spell)}
+        self.spell = {i + 1: w for i, w in enumerate(truncation_words(rep, m))}
         self.spell.update({-x: words.word_inverse(w) for x, w in list(self.spell.items())})
         self.presentation = rep.presentation
 

@@ -91,6 +91,20 @@ def test_quotient_and_product_mirrors():
         assert _same_bits(got[0], want_re) and _same_bits(got[1], want_im)
 
 
+def test_quotient_departs_from_cpython_only_as_documented():
+    # c z + d of the row (1, 0, inf, 1) at z = -1 is (-inf, -nan): the
+    # quotient keeps the NaN's sign, where CPython returns +nan
+    got = _core.c_quot(-1.0, 0.0, -math.inf, -math.nan)
+    want = complex(-1.0, 0.0) / complex(-math.inf, -math.nan)
+    assert np.isnan(got).all() and np.signbit(got).all()
+    assert math.isnan(want.real) and not np.signbit([want.real, want.imag]).any()
+    # a / c of the row (nan, 0, 0, 1) at z = inf: a zero divisor gives NaN,
+    # where CPython raises
+    assert np.isnan(_core.c_quot(math.nan, 0.0, 0.0, 0.0)).all()
+    with pytest.raises(ZeroDivisionError):
+        complex(math.nan, 0.0) / complex(0.0, 0.0)
+
+
 def test_mixed_float_complex_operations():
     # CPython promotes the float to a complex, so zeros keep or lose
     # their sign as a complex operation would leave them
@@ -212,6 +226,16 @@ def test_sign_fix_of_kept_rows_is_canonicalize(seed):
         assert _same_bits(got.view(np.float64), want[keep].view(np.float64))
         # and the sign fix decided something
         assert not _same_bits(rows[keep].view(np.float64), want[keep].view(np.float64))
+
+
+def test_expand_is_the_same_at_any_pass_budget(monkeypatch):
+    left, right = helpers.outer_pairs(_matrices(3, 500), _matrices(103, 14))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _core.expand(left, right)
+        monkeypatch.setattr(_core, "PASS_BUDGET", 7)
+        got = _core.expand(left, right)
+    assert len(want) > _core.PASS_BUDGET
+    assert _same_bits(got.view(np.float64), want.view(np.float64))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -11,7 +11,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 import helpers
-from kleindim import dimension
+from kleindim import _core, dimension
 from kleindim.dimension import (LimitSample, ScaleRow, ScaleTable, _box_count, box_dimension,
                                 component_analysis, component_table, critical_exponent,
                                 default_scales, merge_samples,
@@ -398,6 +398,40 @@ class TestComponentTable:
         for row, delta in zip(table.rows, config.scales):
             count, diam = component_analysis(sample, delta)
             assert (row.delta, row.components, row.max_diam.hex()) == (delta, count, diam.hex())
+
+
+class TestPassBudget:
+    """The pair kernels take `_core.PASS_BUDGET` point pairs per pass; no
+    pass boundary changes a component or a diameter."""
+
+    def test_table_is_the_same_at_any_budget(self, monkeypatch):
+        rep = helpers.hnn_for(1, 3.0)
+        ball = truncation_ball(rep, 1, BallLimit(max_word_len=64, max_count=3_000))
+        clustered = _joined(_clustered_points(np.random.default_rng(0)),
+                            _facing_cells(1e-13, np.random.default_rng(0)))
+        for sample, scales in ((sample_limit_set(ball), default_scales()),
+                               (clustered, TestComponentsAgainstBruteForce.DELTAS)):
+            want = component_table(sample, scales)
+            with monkeypatch.context() as mp:
+                mp.setattr(_core, "PASS_BUDGET", 7)
+                got = component_table(sample, scales)
+            assert [(k, d.hex()) for k, d in got] == [(k, d.hex()) for k, d in want]
+
+    def test_table_peak_is_bounded_by_the_pass_budget(self):
+        # the m = 2 sample of a run at a 10k budget: 27.8 MB traced with
+        # passes of 2^18 point pairs, 8.2 MB with the pass budget
+        rep = helpers.hnn_for(1, 3.0)
+        ball = truncation_ball(rep, 2, BallLimit(max_word_len=64, max_count=30_000))
+        sample = sample_limit_set(ball, cap=30_000)
+        del ball
+        tracemalloc.start()
+        try:
+            component_table(sample, default_scales())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(sample) > 25_000
+        assert peak <= 15e6
 
 
 class TestScalarOracle:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import helpers
-from kleindim import growth
+from kleindim import _core, growth
 from kleindim.dimension import DimEstimate
 from kleindim.errors import UnrealizablePath
 from kleindim.growth import (BendPath, LeafRow, LeafTable, QiFit,
@@ -265,6 +265,21 @@ class TestLiftSieve:
         want, _ = growth._lift_candidates(surface, _entry(surface, entry), radius, 20_000)
         assert len(want) > 10
         assert _candidate_bits(got) == _candidate_bits(want)
+
+    @pytest.mark.parametrize("entry", ["gamma", "boundary"])
+    def test_lifts_are_the_same_at_any_pass_budget(self, entry, monkeypatch):
+        # lift balls and sieve passes of one to three rows, on a tree
+        # radius short of the pipeline's 4.5 r to keep the passes few
+        surface = helpers.surface_for(1, 3.0)
+        radius = 3.0 * helpers.r_achieved_for(1, 3.0)
+        want, want_ball = growth._lift_candidates(surface, _entry(surface, entry), radius,
+                                                  20_000)
+        monkeypatch.setattr(_core, "PASS_BUDGET", 7)
+        got, got_ball = growth._lift_candidates(surface, _entry(surface, entry), radius,
+                                                20_000)
+        assert len(want) > 10
+        assert _candidate_bits(got) == _candidate_bits(want)
+        assert got_ball == want_ball
 
     @pytest.mark.parametrize("case", sorted(_EDGE_CASES))
     def test_thresholds(self, case):

@@ -425,6 +425,20 @@ class TestOnePipeline:
         for path, value in printed.items():
             assert value == _at(written, path), path
 
+    def test_timing_records_every_stage_in_order(self, full_run):
+        out, _ = full_run
+        timing = json.loads((out / "timing.json").read_text())
+        assert sorted(timing) == ["stages", "wall_clock_seconds"]
+        stages = timing["stages"]
+        assert [(s["stage"], s["level"]) for s in stages] == [
+            ("surface", None), ("extension", None), ("bound_checks", None),
+            ("sample", 0), ("box", 0), ("orbit", 0), ("sample", 1), ("box", 1), ("orbit", 1)]
+        assert all(sorted(s) == ["level", "ru_maxrss_mb", "stage", "wall_s"] for s in stages)
+        assert all(s["wall_s"] >= 0.0 for s in stages)
+        # ru_maxrss is the process's high-water mark: it never falls
+        rss = [s["ru_maxrss_mb"] for s in stages]
+        assert rss == sorted(rss) and rss[0] > 0.0
+
     def test_render_writes_full_runs_image(self, full_run, tmp_path):
         out, _ = full_run
         result = CliRunner().invoke(main, ["render", *SMALL, "--out", str(tmp_path)])

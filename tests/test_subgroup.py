@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,8 +46,13 @@ class TestTruncatedGenerators:
         tau = rep.presentation.stable_letter
         for m in (0, 1, 2):
             tg = truncated_generators(rep, m)
-            assert len(tg.matrices) == 2 * rep.surface.genus * (m + 1)
-            assert all(helpers.sigma(w, tau) == 0 for w in tg.words)
+            spelled = helpers.truncation_words(rep, m)
+            assert len(tg.matrices) == len(spelled) == 2 * rep.surface.genus * (m + 1)
+            assert all(helpers.sigma(w, tau) == 0 for w in spelled)
+            # the spelling is the program's: each word evaluates to its
+            # generator's matrix
+            for w, mat in zip(spelled, tg.matrices):
+                assert rep.evaluate(w).entries() == mat.entries()
 
     @pytest.mark.parametrize("key", [(1, 3.0), (3, 5.0)])
     def test_truncation_balls_have_grading_zero(self, key):
@@ -328,6 +334,43 @@ def test_band_sieve_matches_keep_all_oracle(monkeypatch, name):
         assert len(g) > 100
         for field in BALL_FIELDS:
             assert _field_bytes(g, field) == _field_bytes(w, field), field
+
+
+# -- the pass budget ------------------------------------------------------
+
+BUDGET_BALLS = {
+    "free-2-3": _surface_free((2, 3.0), 10.0),
+    # cut by its count cap inside a pass of the default budget
+    "truncation-1-3-m2-capped": lambda: truncation_ball(
+        helpers.hnn_for(1, 3.0), 2, BallLimit(max_word_len=64, max_count=5_000)),
+    "extension-3-5-R9": _extension((3, 5.0), 9.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET_BALLS))
+def test_ball_is_the_same_at_any_pass_budget(monkeypatch, name):
+    # passes of one frontier row: no pass boundary changes a decision
+    want = BUDGET_BALLS[name]()
+    monkeypatch.setattr(_core, "PASS_BUDGET", 7)
+    got = BUDGET_BALLS[name]()
+    assert len(want) > 1000
+    assert want.truncated == ("capped" in name)
+    for field in BALL_FIELDS:
+        assert _field_bytes(got, field) == _field_bytes(want, field), field
+
+
+def test_sample_ball_peak_is_bounded_by_the_pass_budget():
+    # the m = 2 sample ball of a run at a 10k budget: 45.6 MB traced with
+    # passes of 16,384 frontier rows, 21.7 MB with the pass budget
+    rep = helpers.hnn_for(1, 3.0)
+    tracemalloc.start()
+    try:
+        ball = truncation_ball(rep, 2, BallLimit(max_word_len=64, max_count=30_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ball) == 30_000
+    assert peak <= 25e6
 
 
 # -- identity in H_m: free reduction on S_m against Britton normal forms --
