@@ -46,18 +46,16 @@ def _products(left, right, out):
 def expand(left, right):
     """The products left[i] @ right[i], renormalized to det 1.
 
-    left, right: (n, 4) complex128 rows (a, b, c, d); returns (n, 4),
-    computed in passes of PASS_BUDGET rows.  Rows are not sign-fixed: a row
-    and its negative are the same map, so callers fix the sign
-    (`fix_sign`) of the rows they keep.
+    left, right: (n, 4) complex128 rows (a, b, c, d); returns (n, 4).
+    `subgroup.enumerate_ball` hands it one ball pass at a time.  Rows are
+    not sign-fixed: a row and its negative are the same map, so callers
+    fix the sign (`fix_sign`) of the rows they keep.
     """
     out = np.empty((len(left), 4), dtype=np.complex128)
-    for s in range(0, len(left), PASS_BUDGET):
-        block = out[s:s + PASS_BUDGET]
-        _products(left[s:s + PASS_BUDGET], right[s:s + PASS_BUDGET], block)
-        det = block[:, 0] * block[:, 3] - block[:, 1] * block[:, 2]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            block /= np.sqrt(det)[:, None]
+    _products(left, right, out)
+    det = out[:, 0] * out[:, 3] - out[:, 1] * out[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out /= np.sqrt(det)[:, None]
     return out
 
 

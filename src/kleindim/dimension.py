@@ -156,8 +156,8 @@ class DimEstimate:
     method: str
 
 
-def default_scales(n=10, start=1.0):
-    return [start * 0.5**k for k in range(n)]
+def default_scales(n=10):
+    return [0.5**k for k in range(n)]
 
 
 def _box_count(sample, delta):

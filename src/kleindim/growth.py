@@ -398,10 +398,10 @@ class LeafTable:
         return [r for r in self.rows if r.leaves_at_d > r.bound]
 
 
-def _finite_chart(endpoints_list, shifts=(2.718281828, 4.6692016, 7.389056)):
+def _finite_chart(endpoints_list):
     """Map all real/inf endpoints and the base point through z -> -1/(z-s)
     for a shift s keeping every image finite."""
-    for s in shifts:
+    for s in (2.718281828, 4.6692016, 7.389056):
         ok = True
         for e1, e2 in endpoints_list:
             for e in (e1, e2):

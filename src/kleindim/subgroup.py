@@ -125,10 +125,16 @@ class BallResult:
     generators are free, by the form of `enumerate_ball`'s presentation
     when it got one (a reduced S_m word for a truncation ball, a Britton
     normal form for the extension group); never by rounding their
-    matrices.  `truncated` is set when the count cap stopped the search.  `complete_radius` is the
-    band's claim, not a certificate: it holds only where every element
-    within it is reached through prefixes inside the displacement band
-    (see _BAND_SLACK), which nothing checks.
+    matrices.  `complete_radius` is the band's claim, not a certificate:
+    it holds only where every element within it is reached through
+    prefixes inside the displacement band (see _BAND_SLACK), which
+    nothing checks.
+
+    The search stops at the element that reaches either count cap:
+    `max_count` elements within the displacement cap, or 4 `max_count`
+    stored rows, band rows included.  `truncated` is set by either cap,
+    and `collisions`, `skipped` and `numeric_drops` count the rows up to
+    that element.
     """
 
     mats: np.ndarray  # (n, 4) complex128, canonical representatives
@@ -139,7 +145,9 @@ class BallResult:
     # words equal in the group whose matrices differ by more than 1e-6
     collisions: int = 0
     truncated: bool = False
+    # stored band rows beyond the displacement cap
     skipped: int = 0
+    # products with a non-finite entry
     numeric_drops: int = 0
 
     def __len__(self):
@@ -147,12 +155,8 @@ class BallResult:
 
 
 def _gen_array(gens):
-    rows = []
-    for g in gens:
-        rows.append(list(g.entries()))
-    for g in gens:
-        rows.append(list(g.inverse().entries()))
-    return np.array(rows, dtype=np.complex128)
+    return np.array([g.entries() for g in gens] + [g.inverse().entries() for g in gens],
+                    dtype=np.complex128)
 
 
 def _gram(mats):
@@ -301,10 +305,17 @@ def enumerate_ball(gens, limit, sigma_values=None, presentation=None):
     columns: products and sieve terms fit the budget at any genus and
     level), then `_core.displacements` and the exact decision unchanged,
     so the ball is bit for bit the one that forming every product gives.
+
+    A pass decides the identity of each of its rows, in order, and then
+    cuts once: at the first new element that reaches a count cap,
+    `max_count` elements within `max_displacement` or 4 `max_count`
+    stored rows (band rows included).  The search ends there, so the
+    forms of rows after the cut are never read, and the numeric drops and
+    collisions after it are not counted.
     """
     if not gens:
         raise ValueError("need at least one generator")
-    if limit.max_word_len is None and limit.max_displacement is None and limit.max_count is None:
+    if limit == BallLimit():
         raise ValueError("unbounded enumeration")
     if limit.max_count is not None and limit.max_count < 1:
         raise ValueError("max_count must be >= 1")
@@ -313,17 +324,16 @@ def enumerate_ball(gens, limit, sigma_values=None, presentation=None):
     ncols = 2 * ngen
     garr = _gen_array(gens)
     gterms = _gram(np.conj(garr[:, [0, 2, 1, 3]]))
-    gsig = list(sigma_values or [0] * ngen)
-    # letter for column j of garr; inverse column of j is (j + ngen) % 2n
-    letters = [i + 1 for i in range(ngen)] + [-(i + 1) for i in range(ngen)]
-    sig_of_col = np.array([gsig[i] for i in range(ngen)] + [-gsig[i] for i in range(ngen)],
-                          dtype=np.int64)
+    # letter and grading of column j of garr; the inverse column of j is
+    # (j + ngen) % 2n
+    letters = np.outer([1, -1], range(1, ngen + 1)).ravel().tolist()
+    sig_of_col = np.outer([1, -1], sigma_values or [0] * ngen).ravel()
     if presentation is not None:
         forms = [presentation.identity()]  # form of each stored element
         seen = {forms[0]: 0}
 
-    disp_cap = limit.max_displacement
-    band = disp_cap + _BAND_SLACK if disp_cap is not None else math.inf
+    cap = limit.max_displacement if limit.max_displacement is not None else math.inf
+    band = cap + _BAND_SLACK
     max_count = limit.max_count if limit.max_count is not None else 10**7
     max_len = limit.max_word_len if limit.max_word_len is not None else 10**6
 
@@ -344,9 +354,7 @@ def enumerate_ball(gens, limit, sigma_values=None, presentation=None):
             frontier = store.mats[c0:c1]
             # immediate backtracks are not reduced words
             pcols = store.cols[c0:c1]
-            formed = np.ones((c1 - c0, ncols), dtype=bool)
-            back = np.flatnonzero(pcols >= 0)
-            formed[back, (pcols[back] + ngen) % ncols] = False
+            formed = np.arange(ncols) != np.where(pcols < 0, -1, (pcols + ngen) % ncols)[:, None]
             if math.isfinite(band):
                 formed &= ~_beyond_band(frontier, gterms, band)
             # products are formed for these flat indices (frontier row) *
@@ -354,73 +362,63 @@ def enumerate_ball(gens, limit, sigma_values=None, presentation=None):
             flat = np.flatnonzero(formed)
             prods = _core.expand(frontier[flat // ncols], garr[flat % ncols])
             disps = _core.displacements(prods)
-            # a row with a non-finite entry has a non-finite displacement
-            finite = np.ones(len(prods), dtype=bool)
-            nonfinite = np.flatnonzero(~np.isfinite(disps))
-            finite[nonfinite] = np.isfinite(prods[nonfinite]).all(axis=1)
+            # a numeric drop is a row with a non-finite entry; a finite row's
+            # displacement may still overflow, and then only the band drops it
+            finite = np.isfinite(prods).all(axis=1)
             rows = np.flatnonzero(finite & (disps <= band))
             parents, cols = np.divmod(flat[rows], ncols)
             parents += c0
-            in_ball = disps[rows] <= disp_cap if disp_cap is not None else np.ones(len(rows), bool)
-            dup_rows, dup_hits = [], []
+            in_ball = disps[rows] <= cap
+            fresh, hits = np.ones(len(rows), dtype=bool), []
             if presentation is not None:
-                fresh = np.zeros(len(rows), dtype=bool)
-                room_ball = max_count - n_in_ball
-                room_store = 4 * max_count - store.n
+                # the identity of every row of the pass; the forms of rows
+                # past the cut below are never read, as the search ends here
                 multiply = presentation.multiply
-                for i, (row, parent, col, inb) in enumerate(zip(
-                        rows.tolist(), parents.tolist(), cols.tolist(), in_ball.tolist())):
+                for i, (parent, col) in enumerate(zip(parents.tolist(), cols.tolist())):
                     form = multiply(forms[parent], (letters[col],))
-                    hit = seen.get(form)
-                    if hit is not None:
-                        dup_rows.append(row)
-                        dup_hits.append(hit)
-                        continue
-                    seen[form] = len(forms)
-                    forms.append(form)
-                    fresh[i] = True
-                    room_ball -= inb
-                    room_store -= 1
-                    if room_ball <= 0 or room_store <= 0:
-                        break  # the count cap is reached at this row
-                rows, parents, cols, in_ball = (a[fresh] for a in (rows, parents, cols, in_ball))
-            # stop at the element that reaches the count cap
+                    hit = seen.setdefault(form, len(forms))
+                    if hit < len(forms):
+                        fresh[i] = False
+                        hits.append(hit)
+                    else:
+                        forms.append(form)
+            dups = rows[~fresh]
+            rows, parents, cols, in_ball = (a[fresh] for a in (rows, parents, cols, in_ball))
+            # stop at the element that reaches either cap
             over = np.flatnonzero((n_in_ball + np.cumsum(in_ball) >= max_count)
                                   | (store.n + np.arange(1, len(rows) + 1) >= 4 * max_count))
             end_row = len(prods)
             if len(over):
                 truncated = True
-                rows, parents, cols = (a[:over[0] + 1] for a in (rows, parents, cols))
+                rows, parents, cols, in_ball = (a[:over[0] + 1]
+                                                for a in (rows, parents, cols, in_ball))
                 end_row = int(rows[-1])
-            drops = nonfinite[~finite[nonfinite]]
-            numeric_drops += int(np.count_nonzero(drops < end_row))
-            n_in_ball += int(np.count_nonzero(in_ball[:len(rows)]))
+            # drops and duplicates after the cut row are not counted; a
+            # duplicate's hit comes before it
+            numeric_drops += int(np.count_nonzero(~finite[:end_row]))
+            n_in_ball += int(np.count_nonzero(in_ball))
             # the sign does not change a displacement, so only kept rows
             # are sign-fixed
             store.append(_core.fix_sign(prods[rows]), disps[rows],
                          store.sigmas[parents] + sig_of_col[cols], cols, parents)
-            if dup_rows:
-                hits = np.array(dup_hits)
-                dups = np.array(dup_rows)
-                keep = dups < end_row
-                a, b = store.mats[hits[keep]], prods[dups[keep]]
-                drift = np.minimum(np.abs(a - b).max(axis=1), np.abs(a + b).max(axis=1))
-                collisions += int(np.count_nonzero(drift > _COLLISION_TOL))
+            keep = dups < end_row
+            a, b = store.mats[np.array(hits, dtype=np.int64)[keep]], prods[dups[keep]]
+            drift = np.minimum(np.abs(a - b).max(axis=1), np.abs(a + b).max(axis=1))
+            collisions += int(np.count_nonzero(drift > _COLLISION_TOL))
             if truncated:
                 break
         lo, hi = hi, store.n
 
+    # when the frontier ran out every word within the band was expanded;
+    # else the least displacement left unexpanded bounds the claim (a cut
+    # leaves the partial layer [lo, hi) holding at least its own row)
+    complete_radius = cap
     if truncated or (depth >= max_len and hi > lo):
-        unexpanded_min = float(store.disps[lo:hi].min()) if hi > lo else math.inf
-        complete_radius = min(unexpanded_min, disp_cap if disp_cap is not None else math.inf)
-        if not math.isfinite(complete_radius):
-            complete_radius = 0.0
-    else:
-        # the frontier ran out: every word within the band was expanded
-        complete_radius = disp_cap if disp_cap is not None else math.inf
+        least = min(float(store.disps[lo:hi].min()), cap)
+        complete_radius = least if math.isfinite(least) else 0.0
 
     disps = store.disps[:store.n]
-    keep_mask = disps <= disp_cap if disp_cap is not None else np.ones(store.n, bool)
+    keep_mask = disps <= cap
     keep_mask[0] = True
     keep = np.flatnonzero(keep_mask)
     mats, disps, sigmas = store.mats[keep], disps[keep], store.sigmas[keep]

@@ -7,11 +7,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from kleindim import growth, moebius, words
+from kleindim import _core, growth, moebius, words
 from kleindim.dimension import DEDUP_TOL
 from kleindim.hnn import build_hnn
 from kleindim.moebius import MoebiusMap, SpherePoint
 from kleindim.report import RunConfig, surface_stage
+from kleindim.subgroup import BallResult
 from kleindim.surface import fn_surface_rep
 
 # (genus, interior length) grid used by the structural suites; genus 1
@@ -237,6 +238,99 @@ def einsum_expand_pairs(left, right):
         at = np.flatnonzero(inverse == k)
         out[at] = einsum_expand(left[at], gens[k:k + 1])
     return out
+
+
+# -- reference orbit ball -----------------------------------------------
+#
+# subgroup.enumerate_ball as its docstring and BallResult's describe it,
+# one row at a time: every reduced word's product is formed, in (word
+# length, lexicographic) order, with no sieve and no passes.  Its rows
+# must come out as the enumeration's, field for field.
+
+def reference_ball(gens, limit, sigma_values=None, presentation=None):
+    """The ball of `enumerate_ball(gens, limit, sigma_values,
+    presentation)`.  Column j < n is generator j, letter j + 1; column
+    n + j its inverse, letter -(j + 1).  A product is stored when its
+    entries are finite (else a numeric drop), its displacement is within
+    the band max_displacement + 1 and its element is new (else a
+    duplicate, a collision when its matrix is more than 1e-6 from the
+    stored one's up to sign).  The search stops at the element that
+    reaches either cap, `max_count` stored elements within
+    max_displacement or 4 `max_count` stored rows; nothing after it is
+    counted."""
+    n = len(gens)
+    garr = np.array([g.entries() for g in gens] + [g.inverse().entries() for g in gens],
+                    dtype=np.complex128)
+    letters = [j + 1 for j in range(n)] + [-(j + 1) for j in range(n)]
+    sig = list(sigma_values or [0] * n)
+    sig += [-x for x in sig]
+    cap = math.inf if limit.max_displacement is None else limit.max_displacement
+    band = cap + 1.0
+    max_count = math.inf if limit.max_count is None else limit.max_count
+    max_len = math.inf if limit.max_word_len is None else limit.max_word_len
+
+    # stored rows: matrix, displacement, grading, word
+    mats, disps, sigmas, spelled = [np.array([1, 0, 0, 1], dtype=np.complex128)], [0.0], [0], [()]
+    identity = presentation.identity() if presentation else ()
+    forms, key = {identity: 0}, [identity]  # element of each form, form of each row
+    in_ball, drops, collisions = 1, 0, 0
+    truncated = in_ball >= max_count
+    layer, depth = [0], 0
+    while layer and depth < max_len and not truncated:
+        depth += 1
+        new_layer = []
+        for i in layer:
+            children = einsum_expand(mats[i][None], garr)
+            disp_of = _core.displacements(children)
+            for j in range(2 * n):
+                if spelled[i] and letters[j] == -spelled[i][-1]:
+                    continue  # not a reduced word
+                row, disp = children[j], float(disp_of[j])
+                if not np.isfinite(row).all():
+                    drops += 1
+                    continue
+                if disp > band:
+                    continue
+                word = spelled[i] + (letters[j],)
+                form = presentation.multiply(key[i], (letters[j],)) if presentation else word
+                if form in forms:
+                    hit = mats[forms[form]]
+                    drift = min(np.abs(hit - row).max(), np.abs(hit + row).max())
+                    collisions += int(drift > 1e-6)
+                    continue
+                forms[form] = len(mats)
+                key.append(form)
+                mats.append(row)
+                disps.append(disp)
+                sigmas.append(sigmas[i] + sig[j])
+                spelled.append(word)
+                new_layer.append(len(mats) - 1)
+                in_ball += disp <= cap
+                if in_ball >= max_count or len(mats) >= 4 * max_count:
+                    truncated = True
+                    break
+            if truncated:
+                break
+        layer = new_layer
+
+    if truncated or (depth >= max_len and layer):
+        # the least displacement not expanded, within the cap
+        radius = min(min(disps[i] for i in layer), cap)
+        complete_radius = radius if math.isfinite(radius) else 0.0
+    else:
+        complete_radius = cap
+    keep = [i for i in range(len(mats)) if i == 0 or disps[i] <= cap]
+    return BallResult(
+        mats=np.array([mats[i] for i in keep]).reshape(-1, 4),
+        words=[spelled[i] for i in keep],
+        disps=np.array([disps[i] for i in keep]),
+        sigmas=np.array([sigmas[i] for i in keep], dtype=np.int64),
+        complete_radius=complete_radius,
+        collisions=collisions,
+        truncated=truncated,
+        skipped=len(mats) - len(keep),
+        numeric_drops=drops,
+    )
 
 
 # -- oracle of the strata-tree lifts -----------------------------------

@@ -228,16 +228,6 @@ def test_sign_fix_of_kept_rows_is_canonicalize(seed):
         assert not _same_bits(rows[keep].view(np.float64), want[keep].view(np.float64))
 
 
-def test_expand_is_the_same_at_any_pass_budget(monkeypatch):
-    left, right = helpers.outer_pairs(_matrices(3, 500), _matrices(103, 14))
-    with np.errstate(over="ignore", invalid="ignore"):
-        want = _core.expand(left, right)
-        monkeypatch.setattr(_core, "PASS_BUDGET", 7)
-        got = _core.expand(left, right)
-    assert len(want) > _core.PASS_BUDGET
-    assert _same_bits(got.view(np.float64), want.view(np.float64))
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_displacements_match_the_length_4_sum(seed):
     # adding the four columns in order gives the bytes np.sum(axis=1) gave

@@ -5,7 +5,10 @@ Parses `src/kleindim/*.py` and checks that
   the public API and is exempt), and
 - every module-level `_private` name and `UPPER_CASE` constant is used:
   referenced in its own module outside its definition, imported by
-  another package module, or read as `module.NAME` by `perfbench/`, and
+  another package module, or read as `module.NAME` by another package
+  module or by `perfbench/`, and
+- every parameter of every function is read in its body (`self` and
+  `cls` aside; UNREAD_PARAMETERS lists the one exception), and
 - every non-dunder method and every dataclass field of a module-level
   class is read in `src/kleindim` or `perfbench/`: as an attribute
   `x.name`, as a bare name in its class body (`__matmul__ = compose`), or,
@@ -81,15 +84,13 @@ def _is_checked(name):
 @functools.cache
 def _used_from_outside():
     """(module, name) pairs that package modules import from each other
-    or that perfbench/ reads as module.NAME."""
+    or that package modules or perfbench/ read as module.NAME."""
     out = set()
-    for path in PACKAGE.glob("*.py"):
+    for path in list(PACKAGE.glob("*.py")) + list((ROOT / "perfbench").glob("*.py")):
         for node in ast.walk(_tree(path)):
             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
                 out.update((node.module, a.name) for a in node.names)
-    for path in (ROOT / "perfbench").glob("*.py"):
-        for node in ast.walk(_tree(path)):
-            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
                 out.add((node.value.id, node.attr))
     return out
 
@@ -181,6 +182,39 @@ def test_methods_and_fields_read(path):
             if f"{cls.name}.{name}" not in UNREAD_MEMBERS:
                 unread.append(f"{cls.name}.{name}")
     assert unread == []
+
+
+# growth.qi_constants(rep, paths): perfbench/workloads.py passes `rep`
+# positionally, so it goes with the benchmark change of ROADMAP item 3
+UNREAD_PARAMETERS = {"qi_constants.rep"}
+
+
+def _unread_parameters(tree):
+    """`function.parameter` for each parameter of a function or lambda in
+    `tree` that its body never reads; `self` and `cls` are exempt."""
+    unread = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = fn.args
+        params = [p for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p]
+        body = _loads(fn.body if isinstance(fn.body, list) else [fn.body])
+        unread += [f"{getattr(fn, 'name', 'lambda')}.{p.arg}" for p in params
+                   if p.arg not in body and p.arg not in ("self", "cls")]
+    return unread
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_parameter_is_read(path):
+    assert [p for p in _unread_parameters(_tree(path)) if p not in UNREAD_PARAMETERS] == []
+
+
+def test_unread_parameters_are_found():
+    tree = ast.parse("def f(a, b=1, *c, d, **e):\n    return a + d\n"
+                     "class K:\n    def m(self, x):\n        return 0\n"
+                     "g = lambda y, z: y\n"
+                     "def h(u, v):\n    def inner():\n        return u\n    return inner\n")
+    assert sorted(_unread_parameters(tree)) == ["f.b", "f.c", "f.e", "h.v", "lambda.z", "m.x"]
 
 
 def _private_reads(tree):

@@ -1,6 +1,7 @@
 """Unit tests for grading, truncated generators, and ball enumeration."""
 
 import cmath
+import functools
 import math
 import tracemalloc
 
@@ -226,13 +227,18 @@ def _truncation(key, m):
                                    BallLimit(max_word_len=64, max_count=10_000 * (m + 1)))
 
 
+def _extension_args(key, limit):
+    # (gens, limit, keyword arguments) of an extension-group ball
+    rep = helpers.hnn_for(*key)
+    return rep.generators, limit, {"sigma_values": [0] * (2 * rep.surface.genus) + [1],
+                                   "presentation": rep.presentation}
+
+
 def _extension(key, radius):
     def make():
-        rep = helpers.hnn_for(*key)
-        grades = [0] * (2 * rep.surface.genus) + [1]
-        return enumerate_ball(rep.generators,
-                              BallLimit(max_displacement=radius, max_count=1_000_000),
-                              sigma_values=grades, presentation=rep.presentation)
+        gens, limit, kwargs = _extension_args(
+            key, BallLimit(max_displacement=radius, max_count=1_000_000))
+        return enumerate_ball(gens, limit, **kwargs)
     return make
 
 
@@ -371,6 +377,89 @@ def test_sample_ball_peak_is_bounded_by_the_pass_budget():
         tracemalloc.stop()
     assert len(ball) == 30_000
     assert peak <= 25e6
+
+
+# -- the enumeration against a row-by-row reference ----------------------
+
+def _forms(key, m, limit):
+    tg = truncated_generators(helpers.hnn_for(*key), m)
+    return tg.matrices, limit, {"presentation": tg.presentation}
+
+
+# (gens, limit, keyword arguments) of each ball
+REFERENCE_BALLS = {
+    "free-1-3-word-length": lambda: (helpers.surface_for(1, 3.0).generators,
+                                     BallLimit(max_word_len=7), {}),
+    "forms-1-3-m2-capped": lambda: _forms((1, 3.0), 2,
+                                          BallLimit(max_word_len=64, max_count=3_000)),
+    # at the default budget its cut falls in a pass after 10 of that
+    # pass's 25 numeric drops
+    "forms-3-3-m1-capped": lambda: _forms((3, 3.0), 1,
+                                          BallLimit(max_word_len=64, max_count=8_000)),
+    "extension-2-4-R9-capped": lambda: _extension_args(
+        (2, 4.0), BallLimit(max_displacement=9.0, max_count=3_000)),
+    # two short translations taken as free generators: the band beyond
+    # R = 0.5 fills the 4 max_count stored rows first
+    "free-store-capped": lambda: ([helpers.axis_translation(1.0, 3.0, 0.3),
+                                   helpers.axis_translation(-1.0, -3.0, 0.3)],
+                                  BallLimit(max_displacement=0.5, max_count=1_000), {}),
+}
+
+
+@functools.cache
+def _reference(name):
+    gens, limit, kwargs = REFERENCE_BALLS[name]()
+    return helpers.reference_ball(gens, limit, **kwargs)
+
+
+@pytest.mark.parametrize("budget", [None, 7], ids=["default-budget", "budget-7"])
+@pytest.mark.parametrize("name", sorted(REFERENCE_BALLS))
+def test_ball_matches_row_by_row_reference(monkeypatch, name, budget):
+    gens, limit, kwargs = REFERENCE_BALLS[name]()
+    if budget is not None:
+        monkeypatch.setattr(_core, "PASS_BUDGET", budget)
+    got = enumerate_ball(gens, limit, **kwargs)
+    want = _reference(name)
+    assert len(want) > 500
+    for field in BALL_FIELDS:
+        assert _field_bytes(got, field) == _field_bytes(want, field), field
+
+
+def test_reference_balls_reach_each_stop():
+    # which rule stops each reference ball
+    stops = {}
+    for name in REFERENCE_BALLS:
+        limit = REFERENCE_BALLS[name]()[1]
+        ball = _reference(name)
+        if not ball.truncated:
+            stops[name] = "word length"
+        elif len(ball) == limit.max_count:
+            stops[name] = "count"
+        else:
+            assert len(ball) + ball.skipped == 4 * limit.max_count
+            stops[name] = "store"
+    assert stops == {"free-1-3-word-length": "word length", "forms-1-3-m2-capped": "count",
+                     "forms-3-3-m1-capped": "count", "extension-2-4-R9-capped": "count",
+                     "free-store-capped": "store"}
+    assert _reference("free-1-3-word-length").complete_radius < math.inf
+    assert _reference("extension-2-4-R9-capped").skipped > 0
+
+
+def test_cut_falls_after_a_numeric_drop_in_its_pass(monkeypatch):
+    # drops before the cut row of the last pass are counted, those after
+    # it are not
+    nonfinite = []
+    expand = _core.expand
+
+    def counted(left, right):
+        out = expand(left, right)
+        nonfinite.append(int(np.count_nonzero(~np.isfinite(out).all(axis=1))))
+        return out
+
+    monkeypatch.setattr(_core, "expand", counted)
+    gens, limit, kwargs = REFERENCE_BALLS["forms-3-3-m1-capped"]()
+    ball = enumerate_ball(gens, limit, **kwargs)
+    assert sum(nonfinite[:-1]) < ball.numeric_drops < sum(nonfinite)
 
 
 # -- identity in H_m: free reduction on S_m against Britton normal forms --
