@@ -172,14 +172,24 @@ def _box_count(sample, delta):
     wr = np.where(sample.infinite, 0.0, np.where(outer, wr, z.real))
     wi = np.where(sample.infinite, 0.0, np.where(outer, wi, z.imag))
     cells = np.floor(np.stack([wr, wi]) / side).astype(np.int64)
-    cells -= cells.min(axis=1, keepdims=True)
-    span = int(cells.max()) + 1
-    if 2 * span * span >= 2**63:
-        # far below the dedup tolerance: rank the cell indices so the
-        # packed keys stay within int64
-        cells = np.unique(cells.ravel(), return_inverse=True)[1].reshape(cells.shape)
-        span = int(cells.max()) + 1
-    return len(np.unique((outer * span + cells[0]) * span + cells[1]))
+    return len(np.unique(_cell_keys([outer.astype(np.int64), *cells])[0]))
+
+
+def _cell_keys(cells):
+    """One lexicographic key per cell, and the key step of each axis.
+
+    `cells` holds the cells' integer coordinates, one array per axis.
+    Each axis is shifted to run from 2 to its span - 3, so a cell moved
+    by at most 2 along every axis stays inside the spans, and its key is
+    that cell's key or no occupied cell's: nothing wraps.  Keys are int64
+    while the spans' product is below 2^63, Python ints (an object array)
+    above it, so every scale is exact.
+    """
+    cols = [c - (c.min() - 2) for c in cells]
+    spans = [int(c.max()) + 3 for c in cols]
+    strides = [math.prod(spans[k + 1:]) for k in range(len(spans))]
+    dtype = np.int64 if math.prod(spans) < 2**63 else object
+    return sum(c.astype(dtype, copy=False) * s for c, s in zip(cols, strides)), strides
 
 
 def _ols(x, y):
@@ -367,40 +377,22 @@ _HALF_OFFSETS = [(a, b, c) for a in range(-2, 3) for b in range(-2, 3)
                  for c in range(-2, 3) if (a, b, c) > (0, 0, 0)]
 
 
-def _compress(v):
-    """Relabel integers so gaps of 1 or 2 are kept and larger gaps become 3.
-
-    Whether two cells lie within 2 of each other along an axis is all the
-    neighbour search asks, and the labels stay below 3 * len(unique(v)) + 5
-    whatever the scale.  Labels start at 2 so an offset of -2 stays >= 0.
-    """
-    vals, inv = np.unique(v, return_inverse=True)
-    labels = np.concatenate(([2], 2 + np.cumsum(np.minimum(np.diff(vals), 3))))
-    return labels[inv], int(labels[-1]) + 3
-
-
-def _cell_pairs(ijk):
+def _cell_pairs(cells):
     """Occupied cells and the pairs of them at most 2 apart on every axis.
 
-    Returns (cell_of, counts, first, second): the cell index of each
-    point (cells sorted by key), the points per cell, and the two cells
-    of each neighbouring pair.
+    `cells` holds the points' integer cell coordinates, one array per
+    axis.  Returns (cell_of, counts, first, second): the cell index of
+    each point (cells in lexicographic order), the points per cell, and
+    the two cells of each neighbouring pair.  Cells are found by one sort
+    of their `_cell_keys` and each offset's neighbours by one search.
     """
-    (x, _), (y, sy), (z, sz) = (_compress(ijk[:, k]) for k in range(3))
-    # two packed int64 levels, so no scale or sample size overflows:
-    # the occupied (x, y) columns, then the rank of the column and z
-    col_keys, col = np.unique(x * sy + y, return_inverse=True)
-    keys, cell_of, counts = np.unique(col * sz + z, return_inverse=True,
-                                      return_counts=True)
-    cell_col, cell_z = np.divmod(keys, sz)
-    cell_xy = col_keys[cell_col]
+    keys, strides = _cell_keys(cells)
+    occupied, cell_of, counts = np.unique(keys, return_inverse=True, return_counts=True)
     first, second = [], []
-    for a, b, c in _HALF_OFFSETS:
-        target = cell_xy + (a * sy + b)
-        pos = np.minimum(np.searchsorted(col_keys, target), len(col_keys) - 1)
-        target = pos * sz + cell_z + c
-        hit = np.minimum(np.searchsorted(keys, target), len(keys) - 1)
-        found = (col_keys[pos] == cell_xy + (a * sy + b)) & (keys[hit] == target)
+    for offset in _HALF_OFFSETS:
+        target = occupied + sum(a * s for a, s in zip(offset, strides))
+        hit = np.minimum(np.searchsorted(occupied, target), len(occupied) - 1)
+        found = occupied[hit] == target
         first.append(np.flatnonzero(found))
         second.append(hit[found])
     return cell_of, counts, np.concatenate(first), np.concatenate(second)
@@ -522,7 +514,7 @@ def _components_at(sample, delta, finer):
         return (0, 0.0), finer
     xyz = sample.xyz
     side = delta / math.sqrt(3.0)
-    cell_of, counts, first, second = _cell_pairs(np.floor(xyz / side).astype(np.int64))
+    cell_of, counts, first, second = _cell_pairs(np.floor(xyz / side).astype(np.int64).T)
     order = np.argsort(cell_of, kind="stable")
     starts = np.cumsum(counts) - counts
     dot_needed = 1.0 - delta * delta / 2.0

@@ -1,8 +1,10 @@
 """Unit tests for limit-set sampling and dimension estimators."""
 
 import cmath
+import itertools
 import math
 import tracemalloc
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -252,6 +254,17 @@ def _cell_boundary_points(rng, delta):
     return LimitSample(z=z, infinite=infinite, xyz=xyz)
 
 
+def _wide_key_sample(seed, delta):
+    """`_cell_boundary_points` at delta, joined with 0, 1 and -i.  The
+    three points spread the sample across the sphere, so at delta = 1e-6
+    and below its cube keys need more than 63 bits: they are Python ints."""
+    far = sample_from_points([SpherePoint(0j), SpherePoint(1 + 0j), SpherePoint(-1j)])
+    sample = _joined(_cell_boundary_points(np.random.default_rng(seed), delta), far)
+    cubes = np.floor(sample.xyz / (delta / math.sqrt(3.0))).astype(np.int64)
+    assert dimension._cell_keys(cubes.T)[0].dtype == object
+    return sample
+
+
 class TestComponentsAgainstBruteForce:
     """component_analysis against an all-pairs union under the same
     predicate, on seeded samples, through every way a cell pair is
@@ -318,6 +331,12 @@ class TestComponentsAgainstBruteForce:
             got = component_analysis(sample, delta)
             assert got == _brute_components(sample.xyz, delta)
             assert 1 < got[0] < sample.count
+        for delta in (1e-6, 1e-9):
+            sample = _wide_key_sample(seed, delta)
+            got = component_analysis(sample, delta)
+            assert got == _brute_components(sample.xyz, delta)
+            # the grid's components and the three far points
+            assert 3 < got[0] < sample.count
 
     def test_single_point_and_empty(self):
         for pts in ([INF], [SpherePoint(0.3 + 0.1j)], []):
@@ -352,6 +371,64 @@ class TestComponentsAgainstBruteForce:
         assert peak < 32 * 2**20
 
 
+def _oracle_cell_pairs(cells):
+    """The occupied cells of `cells` (tuples) in lexicographic order, and
+    every pair (c, d) of them with c < d lexicographically and d - c in
+    {-2..2} on each axis."""
+    occupied = sorted(set(cells))
+    seen = set(occupied)
+    pairs = set()
+    for c in occupied:
+        for step in itertools.product(range(-2, 3), repeat=3):
+            d = tuple(a + b for a, b in zip(c, step))
+            if d > c and d in seen:
+                pairs.add((c, d))
+    return occupied, pairs
+
+
+class TestCellKeys:
+    """`_cell_pairs` against a set of tuples, on random integer cells."""
+
+    @staticmethod
+    def _cells(seed, spans=None):
+        """300 points' cells, each axis drawn from values spaced by gaps of
+        1, 2, 3 and 5 from a negative start.  With `spans`, two more cells
+        stretch the axes so `_cell_keys` gives each axis that span."""
+        rng = np.random.default_rng(seed)
+        axes = [-9 + np.cumsum(rng.permutation([1, 2, 3, 5] * 2)) for _ in range(3)]
+        cells = np.stack([rng.choice(v, 300) for v in axes], axis=1)
+        if spans is not None:
+            lo = cells.min(axis=0) - 1
+            cells = np.concatenate([cells, [lo, lo + np.array(spans) - 5]])
+        return cells
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("spans, dtype", [
+        (None, np.int64),
+        ((2**21 - 1, 2**21, 2**21), np.int64),
+        ((2**21 + 1, 2**21, 2**21), object),
+    ], ids=["small", "below-2^63", "above-2^63"])
+    def test_pairs_match_oracle(self, seed, spans, dtype):
+        cells = self._cells(seed, spans)
+        if spans is not None:
+            assert (math.prod(spans) < 2**63) == (dtype is np.int64)
+        assert dimension._cell_keys(cells.T)[0].dtype == dtype
+        cell_of, counts, first, second = dimension._cell_pairs(cells.T)
+        points = list(map(tuple, cells.tolist()))
+        occupied, pairs = _oracle_cell_pairs(points)
+        label = [None] * len(counts)
+        for p, k in zip(points, cell_of.tolist()):
+            assert label[k] in (None, p)
+            label[k] = p
+        assert label == occupied
+        tally = Counter(points)
+        assert counts.tolist() == [tally[c] for c in occupied]
+        got = [(label[i], label[j]) for i, j in zip(first.tolist(), second.tolist())]
+        assert len(got) == len(set(got))
+        assert set(got) == pairs
+        assert any(max(abs(a - b) for a, b in zip(*pair)) == 2 for pair in pairs)
+
+
 class TestComponentTable:
     """The fine-to-coarse pass against the one-scale path and the
     all-pairs reference, scale by scale, on the samples above."""
@@ -382,6 +459,8 @@ class TestComponentTable:
         sample = _cell_boundary_points(np.random.default_rng(0), 0.05)
         self._check(sample, TestComponentsAgainstBruteForce.DELTAS)
         self._check(sample, self.UNSORTED)
+        for delta in (1e-6, 1e-9):
+            self._check(_wide_key_sample(0, delta), [2 * delta, 1e-3, delta, 4 * delta])
 
     def test_single_point_and_empty(self):
         for pts in ([INF], [SpherePoint(0.3 + 0.1j)], []):
@@ -509,15 +588,17 @@ class TestScalarOracle:
         want = np.array([helpers.scalar_xyz(None if p.infinite else p.z) for p in pts])
         assert sample.xyz.tobytes() == want.tobytes()
         arc = _arc_sample(300)
-        # 1e-9 and below pack cell keys through their ranks
+        # the spans of the (chart, x, y) cells multiply past 2^63 for the
+        # arc at 1e-9 and for both samples at 1e-13: Python-int box keys
         for delta in (1.0, 0.1, 1e-9, 1e-13):
             for s in (sample, arc):
                 assert _box_count(s, delta) == helpers.scalar_box_count(s.points, delta)
         assert _box_count(sample_from_points([]), 0.1) == 0
 
     def test_box_keys_do_not_wrap(self):
-        # cells (0, 0), (2^31, 0) and (0, 2^33 - 1) after the offset: packed
-        # as i * 2^33 + j in int64 the first two would wrap onto one key
+        # cells (0, 0), (2^31, 0) and (0, 2^33 - 1) after the offset: the
+        # spans multiply past 2^63, so the keys are Python ints; in int64
+        # the second cell's key, about 2^31 * 2^33, would wrap
         side = 1e-10
         cells = [(0, 0), (2**31, 0), (0, 2**33 - 1)]
         pts = [SpherePoint(complex((i - 2**32 + 0.5) * side, (j - 2**32 + 0.5) * side))
