@@ -93,9 +93,17 @@ def sample_limit_set(ball, cap=100_000):
     points come from `_core.attracting_points` on `ball.mats`, bit for
     bit as `MoebiusMap.fixed_points` gives them.
     """
-    lengths = np.fromiter(map(len, ball.words), dtype=np.int64, count=len(ball.words))
+    n = len(ball.words)
+    lengths = np.fromiter(map(len, ball.words), dtype=np.int64, count=n)
     order = np.argsort(-lengths, kind="stable")
-    lox, z, infinite, scalar_rows = _core.attracting_points(ball.mats[order])
+    lox, infinite = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    z = np.empty(n, dtype=np.complex128)
+    scalar_rows = 0
+    # in passes of the pass budget; the kernel decides row by row
+    for s in range(0, n, _core.PASS_BUDGET):
+        part = slice(s, s + _core.PASS_BUDGET)
+        lox[part], z[part], infinite[part], scalar = _core.attracting_points(ball.mats[order[part]])
+        scalar_rows += scalar
     rows = np.flatnonzero(lox)
     xyz = _core.sphere_xyz(z[rows], infinite[rows])
     keep = np.flatnonzero(_first_by_key(xyz))[:max(cap, 0)]
@@ -369,6 +377,10 @@ def _facing_test(a, b, dot_needed):
 _SMALL_PAIR = 256
 # absolute margin in dot-product terms of _facing_test's miss test
 _FACING_MARGIN = 1e-12
+# bound on |a - b|^2 - 2 (1 - a . b) for stored unit vectors a, b and a . b
+# computed by _dots: 3 u |a| |b| from the dot product, a few u from each
+# norm (u = 2^-53)
+_CHORD_ROUNDING = 2.0**-47
 # exact O(k^2) diameter up to this component size, double sweep above
 _EXACT_DIAM = 4000
 # the 62 cell offsets in {-2..2}^3 that are lexicographically positive:
@@ -487,7 +499,11 @@ def _components_at(sample, delta, finer):
     `finer` is that partition at a finer scale, or None.  The graph is
     built on cells first: points are binned in cubes of side
     delta / sqrt(3), so points sharing a cube are always joined and an
-    edge can only join cubes at most 2 apart on every axis.  A union-find
+    edge can only join cubes at most 2 apart on every axis.  Below delta
+    ~ 1e-7 the threshold 1 - delta^2 / 2 is within rounding of 1 and
+    admits chords longer than the search reaches; the side is then half
+    the longest admitted chord, and which pairs are joined is decided by
+    rounding, in a cube as in the exact test.  A union-find
     runs over cubes, not points.  It starts from `finer`: the cubes that
     hold the points of one finer component are joined, and the pairs of
     nearby cubes already joined are dropped.  The rest are decided in
@@ -513,11 +529,15 @@ def _components_at(sample, delta, finer):
     if sample.count == 0:
         return (0, 0.0), finer
     xyz = sample.xyz
-    side = delta / math.sqrt(3.0)
+    dot_needed = 1.0 - delta * delta / 2.0
+    # the longest chord the rounded threshold admits; below delta ~ 1e-7
+    # it passes the search's reach 2 delta / sqrt(3) (below 1.05e-8
+    # dot_needed is 1.0), and the cubes grow until the search reaches it
+    reach = math.sqrt(2.0 * (1.0 - dot_needed) + _CHORD_ROUNDING)
+    side = max(delta / math.sqrt(3.0), reach / 2.0)
     cell_of, counts, first, second = _cell_pairs(np.floor(xyz / side).astype(np.int64).T)
     order = np.argsort(cell_of, kind="stable")
     starts = np.cumsum(counts) - counts
-    dot_needed = 1.0 - delta * delta / 2.0
 
     uf = _UnionFind(len(counts))
     if finer is not None:

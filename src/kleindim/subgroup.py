@@ -10,13 +10,14 @@ dimension estimators.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _core
-from .words import _OFFSET, _append_base, _encode, free_reduce, word_inverse
+from .words import _LETTER, _OFFSET, _append_base, _encode, free_reduce, word_inverse
 
 _COLLISION_TOL = 1e-6
 # displacement band kept for expansion beyond a ball's max_displacement.
@@ -44,6 +45,8 @@ _SIEVE_MARGIN = 1e-9
 # a matrix whose tr G lies outside this range is never dropped, so no term
 # of the bounds overflows or underflows
 _SIEVE_RANGE = (1e-100, 1e100)
+# bits per storable row of _FormIndex's Bloom filter of appended forms
+_BLOOM_BITS_PER_ROW = 8
 
 
 @dataclass(frozen=True)
@@ -125,7 +128,10 @@ class BallResult:
     generators are free, by the form of `enumerate_ball`'s presentation
     when it got one (a reduced S_m word for a truncation ball, a Britton
     normal form for the extension group); never by rounding their
-    matrices.  `complete_radius` is the band's claim, not a certificate:
+    matrices.  A form that is its parent's form and its own letter can
+    only equal a form that is not, so only those others are kept for the
+    whole search (see `_FormIndex`).  `complete_radius` is the band's
+    claim, not a certificate:
     it holds only where every element within it is reached through
     prefixes inside the displacement band (see _BAND_SLACK), which
     nothing checks.
@@ -226,31 +232,35 @@ def _beyond_band(frontier, gterms, band):
 class _Store:
     """Growable column arrays of the elements found so far."""
 
-    def __init__(self, cap=1024):
+    def __init__(self, ncols, cap=1024):
         self.n = 0
+        self.ncols = ncols
         self.mats = np.empty((cap, 4), dtype=np.complex128)
         self.disps = np.empty(cap)
         self.sigmas = np.empty(cap, dtype=np.int64)
-        # last letter's column and the prefix's row, -1 for (); int32 holds
-        # any store that fits in memory
-        self.cols = np.empty(cap, dtype=np.int32)
-        self.parents = np.empty(cap, dtype=np.int32)
+        # parent row * ncols + last letter's column, -1 for (): rows are
+        # stored in strictly increasing order of it, so one search finds
+        # the child of a row at a column
+        self.links = np.empty(cap, dtype=np.int64)
+        # whether the row's form is its parent's form and its own letter
+        self.appended = np.empty(cap, dtype=bool)
 
-    def append(self, mats, disps, sigmas, cols, parents):
+    def append(self, mats, disps, sigmas, links, appended):
         need = self.n + len(disps)
         if need > len(self.disps):
             cap = max(2 * len(self.disps), need)
-            for name in ("mats", "disps", "sigmas", "cols", "parents"):
-                old = getattr(self, name)
-                new = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
-                new[:self.n] = old[:self.n]
-                setattr(self, name, new)
+            # in place, one column at a time, so that the old and the new
+            # arrays are never held together (a large block is remapped,
+            # not copied).  The data may move, so no view of a column may
+            # be alive; refcheck would also count a profiler's references
+            for name in ("mats", "disps", "sigmas", "links", "appended"):
+                getattr(self, name).resize((cap,) + getattr(self, name).shape[1:], refcheck=False)
         part = slice(self.n, need)
         self.mats[part] = mats
         self.disps[part] = disps
         self.sigmas[part] = sigmas
-        self.cols[part] = cols
-        self.parents[part] = parents
+        self.links[part] = links
+        self.appended[part] = appended
         self.n = need
 
     def spell(self, keep, letters):
@@ -261,7 +271,7 @@ class _Store:
         front = keep
         while len(front):
             need[front] = True
-            up = np.unique(self.parents[front])
+            up = np.unique(self.links[front] // self.ncols)
             front = up[(up >= 0) & ~need[up]]
         spelled = [None] * self.n
         spelled[0] = ()
@@ -270,13 +280,147 @@ class _Store:
         step = _core.PASS_BUDGET
         for s in range(0, len(rows), step):
             part = rows[s:s + step]
-            for i, p, c in zip(part.tolist(), self.parents[part].tolist(),
-                               self.cols[part].tolist()):
+            parents, cols = np.divmod(self.links[part], self.ncols)
+            for i, p, c in zip(part.tolist(), parents.tolist(), cols.tolist()):
                 spelled[i] = spelled[p] + (letters[c],)
         words = []
         for s in range(0, len(keep), step):
             words.extend(spelled[i] for i in keep[s:s + step].tolist())
         return words
+
+
+def _form_hashes(forms):
+    """The 64-bit hashes of forms that the prefilter of `_FormIndex` takes
+    (bytes cache their hash, so a form already used as a key costs none)."""
+    return np.fromiter(map(hash, forms), dtype=np.int64, count=len(forms)).view(np.uint64)
+
+
+class _FormIndex:
+    """The identity of a presentation ball's rows, keeping only the forms
+    that a later row can equal.
+
+    A row is appended when its form is its parent's form followed by the
+    byte of its own letter, and rewritten otherwise (a stable-letter
+    rewrite, a pinch, a cancellation, a multi-byte image).  Stored forms
+    are distinct, so two appended rows with one form would have one parent
+    and one column, and each (parent, column) pair is formed once: an
+    appended row can only equal a rewritten row or the root.  So the
+    rewritten forms and the root's, b"", are kept for good, in
+    `rewritten`, and the forms of a layer only while it is the frontier,
+    to multiply.
+
+    A rewritten row equals a stored appended row R* in one way only.  The
+    rows from R* up to its first ancestor in `rewritten` are appended, so
+    their forms are prefixes of R*'s form and none is in `rewritten`: the
+    ancestor holds the longest proper prefix of the form that `rewritten`
+    has, and R* is reached from it by taking, byte by byte, the child at
+    that byte's column, each one appended.  `_Store.links` ascends, so
+    each step is one search.  A Bloom filter of the stored appended forms
+    (3 bits of `_form_hashes` each) picks the rewritten rows to walk; the
+    walk confirms every positive, so the filter never decides alone.
+    """
+
+    def __init__(self, presentation, letters, max_rows):
+        self.multiply = presentation.multiply
+        self.steps = [(x,) for x in letters]
+        self.bytes = [_LETTER[x + _OFFSET] for x in letters]
+        self.ncols = len(letters)
+        # the column of each byte, -1 where the byte is no column's letter
+        self.column = np.full(256, -1, dtype=np.int64)
+        self.column[[x + _OFFSET for x in letters]] = range(len(letters))
+        root = presentation.identity()
+        self.rewritten = {root: 0}
+        self.frontier, self.lo, self.next = [root], 0, []
+        # the new rows of the last pass, until commit indexes them
+        self.pending = None
+        # 8 bits per row the store can hold, a power of two of at most 2^26
+        nbits = 1 << min(max((_BLOOM_BITS_PER_ROW * max_rows - 1).bit_length(), 6), 26)
+        self.mask = np.uint64(nbits - 1)
+        self.bloom = np.zeros(nbits // 8, dtype=np.uint8)
+
+    def next_layer(self):
+        self.lo += len(self.frontier)
+        self.frontier, self.next = self.next, []
+
+    def decide(self, store, parents, cols):
+        """(hits, appended) for the candidate rows (parent, column) of one
+        pass: the row each repeats, -1 for a new element, and whether its
+        form is appended.  A row of this pass is numbered store.n + its
+        rank among the new rows, so a row repeats an earlier row of its
+        pass exactly when the first occurrence of its form lies before it."""
+        n = len(parents)
+        pforms = [self.frontier[p] for p in (parents - self.lo).tolist()]
+        steps, suffix, multiply = self.steps, self.bytes, self.multiply
+        cols = cols.tolist()
+        forms = [multiply(f, steps[c]) for f, c in zip(pforms, cols)]
+        appended = np.fromiter(map(bytes.__eq__, forms, [f + suffix[c] for f, c in
+                                                         zip(pforms, cols)]),
+                               dtype=bool, count=n)
+        # the first row of each form in the pass
+        first = dict(zip(reversed(forms), range(n - 1, -1, -1)))
+        own = np.zeros(n, dtype=bool)
+        own[np.fromiter(first.values(), dtype=np.int64, count=len(first))] = True
+        later = np.flatnonzero(~own)
+        earlier = np.array([first[forms[i]] for i in later.tolist()], dtype=np.int64)
+        hits = np.fromiter(map(self.rewritten.get, forms, itertools.repeat(-1)),
+                           dtype=np.int64, count=n)
+        hashes = _form_hashes(forms)
+        probe = np.flatnonzero(own & ~appended & (hits < 0))
+        if len(probe):
+            probe = probe[self._maybe_stored(hashes[probe])]
+            hits[probe] = self._walk(store, [forms[i] for i in probe.tolist()])
+        fresh = own & (hits < 0)
+        new_row = store.n + np.cumsum(fresh) - 1
+        hits[later] = np.where(fresh[earlier], new_row[earlier], hits[earlier])
+        self.pending = (np.fromiter(forms, dtype=object, count=n)[fresh], appended[fresh],
+                        hashes[fresh])
+        return hits, appended
+
+    def commit(self, store, count):
+        """Index the first `count` new rows of the last pass, the rows
+        [store.n - count, store.n)."""
+        forms, appended, hashes = (a[:count] for a in self.pending)
+        self.next.extend(forms.tolist())
+        rewritten = np.flatnonzero(~appended)
+        self.rewritten.update(zip(forms[rewritten].tolist(),
+                                  (store.n - count + rewritten).tolist()))
+        pos = self._positions(hashes[appended])
+        np.bitwise_or.at(self.bloom, pos >> 3, (1 << (pos & 7)).astype(np.uint8))
+        self.pending = None
+
+    def _positions(self, hashes):
+        """The filter's 3 bit positions of each hash, as one array."""
+        step = (hashes >> np.uint64(32)) | np.uint64(1)
+        return np.concatenate([(hashes + np.uint64(k) * step) & self.mask for k in range(3)])
+
+    def _maybe_stored(self, hashes):
+        pos = self._positions(hashes)
+        bit = (self.bloom[pos >> 3] >> (pos & 7).astype(np.uint8)) & 1
+        return bit.reshape(3, -1).all(axis=0)
+
+    def _walk(self, store, forms):
+        """The stored appended row of each form, -1 where there is none."""
+        rows, tails = [], []
+        for form in forms:
+            k = len(form) - 1
+            while form[:k] not in self.rewritten:
+                k -= 1
+            rows.append(self.rewritten[form[:k]])
+            tails.append(form[k:])
+        row = np.array(rows, dtype=np.int64)
+        lens = np.fromiter(map(len, tails), dtype=np.int64, count=len(tails))
+        starts = np.cumsum(lens) - lens
+        path = np.frombuffer(b"".join(tails), dtype=np.uint8)
+        links, appended = store.links[:store.n], store.appended[:store.n]
+        found = np.ones(len(forms), dtype=bool)
+        for s in range(int(lens.max(initial=0))):
+            walking = np.flatnonzero(found & (lens > s))
+            col = self.column[path[starts[walking] + s]]
+            key = row[walking] * self.ncols + col
+            at = np.minimum(np.searchsorted(links, key), len(links) - 1)
+            row[walking] = at
+            found[walking] = (col >= 0) & (links[at] == key) & appended[at]
+        return np.where(found, row, -1)
 
 
 def enumerate_ball(gens, limit, sigma_values=None, presentation=None):
@@ -312,6 +456,15 @@ def enumerate_ball(gens, limit, sigma_values=None, presentation=None):
     stored rows (band rows included).  The search ends there, so the
     forms of rows after the cut are never read, and the numeric drops and
     collisions after it are not counted.
+
+    The identity keeps a form only where a later row can equal it
+    (`_FormIndex`).  A row whose form is its parent's form and its own
+    letter (appended) cannot equal another appended row: they would share
+    a parent and a column, and each such pair is formed once.  So every
+    rewritten form is kept, appended forms only while their layer is the
+    frontier, and a rewritten row is matched to a stored appended row by
+    walking the store from the row of its form's longest prefix that is
+    kept; within a pass, a row repeats the first earlier row of its form.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -328,17 +481,14 @@ def enumerate_ball(gens, limit, sigma_values=None, presentation=None):
     # (j + ngen) % 2n
     letters = np.outer([1, -1], range(1, ngen + 1)).ravel().tolist()
     sig_of_col = np.outer([1, -1], sigma_values or [0] * ngen).ravel()
-    if presentation is not None:
-        forms = [presentation.identity()]  # form of each stored element
-        seen = {forms[0]: 0}
-
     cap = limit.max_displacement if limit.max_displacement is not None else math.inf
     band = cap + _BAND_SLACK
     max_count = limit.max_count if limit.max_count is not None else 10**7
     max_len = limit.max_word_len if limit.max_word_len is not None else 10**6
+    index = _FormIndex(presentation, letters, 4 * max_count) if presentation is not None else None
 
-    store = _Store()
-    store.append(np.array([[1, 0, 0, 1]]), [0.0], [0], [-1], [-1])
+    store = _Store(ncols)
+    store.append(np.array([[1, 0, 0, 1]]), [0.0], [0], [-1], [True])
     n_in_ball = 1
     numeric_drops = 0
     collisions = 0
@@ -351,16 +501,17 @@ def enumerate_ball(gens, limit, sigma_values=None, presentation=None):
         depth += 1
         for c0 in range(lo, hi, step):
             c1 = min(c0 + step, hi)
-            frontier = store.mats[c0:c1]
+            frontier, links = store.mats[c0:c1], store.links[c0:c1]
             # immediate backtracks are not reduced words
-            pcols = store.cols[c0:c1]
-            formed = np.arange(ncols) != np.where(pcols < 0, -1, (pcols + ngen) % ncols)[:, None]
+            formed = np.arange(ncols) != np.where(links < 0, -1, (links + ngen) % ncols)[:, None]
             if math.isfinite(band):
                 formed &= ~_beyond_band(frontier, gterms, band)
             # products are formed for these flat indices (frontier row) *
             # ncols + (column) only, and kept in that order
             flat = np.flatnonzero(formed)
             prods = _core.expand(frontier[flat // ncols], garr[flat % ncols])
+            # the store grows in place, which no view of it may outlive
+            del frontier, links
             disps = _core.displacements(prods)
             # a numeric drop is a row with a non-finite entry; a finite row's
             # displacement may still overflow, and then only the band drops it
@@ -369,29 +520,25 @@ def enumerate_ball(gens, limit, sigma_values=None, presentation=None):
             parents, cols = np.divmod(flat[rows], ncols)
             parents += c0
             in_ball = disps[rows] <= cap
-            fresh, hits = np.ones(len(rows), dtype=bool), []
-            if presentation is not None:
+            if index is not None:
                 # the identity of every row of the pass; the forms of rows
                 # past the cut below are never read, as the search ends here
-                multiply = presentation.multiply
-                for i, (parent, col) in enumerate(zip(parents.tolist(), cols.tolist())):
-                    form = multiply(forms[parent], (letters[col],))
-                    hit = seen.setdefault(form, len(forms))
-                    if hit < len(forms):
-                        fresh[i] = False
-                        hits.append(hit)
-                    else:
-                        forms.append(form)
-            dups = rows[~fresh]
-            rows, parents, cols, in_ball = (a[fresh] for a in (rows, parents, cols, in_ball))
+                hits, appended = index.decide(store, parents, cols)
+            else:
+                # a reduced word is its parent's word and its letter
+                hits, appended = np.full(len(rows), -1), np.ones(len(rows), dtype=bool)
+            fresh = hits < 0
+            dups, hits = rows[~fresh], hits[~fresh]
+            rows, parents, cols, in_ball, appended = (
+                a[fresh] for a in (rows, parents, cols, in_ball, appended))
             # stop at the element that reaches either cap
             over = np.flatnonzero((n_in_ball + np.cumsum(in_ball) >= max_count)
                                   | (store.n + np.arange(1, len(rows) + 1) >= 4 * max_count))
             end_row = len(prods)
             if len(over):
                 truncated = True
-                rows, parents, cols, in_ball = (a[:over[0] + 1]
-                                                for a in (rows, parents, cols, in_ball))
+                rows, parents, cols, in_ball, appended = (
+                    a[:over[0] + 1] for a in (rows, parents, cols, in_ball, appended))
                 end_row = int(rows[-1])
             # drops and duplicates after the cut row are not counted; a
             # duplicate's hit comes before it
@@ -400,14 +547,19 @@ def enumerate_ball(gens, limit, sigma_values=None, presentation=None):
             # the sign does not change a displacement, so only kept rows
             # are sign-fixed
             store.append(_core.fix_sign(prods[rows]), disps[rows],
-                         store.sigmas[parents] + sig_of_col[cols], cols, parents)
+                         store.sigmas[parents] + sig_of_col[cols], parents * ncols + cols,
+                         appended)
+            if index is not None:
+                index.commit(store, len(rows))
             keep = dups < end_row
-            a, b = store.mats[np.array(hits, dtype=np.int64)[keep]], prods[dups[keep]]
+            a, b = store.mats[hits[keep]], prods[dups[keep]]
             drift = np.minimum(np.abs(a - b).max(axis=1), np.abs(a + b).max(axis=1))
             collisions += int(np.count_nonzero(drift > _COLLISION_TOL))
             if truncated:
                 break
         lo, hi = hi, store.n
+        if index is not None:
+            index.next_layer()
 
     # when the frontier ran out every word within the band was expanded;
     # else the least displacement left unexpanded bounds the claim (a cut
@@ -417,14 +569,15 @@ def enumerate_ball(gens, limit, sigma_values=None, presentation=None):
         least = min(float(store.disps[lo:hi].min()), cap)
         complete_radius = least if math.isfinite(least) else 0.0
 
+    # the forms go before the kept rows are gathered, and the matrices
+    # before the words are spelled, so that memory never holds both
+    index = None
     disps = store.disps[:store.n]
     keep_mask = disps <= cap
     keep_mask[0] = True
     keep = np.flatnonzero(keep_mask)
     mats, disps, sigmas = store.mats[keep], disps[keep], store.sigmas[keep]
-    # drop the matrices and forms before the words are spelled, so
-    # that memory never holds both
-    store.mats = store.disps = store.sigmas = forms = seen = None
+    store.mats = store.disps = store.sigmas = None
     return BallResult(
         mats=mats,
         words=store.spell(keep, letters),

@@ -3,6 +3,7 @@ of the array code."""
 
 import functools
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -45,6 +46,18 @@ def r_achieved_for(g, L):
     r = surface_stage(RunConfig(genus=g, interior_length=L))[1]["r_achieved"]
     assert math.isfinite(r) and r > 0
     return r
+
+
+def traced_peak(fn):
+    """(fn(), the peak of the memory tracemalloc traced while fn ran, in
+    bytes)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def to_word(nf):

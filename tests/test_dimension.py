@@ -3,7 +3,6 @@
 import cmath
 import itertools
 import math
-import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
 
@@ -338,6 +337,20 @@ class TestComponentsAgainstBruteForce:
             # the grid's components and the three far points
             assert 3 < got[0] < sample.count
 
+    def test_threshold_within_rounding_of_one(self):
+        # below delta ~ 1.05e-8, 1 - delta^2 / 2 rounds to 1.0, which joins
+        # the grid's neighbours 5.8e-10 apart and its diagonal ones; cubes of
+        # side delta / sqrt(3) could not reach the diagonal ones, and read 6
+        # components here against 4
+        delta = 5e-10
+        sample = _wide_key_sample(0, 1e-9)
+        assert 1.0 - delta * delta / 2.0 == 1.0
+        want = _brute_components(sample.xyz, delta)
+        assert want[0] == 4
+        assert component_analysis(sample, delta) == want
+        assert component_table(sample, [1e-3, delta, 1e-9]) == [
+            _brute_components(sample.xyz, d) for d in (1e-3, delta, 1e-9)]
+
     def test_single_point_and_empty(self):
         for pts in ([INF], [SpherePoint(0.3 + 0.1j)], []):
             sample = sample_from_points(pts)
@@ -360,12 +373,7 @@ class TestComponentsAgainstBruteForce:
         xyz /= np.sqrt(np.sum(xyz * xyz, axis=1))[:, None]
         sample = LimitSample(z=(xyz[:, 0] + 1j * xyz[:, 1]) / (1.0 - xyz[:, 2]),
                              infinite=np.zeros(n, dtype=bool), xyz=xyz)
-        tracemalloc.start()
-        try:
-            got = component_analysis(sample, 0.05)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        got, peak = helpers.traced_peak(lambda: component_analysis(sample, 0.05))
         assert n <= dimension._EXACT_DIAM
         assert got == (1, _brute_diameter(xyz))
         assert peak < 32 * 2**20
@@ -496,6 +504,25 @@ class TestPassBudget:
                 got = component_table(sample, scales)
             assert [(k, d.hex()) for k, d in got] == [(k, d.hex()) for k, d in want]
 
+    def test_sample_is_the_same_at_any_budget(self, monkeypatch):
+        # fixed points in passes of the budget, on a ball with a row the
+        # kernel leaves to MoebiusMap in every 500, at caps that end the
+        # scan after every row and before the last
+        ball = truncation_ball(helpers.hnn_for(1, 3.0), 1,
+                               BallLimit(max_word_len=64, max_count=3_000))
+        mats = ball.mats.copy()
+        mats[::500] = (1 + 1e-310j, 0, 0, 1)
+        ball = SimpleNamespace(mats=mats, words=ball.words)
+        for cap in (len(mats), 1_000):
+            want = sample_limit_set(ball, cap=cap)
+            with monkeypatch.context() as mp:
+                mp.setattr(_core, "PASS_BUDGET", 7)
+                got = sample_limit_set(ball, cap=cap)
+            assert want.scalar_rows > 0 and want.skipped > 1
+            for field in ("xyz", "z", "infinite"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+            assert (got.skipped, got.scalar_rows) == (want.skipped, want.scalar_rows)
+
     def test_table_peak_is_bounded_by_the_pass_budget(self):
         # the m = 2 sample of a run at a 10k budget: 27.8 MB traced with
         # passes of 2^18 point pairs, 8.2 MB with the pass budget
@@ -503,12 +530,7 @@ class TestPassBudget:
         ball = truncation_ball(rep, 2, BallLimit(max_word_len=64, max_count=30_000))
         sample = sample_limit_set(ball, cap=30_000)
         del ball
-        tracemalloc.start()
-        try:
-            component_table(sample, default_scales())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = helpers.traced_peak(lambda: component_table(sample, default_scales()))
         assert len(sample) > 25_000
         assert peak <= 15e6
 

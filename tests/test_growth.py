@@ -5,7 +5,6 @@ import dataclasses
 import functools
 import math
 import struct
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -574,12 +573,7 @@ class TestLeafCount:
         key = (2, 5.0)
         tree, r = _grid_tree(key), helpers.r_achieved_for(*key)
         assert len(tree) > 5000
-        tracemalloc.start()
-        try:
-            leaf_count_check(tree, r)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = helpers.traced_peak(lambda: leaf_count_check(tree, r))
         assert peak <= 2e6
 
     def test_nodes_out_of_preorder_rejected(self):

@@ -3,7 +3,7 @@
 import cmath
 import functools
 import math
-import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -369,12 +369,8 @@ def test_sample_ball_peak_is_bounded_by_the_pass_budget():
     # the m = 2 sample ball of a run at a 10k budget: 45.6 MB traced with
     # passes of 16,384 frontier rows, 21.7 MB with the pass budget
     rep = helpers.hnn_for(1, 3.0)
-    tracemalloc.start()
-    try:
-        ball = truncation_ball(rep, 2, BallLimit(max_word_len=64, max_count=30_000))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    ball, peak = helpers.traced_peak(
+        lambda: truncation_ball(rep, 2, BallLimit(max_word_len=64, max_count=30_000)))
     assert len(ball) == 30_000
     assert peak <= 25e6
 
@@ -460,6 +456,120 @@ def test_cut_falls_after_a_numeric_drop_in_its_pass(monkeypatch):
     gens, limit, kwargs = REFERENCE_BALLS["forms-3-3-m1-capped"]()
     ball = enumerate_ball(gens, limit, **kwargs)
     assert sum(nonfinite[:-1]) < ball.numeric_drops < sum(nonfinite)
+
+
+# -- the bounded identity: appended forms, the walk and the prefilter ----
+
+# (gens, limit, keyword arguments) of each ball, and branches by which
+# some of its duplicates are found, at the default pass budget and at a
+# budget of 7 together: (the duplicate row is appended, the row it repeats
+# is appended, where that row lies).  The (1, 3) m = 2 ball is the sample
+# ball of a run at a 10k budget; at a cap of 5,000 no rewritten row
+# repeats an appended row of an earlier pass of its layer at any budget.
+IDENTITY_BALLS = {
+    "forms-1-3-m2-capped": (
+        lambda: _forms((1, 3.0), 2, BallLimit(max_word_len=64, max_count=30_000)),
+        {(False, True, "earlier layer"), (False, True, "earlier pass"),
+         (False, True, "same pass"), (True, False, "earlier layer"),
+         (True, False, "same pass")}),
+    "extension-2-4-R9-capped": (
+        REFERENCE_BALLS["extension-2-4-R9-capped"],
+        {(False, True, "earlier layer"), (True, False, "earlier layer")}),
+}
+
+
+def _identity_branches(monkeypatch):
+    """Count the duplicates that `_FormIndex.decide` finds, by branch."""
+    seen = Counter()
+    decide = subgroup._FormIndex.decide
+
+    def recorded(index, store, parents, cols):
+        start, layer = store.n, index.lo + len(index.frontier)
+        hits, appended = decide(index, store, parents, cols)
+        fresh = hits < 0
+        # the appended flag of every row a hit can name: the stored rows,
+        # then the new rows of this pass
+        flags = np.concatenate([store.appended[:start], appended[fresh]])
+        for i in np.flatnonzero(~fresh).tolist():
+            hit = int(hits[i])
+            where = ("earlier layer" if hit < layer else
+                     "earlier pass" if hit < start else "same pass")
+            seen[bool(appended[i]), bool(flags[hit]), where] += 1
+        return hits, appended
+
+    monkeypatch.setattr(subgroup._FormIndex, "decide", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_BALLS))
+def test_identity_branches_match_reference(monkeypatch, name):
+    # each way a duplicate is found gives the row-by-row reference's ball
+    make, branches = IDENTITY_BALLS[name]
+    gens, limit, kwargs = make()
+    want = helpers.reference_ball(gens, limit, **kwargs)
+    seen = _identity_branches(monkeypatch)
+    for budget in (_core.PASS_BUDGET, 7):
+        monkeypatch.setattr(_core, "PASS_BUDGET", budget)
+        got = enumerate_ball(gens, limit, **kwargs)
+        for field in BALL_FIELDS:
+            assert _field_bytes(got, field) == _field_bytes(want, field), (budget, field)
+    assert branches <= set(seen), seen
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_BALLS))
+def test_prefilter_never_decides_alone(monkeypatch, name):
+    # with one hash for every form each rewritten row that no kept form
+    # names is walked, and the walks alone decide
+    gens, limit, kwargs = IDENTITY_BALLS[name][0]()
+    walked = []
+    walk = subgroup._FormIndex._walk
+
+    def counted(index, store, forms):
+        walked.append(len(forms))
+        return walk(index, store, forms)
+
+    monkeypatch.setattr(subgroup._FormIndex, "_walk", counted)
+    want = enumerate_ball(gens, limit, **kwargs)
+    filtered = sum(walked)
+    monkeypatch.setattr(subgroup, "_form_hashes",
+                        lambda forms: np.zeros(len(forms), dtype=np.uint64))
+    walked.clear()
+    got = enumerate_ball(gens, limit, **kwargs)
+    assert sum(walked) > filtered
+    for field in BALL_FIELDS:
+        assert _field_bytes(got, field) == _field_bytes(want, field), field
+
+
+@pytest.mark.parametrize("name", ["free-1-3-word-length", "forms-1-3-m2-capped",
+                                  "extension-2-4-R9-capped"])
+def test_store_links_strictly_increase(monkeypatch, name):
+    # parent * 2n + column ascends over the store, so one search finds a
+    # row's child at a column
+    links = []
+    spell = subgroup._Store.spell
+
+    def recorded(store, keep, letters):
+        links.append(store.links[:store.n].copy())
+        return spell(store, keep, letters)
+
+    monkeypatch.setattr(subgroup._Store, "spell", recorded)
+    gens, limit, kwargs = REFERENCE_BALLS[name]()
+    enumerate_ball(gens, limit, **kwargs)
+    (got,) = links
+    assert len(got) > 1000
+    assert got[0] == -1
+    assert np.all(np.diff(got) > 0)
+
+
+def test_extension_ball_peak_is_bounded():
+    # the (3, 5) extension ball to R = 12: 32.3 MB traced when every
+    # stored form was kept, 22.8 MB keeping the rewritten forms only (4.2
+    # MB of it the prefilter, sized by the count cap)
+    gens, limit, kwargs = _extension_args(
+        (3, 5.0), BallLimit(max_displacement=12.0, max_count=1_000_000))
+    ball, peak = helpers.traced_peak(lambda: enumerate_ball(gens, limit, **kwargs))
+    assert len(ball) == 38_386
+    assert peak <= 27e6
 
 
 # -- identity in H_m: free reduction on S_m against Britton normal forms --
