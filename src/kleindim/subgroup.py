@@ -316,8 +316,9 @@ class _FormIndex:
     has, and R* is reached from it by taking, byte by byte, the child at
     that byte's column, each one appended.  `_Store.links` ascends, so
     each step is one search.  A Bloom filter of the stored appended forms
-    (3 bits of `_form_hashes` each) picks the rewritten rows to walk; the
-    walk confirms every positive, so the filter never decides alone.
+    (3 bits in one 64-bit word per `_form_hashes` value) picks the
+    rewritten rows to walk; the walk confirms every positive, so the
+    filter never decides alone.
     """
 
     def __init__(self, presentation, letters, max_rows):
@@ -331,16 +332,19 @@ class _FormIndex:
         root = presentation.identity()
         self.rewritten = {root: 0}
         self.frontier, self.lo, self.next = [root], 0, []
+        # word length of the rows being decided
+        self.depth = 1
         # the new rows of the last pass, until commit indexes them
         self.pending = None
-        # 8 bits per row the store can hold, a power of two of at most 2^26
+        # 8 bits per row the store can hold, a power of two of at most 2^26,
+        # in 64-bit words; a form sets 3 bits of one word
         nbits = 1 << min(max((_BLOOM_BITS_PER_ROW * max_rows - 1).bit_length(), 6), 26)
-        self.mask = np.uint64(nbits - 1)
-        self.bloom = np.zeros(nbits // 8, dtype=np.uint8)
+        self.bloom = np.zeros(nbits // 64, dtype=np.uint64)
 
     def next_layer(self):
         self.lo += len(self.frontier)
         self.frontier, self.next = self.next, []
+        self.depth += 1
 
     def decide(self, store, parents, cols):
         """(hits, appended) for the candidate rows (parent, column) of one
@@ -372,47 +376,53 @@ class _FormIndex:
         fresh = own & (hits < 0)
         new_row = store.n + np.cumsum(fresh) - 1
         hits[later] = np.where(fresh[earlier], new_row[earlier], hits[earlier])
-        self.pending = (np.fromiter(forms, dtype=object, count=n)[fresh], appended[fresh],
-                        hashes[fresh])
+        new = np.flatnonzero(fresh)
+        self.pending = ([forms[i] for i in new.tolist()] if len(new) < n else forms,
+                        appended[new], hashes[new])
         return hits, appended
 
     def commit(self, store, count):
         """Index the first `count` new rows of the last pass, the rows
         [store.n - count, store.n)."""
         forms, appended, hashes = (a[:count] for a in self.pending)
-        self.next.extend(forms.tolist())
+        self.next.extend(forms)
         rewritten = np.flatnonzero(~appended)
-        self.rewritten.update(zip(forms[rewritten].tolist(),
+        self.rewritten.update(zip([forms[i] for i in rewritten.tolist()],
                                   (store.n - count + rewritten).tolist()))
-        pos = self._positions(hashes[appended])
-        np.bitwise_or.at(self.bloom, pos >> 3, (1 << (pos & 7)).astype(np.uint8))
+        np.bitwise_or.at(self.bloom, *self._bits(hashes[appended]))
         self.pending = None
 
-    def _positions(self, hashes):
-        """The filter's 3 bit positions of each hash, as one array."""
-        step = (hashes >> np.uint64(32)) | np.uint64(1)
-        return np.concatenate([(hashes + np.uint64(k) * step) & self.mask for k in range(3)])
+    def _bits(self, hashes):
+        """The filter's word of each hash (its low bits) and the 3 bits it
+        sets there (bits 32 to 49, 6 at a time)."""
+        a, b, c = (np.uint64(1) << ((hashes >> np.uint64(s)) & np.uint64(63))
+                   for s in (32, 38, 44))
+        return hashes & np.uint64(len(self.bloom) - 1), a | b | c
 
     def _maybe_stored(self, hashes):
-        pos = self._positions(hashes)
-        bit = (self.bloom[pos >> 3] >> (pos & 7).astype(np.uint8)) & 1
-        return bit.reshape(3, -1).all(axis=0)
+        word, bits = self._bits(hashes)
+        return self.bloom[word] & bits == bits
 
     def _walk(self, store, forms):
-        """The stored appended row of each form, -1 where there is none."""
+        """The stored appended row of each form, -1 where there is none.
+
+        Each step of a walk goes one layer down, and no stored row lies
+        below the layer being decided, so the longest kept prefix is
+        looked for only among the `depth` longest proper prefixes."""
         rows, tails = [], []
         for form in forms:
-            k = len(form) - 1
-            while form[:k] not in self.rewritten:
-                k -= 1
-            rows.append(self.rewritten[form[:k]])
-            tails.append(form[k:])
+            rows.append(-1)
+            for k in range(len(form) - 1, max(len(form) - self.depth, 0) - 1, -1):
+                if form[:k] in self.rewritten:
+                    rows[-1] = self.rewritten[form[:k]]
+                    break
+            tails.append(form[k:] if rows[-1] >= 0 else b"")
         row = np.array(rows, dtype=np.int64)
         lens = np.fromiter(map(len, tails), dtype=np.int64, count=len(tails))
         starts = np.cumsum(lens) - lens
         path = np.frombuffer(b"".join(tails), dtype=np.uint8)
         links, appended = store.links[:store.n], store.appended[:store.n]
-        found = np.ones(len(forms), dtype=bool)
+        found = row >= 0
         for s in range(int(lens.max(initial=0))):
             walking = np.flatnonzero(found & (lens > s))
             col = self.column[path[starts[walking] + s]]
