@@ -10,7 +10,6 @@ dimension estimators.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -366,8 +365,10 @@ class _FormIndex:
         own[np.fromiter(first.values(), dtype=np.int64, count=len(first))] = True
         later = np.flatnonzero(~own)
         earlier = np.array([first[forms[i]] for i in later.tolist()], dtype=np.int64)
-        hits = np.fromiter(map(self.rewritten.get, forms, itertools.repeat(-1)),
-                           dtype=np.int64, count=n)
+        # the first rows whose form a kept rewritten row has
+        kept = list(first.keys() & self.rewritten.keys())
+        hits = np.full(n, -1, dtype=np.int64)
+        hits[[first[f] for f in kept]] = [self.rewritten[f] for f in kept]
         hashes = _form_hashes(forms)
         probe = np.flatnonzero(own & ~appended & (hits < 0))
         if len(probe):
