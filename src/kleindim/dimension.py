@@ -501,9 +501,10 @@ def _components_at(sample, delta, finer):
     delta / sqrt(3), so points sharing a cube are always joined and an
     edge can only join cubes at most 2 apart on every axis.  Below delta
     ~ 1e-7 the threshold 1 - delta^2 / 2 is within rounding of 1 and
-    admits chords longer than the search reaches; the side is then half
-    the longest admitted chord, and which pairs are joined is decided by
-    rounding, in a cube as in the exact test.  A union-find
+    admits chords longer than those cubes reach.  The side is then half
+    the longest admitted chord, so every admitted pair is still seen;
+    points sharing a cube may then lie further apart than delta, where
+    rounding also decides the exact test.  A union-find
     runs over cubes, not points.  It starts from `finer`: the cubes that
     hold the points of one finer component are joined, and the pairs of
     nearby cubes already joined are dropped.  The rest are decided in
