@@ -465,7 +465,8 @@ def test_cut_falls_after_a_numeric_drop_in_its_pass(monkeypatch):
 # budget of 7 together: (the duplicate row is appended, the row it repeats
 # is appended, where that row lies).  The (1, 3) m = 2 ball is the sample
 # ball of a run at a 10k budget; at a cap of 5,000 no rewritten row
-# repeats an appended row of an earlier pass of its layer at any budget.
+# repeats an appended row of an earlier pass of its layer at any budget
+# tried.
 IDENTITY_BALLS = {
     "forms-1-3-m2-capped": (
         lambda: _forms((1, 3.0), 2, BallLimit(max_word_len=64, max_count=30_000)),
