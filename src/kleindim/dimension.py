@@ -377,10 +377,12 @@ def _facing_test(a, b, dot_needed):
 _SMALL_PAIR = 256
 # absolute margin in dot-product terms of _facing_test's miss test
 _FACING_MARGIN = 1e-12
-# bound on |a - b|^2 - 2 (1 - a . b) for stored unit vectors a, b and a . b
-# computed by _dots: 3 u |a| |b| from the dot product, a few u from each
-# norm (u = 2^-53)
-_CHORD_ROUNDING = 2.0**-47
+# the least delta components are taken at.  A pair with a . b computed
+# >= 1 - delta^2 / 2 may lie up to sqrt(delta^2 + 2^-47) apart (rounding of
+# the dot product and of the norms), which the search's reach, 2 delta /
+# sqrt(3), covers only for delta >= 1.5e-7; below it rounding, not delta,
+# decides which pairs are joined
+_MIN_DELTA = 2.0**-22
 # exact O(k^2) diameter up to this component size, double sweep above
 _EXACT_DIAM = 4000
 # the 62 cell offsets in {-2..2}^3 that are lexicographically positive:
@@ -482,8 +484,12 @@ def component_table(sample, scales):
     component at delta is a union of components at delta' (single
     linkage), and each scale starts from the partition of the finer
     scale before it, whatever the scales are; `_components_at` says how.
-    Only one scale's labels and diameters are held at a time.
+    Only one scale's labels and diameters are held at a time.  A delta
+    below `_MIN_DELTA` (2^-22, about 2.4e-7) raises ValueError: there the
+    threshold is within rounding of 1.
     """
+    if any(delta < _MIN_DELTA for delta in scales):
+        raise ValueError(f"component scales must be at least {_MIN_DELTA:.3g}")
     rows = [None] * len(scales)
     finer = None
     for k in sorted(range(len(scales)), key=scales.__getitem__):
@@ -499,12 +505,7 @@ def _components_at(sample, delta, finer):
     `finer` is that partition at a finer scale, or None.  The graph is
     built on cells first: points are binned in cubes of side
     delta / sqrt(3), so points sharing a cube are always joined and an
-    edge can only join cubes at most 2 apart on every axis.  Below delta
-    ~ 1e-7 the threshold 1 - delta^2 / 2 is within rounding of 1 and
-    admits chords longer than those cubes reach.  The side is then half
-    the longest admitted chord, so every admitted pair is still seen;
-    points sharing a cube may then lie further apart than delta, where
-    rounding also decides the exact test.  A union-find
+    edge can only join cubes at most 2 apart on every axis.  A union-find
     runs over cubes, not points.  It starts from `finer`: the cubes that
     hold the points of one finer component are joined, and the pairs of
     nearby cubes already joined are dropped.  The rest are decided in
@@ -530,15 +531,11 @@ def _components_at(sample, delta, finer):
     if sample.count == 0:
         return (0, 0.0), finer
     xyz = sample.xyz
-    dot_needed = 1.0 - delta * delta / 2.0
-    # the longest chord the rounded threshold admits; below delta ~ 1e-7
-    # it passes the search's reach 2 delta / sqrt(3) (below 1.05e-8
-    # dot_needed is 1.0), and the cubes grow until the search reaches it
-    reach = math.sqrt(2.0 * (1.0 - dot_needed) + _CHORD_ROUNDING)
-    side = max(delta / math.sqrt(3.0), reach / 2.0)
+    side = delta / math.sqrt(3.0)
     cell_of, counts, first, second = _cell_pairs(np.floor(xyz / side).astype(np.int64).T)
     order = np.argsort(cell_of, kind="stable")
     starts = np.cumsum(counts) - counts
+    dot_needed = 1.0 - delta * delta / 2.0
 
     uf = _UnionFind(len(counts))
     if finer is not None:

@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dimension import (ScaleRow, box_dimension, critical_exponent, default_scales,
-                        merge_samples, sample_limit_set)
+from .dimension import (_MIN_DELTA, ScaleRow, box_dimension, critical_exponent,
+                        default_scales, merge_samples, sample_limit_set)
 from .errors import DegenerateScaleWindow, IncompleteBall, NumericError
 from .growth import (LeafRow, build_strata_tree, dim_bound_check, entropy_bound,
                      leaf_count_check, qi_constants, sample_bend_paths)
@@ -80,6 +80,8 @@ class RunConfig:
             raise ValueError("resolution must be >= 8")
         if not self.scales or any(s <= 0 for s in self.scales):
             raise ValueError("scales must be positive")
+        if min(self.scales) < _MIN_DELTA:
+            raise ValueError(f"scales must be at least {_MIN_DELTA:.3g}")
         if len(set(self.scales)) < len(self.scales):
             raise ValueError("scales must be distinct")
         if self.max_elements < 100:

@@ -251,7 +251,9 @@ class _Store:
             # in place, one column at a time, so that the old and the new
             # arrays are never held together (a large block is remapped,
             # not copied).  The data may move, so no view of a column may
-            # be alive; refcheck would also count a profiler's references
+            # outlive the statement that takes it: readers copy or index.
+            # refcheck would enforce that, but any tracer or profiler adds
+            # a reference to the array whose method it sees called
             for name in ("mats", "disps", "sigmas", "links", "appended"):
                 getattr(self, name).resize((cap,) + getattr(self, name).shape[1:], refcheck=False)
         part = slice(self.n, need)
@@ -422,15 +424,15 @@ class _FormIndex:
         lens = np.fromiter(map(len, tails), dtype=np.int64, count=len(tails))
         starts = np.cumsum(lens) - lens
         path = np.frombuffer(b"".join(tails), dtype=np.uint8)
-        links, appended = store.links[:store.n], store.appended[:store.n]
         found = row >= 0
         for s in range(int(lens.max(initial=0))):
             walking = np.flatnonzero(found & (lens > s))
             col = self.column[path[starts[walking] + s]]
             key = row[walking] * self.ncols + col
-            at = np.minimum(np.searchsorted(links, key), len(links) - 1)
+            # no view of the store is named, so none outlives this call
+            at = np.minimum(np.searchsorted(store.links[:store.n], key), store.n - 1)
             row[walking] = at
-            found[walking] = (col >= 0) & (links[at] == key) & appended[at]
+            found[walking] = (col >= 0) & (store.links[at] == key) & store.appended[at]
         return np.where(found, row, -1)
 
 
@@ -512,7 +514,8 @@ def enumerate_ball(gens, limit, sigma_values=None, presentation=None):
         depth += 1
         for c0 in range(lo, hi, step):
             c1 = min(c0 + step, hi)
-            frontier, links = store.mats[c0:c1], store.links[c0:c1]
+            # copies, as the store grows in place below
+            frontier, links = store.mats[c0:c1].copy(), store.links[c0:c1].copy()
             # immediate backtracks are not reduced words
             formed = np.arange(ncols) != np.where(links < 0, -1, (links + ngen) % ncols)[:, None]
             if math.isfinite(band):
@@ -521,8 +524,6 @@ def enumerate_ball(gens, limit, sigma_values=None, presentation=None):
             # ncols + (column) only, and kept in that order
             flat = np.flatnonzero(formed)
             prods = _core.expand(frontier[flat // ncols], garr[flat % ncols])
-            # the store grows in place, which no view of it may outlive
-            del frontier, links
             disps = _core.displacements(prods)
             # a numeric drop is a row with a non-finite entry; a finite row's
             # displacement may still overflow, and then only the band drops it

@@ -330,26 +330,26 @@ class TestComponentsAgainstBruteForce:
             got = component_analysis(sample, delta)
             assert got == _brute_components(sample.xyz, delta)
             assert 1 < got[0] < sample.count
-        for delta in (1e-6, 1e-9):
+        for delta in (1e-6, dimension._MIN_DELTA):
             sample = _wide_key_sample(seed, delta)
             got = component_analysis(sample, delta)
             assert got == _brute_components(sample.xyz, delta)
             # the grid's components and the three far points
             assert 3 < got[0] < sample.count
 
-    def test_threshold_within_rounding_of_one(self):
-        # below delta ~ 1.05e-8, 1 - delta^2 / 2 rounds to 1.0, which joins
-        # the grid's neighbours 5.8e-10 apart and its diagonal ones; cubes of
-        # side delta / sqrt(3) could not reach the diagonal ones, and read 6
-        # components here against 4
-        delta = 5e-10
+    def test_scales_within_rounding_of_one_are_rejected(self):
+        # below _MIN_DELTA rounding, not delta, decides which pairs are
+        # joined: at 5e-10, 1 - delta^2 / 2 is 1.0 and joins this grid's
+        # diagonal neighbours, beyond the search's reach; at 5e-8 pairs up to
+        # about 8e-8 apart may round to joined
         sample = _wide_key_sample(0, 1e-9)
-        assert 1.0 - delta * delta / 2.0 == 1.0
-        want = _brute_components(sample.xyz, delta)
-        assert want[0] == 4
-        assert component_analysis(sample, delta) == want
-        assert component_table(sample, [1e-3, delta, 1e-9]) == [
-            _brute_components(sample.xyz, d) for d in (1e-3, delta, 1e-9)]
+        assert 1.0 - 5e-10 * 5e-10 / 2.0 == 1.0
+        for delta in (5e-10, 5e-8, np.nextafter(dimension._MIN_DELTA, 0.0)):
+            for s in (sample, sample_from_points([])):
+                with pytest.raises(ValueError, match="at least"):
+                    component_analysis(s, delta)
+                with pytest.raises(ValueError, match="at least"):
+                    component_table(s, [1e-3, delta])
 
     def test_single_point_and_empty(self):
         for pts in ([INF], [SpherePoint(0.3 + 0.1j)], []):
@@ -467,7 +467,7 @@ class TestComponentTable:
         sample = _cell_boundary_points(np.random.default_rng(0), 0.05)
         self._check(sample, TestComponentsAgainstBruteForce.DELTAS)
         self._check(sample, self.UNSORTED)
-        for delta in (1e-6, 1e-9):
+        for delta in (1e-6, dimension._MIN_DELTA):
             self._check(_wide_key_sample(0, delta), [2 * delta, 1e-3, delta, 4 * delta])
 
     def test_single_point_and_empty(self):

@@ -30,6 +30,7 @@ class TestRunConfig:
         {"radius": 0.0},
         {"scales": []},
         {"scales": [0.5, -0.25]},
+        {"scales": [0.5, 1e-9]},
         {"seed": None},
         {"max_elements": 10},
         {"genus": "2"},
@@ -250,6 +251,7 @@ class TestCli:
         ["estimate-dim", "--scales", "nan,0.5,0.25,0.125"],
         ["estimate-dim", "--scales", "0.5,0.5,0.25,0.125,0.0625"],
         ["full-run", "--scales", "0.5,0.25,0.25"],
+        ["full-run", "--scales", "0.5,0.25,1e-9"],
         ["enumerate", "-g", "1", "-m", "63"],
     ], ids=" ".join)
     def test_usage_error_writes_nothing(self, tmp_path, monkeypatch, args):

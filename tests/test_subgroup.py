@@ -3,6 +3,7 @@
 import cmath
 import functools
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -560,6 +561,50 @@ def test_store_links_strictly_increase(monkeypatch, name):
     assert len(got) > 1000
     assert got[0] == -1
     assert np.all(np.diff(got) > 0)
+
+
+def _column_refs(store):
+    """References to each store column beyond the store's own: one more
+    for every view of it that is alive."""
+    return [sys.getrefcount(getattr(store, name)) - 2
+            for name in ("mats", "disps", "sigmas", "links", "appended")]
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_BALLS))
+def test_no_view_of_the_store_outlives_a_pass(monkeypatch, name):
+    # the store's columns grow in place, so no view of one may be alive
+    # when it grows.  A profiler that holds this module's frames keeps
+    # their locals, so a view named in any of them would be counted.
+    store = subgroup._Store(2)
+    view = store.links[:1]
+    assert _column_refs(store) == [0, 0, 0, 1, 0]
+    del view
+    gens, limit, kwargs = IDENTITY_BALLS[name][0]()
+    want = enumerate_ball(gens, limit, **kwargs)
+    grown, held = [], []
+    append = subgroup._Store.append
+
+    def checked(store, mats, *rest):
+        if store.n + len(mats) > len(store.disps):
+            grown.append(_column_refs(store))
+        append(store, mats, *rest)
+
+    def hold(frame, event, arg):
+        if (event == "return" and frame.f_code.co_filename == subgroup.__file__
+                and any(isinstance(v, np.ndarray) for v in frame.f_locals.values())):
+            held.append(frame)
+
+    monkeypatch.setattr(subgroup._Store, "append", checked)
+    sys.setprofile(hold)
+    try:
+        got = enumerate_ball(gens, limit, **kwargs)
+    finally:
+        sys.setprofile(None)
+    assert {f.f_code.co_name for f in held} >= {"decide", "_walk", "commit"}
+    assert len(grown) >= 3
+    assert all(refs == [0] * 5 for refs in grown), grown
+    for field in BALL_FIELDS:
+        assert _field_bytes(got, field) == _field_bytes(want, field), field
 
 
 def test_extension_ball_peak_is_bounded():
