@@ -52,18 +52,30 @@ def _first_by_key(xyz):
     but held in one set, so one point's first key can meet another's
     second.  A point is kept unless either of its keys belongs to a point
     kept before it; a kept point adds both.  Keys are numbered by one
-    lexsort; points whose keys no other point has are always kept, and
-    the scan runs over the rest only.
+    lexsort of one int64 column per axis, both lattices stacked, and the
+    key boundaries are found one column at a time; points whose keys no
+    other point has are always kept, and the scan runs over the rest only.
     """
     n = len(xyz)
     if n == 0:
         return np.zeros(0, dtype=bool)
-    scaled = xyz / DEDUP_TOL
-    keys = np.concatenate([np.rint(scaled), np.rint(scaled + 0.5)]).astype(np.int64)
-    order = np.lexsort(keys.T[::-1])
-    ranked = keys[order]
+    axes = []
+    for k in range(3):
+        scaled = xyz[:, k] / DEDUP_TOL
+        axis = np.empty(2 * n, dtype=np.int64)
+        axis[:n] = np.rint(scaled)
+        axis[n:] = np.rint(scaled + 0.5)
+        axes.append(axis)
+    del scaled
+    order = np.lexsort(axes[::-1])
+    new = np.zeros(2 * n - 1, dtype=bool)
+    for axis in axes:
+        ranked = axis[order]
+        new |= ranked[1:] != ranked[:-1]
+    # the key columns go before the key numbers are built
+    del axes, ranked
     ids = np.empty(2 * n, dtype=np.int64)
-    ids[order] = np.concatenate(([0], np.cumsum(np.any(ranked[1:] != ranked[:-1], axis=1))))
+    ids[order] = np.concatenate(([0], np.cumsum(new)))
     k0, k1 = ids[:n], ids[n:]
     owners = np.bincount(np.concatenate([k0, k1[k1 != k0]]))
     shared = (owners[k0] > 1) | (owners[k1] > 1)
@@ -82,7 +94,7 @@ def sample_limit_set(ball, cap=100_000):
     deduplicated, at most `cap` of them.
 
     Elements are taken longest word first, ties in ball order (a stable
-    sort on word length).  ROADMAP item 4 calls this order biased: a ball
+    sort on `ball.words.lengths`; no word is spelled).  ROADMAP item 4 calls this order biased: a ball
     cut by its count cap holds a partial last layer, which then fills
     the sample.  It is kept until the sampling itself is redesigned, so
     that every sample stays as it was.  Non-loxodromic elements are passed
@@ -93,8 +105,8 @@ def sample_limit_set(ball, cap=100_000):
     points come from `_core.attracting_points` on `ball.mats`, bit for
     bit as `MoebiusMap.fixed_points` gives them.
     """
-    n = len(ball.words)
-    lengths = np.fromiter(map(len, ball.words), dtype=np.int64, count=n)
+    lengths = ball.words.lengths
+    n = len(lengths)
     order = np.argsort(-lengths, kind="stable")
     lox, infinite = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
     z = np.empty(n, dtype=np.complex128)

@@ -21,7 +21,6 @@ from .errors import BoundViolation, EnumerationBudgetExceeded, UnrealizablePath
 from .hnn import solve_stable_letter
 from .moebius import BASEPOINT, MoebiusMap, hdist
 from .subgroup import BallLimit, enumerate_ball
-from .words import word_inverse
 
 GAP_TOL = 1e-6
 _ENDPOINT_QUANT = 1e-6
@@ -60,9 +59,10 @@ class LiftBall:
 
     `complete_radius` is the band's claim (BallResult), not a
     certificate.  `missing_inverses` counts the ball's words whose
-    inverse word it lacks; a missing inverse has the same displacement,
-    so the ball is complete at most to `min_missing_disp`, the smallest
-    displacement among them (None when there is none)."""
+    inverse word it lacks, found by walking the ball's word trie along
+    each inverse (`_lift_ball`); a missing inverse has the same
+    displacement, so the ball is complete at most to `min_missing_disp`,
+    the smallest displacement among them (None when there is none)."""
 
     elements: int
     cap: float
@@ -255,13 +255,35 @@ def _lift_candidates(surface, entry, radius, max_elements):
 
 
 def _lift_ball(ball, cap):
-    """The LiftBall record of a lift ball enumerated to `cap`."""
-    words = set(ball.words)
-    missing = [disp for word, disp in zip(ball.words, ball.disps.tolist())
-               if word_inverse(word) not in words]
+    """The LiftBall record of a lift ball enumerated to `cap`.
+
+    Lift balls have free generators, so a reduced word is its own
+    element, and w^-1 is in the ball exactly when a walk from the root of
+    the ball's word trie (subgroup.Words) along w^-1 reaches an element's
+    row.  w^-1 takes w's letters last first, each inverted (the inverse
+    of column j is column j + n mod 2n), so the walk reads them by
+    climbing from w's row; the trie's keys parent * 2n + column ascend,
+    so each step down is one search, for the whole ball at once."""
+    words = ball.words
+    ncols = len(words.letters)
+    keys = words.parents.astype(np.int64) * ncols + words.columns
+    inverse = (words.columns.astype(np.int64) + ncols // 2) % ncols
+    element = np.zeros(len(keys), dtype=bool)
+    element[words.rows] = True
+    up = words.rows.astype(np.int64)
+    down = np.zeros(len(up), dtype=np.int64)
+    found = np.ones(len(up), dtype=bool)
+    for s in range(int(words.lengths.max(initial=0))):
+        walking = np.flatnonzero(found & (words.lengths > s))
+        key = down[walking] * ncols + inverse[up[walking]]
+        at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        down[walking] = at
+        found[walking] = keys[at] == key
+        up[walking] = words.parents[up[walking]]
+    missing = np.flatnonzero(~(found & element[down]))
     return LiftBall(elements=len(ball), cap=cap, complete_radius=ball.complete_radius,
                     truncated=ball.truncated, missing_inverses=len(missing),
-                    min_missing_disp=min(missing, default=None))
+                    min_missing_disp=float(ball.disps[missing].min()) if len(missing) else None)
 
 
 def _select_lifts(mats, axes, radius, frame_inv, window):

@@ -52,6 +52,17 @@ class HnnPresentation:
     def identity(self):
         return b""
 
+    def rewriting_bytes(self, letter):
+        """The last bytes of a form after which `multiply` may not just
+        append the letter's byte: for a base letter its inverse's, which
+        cancels; for tau^e the byte of tau^-e (a pinch) and the last bytes
+        of u and u^-1, where the coset rewrite starts."""
+        if abs(letter) != self.stable_letter:
+            return _LETTER[_OFFSET - letter]
+        e = 1 if letter > 0 else -1
+        fwd, back = self._through[e][:2]
+        return self._stable[-e] + fwd[-1:] + back[-1:]
+
     def normal_form(self, word):
         return self.multiply(b"", word)
 

@@ -11,6 +11,7 @@ dimension estimators.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +88,14 @@ class FreeForms:
     def identity(self):
         return b""
 
+    def rewriting_bytes(self, letter):
+        """The last bytes of a form after which `multiply` may not just
+        append the letter's byte: its inverse's, which cancels, for a
+        one-byte image; every byte for a longer image, which is never
+        appended."""
+        image = self._images[letter]
+        return _LETTER[2 * _OFFSET - image[0]] if len(image) == 1 else bytes(range(256))
+
     def multiply(self, nf, word):
         """Form of (element nf) * word, word in the letters of T_m."""
         for letter in word:
@@ -118,12 +127,78 @@ class BallLimit:
     max_count: int | None = None
 
 
+def _layers(parents):
+    """(lo, hi) of each layer of a trie whose rows are in BFS order, the
+    root's first: the rows of a layer are those whose parent lies in the
+    layer before, and parents never decrease."""
+    lo, hi = 0, 1
+    while lo < hi:
+        yield lo, hi
+        lo, hi = hi, int(np.searchsorted(parents, hi))
+
+
+class Words(Sequence):
+    """The words of a ball's elements, spelled on request from a prefix
+    trie; nothing is cached.
+
+    Trie row t is a word: `parents[t]` is the row of the word without its
+    last letter (-1 at row 0, the empty word), `columns[t]` the column of
+    that letter, `letters[columns[t]]`.  The rows are the ball's elements
+    and the band rows that prefix one, in the store's order: parents come
+    first, so the keys parents * len(letters) + columns ascend.  Element i
+    is trie row `rows[i]` (ascending) and has `lengths[i]` letters.
+
+    `words[i]` walks up the trie from row i; iteration spells every word
+    a layer at a time, holding only the layer before.  A slice is the
+    list of its words, and `Words` equals the list it spells.
+    """
+
+    def __init__(self, parents, columns, rows, lengths, letters):
+        self.parents = parents
+        self.columns = columns
+        self.rows = rows
+        self.lengths = lengths
+        self.letters = letters
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        t, word = int(self.rows[i]), []
+        while t > 0:
+            word.append(self.letters[self.columns[t]])
+            t = int(self.parents[t])
+        return tuple(reversed(word))
+
+    def __iter__(self):
+        # the words of the layer [above, lo) spell those of [lo, hi)
+        spelled, above, done = [()], 0, 0
+        for lo, hi in _layers(self.parents):
+            if lo:
+                spelled = [spelled[p - above] + (self.letters[c],)
+                           for p, c in zip(self.parents[lo:hi].tolist(),
+                                           self.columns[lo:hi].tolist())]
+            end = int(np.searchsorted(self.rows, hi))
+            for t in self.rows[done:end].tolist():
+                yield spelled[t - lo]
+            above, done = lo, end
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, Words)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 @dataclass
 class BallResult:
     """Deduplicated orbit ball with the radius it claims to be complete to.
 
     Each group element appears once, under its first word in BFS order.
-    Elements are told apart exactly: by their reduced word when the
+    `words` spells those words on request (`Words`): the ball keeps their
+    prefix trie as parent and column arrays, and each word's length, but
+    no word.  Elements are told apart exactly: by their reduced word when the
     generators are free, by the form of `enumerate_ball`'s presentation
     when it got one (a reduced S_m word for a truncation ball, a Britton
     normal form for the extension group); never by rounding their
@@ -143,7 +218,7 @@ class BallResult:
     """
 
     mats: np.ndarray  # (n, 4) complex128, canonical representatives
-    words: list
+    words: Words
     disps: np.ndarray
     sigmas: np.ndarray
     complete_radius: float
@@ -264,30 +339,43 @@ class _Store:
         self.appended[part] = appended
         self.n = need
 
-    def spell(self, keep, letters):
-        """Words of the stored elements `keep` (ascending), each its
-        parent's word and the letter of its column.  Only they and their
-        prefixes are spelled; a parent is stored before its children."""
+    def trie(self, keep, letters):
+        """The `Words` of the stored elements `keep` (ascending): their
+        rows and the rows that prefix them, numbered in store order, each
+        with its parent's number and its column."""
         need = np.zeros(self.n, dtype=bool)
         front = keep
         while len(front):
             need[front] = True
             up = np.unique(self.links[front] // self.ncols)
             front = up[(up >= 0) & ~need[up]]
-        spelled = [None] * self.n
-        spelled[0] = ()
-        rows = np.flatnonzero(need[1:]) + 1
-        # in passes, so that the index lists stay small
-        step = _core.PASS_BUDGET
-        for s in range(0, len(rows), step):
-            part = rows[s:s + step]
-            parents, cols = np.divmod(self.links[part], self.ncols)
-            for i, p, c in zip(part.tolist(), parents.tolist(), cols.tolist()):
-                spelled[i] = spelled[p] + (letters[c],)
-        words = []
-        for s in range(0, len(keep), step):
-            words.extend(spelled[i] for i in keep[s:s + step].tolist())
-        return words
+        rows = np.flatnonzero(need)
+        number = np.cumsum(need, dtype=np.int32) - 1
+        parents = np.full(len(rows), -1, dtype=np.int32)
+        columns = np.zeros(len(rows), dtype=np.min_scalar_type(self.ncols - 1))
+        # row 0 is the root, whose link is -1
+        up, columns[1:] = np.divmod(self.links[rows[1:]], self.ncols)
+        parents[1:] = number[up]
+        depth = np.empty(len(rows), dtype=np.int32)
+        for d, (lo, hi) in enumerate(_layers(parents)):
+            depth[lo:hi] = d
+        at = number[keep]
+        return Words(parents, columns, at, depth[at], tuple(letters))
+
+    def gather(self, keep):
+        """The matrix, displacement and grading columns of the rows `keep`
+        (ascending), moved to the front of the store's own columns in
+        passes, which then shrink to them.  keep[i] >= i, so no row is
+        overwritten before it is read."""
+        out = []
+        for name in ("mats", "disps", "sigmas"):
+            column = getattr(self, name)
+            for s in range(0, len(keep), _core.PASS_BUDGET):
+                part = keep[s:s + _core.PASS_BUDGET]
+                column[s:s + len(part)] = column[part]
+            column.resize((len(keep),) + column.shape[1:], refcheck=False)
+            out.append(column)
+        return out
 
 
 def _form_hashes(forms):
@@ -320,6 +408,12 @@ class _FormIndex:
     (3 bits in one 64-bit word per `_form_hashes` value) picks the
     rewritten rows to walk; the walk confirms every positive, so the
     filter never decides alone.
+
+    Whether a row is appended is read off its parent form's last byte:
+    the presentation's `rewriting_bytes(letter)` names the last bytes
+    after which `multiply` may rewrite, so `multiply` is called only for
+    those rows, and every other row's form is its parent's form and its
+    letter's byte.
     """
 
     def __init__(self, presentation, letters, max_rows):
@@ -330,9 +424,18 @@ class _FormIndex:
         # the column of each byte, -1 where the byte is no column's letter
         self.column = np.full(256, -1, dtype=np.int64)
         self.column[[x + _OFFSET for x in letters]] = range(len(letters))
+        # whether multiply may rewrite a form ending in byte b times the
+        # letter of column j, where every other row is appended; the empty
+        # form, the root's, reads as _OFFSET, the byte of no letter
+        self.rewrites = np.zeros((256, len(letters)), dtype=bool)
+        for j, x in enumerate(letters):
+            self.rewrites[list(presentation.rewriting_bytes(x)), j] = True
+        self.rewrites[_OFFSET] = True
         root = presentation.identity()
         self.rewritten = {root: 0}
         self.frontier, self.lo, self.next = [root], 0, []
+        # the last byte of each frontier form, and of the next layer's
+        self.last, self.next_last = np.array([_OFFSET], dtype=np.uint8), []
         # word length of the rows being decided
         self.depth = 1
         # the new rows of the last pass, until commit indexes them
@@ -345,6 +448,8 @@ class _FormIndex:
     def next_layer(self):
         self.lo += len(self.frontier)
         self.frontier, self.next = self.next, []
+        self.last = np.concatenate(self.next_last or [np.zeros(0, dtype=np.uint8)])
+        self.next_last = []
         self.depth += 1
 
     def decide(self, store, parents, cols):
@@ -354,13 +459,18 @@ class _FormIndex:
         rank among the new rows, so a row repeats an earlier row of its
         pass exactly when the first occurrence of its form lies before it."""
         n = len(parents)
-        pforms = [self.frontier[p] for p in (parents - self.lo).tolist()]
+        at = parents - self.lo
+        pforms = [self.frontier[p] for p in at.tolist()]
         steps, suffix, multiply = self.steps, self.bytes, self.multiply
+        maybe = np.flatnonzero(self.rewrites[self.last[at], cols])
         cols = cols.tolist()
-        forms = [multiply(f, steps[c]) for f, c in zip(pforms, cols)]
-        appended = np.fromiter(map(bytes.__eq__, forms, [f + suffix[c] for f, c in
-                                                         zip(pforms, cols)]),
-                               dtype=bool, count=n)
+        forms = [f + suffix[c] for f, c in zip(pforms, cols)]
+        appended = np.ones(n, dtype=bool)
+        for i in maybe.tolist():
+            form = multiply(pforms[i], steps[cols[i]])
+            if form != forms[i]:
+                forms[i] = form
+                appended[i] = False
         # the first row of each form in the pass
         first = dict(zip(reversed(forms), range(n - 1, -1, -1)))
         own = np.zeros(n, dtype=bool)
@@ -389,6 +499,8 @@ class _FormIndex:
         [store.n - count, store.n)."""
         forms, appended, hashes = (a[:count] for a in self.pending)
         self.next.extend(forms)
+        # a new row's form is not the root's, so it has a last byte
+        self.next_last.append(np.frombuffer(b"".join([f[-1:] for f in forms]), dtype=np.uint8))
         rewritten = np.flatnonzero(~appended)
         self.rewritten.update(zip([forms[i] for i in rewritten.tolist()],
                                   (store.n - count + rewritten).tolist()))
@@ -445,7 +557,9 @@ def enumerate_ball(gens, limit, sigma_values=None, presentation=None):
     generate freely, so every reduced word is its own element.  With
     one (`FreeForms`, `hnn.HnnPresentation`), generator i is its letter
     i + 1 and elements are keyed by the forms its `identity()` and
-    `multiply(form, word)` give, so words that are equal in the group are
+    `multiply(form, word)` give (`rewriting_bytes(letter)` names the last
+    bytes of a form after which `multiply` may do more than append the
+    letter's byte), so words that are equal in the group are
     merged however far their matrices have drifted apart.  The output
     order is (word length, lexicographic word).  `sigma_values[i]` is the
     grading of generator i (default 0).
@@ -478,6 +592,12 @@ def enumerate_ball(gens, limit, sigma_values=None, presentation=None):
     frontier, and a rewritten row is matched to a stored appended row by
     walking the store from the row of its form's longest prefix that is
     kept; within a pass, a row repeats the first earlier row of its form.
+
+    At the end the forms go first.  The words become a prefix trie of the
+    kept rows and their band ancestors (`_Store.trie`, `Words`), and the
+    kept rows move into the store's own matrix, displacement and grading
+    columns, which shrink to them (`_Store.gather`): the ball returns no
+    copy of a column and spells no word.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -581,18 +701,19 @@ def enumerate_ball(gens, limit, sigma_values=None, presentation=None):
         least = min(float(store.disps[lo:hi].min()), cap)
         complete_radius = least if math.isfinite(least) else 0.0
 
-    # the forms go before the kept rows are gathered, and the matrices
-    # before the words are spelled, so that memory never holds both
+    # the forms go before the trie is built, and the links before the
+    # kept rows are gathered in place, so that memory never holds two
+    # copies of a column
     index = None
-    disps = store.disps[:store.n]
-    keep_mask = disps <= cap
+    keep_mask = store.disps[:store.n] <= cap
     keep_mask[0] = True
     keep = np.flatnonzero(keep_mask)
-    mats, disps, sigmas = store.mats[keep], disps[keep], store.sigmas[keep]
-    store.mats = store.disps = store.sigmas = None
+    words = store.trie(keep, letters)
+    store.links = store.appended = None
+    mats, disps, sigmas = store.gather(keep)
     return BallResult(
         mats=mats,
-        words=store.spell(keep, letters),
+        words=words,
         disps=disps,
         sigmas=sigmas,
         complete_radius=complete_radius,

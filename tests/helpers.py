@@ -13,7 +13,7 @@ from kleindim.dimension import DEDUP_TOL
 from kleindim.hnn import build_hnn
 from kleindim.moebius import MoebiusMap, SpherePoint
 from kleindim.report import RunConfig, surface_stage
-from kleindim.subgroup import BallResult
+from kleindim.subgroup import BallResult, Words
 from kleindim.surface import fn_surface_rep
 
 # (genus, interior length) grid used by the structural suites; genus 1
@@ -89,6 +89,10 @@ class BrittonTruncation:
     def identity(self):
         return self.presentation.identity()
 
+    def rewriting_bytes(self, letter):
+        # a spelled letter may rewrite after any byte
+        return bytes(range(256))
+
     def multiply(self, nf, word):
         for letter in word:
             nf = self.presentation.multiply(nf, self.spell[letter])
@@ -129,6 +133,32 @@ def scalar_xyz(z):
         return np.array([0.0, 0.0, 1.0])
     n = abs(z) ** 2
     return np.array([2.0 * z.real, 2.0 * z.imag, n - 1.0]) / (n + 1.0)
+
+
+def lexsort_first_by_key(xyz):
+    """dimension._first_by_key as it numbered keys before it built them
+    one axis at a time: both lattices' keys as one (2n, 3) float array,
+    cast to int64, lexsorted as rows and compared row against row."""
+    n = len(xyz)
+    if n == 0:
+        return np.zeros(0, dtype=bool)
+    scaled = xyz / DEDUP_TOL
+    keys = np.concatenate([np.rint(scaled), np.rint(scaled + 0.5)]).astype(np.int64)
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    ids = np.empty(2 * n, dtype=np.int64)
+    ids[order] = np.concatenate(([0], np.cumsum(np.any(ranked[1:] != ranked[:-1], axis=1))))
+    k0, k1 = ids[:n], ids[n:]
+    owners = np.bincount(np.concatenate([k0, k1[k1 != k0]]))
+    shared = (owners[k0] > 1) | (owners[k1] > 1)
+    keep = ~shared
+    taken = bytearray(len(owners))
+    for i, a, b in zip(np.flatnonzero(shared).tolist(), k0[shared].tolist(),
+                       k1[shared].tolist()):
+        if not (taken[a] or taken[b]):
+            taken[a] = taken[b] = 1
+            keep[i] = True
+    return keep
 
 
 def _dedup_keys(xyz):
@@ -201,6 +231,36 @@ def assert_same_sample(got, want):
     assert [(p.z, p.infinite) for p in got.points] == [(p.z, p.infinite) for p in want.points]
 
 
+# -- ball words ---------------------------------------------------------
+
+def words_of(spelled, letters):
+    """The subgroup.Words of a list of reduced words in BFS order (word
+    length, then the columns of `letters` letter by letter), built from a
+    dict of their prefixes: a prefix that is not in the list is a band
+    row."""
+    column = {x: j for j, x in enumerate(letters)}
+    prefixes = {w[:k] for w in spelled for k in range(len(w))} | set(spelled) | {()}
+    order = sorted(prefixes, key=lambda w: (len(w), [column[x] for x in w]))
+    row = {w: t for t, w in enumerate(order)}
+    rows = np.array([row[w] for w in spelled], dtype=np.int32)
+    assert np.all(np.diff(rows) > 0), "not in BFS order"
+    return Words(parents=np.array([row[w[:-1]] if w else -1 for w in order], dtype=np.int32),
+                 columns=np.array([column[w[-1]] if w else 0 for w in order], dtype=np.uint8),
+                 rows=rows, lengths=np.array([len(w) for w in spelled], dtype=np.int32),
+                 letters=tuple(letters))
+
+
+def scalar_missing_inverses(ball):
+    """(count, least displacement or None) of the words of `ball` whose
+    inverse word it lacks, by a set of its words: the loop that
+    growth._lift_ball's trie walk replaced."""
+    spelled = list(ball.words)
+    present = set(spelled)
+    missing = [disp for word, disp in zip(spelled, ball.disps.tolist())
+               if words.word_inverse(word) not in present]
+    return len(missing), min(missing, default=None)
+
+
 # -- oracle of the enumeration kernel ----------------------------------
 #
 # The kernel _core.expand and _core.fix_sign replaced: einsum products,
@@ -270,7 +330,8 @@ def reference_ball(gens, limit, sigma_values=None, presentation=None):
     stored one's up to sign).  The search stops at the element that
     reaches either cap, `max_count` stored elements within
     max_displacement or 4 `max_count` stored rows; nothing after it is
-    counted."""
+    counted.  Its words are a list of tuples, which the enumeration's
+    `Words` must equal."""
     n = len(gens)
     garr = np.array([g.entries() for g in gens] + [g.inverse().entries() for g in gens],
                     dtype=np.complex128)

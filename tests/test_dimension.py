@@ -69,6 +69,36 @@ class TestSampleLimitSet:
         assert sample_limit_set(ball, cap=50).count == 50
 
 
+class TestFirstByKey:
+    """The dedup rule's keys, built one axis at a time, against the
+    (2n, 3) lexsort it replaced (`helpers.lexsort_first_by_key`)."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_lexsort_oracle(self, seed):
+        # coordinates a few key steps apart at offsets of 0, 1/4, 1/2 and
+        # 3/4 of a step, so keys repeat within a lattice and across both
+        rng = np.random.default_rng(seed)
+        steps = rng.integers(-3, 3, size=(5_000, 3)) + rng.choice([0.0, 0.25, 0.5, 0.75],
+                                                                   size=(5_000, 3))
+        xyz = steps * dimension.DEDUP_TOL
+        got = dimension._first_by_key(xyz)
+        assert got.tolist() == helpers.lexsort_first_by_key(xyz).tolist()
+        assert 0 < np.count_nonzero(got) < len(xyz)
+        first = {tuple(k) for k in np.rint(xyz / dimension.DEDUP_TOL).astype(np.int64)}
+        second = {tuple(k) for k in np.rint(xyz / dimension.DEDUP_TOL + 0.5).astype(np.int64)}
+        assert first & second
+
+    def test_peak_is_bounded(self):
+        # 300,000 points on the sphere: 55.8 MB traced with the (2n, 3)
+        # float and ranked copies, 29.4 MB with one key column per axis
+        rng = np.random.default_rng(0)
+        xyz = rng.normal(size=(300_000, 3))
+        xyz /= np.linalg.norm(xyz, axis=1)[:, None]
+        keep, peak = helpers.traced_peak(lambda: dimension._first_by_key(xyz))
+        assert keep.all()
+        assert peak <= 40e6
+
+
 class TestBoxCounting:
     def test_counts_non_increasing_in_delta(self):
         sample = _arc_sample(500)
@@ -595,9 +625,10 @@ class TestScalarOracle:
         # trace / 2 - 1 = 5e-311 i: cmath.sqrt rescales both parts below
         # DBL_MIN, a branch the kernel leaves to MoebiusMap
         g = MoebiusMap.diagonal(2.0)
-        mats = np.array([[1 + 1e-310j, 0, 0, 1], g.entries(), [1, 0, 0, 1]],
+        mats = np.array([[1, 0, 0, 1], g.entries(), [1 + 1e-310j, 0, 0, 1]],
                         dtype=np.complex128)
-        ball = SimpleNamespace(mats=mats, words=[(2,), (1,), ()])
+        ball = SimpleNamespace(mats=mats,
+                               words=helpers.words_of([(), (1,), (2,)], (1, 2, -1, -2)))
         got = sample_limit_set(ball)
         helpers.assert_same_sample(got, helpers.scalar_sample_limit_set(ball))
         assert got.scalar_rows == 1 and got.skipped == 2

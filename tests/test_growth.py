@@ -21,7 +21,7 @@ from kleindim.growth import (BendPath, LeafRow, LeafTable, QiFit,
                              sample_bend_paths)
 from kleindim.moebius import BASEPOINT, MoebiusMap, hdist
 from kleindim.report import table_csv
-from kleindim.subgroup import BallLimit, enumerate_ball
+from kleindim.subgroup import BallLimit, BallResult, enumerate_ball
 
 
 class TestEntropyBound:
@@ -502,6 +502,45 @@ class TestLiftBallRecord:
         _, small = growth._lift_candidates(surface, entry, radius, 100)
         assert small.truncated and small.elements <= 100
         assert small.complete_radius < small.cap
+
+    @pytest.mark.parametrize("budget", [200_000, 100])
+    @pytest.mark.parametrize("kind", ["gamma", "boundary"])
+    @pytest.mark.parametrize("key", [(1, 3.0), (2, 4.0), (3, 5.0)], ids=str)
+    def test_record_matches_word_set_oracle(self, monkeypatch, key, kind, budget):
+        # the trie walk against a set of the ball's spelled words
+        surface = helpers.surface_for(*key)
+        balls = []
+        enumerate_ball = growth.enumerate_ball
+
+        def recorded(gens, limit):
+            balls.append(enumerate_ball(gens, limit))
+            return balls[-1]
+
+        monkeypatch.setattr(growth, "enumerate_ball", recorded)
+        _, rec = growth._lift_candidates(surface, _entry(surface, kind),
+                                         4.5 * helpers.r_achieved_for(*key), budget)
+        (ball,) = balls
+        missing, least = helpers.scalar_missing_inverses(ball)
+        assert rec == growth.LiftBall(elements=len(ball), cap=rec.cap,
+                                      complete_radius=ball.complete_radius,
+                                      truncated=ball.truncated, missing_inverses=missing,
+                                      min_missing_disp=least)
+        assert ball.truncated == (budget == 100)
+
+    def test_missing_inverse_through_a_band_row(self):
+        # (2,) is a band row: it prefixes the element (2, 1) but is none.
+        # The walk for (-2,)^-1 ends there, the ball's one missing inverse;
+        # the walk for (-1, -2)^-1 = (2, 1) passes it
+        spelled = [(), (1,), (-1,), (-2,), (2, 1), (-1, -2)]
+        ball = BallResult(mats=np.zeros((6, 4), dtype=np.complex128),
+                          words=helpers.words_of(spelled, (1, 2, -1, -2)),
+                          disps=np.array([0.0, 1.0, 1.0, 2.5, 3.0, 3.0]),
+                          sigmas=np.zeros(6, dtype=np.int64), complete_radius=4.0)
+        assert ball.words.parents.tolist() == [-1, 0, 0, 0, 0, 2, 3]
+        assert ball.words.rows.tolist() == [0, 1, 3, 4, 5, 6]
+        rec = growth._lift_ball(ball, 4.0)
+        assert (rec.missing_inverses, rec.min_missing_disp) == (1, 2.5)
+        assert helpers.scalar_missing_inverses(ball) == (1, 2.5)
 
 
 _GRID_KEYS = sorted({helpers.grid_key(*k) for k in helpers.GRID})

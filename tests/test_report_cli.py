@@ -174,7 +174,8 @@ class TestCli:
         assert not (tmp_path / "o1").exists() and not (tmp_path / "o2").exists()
 
     def test_render_empty_sample_is_numeric_error(self, tmp_path, monkeypatch):
-        empty = BallResult(mats=np.empty((0, 4), dtype=np.complex128), words=[],
+        empty = BallResult(mats=np.empty((0, 4), dtype=np.complex128),
+                           words=helpers.words_of([], ()),
                            disps=np.empty(0), sigmas=np.empty(0, dtype=np.int64),
                            complete_radius=0.0)
         monkeypatch.setattr(report, "truncation_ball", lambda *a, **k: empty)

@@ -4,6 +4,7 @@ import cmath
 import functools
 import math
 import sys
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -422,6 +423,40 @@ def test_ball_matches_row_by_row_reference(monkeypatch, name, budget):
         assert _field_bytes(got, field) == _field_bytes(want, field), field
 
 
+# (gens, limit, keyword arguments) of the balls whose words are checked:
+# the reference balls, the pass-budget balls and two that hold the
+# identity alone
+WORD_BALLS = {
+    **REFERENCE_BALLS,
+    "budget-free-2-3": lambda: (helpers.surface_for(2, 3.0).generators,
+                                BallLimit(max_displacement=10.0, max_count=50_000), {}),
+    "budget-truncation-1-3-m2-capped": lambda: _forms(
+        (1, 3.0), 2, BallLimit(max_word_len=64, max_count=5_000)),
+    "budget-extension-3-5-R9": lambda: _extension_args(
+        (3, 5.0), BallLimit(max_displacement=9.0, max_count=1_000_000)),
+    "identity-count-cap": lambda: (list(_schottky_pair()),
+                                   BallLimit(max_displacement=9.0, max_count=1), {}),
+    "identity-zero-cap": lambda: (list(_schottky_pair()), BallLimit(max_displacement=0.0), {}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORD_BALLS))
+def test_words_are_spelled_from_the_trie(name):
+    # iteration, indexing and the length column against the row-by-row
+    # reference's list of words
+    gens, limit, kwargs = WORD_BALLS[name]()
+    words = enumerate_ball(gens, limit, **kwargs).words
+    want = helpers.reference_ball(gens, limit, **kwargs).words
+    assert isinstance(words, subgroup.Words)
+    assert list(words) == want and words == want and want == words
+    assert [words[i] for i in range(len(words))] == want
+    assert words[-1] == want[-1] and words[1:4] == want[1:4]
+    assert words.lengths.tolist() == [len(w) for w in want]
+    assert (len(want) == 1) == name.startswith("identity")
+    if len(want) > 1:
+        assert words != want[:-1] + [want[-2]]
+
+
 def test_reference_balls_reach_each_stop():
     # which rule stops each reference ball
     stops = {}
@@ -518,6 +553,30 @@ def test_identity_branches_match_reference(monkeypatch, name):
     assert branches <= set(seen), seen
 
 
+@pytest.mark.parametrize("name", ["forms-1-3-m2-capped", "forms-3-3-m1-capped",
+                                  "extension-2-4-R9-capped"])
+def test_multiply_appends_after_every_other_byte(name):
+    # rewriting_bytes(x) names every last byte after which multiply may
+    # rewrite; after any other, on every form of the ball and every
+    # letter, it appends x's byte, so _FormIndex.decide calls it only
+    # after the named bytes
+    gens, limit, kwargs = REFERENCE_BALLS[name]()
+    pres = kwargs["presentation"]
+    ball = enumerate_ball(gens, limit, **kwargs)
+    forms = {pres.multiply(pres.identity(), w) for w in ball.words}
+    letters = [x for j in range(1, len(gens) + 1) for x in (j, -j)]
+    appended = rewritten = 0
+    for x in letters:
+        flagged = set(pres.rewriting_bytes(x))
+        for form in forms:
+            if form and form[-1] not in flagged:
+                assert pres.multiply(form, (x,)) == form + bytes([x + 128]), (form, x)
+                appended += 1
+            elif pres.multiply(form, (x,)) != form + bytes([x + 128]):
+                rewritten += 1
+    assert appended > rewritten > 0
+
+
 @pytest.mark.parametrize("name", sorted(IDENTITY_BALLS))
 def test_prefilter_never_decides_alone(monkeypatch, name):
     # with one hash for every form each rewritten row that no kept form
@@ -545,22 +604,25 @@ def test_prefilter_never_decides_alone(monkeypatch, name):
 @pytest.mark.parametrize("name", ["free-1-3-word-length", "forms-1-3-m2-capped",
                                   "extension-2-4-R9-capped"])
 def test_store_links_strictly_increase(monkeypatch, name):
-    # parent * 2n + column ascends over the store, so one search finds a
-    # row's child at a column
+    # parent * 2n + column ascends over the store, and over the ball's
+    # word trie, so one search finds a row's child at a column
     links = []
-    spell = subgroup._Store.spell
+    trie = subgroup._Store.trie
 
     def recorded(store, keep, letters):
         links.append(store.links[:store.n].copy())
-        return spell(store, keep, letters)
+        return trie(store, keep, letters)
 
-    monkeypatch.setattr(subgroup._Store, "spell", recorded)
+    monkeypatch.setattr(subgroup._Store, "trie", recorded)
     gens, limit, kwargs = REFERENCE_BALLS[name]()
-    enumerate_ball(gens, limit, **kwargs)
+    words = enumerate_ball(gens, limit, **kwargs).words
     (got,) = links
     assert len(got) > 1000
     assert got[0] == -1
     assert np.all(np.diff(got) > 0)
+    keys = words.parents.astype(np.int64) * len(words.letters) + words.columns
+    assert keys[0] < 0 and np.all(np.diff(keys) > 0)
+    assert np.all(np.diff(words.rows) > 0)
 
 
 def _column_refs(store):
@@ -575,12 +637,29 @@ def test_no_view_of_the_store_outlives_a_pass(monkeypatch, name):
     # the store's columns grow in place, so no view of one may be alive
     # when it grows.  A profiler that holds this module's frames keeps
     # their locals, so a view named in any of them would be counted.
+    # At the end the kept rows move into the store's own columns, which
+    # shrink to them: each column the ball returns owns its data, and
+    # nothing holds the store after the call.
     store = subgroup._Store(2)
     view = store.links[:1]
     assert _column_refs(store) == [0, 0, 0, 1, 0]
-    del view
+    del view, store
+    stores = []
+    init = subgroup._Store.__init__
+
+    def recorded(store, *args):
+        init(store, *args)
+        stores.append(weakref.ref(store))
+
     gens, limit, kwargs = IDENTITY_BALLS[name][0]()
-    want = enumerate_ball(gens, limit, **kwargs)
+    with monkeypatch.context() as mp:
+        mp.setattr(subgroup._Store, "__init__", recorded)
+        want = enumerate_ball(gens, limit, **kwargs)
+    assert len(stores) == 1 and stores[0]() is None
+    for column in (want.mats, want.disps, want.sigmas, want.words.parents,
+                   want.words.columns, want.words.rows, want.words.lengths):
+        assert column.flags.owndata and len(column) >= len(want)
+    assert len(want.mats) == len(want.disps) == len(want.sigmas) == len(want)
     grown, held = [], []
     append = subgroup._Store.append
 
