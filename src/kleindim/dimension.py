@@ -44,6 +44,35 @@ class LimitSample:
                 for z, inf in zip(self.z.tolist(), self.infinite.tolist())]
 
 
+def _keys(xyz, k, rows):
+    """Axis k of the keys of the stacked rows `rows`: row i < n is point i
+    on the first lattice, rint(xyz / DEDUP_TOL), row n + i the same point
+    on the second, rint(xyz / DEDUP_TOL + 0.5)."""
+    n = len(xyz)
+    scaled = xyz[rows % n, k] / DEDUP_TOL
+    scaled[rows >= n] += 0.5
+    return np.rint(scaled).astype(np.int64)
+
+
+def _mix(h, column):
+    """The 64-bit hashes h with one more key column mixed in."""
+    h ^= column.view(np.uint64)
+    h *= np.uint64(0x9E3779B97F4A7C15)
+    h ^= h >> np.uint64(29)
+    return h
+
+
+def _one_key_per_run(xyz, order, same):
+    """Whether the stacked rows order[i] and order[i + 1] have one key for
+    every i in `same`."""
+    for s in range(0, len(same), _core.PASS_BUDGET):
+        at = same[s:s + _core.PASS_BUDGET]
+        a, b = order[at], order[at + 1]
+        if any(np.any(_keys(xyz, k, a) != _keys(xyz, k, b)) for k in range(3)):
+            return False
+    return True
+
+
 def _first_by_key(xyz):
     """Which points the greedy dedup keeps, scanning in order.
 
@@ -51,31 +80,44 @@ def _first_by_key(xyz):
     rint(xyz / DEDUP_TOL + 0.5), on two lattices offset by half a step
     but held in one set, so one point's first key can meet another's
     second.  A point is kept unless either of its keys belongs to a point
-    kept before it; a kept point adds both.  Keys are numbered by one
-    lexsort of one int64 column per axis, both lattices stacked, and the
-    key boundaries are found one column at a time; points whose keys no
-    other point has are always kept, and the scan runs over the rest only.
+    kept before it; a kept point adds both.
+
+    The scan needs only which keys are equal.  Keys are numbered by one
+    unstable argsort of a 64-bit hash of each key (`_mix` of its three
+    axes), both lattices stacked and hashed in passes, so no key column
+    is held whole.  Each run of equal hashes is checked key by key, and
+    if one holds two keys they are numbered by a lexsort of the key
+    columns instead.  Points whose keys no other point has are always
+    kept, and the scan runs over the rest only.
     """
     n = len(xyz)
     if n == 0:
         return np.zeros(0, dtype=bool)
-    axes = []
-    for k in range(3):
-        scaled = xyz[:, k] / DEDUP_TOL
-        axis = np.empty(2 * n, dtype=np.int64)
-        axis[:n] = np.rint(scaled)
-        axis[n:] = np.rint(scaled + 0.5)
-        axes.append(axis)
-    del scaled
-    order = np.lexsort(axes[::-1])
-    new = np.zeros(2 * n - 1, dtype=bool)
-    for axis in axes:
-        ranked = axis[order]
-        new |= ranked[1:] != ranked[:-1]
-    # the key columns go before the key numbers are built
-    del axes, ranked
+    h = np.zeros(2 * n, dtype=np.uint64)
+    for s in range(0, 2 * n, _core.PASS_BUDGET):
+        e = min(s + _core.PASS_BUDGET, 2 * n)
+        for k in range(3):
+            h[s:e] = _mix(h[s:e], _keys(xyz, k, np.arange(s, e)))
+    order = np.argsort(h)
+    h.sort()
+    new = h[1:] != h[:-1]
+    del h
+    if not _one_key_per_run(xyz, order, np.flatnonzero(~new)):
+        rows = np.arange(2 * n)
+        axes = [_keys(xyz, k, rows) for k in range(3)]
+        order = np.lexsort(axes[::-1])
+        new[:] = False
+        for axis in axes:
+            ranked = axis[order]
+            new |= ranked[1:] != ranked[:-1]
+        del rows, axes, ranked
+    # key numbers in sorted order, then scattered to the stacked rows
+    ranks = np.zeros(2 * n, dtype=np.int64)
+    np.cumsum(new, out=ranks[1:])
+    del new
     ids = np.empty(2 * n, dtype=np.int64)
-    ids[order] = np.concatenate(([0], np.cumsum(new)))
+    ids[order] = ranks
+    del order, ranks
     k0, k1 = ids[:n], ids[n:]
     owners = np.bincount(np.concatenate([k0, k1[k1 != k0]]))
     shared = (owners[k0] > 1) | (owners[k1] > 1)
@@ -111,13 +153,17 @@ def sample_limit_set(ball, cap=100_000):
     lox, infinite = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
     z = np.empty(n, dtype=np.complex128)
     scalar_rows = 0
-    # in passes of the pass budget; the kernel decides row by row
+    # in passes of the pass budget; the kernels decide row by row
     for s in range(0, n, _core.PASS_BUDGET):
         part = slice(s, s + _core.PASS_BUDGET)
         lox[part], z[part], infinite[part], scalar = _core.attracting_points(ball.mats[order[part]])
         scalar_rows += scalar
+    del order
     rows = np.flatnonzero(lox)
-    xyz = _core.sphere_xyz(z[rows], infinite[rows])
+    xyz = np.empty((len(rows), 3))
+    for s in range(0, len(rows), _core.PASS_BUDGET):
+        part = rows[s:s + _core.PASS_BUDGET]
+        xyz[s:s + len(part)] = _core.sphere_xyz(z[part], infinite[part])
     keep = np.flatnonzero(_first_by_key(xyz))[:max(cap, 0)]
     if len(keep) < cap:
         end = len(lox)

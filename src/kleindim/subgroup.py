@@ -214,7 +214,9 @@ class BallResult:
     `max_count` elements within the displacement cap, or 4 `max_count`
     stored rows, band rows included.  `truncated` is set by either cap,
     and `collisions`, `skipped` and `numeric_drops` count the rows up to
-    that element.
+    that element.  A stored band row keeps its matrix only while its
+    layer is live, so `mats`, `disps` and `sigmas` are the search's own
+    ball columns, filled a layer at a time.
     """
 
     mats: np.ndarray  # (n, 4) complex128, canonical representatives
@@ -303,41 +305,131 @@ def _beyond_band(frontier, gterms, band):
     return far
 
 
-class _Store:
-    """Growable column arrays of the elements found so far."""
+class _Columns:
+    """Matrix, displacement and grading columns of `n` rows, grown in
+    place, one column at a time, so that the old and the new arrays are
+    never held together (a large block is remapped, not copied).  The data
+    may move, so no view of a column may outlive the statement that takes
+    it while the columns can grow: readers copy or index.  refcheck would
+    enforce that, but any tracer or profiler adds a reference to the array
+    whose method it sees called."""
 
-    def __init__(self, ncols, cap=1024):
+    def __init__(self, cap):
         self.n = 0
-        self.ncols = ncols
         self.mats = np.empty((cap, 4), dtype=np.complex128)
         self.disps = np.empty(cap)
         self.sigmas = np.empty(cap, dtype=np.int64)
+
+    def resize(self, cap):
+        for name in ("mats", "disps", "sigmas"):
+            getattr(self, name).resize((cap,) + getattr(self, name).shape[1:], refcheck=False)
+
+    def append(self, mats, disps, sigmas):
+        need = self.n + len(disps)
+        if need > len(self.disps):
+            # the slack of a live layer counts toward the search's peak
+            self.resize(max(need, len(self.disps) * 3 // 2))
+        part = slice(self.n, need)
+        self.mats[part] = mats
+        self.disps[part] = disps
+        self.sigmas[part] = sigmas
+        self.n = need
+
+    def take(self, source, rows):
+        """Append the rows `rows` of `source`, growing to hold just them."""
+        need = self.n + len(rows)
+        self.resize(need)
+        for name in ("mats", "disps", "sigmas"):
+            # "clip" writes straight into out, where "raise" would buffer
+            np.take(getattr(source, name), rows, axis=0, out=getattr(self, name)[self.n:need],
+                    mode="clip")
+        self.n = need
+
+
+class _Store:
+    """The rows found so far, in BFS order.
+
+    Every row keeps its link and appended flag, which the word trie and
+    `_FormIndex`'s walk read, and its slot: its index in the ball's
+    columns `ball`, -1 until its layer retires and for a band row.  Row
+    matrices, displacements and gradings are kept for the ball's rows and
+    for the two live layers only: the frontier, rows [lo, hi) at index
+    row - lo of `front`, and the next layer, rows [hi, n) at index row - hi
+    of `next`.  The frontier's arrays never grow, so a pass reads them
+    through a view.  When the frontier has been expanded it retires: its
+    ball rows move to `ball`, and its band rows keep their link and flag
+    alone.  A retired band row's matrix, which only a duplicate's
+    collision check asks for, is replayed from its nearest ancestor that
+    kept one."""
+
+    def __init__(self, garr, cap=1024):
+        self.garr = garr
+        self.ncols = len(garr)
+        self.n = self.lo = self.hi = 0
         # parent row * ncols + last letter's column, -1 for (): rows are
         # stored in strictly increasing order of it, so one search finds
         # the child of a row at a column
         self.links = np.empty(cap, dtype=np.int64)
         # whether the row's form is its parent's form and its own letter
         self.appended = np.empty(cap, dtype=bool)
+        self.slot = np.empty(cap, dtype=np.int32)
+        self.ball, self.front, self.next = _Columns(0), _Columns(0), _Columns(cap)
 
     def append(self, mats, disps, sigmas, links, appended):
+        """Store rows of the next layer."""
         need = self.n + len(disps)
-        if need > len(self.disps):
-            cap = max(2 * len(self.disps), need)
-            # in place, one column at a time, so that the old and the new
-            # arrays are never held together (a large block is remapped,
-            # not copied).  The data may move, so no view of a column may
-            # outlive the statement that takes it: readers copy or index.
-            # refcheck would enforce that, but any tracer or profiler adds
-            # a reference to the array whose method it sees called
-            for name in ("mats", "disps", "sigmas", "links", "appended"):
-                getattr(self, name).resize((cap,) + getattr(self, name).shape[1:], refcheck=False)
+        if need > len(self.links):
+            # by half, as a live layer: the slack counts toward the peak
+            cap = max(len(self.links) * 3 // 2, need)
+            for name in ("links", "appended", "slot"):
+                getattr(self, name).resize(cap, refcheck=False)
         part = slice(self.n, need)
-        self.mats[part] = mats
-        self.disps[part] = disps
-        self.sigmas[part] = sigmas
         self.links[part] = links
         self.appended[part] = appended
+        self.slot[part] = -1
+        self.next.append(mats, disps, sigmas)
         self.n = need
+
+    def retire(self, cap):
+        """Retire the frontier: its rows within `cap`, and the root, move
+        to the ball's columns; the next layer, shrunk to its rows, becomes
+        the frontier."""
+        front = self.front
+        in_ball = front.disps[:front.n] <= cap
+        in_ball[:1] |= self.lo == 0  # the root, whatever the cap
+        rows = np.flatnonzero(in_ball)
+        self.slot[self.lo + rows] = np.arange(self.ball.n, self.ball.n + len(rows))
+        self.ball.take(front, rows)
+        self.next.resize(self.next.n)
+        self.front, self.next = self.next, _Columns(1024)
+        self.lo, self.hi = self.hi, self.n
+
+    def matrices(self, rows):
+        """The matrix of each stored row of `rows`."""
+        out = np.empty((len(rows), 4), dtype=np.complex128)
+        later = np.flatnonzero(rows >= self.hi)
+        out[later] = self.next.mats[rows[later] - self.hi]
+        live = np.flatnonzero((rows >= self.lo) & (rows < self.hi))
+        out[live] = self.front.mats[rows[live] - self.lo]
+        retired = np.flatnonzero(rows < self.lo)
+        slot = self.slot[rows[retired]]
+        out[retired[slot >= 0]] = self.ball.mats[slot[slot >= 0]]
+        for i in retired[slot < 0].tolist():
+            out[i] = self._replay(int(rows[i]))
+        return out
+
+    def _replay(self, row):
+        """The matrix of a retired band row, formed again from its nearest
+        ancestor that kept one by the kernels that formed it: row by row,
+        so no batch changes a byte."""
+        cols = []
+        while self.slot[row] < 0:
+            row, col = divmod(int(self.links[row]), self.ncols)
+            cols.append(col)
+        mat = self.ball.mats[self.slot[row]][None]
+        for col in reversed(cols):
+            mat = _core.fix_sign(_core.expand(mat, self.garr[col][None]))
+        return mat[0]
 
     def trie(self, keep, letters):
         """The `Words` of the stored elements `keep` (ascending): their
@@ -361,21 +453,6 @@ class _Store:
             depth[lo:hi] = d
         at = number[keep]
         return Words(parents, columns, at, depth[at], tuple(letters))
-
-    def gather(self, keep):
-        """The matrix, displacement and grading columns of the rows `keep`
-        (ascending), moved to the front of the store's own columns in
-        passes, which then shrink to them.  keep[i] >= i, so no row is
-        overwritten before it is read."""
-        out = []
-        for name in ("mats", "disps", "sigmas"):
-            column = getattr(self, name)
-            for s in range(0, len(keep), _core.PASS_BUDGET):
-                part = keep[s:s + _core.PASS_BUDGET]
-                column[s:s + len(part)] = column[part]
-            column.resize((len(keep),) + column.shape[1:], refcheck=False)
-            out.append(column)
-        return out
 
 
 def _form_hashes(forms):
@@ -438,7 +515,7 @@ class _FormIndex:
         self.last, self.next_last = np.array([_OFFSET], dtype=np.uint8), []
         # word length of the rows being decided
         self.depth = 1
-        # the new rows of the last pass, until commit indexes them
+        # the new rows of the last step, until commit indexes them
         self.pending = None
         # 8 bits per row the store can hold, a power of two of at most 2^26,
         # in 64-bit words; a form sets 3 bits of one word
@@ -454,10 +531,11 @@ class _FormIndex:
 
     def decide(self, store, parents, cols):
         """(hits, appended) for the candidate rows (parent, column) of one
-        pass: the row each repeats, -1 for a new element, and whether its
-        form is appended.  A row of this pass is numbered store.n + its
-        rank among the new rows, so a row repeats an earlier row of its
-        pass exactly when the first occurrence of its form lies before it."""
+        step of a pass: the row each repeats, -1 for a new element, and
+        whether its form is appended.  A row of this step is numbered
+        store.n + its rank among the new rows, so a row repeats an earlier
+        row of its step exactly when the first occurrence of its form lies
+        before it."""
         n = len(parents)
         at = parents - self.lo
         pforms = [self.frontier[p] for p in at.tolist()]
@@ -471,7 +549,7 @@ class _FormIndex:
             if form != forms[i]:
                 forms[i] = form
                 appended[i] = False
-        # the first row of each form in the pass
+        # the first row of each form in the step
         first = dict(zip(reversed(forms), range(n - 1, -1, -1)))
         own = np.zeros(n, dtype=bool)
         own[np.fromiter(first.values(), dtype=np.int64, count=len(first))] = True
@@ -494,16 +572,15 @@ class _FormIndex:
                         appended[new], hashes[new])
         return hits, appended
 
-    def commit(self, store, count):
-        """Index the first `count` new rows of the last pass, the rows
-        [store.n - count, store.n)."""
-        forms, appended, hashes = (a[:count] for a in self.pending)
+    def commit(self, store):
+        """Index the new rows of the last step, the last rows stored."""
+        forms, appended, hashes = self.pending
         self.next.extend(forms)
         # a new row's form is not the root's, so it has a last byte
         self.next_last.append(np.frombuffer(b"".join([f[-1:] for f in forms]), dtype=np.uint8))
         rewritten = np.flatnonzero(~appended)
         self.rewritten.update(zip([forms[i] for i in rewritten.tolist()],
-                                  (store.n - count + rewritten).tolist()))
+                                  (store.n - len(forms) + rewritten).tolist()))
         np.bitwise_or.at(self.bloom, *self._bits(hashes[appended]))
         self.pending = None
 
@@ -577,12 +654,14 @@ def enumerate_ball(gens, limit, sigma_values=None, presentation=None):
     level), then `_core.displacements` and the exact decision unchanged,
     so the ball is bit for bit the one that forming every product gives.
 
-    A pass decides the identity of each of its rows, in order, and then
-    cuts once: at the first new element that reaches a count cap,
-    `max_count` elements within `max_displacement` or 4 `max_count`
-    stored rows (band rows included).  The search ends there, so the
-    forms of rows after the cut are never read, and the numeric drops and
-    collisions after it are not counted.
+    A pass decides the identity of its rows in order and cuts at the
+    first new element that reaches a count cap, `max_count` elements
+    within `max_displacement` or 4 `max_count` stored rows (band rows
+    included).  The search ends there.  Where a cap may fall in a pass,
+    its rows are decided in steps, each through the row where the cap
+    would fall if no row of the step were a duplicate: the cut falls at
+    the last row of a step or not in it, so no form past the cut is
+    formed, and no numeric drop or collision after it is counted.
 
     The identity keeps a form only where a later row can equal it
     (`_FormIndex`).  A row whose form is its parent's form and its own
@@ -591,13 +670,18 @@ def enumerate_ball(gens, limit, sigma_values=None, presentation=None):
     rewritten form is kept, appended forms only while their layer is the
     frontier, and a rewritten row is matched to a stored appended row by
     walking the store from the row of its form's longest prefix that is
-    kept; within a pass, a row repeats the first earlier row of its form.
+    kept; within a step, a row repeats the first earlier row of its form.
 
-    At the end the forms go first.  The words become a prefix trie of the
-    kept rows and their band ancestors (`_Store.trie`, `Words`), and the
-    kept rows move into the store's own matrix, displacement and grading
-    columns, which shrink to them (`_Store.gather`): the ball returns no
-    copy of a column and spells no word.
+    Only rows that can still be read keep a matrix (`_Store`): the
+    ball's rows, in the ball's own columns, and the two live layers, the
+    frontier and the next layer.  Once a layer is expanded it retires: its
+    ball rows move to the ball's columns, and its band rows keep only
+    their link and flag, which the word trie and the walk read.  A
+    duplicate of a retired band row has its matrix replayed for the
+    collision check.  At the end the forms go, the last layer retires and
+    the words become a prefix trie of the kept rows and their band
+    ancestors (`_Store.trie`, `Words`): the ball returns the search's own
+    columns, no copy of them, and spells no word.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -620,22 +704,24 @@ def enumerate_ball(gens, limit, sigma_values=None, presentation=None):
     max_len = limit.max_word_len if limit.max_word_len is not None else 10**6
     index = _FormIndex(presentation, letters, 4 * max_count) if presentation is not None else None
 
-    store = _Store(ncols)
+    store = _Store(garr)
     store.append(np.array([[1, 0, 0, 1]]), [0.0], [0], [-1], [True])
+    store.retire(cap)  # the root becomes the frontier
     n_in_ball = 1
     numeric_drops = 0
     collisions = 0
     truncated = n_in_ball >= max_count  # the identity alone fills the cap
-    lo, hi = 0, 1  # the frontier is the store range [lo, hi)
     depth = 0
     step = max(_core.PASS_BUDGET // ncols, 1)
 
-    while hi > lo and depth < max_len and not truncated:
+    while store.hi > store.lo and depth < max_len and not truncated:
         depth += 1
-        for c0 in range(lo, hi, step):
-            c1 = min(c0 + step, hi)
-            # copies, as the store grows in place below
-            frontier, links = store.mats[c0:c1].copy(), store.links[c0:c1].copy()
+        for c0 in range(store.lo, store.hi, step):
+            c1 = min(c0 + step, store.hi)
+            # the frontier's arrays never grow, so a view of them is safe
+            frontier = store.front.mats[c0 - store.lo:c1 - store.lo]
+            # a copy, as the links grow in place below
+            links = store.links[c0:c1].copy()
             # immediate backtracks are not reduced words
             formed = np.arange(ncols) != np.where(links < 0, -1, (links + ngen) % ncols)[:, None]
             if math.isfinite(band):
@@ -652,73 +738,71 @@ def enumerate_ball(gens, limit, sigma_values=None, presentation=None):
             parents, cols = np.divmod(flat[rows], ncols)
             parents += c0
             in_ball = disps[rows] <= cap
-            if index is not None:
-                # the identity of every row of the pass; the forms of rows
-                # past the cut below are never read, as the search ends here
-                hits, appended = index.decide(store, parents, cols)
-            else:
-                # a reduced word is its parent's word and its letter
-                hits, appended = np.full(len(rows), -1), np.ones(len(rows), dtype=bool)
-            fresh = hits < 0
-            dups, hits = rows[~fresh], hits[~fresh]
-            rows, parents, cols, in_ball, appended = (
-                a[fresh] for a in (rows, parents, cols, in_ball, appended))
-            # stop at the element that reaches either cap
-            over = np.flatnonzero((n_in_ball + np.cumsum(in_ball) >= max_count)
-                                  | (store.n + np.arange(1, len(rows) + 1) >= 4 * max_count))
-            end_row = len(prods)
-            if len(over):
-                truncated = True
-                rows, parents, cols, in_ball, appended = (
-                    a[:over[0] + 1] for a in (rows, parents, cols, in_ball, appended))
-                end_row = int(rows[-1])
-            # drops and duplicates after the cut row are not counted; a
-            # duplicate's hit comes before it
+            sigmas = store.front.sigmas[parents - store.lo] + sig_of_col[cols]
+            start, end_row = 0, len(prods)
+            while start < len(rows) and not truncated:
+                # the identity is decided through the row where a cap would
+                # fall if no row were a duplicate, and on from there in
+                # steps: a cap is reached at the last row of a step or not
+                # at all, so no row past the cut is decided
+                reach = np.flatnonzero(
+                    (n_in_ball + np.cumsum(in_ball[start:]) >= max_count)
+                    | (store.n + np.arange(1, len(rows) - start + 1) >= 4 * max_count))
+                stop = start + int(reach[0]) + 1 if len(reach) else len(rows)
+                if index is not None:
+                    hits, appended = index.decide(store, parents[start:stop], cols[start:stop])
+                else:
+                    # a reduced word is its parent's word and its letter
+                    hits, appended = np.full(stop - start, -1), np.ones(stop - start, dtype=bool)
+                new = start + np.flatnonzero(hits < 0)
+                dups = start + np.flatnonzero(hits >= 0)
+                n_in_ball += int(np.count_nonzero(in_ball[new]))
+                # the sign does not change a displacement, so only kept rows
+                # are sign-fixed
+                store.append(_core.fix_sign(prods[rows[new]]), disps[rows[new]], sigmas[new],
+                             parents[new] * ncols + cols[new], appended[new - start])
+                if index is not None:
+                    index.commit(store)
+                if len(dups):
+                    a, b = store.matrices(hits[dups - start]), prods[rows[dups]]
+                    drift = np.minimum(np.abs(a - b).max(axis=1), np.abs(a + b).max(axis=1))
+                    collisions += int(np.count_nonzero(drift > _COLLISION_TOL))
+                truncated = n_in_ball >= max_count or store.n >= 4 * max_count
+                if truncated:
+                    end_row = int(rows[stop - 1])
+                start = stop
+            # drops after the cut row are not counted
             numeric_drops += int(np.count_nonzero(~finite[:end_row]))
-            n_in_ball += int(np.count_nonzero(in_ball))
-            # the sign does not change a displacement, so only kept rows
-            # are sign-fixed
-            store.append(_core.fix_sign(prods[rows]), disps[rows],
-                         store.sigmas[parents] + sig_of_col[cols], parents * ncols + cols,
-                         appended)
-            if index is not None:
-                index.commit(store, len(rows))
-            keep = dups < end_row
-            a, b = store.mats[hits[keep]], prods[dups[keep]]
-            drift = np.minimum(np.abs(a - b).max(axis=1), np.abs(a + b).max(axis=1))
-            collisions += int(np.count_nonzero(drift > _COLLISION_TOL))
             if truncated:
                 break
-        lo, hi = hi, store.n
+        frontier = None  # the frontier's arrays go when it retires
+        store.retire(cap)
         if index is not None:
             index.next_layer()
 
     # when the frontier ran out every word within the band was expanded;
     # else the least displacement left unexpanded bounds the claim (a cut
-    # leaves the partial layer [lo, hi) holding at least its own row)
+    # leaves the partial layer, now the frontier, holding at least its own
+    # row)
     complete_radius = cap
-    if truncated or (depth >= max_len and hi > lo):
-        least = min(float(store.disps[lo:hi].min()), cap)
+    if truncated or (depth >= max_len and store.hi > store.lo):
+        least = min(float(store.front.disps[:store.front.n].min()), cap)
         complete_radius = least if math.isfinite(least) else 0.0
 
-    # the forms go before the trie is built, and the links before the
-    # kept rows are gathered in place, so that memory never holds two
-    # copies of a column
+    # the forms go before the trie is built, and the last layer retires,
+    # so that the ball's columns hold every kept row
     index = None
-    keep_mask = store.disps[:store.n] <= cap
-    keep_mask[0] = True
-    keep = np.flatnonzero(keep_mask)
-    words = store.trie(keep, letters)
-    store.links = store.appended = None
-    mats, disps, sigmas = store.gather(keep)
+    store.retire(cap)
+    words = store.trie(np.flatnonzero(store.slot[:store.n] >= 0), letters)
+    ball = store.ball
     return BallResult(
-        mats=mats,
+        mats=ball.mats,
         words=words,
-        disps=disps,
-        sigmas=sigmas,
+        disps=ball.disps,
+        sigmas=ball.sigmas,
         complete_radius=complete_radius,
         collisions=collisions,
         truncated=truncated,
-        skipped=store.n - len(keep),
+        skipped=store.n - ball.n,
         numeric_drops=numeric_drops,
     )

@@ -70,8 +70,8 @@ class TestSampleLimitSet:
 
 
 class TestFirstByKey:
-    """The dedup rule's keys, built one axis at a time, against the
-    (2n, 3) lexsort it replaced (`helpers.lexsort_first_by_key`)."""
+    """The dedup rule's keys, numbered by a sort of their hashes, against
+    the (2n, 3) lexsort it replaced (`helpers.lexsort_first_by_key`)."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_lexsort_oracle(self, seed):
@@ -88,15 +88,38 @@ class TestFirstByKey:
         second = {tuple(k) for k in np.rint(xyz / dimension.DEDUP_TOL + 0.5).astype(np.int64)}
         assert first & second
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_colliding_hashes_fall_back_to_the_lexsort(self, monkeypatch, seed):
+        # with one hash for every key, each run of equal hashes holds many
+        # keys, so the keys are numbered by their lexsort
+        rng = np.random.default_rng(seed)
+        steps = rng.integers(-3, 3, size=(5_000, 3)) + rng.choice([0.0, 0.25, 0.5, 0.75],
+                                                                   size=(5_000, 3))
+        xyz = steps * dimension.DEDUP_TOL
+        checked = []
+        check = dimension._one_key_per_run
+
+        def recorded(*args):
+            checked.append(check(*args))
+            return checked[-1]
+
+        monkeypatch.setattr(dimension, "_one_key_per_run", recorded)
+        want = helpers.lexsort_first_by_key(xyz)
+        assert dimension._first_by_key(xyz).tolist() == want.tolist()
+        monkeypatch.setattr(dimension, "_mix", lambda h, column: np.zeros_like(h))
+        assert dimension._first_by_key(xyz).tolist() == want.tolist()
+        assert checked == [True, False]
+
     def test_peak_is_bounded(self):
         # 300,000 points on the sphere: 55.8 MB traced with the (2n, 3)
-        # float and ranked copies, 29.4 MB with one key column per axis
+        # float and ranked copies, 29.4 MB with one key column per axis,
+        # 15.0 MB numbering the keys by a sort of their hashes
         rng = np.random.default_rng(0)
         xyz = rng.normal(size=(300_000, 3))
         xyz /= np.linalg.norm(xyz, axis=1)[:, None]
         keep, peak = helpers.traced_peak(lambda: dimension._first_by_key(xyz))
         assert keep.all()
-        assert peak <= 40e6
+        assert peak <= 20e6
 
 
 class TestBoxCounting:

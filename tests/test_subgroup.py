@@ -396,6 +396,10 @@ REFERENCE_BALLS = {
                                           BallLimit(max_word_len=64, max_count=8_000)),
     "extension-2-4-R9-capped": lambda: _extension_args(
         (2, 4.0), BallLimit(max_displacement=9.0, max_count=3_000)),
+    # the (1, 3) level-1 orbit ball to R = 11, cut at 20,000 elements:
+    # 13 of its duplicates repeat a band row whose layer has retired
+    "forms-1-3-m1-orbit": lambda: _forms((1, 3.0), 1, BallLimit(
+        max_displacement=11.0, max_count=20_000, max_word_len=64)),
     # two short translations taken as free generators: the band beyond
     # R = 0.5 fills the 4 max_count stored rows first
     "free-store-capped": lambda: ([helpers.axis_translation(1.0, 3.0, 0.3),
@@ -472,9 +476,65 @@ def test_reference_balls_reach_each_stop():
             stops[name] = "store"
     assert stops == {"free-1-3-word-length": "word length", "forms-1-3-m2-capped": "count",
                      "forms-3-3-m1-capped": "count", "extension-2-4-R9-capped": "count",
-                     "free-store-capped": "store"}
+                     "forms-1-3-m1-orbit": "count", "free-store-capped": "store"}
     assert _reference("free-1-3-word-length").complete_radius < math.inf
     assert _reference("extension-2-4-R9-capped").skipped > 0
+
+
+def test_retired_band_rows_are_replayed(monkeypatch):
+    # a duplicate of a band row whose layer has retired is checked against
+    # the row's matrix formed again from its nearest ancestor that kept
+    # one: the bytes the search stored, at any pass budget
+    stored, replayed = [], []
+    append, replay = subgroup._Store.append, subgroup._Store._replay
+
+    def recorded(store, mats, *rest):
+        stored.append(np.array(mats, dtype=np.complex128).reshape(-1, 4))
+        append(store, mats, *rest)
+
+    def counted(store, row):
+        replayed.append((row, replay(store, row)))
+        assert row < store.lo and store.slot[row] < 0
+        return replayed[-1][1]
+
+    monkeypatch.setattr(subgroup._Store, "append", recorded)
+    monkeypatch.setattr(subgroup._Store, "_replay", counted)
+    gens, limit, kwargs = REFERENCE_BALLS["forms-1-3-m1-orbit"]()
+    want = _reference("forms-1-3-m1-orbit")
+    for budget in (_core.PASS_BUDGET, 7):
+        monkeypatch.setattr(_core, "PASS_BUDGET", budget)
+        stored.clear()
+        replayed.clear()
+        got = enumerate_ball(gens, limit, **kwargs)
+        rows = np.concatenate(stored)
+        assert len(replayed) == 13
+        for row, mat in replayed:
+            assert mat.tobytes() == rows[row].tobytes()
+        for field in BALL_FIELDS:
+            assert _field_bytes(got, field) == _field_bytes(want, field), (budget, field)
+
+
+@pytest.mark.parametrize("budget", [None, 7], ids=["default-budget", "budget-7"])
+@pytest.mark.parametrize("name", ["forms-1-3-m2-capped", "forms-3-3-m1-capped",
+                                  "extension-2-4-R9-capped"])
+def test_no_row_past_the_cut_is_decided(monkeypatch, name, budget):
+    # every row the identity finds new is stored: the last step of the
+    # capped pass ends at the cut
+    if budget is not None:
+        monkeypatch.setattr(_core, "PASS_BUDGET", budget)
+    new = []
+    decide = subgroup._FormIndex.decide
+
+    def counted(index, store, parents, cols):
+        hits, appended = decide(index, store, parents, cols)
+        new.append(int(np.count_nonzero(hits < 0)))
+        return hits, appended
+
+    monkeypatch.setattr(subgroup._FormIndex, "decide", counted)
+    gens, limit, kwargs = REFERENCE_BALLS[name]()
+    ball = enumerate_ball(gens, limit, **kwargs)
+    assert ball.truncated
+    assert sum(new) == len(ball) + ball.skipped - 1
 
 
 def test_cut_falls_after_a_numeric_drop_in_its_pass(monkeypatch):
@@ -606,43 +666,50 @@ def test_prefilter_never_decides_alone(monkeypatch, name):
 def test_store_links_strictly_increase(monkeypatch, name):
     # parent * 2n + column ascends over the store, and over the ball's
     # word trie, so one search finds a row's child at a column
-    links = []
+    # the kept rows, and only they, have slots, in store order
+    links, slots = [], []
     trie = subgroup._Store.trie
 
     def recorded(store, keep, letters):
         links.append(store.links[:store.n].copy())
+        slots.append(store.slot[:store.n].copy())
         return trie(store, keep, letters)
 
     monkeypatch.setattr(subgroup._Store, "trie", recorded)
     gens, limit, kwargs = REFERENCE_BALLS[name]()
-    words = enumerate_ball(gens, limit, **kwargs).words
-    (got,) = links
+    ball = enumerate_ball(gens, limit, **kwargs)
+    words = ball.words
+    (got,), (slot,) = links, slots
     assert len(got) > 1000
     assert got[0] == -1
     assert np.all(np.diff(got) > 0)
     keys = words.parents.astype(np.int64) * len(words.letters) + words.columns
     assert keys[0] < 0 and np.all(np.diff(keys) > 0)
     assert np.all(np.diff(words.rows) > 0)
+    assert slot[slot >= 0].tolist() == list(range(len(ball)))
+    assert np.count_nonzero(slot < 0) == ball.skipped
 
 
 def _column_refs(store):
-    """References to each store column beyond the store's own: one more
-    for every view of it that is alive."""
-    return [sys.getrefcount(getattr(store, name)) - 2
-            for name in ("mats", "disps", "sigmas", "links", "appended")]
+    """References to each column that grows in place beyond its owner's
+    own: one more for every view of it that is alive.  The frontier's
+    columns never grow."""
+    owners = [(store, "links"), (store, "appended"), (store, "slot")] + [
+        (part, name) for part in (store.next, store.ball) for name in ("mats", "disps", "sigmas")]
+    return [sys.getrefcount(getattr(owner, name)) - 2 for owner, name in owners]
 
 
 @pytest.mark.parametrize("name", sorted(IDENTITY_BALLS))
 def test_no_view_of_the_store_outlives_a_pass(monkeypatch, name):
-    # the store's columns grow in place, so no view of one may be alive
-    # when it grows.  A profiler that holds this module's frames keeps
-    # their locals, so a view named in any of them would be counted.
-    # At the end the kept rows move into the store's own columns, which
-    # shrink to them: each column the ball returns owns its data, and
-    # nothing holds the store after the call.
-    store = subgroup._Store(2)
+    # the per-row columns, the next layer's and the ball's grow in place,
+    # so no view of one may be alive when it grows.  A profiler that
+    # holds this module's frames keeps their locals, so a view named in
+    # any of them would be counted.  The ball returns the ball's own
+    # columns: each owns its data, and nothing holds the store after the
+    # call.
+    store = subgroup._Store(np.eye(2, 4, dtype=np.complex128))
     view = store.links[:1]
-    assert _column_refs(store) == [0, 0, 0, 1, 0]
+    assert _column_refs(store) == [1] + [0] * 8
     del view, store
     stores = []
     init = subgroup._Store.__init__
@@ -661,12 +728,17 @@ def test_no_view_of_the_store_outlives_a_pass(monkeypatch, name):
         assert column.flags.owndata and len(column) >= len(want)
     assert len(want.mats) == len(want.disps) == len(want.sigmas) == len(want)
     grown, held = [], []
-    append = subgroup._Store.append
+    append, retire = subgroup._Store.append, subgroup._Store.retire
 
     def checked(store, mats, *rest):
-        if store.n + len(mats) > len(store.disps):
+        if (store.n + len(mats) > len(store.links)
+                or store.next.n + len(mats) > len(store.next.disps)):
             grown.append(_column_refs(store))
         append(store, mats, *rest)
+
+    def retired(store, cap):
+        grown.append(_column_refs(store))
+        retire(store, cap)
 
     def hold(frame, event, arg):
         if (event == "return" and frame.f_code.co_filename == subgroup.__file__
@@ -674,27 +746,61 @@ def test_no_view_of_the_store_outlives_a_pass(monkeypatch, name):
             held.append(frame)
 
     monkeypatch.setattr(subgroup._Store, "append", checked)
+    monkeypatch.setattr(subgroup._Store, "retire", retired)
     sys.setprofile(hold)
     try:
         got = enumerate_ball(gens, limit, **kwargs)
     finally:
         sys.setprofile(None)
-    assert {f.f_code.co_name for f in held} >= {"decide", "_walk", "commit"}
-    assert len(grown) >= 3
-    assert all(refs == [0] * 5 for refs in grown), grown
+    assert {f.f_code.co_name for f in held} >= {"decide", "_walk", "commit", "matrices"}
+    assert len(grown) >= 6
+    assert all(refs == [0] * 9 for refs in grown), grown
     for field in BALL_FIELDS:
         assert _field_bytes(got, field) == _field_bytes(want, field), field
+
+
+@pytest.mark.parametrize("name", ["extension-2-4-R9-capped", "forms-1-3-m1-orbit",
+                                  "free-store-capped"])
+def test_matrices_are_kept_for_the_ball_and_two_live_layers(monkeypatch, name):
+    # at each retirement the matrix, displacement and grading columns hold
+    # the ball's rows of the retired layers, the frontier and the next
+    # layer, each with no row to spare but the next layer's slack
+    gens, limit, kwargs = REFERENCE_BALLS[name]()
+    seen = []
+    retire = subgroup._Store.retire
+
+    def checked(store, cap):
+        assert (store.front.n, store.next.n) == (store.hi - store.lo, store.n - store.hi)
+        assert len(store.front.disps) == store.front.n
+        retire(store, cap)
+        ball = store.ball
+        assert len(ball.mats) == len(ball.disps) == len(ball.sigmas) == ball.n
+        assert ball.n == np.count_nonzero(store.slot[:store.lo] >= 0)
+        assert np.all(store.slot[store.lo:store.n] < 0)
+        assert np.all(ball.disps[1:] <= cap)
+        assert (store.front.n, store.next.n) == (store.n - store.lo, 0)
+        arrays = {k for k, v in vars(store).items() if isinstance(v, np.ndarray)}
+        assert arrays == {"garr", "links", "appended", "slot"}
+        seen.append((store.n, ball.n + store.front.n))
+
+    monkeypatch.setattr(subgroup._Store, "retire", checked)
+    got = enumerate_ball(gens, limit, **kwargs)
+    assert len(seen) > 3
+    # the band rows of retired layers keep no matrix
+    assert any(kept < n for n, kept in seen)
+    assert seen[-1] == (len(got) + got.skipped, len(got))
 
 
 def test_extension_ball_peak_is_bounded():
     # the (3, 5) extension ball to R = 12: 32.3 MB traced when every
     # stored form was kept, 22.8 MB keeping the rewritten forms only (4.2
-    # MB of it the prefilter, sized by the count cap)
+    # MB of it the prefilter, sized by the count cap), 14.6 MB keeping
+    # matrices for the ball and the two live layers only
     gens, limit, kwargs = _extension_args(
         (3, 5.0), BallLimit(max_displacement=12.0, max_count=1_000_000))
     ball, peak = helpers.traced_peak(lambda: enumerate_ball(gens, limit, **kwargs))
     assert len(ball) == 38_386
-    assert peak <= 27e6
+    assert peak <= 19e6
 
 
 # -- identity in H_m: free reduction on S_m against Britton normal forms --
