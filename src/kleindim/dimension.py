@@ -136,16 +136,17 @@ def sample_limit_set(ball, cap=100_000):
     deduplicated, at most `cap` of them.
 
     Elements are taken longest word first, ties in ball order (a stable
-    sort on `ball.words.lengths`; no word is spelled).  ROADMAP item 4 calls this order biased: a ball
-    cut by its count cap holds a partial last layer, which then fills
-    the sample.  It is kept until the sampling itself is redesigned, so
-    that every sample stays as it was.  Non-loxodromic elements are passed
-    over.  Dedup is `_first_by_key`'s rule: a point is dropped when either
-    of its two keys belongs to an earlier kept point.  The scan stops once
-    `cap` points are kept, so `skipped` counts only the non-loxodromic
-    elements before the cap-th kept point (none when cap <= 0).  The fixed
-    points come from `_core.attracting_points` on `ball.mats`, bit for
-    bit as `MoebiusMap.fixed_points` gives them.
+    sort on `ball.words.lengths`; no word is spelled).  ROADMAP item 5
+    calls this order biased: a ball cut by its count cap holds a partial
+    last layer, which then fills the sample.  It is kept until the
+    sampling itself is redesigned, so that every sample stays as it was.
+    Non-loxodromic elements are passed over.  Dedup is `_first_by_key`'s
+    rule: a point is dropped when either of its two keys belongs to an
+    earlier kept point.  The scan stops once `cap` points are kept, so
+    `skipped` counts only the non-loxodromic elements before the cap-th
+    kept point (none when cap <= 0).  The fixed points come from
+    `_core.attracting_points` on `ball.mats`, bit for bit as
+    `MoebiusMap.fixed_points` gives them.
     """
     lengths = ball.words.lengths
     n = len(lengths)

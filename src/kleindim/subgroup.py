@@ -47,6 +47,8 @@ _SIEVE_MARGIN = 1e-9
 _SIEVE_RANGE = (1e-100, 1e100)
 # bits per storable row of _FormIndex's Bloom filter of appended forms
 _BLOOM_BITS_PER_ROW = 8
+# rows that a store and each new layer hold before they first grow
+_FIRST_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -215,8 +217,9 @@ class BallResult:
     stored rows, band rows included.  `truncated` is set by either cap,
     and `collisions`, `skipped` and `numeric_drops` count the rows up to
     that element.  A stored band row keeps its matrix only while its
-    layer is live, so `mats`, `disps` and `sigmas` are the search's own
-    ball columns, filled a layer at a time.
+    layer is live, so `mats` and `disps` are the search's own ball
+    columns, filled a layer at a time.  The search keeps no grading:
+    `sigmas`, like `words.lengths`, is a sum down the word trie.
     """
 
     mats: np.ndarray  # (n, 4) complex128, canonical representatives
@@ -306,43 +309,39 @@ def _beyond_band(frontier, gterms, band):
 
 
 class _Columns:
-    """Matrix, displacement and grading columns of `n` rows, grown in
-    place, one column at a time, so that the old and the new arrays are
-    never held together (a large block is remapped, not copied).  The data
-    may move, so no view of a column may outlive the statement that takes
-    it while the columns can grow: readers copy or index.  refcheck would
-    enforce that, but any tracer or profiler adds a reference to the array
-    whose method it sees called."""
+    """Matrix and displacement columns of `n` rows, grown in place, one
+    column at a time, so that the old and the new arrays are never held
+    together (a large block is remapped, not copied).  The data may move,
+    so no view of a column may outlive the statement that takes it while
+    the columns can grow: readers copy or index.  refcheck would enforce
+    that, but any tracer or profiler adds a reference to the array whose
+    method it sees called."""
 
     def __init__(self, cap):
         self.n = 0
         self.mats = np.empty((cap, 4), dtype=np.complex128)
         self.disps = np.empty(cap)
-        self.sigmas = np.empty(cap, dtype=np.int64)
 
     def resize(self, cap):
-        for name in ("mats", "disps", "sigmas"):
-            getattr(self, name).resize((cap,) + getattr(self, name).shape[1:], refcheck=False)
+        self.mats.resize((cap, 4), refcheck=False)
+        self.disps.resize(cap, refcheck=False)
 
-    def append(self, mats, disps, sigmas):
+    def append(self, mats, disps):
         need = self.n + len(disps)
         if need > len(self.disps):
             # the slack of a live layer counts toward the search's peak
             self.resize(max(need, len(self.disps) * 3 // 2))
-        part = slice(self.n, need)
-        self.mats[part] = mats
-        self.disps[part] = disps
-        self.sigmas[part] = sigmas
+        self.mats[self.n:need] = mats
+        self.disps[self.n:need] = disps
         self.n = need
 
     def take(self, source, rows):
         """Append the rows `rows` of `source`, growing to hold just them."""
         need = self.n + len(rows)
         self.resize(need)
-        for name in ("mats", "disps", "sigmas"):
-            # "clip" writes straight into out, where "raise" would buffer
-            np.take(getattr(source, name), rows, axis=0, out=getattr(self, name)[self.n:need],
-                    mode="clip")
+        # "clip" writes straight into out, where "raise" would buffer
+        np.take(source.mats, rows, axis=0, out=self.mats[self.n:need], mode="clip")
+        np.take(source.disps, rows, out=self.disps[self.n:need], mode="clip")
         self.n = need
 
 
@@ -352,30 +351,31 @@ class _Store:
     Every row keeps its link and appended flag, which the word trie and
     `_FormIndex`'s walk read, and its slot: its index in the ball's
     columns `ball`, -1 until its layer retires and for a band row.  Row
-    matrices, displacements and gradings are kept for the ball's rows and
-    for the two live layers only: the frontier, rows [lo, hi) at index
+    matrices and displacements are kept for the ball's rows and for the
+    two live layers only: the frontier, rows [lo, hi) at index
     row - lo of `front`, and the next layer, rows [hi, n) at index row - hi
     of `next`.  The frontier's arrays never grow, so a pass reads them
     through a view.  When the frontier has been expanded it retires: its
     ball rows move to `ball`, and its band rows keep their link and flag
     alone.  A retired band row's matrix, which only a duplicate's
     collision check asks for, is replayed from its nearest ancestor that
-    kept one."""
+    kept one.  No row keeps a grading: like a word's length, it is a sum
+    down the trie (`trie`)."""
 
-    def __init__(self, garr, cap=1024):
+    def __init__(self, garr):
         self.garr = garr
         self.ncols = len(garr)
         self.n = self.lo = self.hi = 0
         # parent row * ncols + last letter's column, -1 for (): rows are
         # stored in strictly increasing order of it, so one search finds
         # the child of a row at a column
-        self.links = np.empty(cap, dtype=np.int64)
+        self.links = np.empty(_FIRST_ROWS, dtype=np.int64)
         # whether the row's form is its parent's form and its own letter
-        self.appended = np.empty(cap, dtype=bool)
-        self.slot = np.empty(cap, dtype=np.int32)
-        self.ball, self.front, self.next = _Columns(0), _Columns(0), _Columns(cap)
+        self.appended = np.empty(_FIRST_ROWS, dtype=bool)
+        self.slot = np.empty(_FIRST_ROWS, dtype=np.int32)
+        self.ball, self.front, self.next = _Columns(0), _Columns(0), _Columns(_FIRST_ROWS)
 
-    def append(self, mats, disps, sigmas, links, appended):
+    def append(self, mats, disps, links, appended):
         """Store rows of the next layer."""
         need = self.n + len(disps)
         if need > len(self.links):
@@ -387,7 +387,7 @@ class _Store:
         self.links[part] = links
         self.appended[part] = appended
         self.slot[part] = -1
-        self.next.append(mats, disps, sigmas)
+        self.next.append(mats, disps)
         self.n = need
 
     def retire(self, cap):
@@ -401,7 +401,7 @@ class _Store:
         self.slot[self.lo + rows] = np.arange(self.ball.n, self.ball.n + len(rows))
         self.ball.take(front, rows)
         self.next.resize(self.next.n)
-        self.front, self.next = self.next, _Columns(1024)
+        self.front, self.next = self.next, _Columns(_FIRST_ROWS)
         self.lo, self.hi = self.hi, self.n
 
     def matrices(self, rows):
@@ -431,10 +431,13 @@ class _Store:
             mat = _core.fix_sign(_core.expand(mat, self.garr[col][None]))
         return mat[0]
 
-    def trie(self, keep, letters):
-        """The `Words` of the stored elements `keep` (ascending): their
-        rows and the rows that prefix them, numbered in store order, each
-        with its parent's number and its column."""
+    def trie(self, keep, letters, grades):
+        """The `Words` of the stored elements `keep` (ascending), and their
+        gradings.  The trie's rows are the rows of `keep` and those that
+        prefix them, numbered in store order, each with its parent's number
+        and its column.  A row's word length and grading are its parent's
+        plus one and plus its column's grade, `grades[column]`, summed a
+        layer at a time."""
         need = np.zeros(self.n, dtype=bool)
         front = keep
         while len(front):
@@ -448,11 +451,14 @@ class _Store:
         # row 0 is the root, whose link is -1
         up, columns[1:] = np.divmod(self.links[rows[1:]], self.ncols)
         parents[1:] = number[up]
-        depth = np.empty(len(rows), dtype=np.int32)
+        depth = np.zeros(len(rows), dtype=np.int32)
+        sigmas = np.zeros(len(rows), dtype=np.int64)
         for d, (lo, hi) in enumerate(_layers(parents)):
-            depth[lo:hi] = d
+            if lo:
+                depth[lo:hi] = d
+                sigmas[lo:hi] = sigmas[parents[lo:hi]] + grades[columns[lo:hi]]
         at = number[keep]
-        return Words(parents, columns, at, depth[at], tuple(letters))
+        return Words(parents, columns, at, depth[at], tuple(letters)), sigmas[at]
 
 
 def _form_hashes(forms):
@@ -491,6 +497,10 @@ class _FormIndex:
     after which `multiply` may rewrite, so `multiply` is called only for
     those rows, and every other row's form is its parent's form and its
     letter's byte.
+
+    The index keeps no row position and no grading: its frontier is the
+    store's, rows [store.lo, store.hi), and gradings, like word lengths,
+    are sums down the trie (`_Store.trie`).
     """
 
     def __init__(self, presentation, letters, max_rows):
@@ -510,34 +520,32 @@ class _FormIndex:
         self.rewrites[_OFFSET] = True
         root = presentation.identity()
         self.rewritten = {root: 0}
-        self.frontier, self.lo, self.next = [root], 0, []
+        # the forms of the store's frontier, rows [store.lo, store.hi), and
+        # of its next layer
+        self.frontier, self.next = [root], []
         # the last byte of each frontier form, and of the next layer's
         self.last, self.next_last = np.array([_OFFSET], dtype=np.uint8), []
-        # word length of the rows being decided
-        self.depth = 1
-        # the new rows of the last step, until commit indexes them
-        self.pending = None
         # 8 bits per row the store can hold, a power of two of at most 2^26,
         # in 64-bit words; a form sets 3 bits of one word
         nbits = 1 << min(max((_BLOOM_BITS_PER_ROW * max_rows - 1).bit_length(), 6), 26)
         self.bloom = np.zeros(nbits // 64, dtype=np.uint64)
 
     def next_layer(self):
-        self.lo += len(self.frontier)
         self.frontier, self.next = self.next, []
         self.last = np.concatenate(self.next_last or [np.zeros(0, dtype=np.uint8)])
         self.next_last = []
-        self.depth += 1
 
-    def decide(self, store, parents, cols):
+    def decide(self, store, parents, cols, depth):
         """(hits, appended) for the candidate rows (parent, column) of one
-        step of a pass: the row each repeats, -1 for a new element, and
-        whether its form is appended.  A row of this step is numbered
-        store.n + its rank among the new rows, so a row repeats an earlier
-        row of its step exactly when the first occurrence of its form lies
-        before it."""
+        step of a pass, rows of word length `depth`: the row each repeats,
+        -1 for a new element, and whether its form is appended.  A row of
+        this step is numbered store.n + its rank among the new rows, so a
+        row repeats an earlier row of its step exactly when the first
+        occurrence of its form lies before it.  The new rows are indexed
+        under those numbers before it returns, so the store must append
+        them, in order, before the next step is decided."""
         n = len(parents)
-        at = parents - self.lo
+        at = parents - store.lo
         pforms = [self.frontier[p] for p in at.tolist()]
         steps, suffix, multiply = self.steps, self.bytes, self.multiply
         maybe = np.flatnonzero(self.rewrites[self.last[at], cols])
@@ -563,26 +571,20 @@ class _FormIndex:
         probe = np.flatnonzero(own & ~appended & (hits < 0))
         if len(probe):
             probe = probe[self._maybe_stored(hashes[probe])]
-            hits[probe] = self._walk(store, [forms[i] for i in probe.tolist()])
+            hits[probe] = self._walk(store, [forms[i] for i in probe.tolist()], depth)
         fresh = own & (hits < 0)
         new_row = store.n + np.cumsum(fresh) - 1
         hits[later] = np.where(fresh[earlier], new_row[earlier], hits[earlier])
         new = np.flatnonzero(fresh)
-        self.pending = ([forms[i] for i in new.tolist()] if len(new) < n else forms,
-                        appended[new], hashes[new])
-        return hits, appended
-
-    def commit(self, store):
-        """Index the new rows of the last step, the last rows stored."""
-        forms, appended, hashes = self.pending
-        self.next.extend(forms)
+        new_forms = [forms[i] for i in new.tolist()] if len(new) < n else forms
+        self.next.extend(new_forms)
         # a new row's form is not the root's, so it has a last byte
-        self.next_last.append(np.frombuffer(b"".join([f[-1:] for f in forms]), dtype=np.uint8))
-        rewritten = np.flatnonzero(~appended)
+        self.next_last.append(np.frombuffer(b"".join([f[-1:] for f in new_forms]), dtype=np.uint8))
+        rewritten = np.flatnonzero(fresh & ~appended)
         self.rewritten.update(zip([forms[i] for i in rewritten.tolist()],
-                                  (store.n - len(forms) + rewritten).tolist()))
-        np.bitwise_or.at(self.bloom, *self._bits(hashes[appended]))
-        self.pending = None
+                                  new_row[rewritten].tolist()))
+        np.bitwise_or.at(self.bloom, *self._bits(hashes[fresh & appended]))
+        return hits, appended
 
     def _bits(self, hashes):
         """The filter's word of each hash (its low bits) and the 3 bits it
@@ -595,16 +597,17 @@ class _FormIndex:
         word, bits = self._bits(hashes)
         return self.bloom[word] & bits == bits
 
-    def _walk(self, store, forms):
+    def _walk(self, store, forms, depth):
         """The stored appended row of each form, -1 where there is none.
 
         Each step of a walk goes one layer down, and no stored row lies
-        below the layer being decided, so the longest kept prefix is
-        looked for only among the `depth` longest proper prefixes."""
+        below the layer being decided, of word length `depth`, so the
+        longest kept prefix is looked for only among the `depth` longest
+        proper prefixes."""
         rows, tails = [], []
         for form in forms:
             rows.append(-1)
-            for k in range(len(form) - 1, max(len(form) - self.depth, 0) - 1, -1):
+            for k in range(len(form) - 1, max(len(form) - depth, 0) - 1, -1):
                 if form[:k] in self.rewritten:
                     rows[-1] = self.rewritten[form[:k]]
                     break
@@ -639,7 +642,8 @@ def enumerate_ball(gens, limit, sigma_values=None, presentation=None):
     letter's byte), so words that are equal in the group are
     merged however far their matrices have drifted apart.  The output
     order is (word length, lexicographic word).  `sigma_values[i]` is the
-    grading of generator i (default 0).
+    grading of generator i (default 0); the search keeps none, and a kept
+    word's grading, like its length, is summed down the trie at the end.
 
     Each frontier row is multiplied only by the columns that can give a
     kept row.  Backtracks are dropped before any product.  With a
@@ -663,25 +667,14 @@ def enumerate_ball(gens, limit, sigma_values=None, presentation=None):
     the last row of a step or not in it, so no form past the cut is
     formed, and no numeric drop or collision after it is counted.
 
-    The identity keeps a form only where a later row can equal it
-    (`_FormIndex`).  A row whose form is its parent's form and its own
-    letter (appended) cannot equal another appended row: they would share
-    a parent and a column, and each such pair is formed once.  So every
-    rewritten form is kept, appended forms only while their layer is the
-    frontier, and a rewritten row is matched to a stored appended row by
-    walking the store from the row of its form's longest prefix that is
-    kept; within a step, a row repeats the first earlier row of its form.
-
-    Only rows that can still be read keep a matrix (`_Store`): the
-    ball's rows, in the ball's own columns, and the two live layers, the
-    frontier and the next layer.  Once a layer is expanded it retires: its
-    ball rows move to the ball's columns, and its band rows keep only
-    their link and flag, which the word trie and the walk read.  A
-    duplicate of a retired band row has its matrix replayed for the
-    collision check.  At the end the forms go, the last layer retires and
-    the words become a prefix trie of the kept rows and their band
-    ancestors (`_Store.trie`, `Words`): the ball returns the search's own
-    columns, no copy of them, and spells no word.
+    The identity keeps a form only where a later row can equal it, reads
+    the layer's position off the store and indexes each new row as it
+    decides it (`_FormIndex`).  Only the ball's rows and the two live
+    layers keep a matrix (`_Store`); a duplicate of a retired band row has
+    its matrix replayed for the collision check.  At the end the forms go,
+    the last layer retires and the words become a prefix trie of the kept
+    rows and their band ancestors (`_Store.trie`, `Words`): the ball
+    returns the search's own columns, no copy of them, and spells no word.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -694,7 +687,7 @@ def enumerate_ball(gens, limit, sigma_values=None, presentation=None):
     ncols = 2 * ngen
     garr = _gen_array(gens)
     gterms = _gram(np.conj(garr[:, [0, 2, 1, 3]]))
-    # letter and grading of column j of garr; the inverse column of j is
+    # letter and grade of column j of garr; the inverse column of j is
     # (j + ngen) % 2n
     letters = np.outer([1, -1], range(1, ngen + 1)).ravel().tolist()
     sig_of_col = np.outer([1, -1], sigma_values or [0] * ngen).ravel()
@@ -705,7 +698,7 @@ def enumerate_ball(gens, limit, sigma_values=None, presentation=None):
     index = _FormIndex(presentation, letters, 4 * max_count) if presentation is not None else None
 
     store = _Store(garr)
-    store.append(np.array([[1, 0, 0, 1]]), [0.0], [0], [-1], [True])
+    store.append(np.array([[1, 0, 0, 1]]), [0.0], [-1], [True])
     store.retire(cap)  # the root becomes the frontier
     n_in_ball = 1
     numeric_drops = 0
@@ -738,7 +731,6 @@ def enumerate_ball(gens, limit, sigma_values=None, presentation=None):
             parents, cols = np.divmod(flat[rows], ncols)
             parents += c0
             in_ball = disps[rows] <= cap
-            sigmas = store.front.sigmas[parents - store.lo] + sig_of_col[cols]
             start, end_row = 0, len(prods)
             while start < len(rows) and not truncated:
                 # the identity is decided through the row where a cap would
@@ -750,7 +742,8 @@ def enumerate_ball(gens, limit, sigma_values=None, presentation=None):
                     | (store.n + np.arange(1, len(rows) - start + 1) >= 4 * max_count))
                 stop = start + int(reach[0]) + 1 if len(reach) else len(rows)
                 if index is not None:
-                    hits, appended = index.decide(store, parents[start:stop], cols[start:stop])
+                    hits, appended = index.decide(store, parents[start:stop], cols[start:stop],
+                                                  depth)
                 else:
                     # a reduced word is its parent's word and its letter
                     hits, appended = np.full(stop - start, -1), np.ones(stop - start, dtype=bool)
@@ -759,10 +752,8 @@ def enumerate_ball(gens, limit, sigma_values=None, presentation=None):
                 n_in_ball += int(np.count_nonzero(in_ball[new]))
                 # the sign does not change a displacement, so only kept rows
                 # are sign-fixed
-                store.append(_core.fix_sign(prods[rows[new]]), disps[rows[new]], sigmas[new],
+                store.append(_core.fix_sign(prods[rows[new]]), disps[rows[new]],
                              parents[new] * ncols + cols[new], appended[new - start])
-                if index is not None:
-                    index.commit(store)
                 if len(dups):
                     a, b = store.matrices(hits[dups - start]), prods[rows[dups]]
                     drift = np.minimum(np.abs(a - b).max(axis=1), np.abs(a + b).max(axis=1))
@@ -793,13 +784,13 @@ def enumerate_ball(gens, limit, sigma_values=None, presentation=None):
     # so that the ball's columns hold every kept row
     index = None
     store.retire(cap)
-    words = store.trie(np.flatnonzero(store.slot[:store.n] >= 0), letters)
+    words, sigmas = store.trie(np.flatnonzero(store.slot[:store.n] >= 0), letters, sig_of_col)
     ball = store.ball
     return BallResult(
         mats=ball.mats,
         words=words,
         disps=ball.disps,
-        sigmas=ball.sigmas,
+        sigmas=sigmas,
         complete_radius=complete_radius,
         collisions=collisions,
         truncated=truncated,

@@ -24,7 +24,8 @@ Parses `src/kleindim/*.py` and checks that
   package does not depend on, and
 - every subcommand option but --config sets a RunConfig field, with the
   field's default and the same flags in every subcommand, so the CLI and
-  the report cannot drift apart.
+  the report cannot drift apart, and
+- no line of a package source is longer than MAX_LINE characters.
 """
 
 import ast
@@ -295,3 +296,13 @@ def test_cli_options_are_run_config_fields():
                 wrong.append(label)
     assert wrong == []
     assert set(flags) == fields
+
+
+MAX_LINE = 100
+
+
+def test_lines_fit_the_width():
+    long = [f"{path.name}:{i}" for path in sorted(PACKAGE.glob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if len(line) > MAX_LINE]
+    assert long == []

@@ -129,13 +129,24 @@ class TestEnumerateBall:
         assert b1.words == b2.words
         assert np.array_equal(b1.mats, b2.mats)
 
-    def test_sigma_propagation(self):
+    def test_sigma_propagation(self, monkeypatch):
         g = MoebiusMap.vertical_translation(1.0)
         h = helpers.axis_translation(1.0, 3.0, 4.0)
         ball = enumerate_ball([g, h], BallLimit(max_word_len=2),
                               sigma_values=[1, 0])
         for word, s in zip(ball.words, ball.sigmas.tolist()):
             assert s == helpers.sigma(word, 1)
+        # an extension ball with every letter but one graded, with mixed
+        # signs, against the row-by-row reference at any pass budget
+        gens, limit, kwargs = _extension_args(
+            (2, 4.0), BallLimit(max_displacement=9.0, max_count=3_000))
+        kwargs["sigma_values"] = [2, -1, 0, 3, 1]
+        want = helpers.reference_ball(gens, limit, **kwargs).sigmas
+        assert len(want) > 500 and want.min() < 0 < want.max()
+        for budget in (_core.PASS_BUDGET, 7):
+            monkeypatch.setattr(_core, "PASS_BUDGET", budget)
+            got = enumerate_ball(gens, limit, **kwargs).sigmas
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), budget
 
     def test_truncation_monotone_in_level(self):
         rep = helpers.hnn_for(1, 3.0)
@@ -417,6 +428,23 @@ def _reference(name):
 @pytest.mark.parametrize("budget", [None, 7], ids=["default-budget", "budget-7"])
 @pytest.mark.parametrize("name", sorted(REFERENCE_BALLS))
 def test_ball_matches_row_by_row_reference(monkeypatch, name, budget):
+    # every field at any pass budget; and a duplicate of a band row whose
+    # layer has retired is checked against the row's matrix formed again
+    # from its nearest ancestor that kept one: the bytes the search stored
+    stored, replayed = [], []
+    append, replay = subgroup._Store.append, subgroup._Store._replay
+
+    def recorded(store, mats, *rest):
+        stored.append(np.array(mats, dtype=np.complex128).reshape(-1, 4))
+        append(store, mats, *rest)
+
+    def counted(store, row):
+        replayed.append((row, replay(store, row)))
+        assert row < store.lo and store.slot[row] < 0
+        return replayed[-1][1]
+
+    monkeypatch.setattr(subgroup._Store, "append", recorded)
+    monkeypatch.setattr(subgroup._Store, "_replay", counted)
     gens, limit, kwargs = REFERENCE_BALLS[name]()
     if budget is not None:
         monkeypatch.setattr(_core, "PASS_BUDGET", budget)
@@ -425,6 +453,11 @@ def test_ball_matches_row_by_row_reference(monkeypatch, name, budget):
     assert len(want) > 500
     for field in BALL_FIELDS:
         assert _field_bytes(got, field) == _field_bytes(want, field), field
+    rows = np.concatenate(stored)
+    for row, mat in replayed:
+        assert mat.tobytes() == rows[row].tobytes()
+    if name == "forms-1-3-m1-orbit":
+        assert len(replayed) == 13
 
 
 # (gens, limit, keyword arguments) of the balls whose words are checked:
@@ -481,39 +514,6 @@ def test_reference_balls_reach_each_stop():
     assert _reference("extension-2-4-R9-capped").skipped > 0
 
 
-def test_retired_band_rows_are_replayed(monkeypatch):
-    # a duplicate of a band row whose layer has retired is checked against
-    # the row's matrix formed again from its nearest ancestor that kept
-    # one: the bytes the search stored, at any pass budget
-    stored, replayed = [], []
-    append, replay = subgroup._Store.append, subgroup._Store._replay
-
-    def recorded(store, mats, *rest):
-        stored.append(np.array(mats, dtype=np.complex128).reshape(-1, 4))
-        append(store, mats, *rest)
-
-    def counted(store, row):
-        replayed.append((row, replay(store, row)))
-        assert row < store.lo and store.slot[row] < 0
-        return replayed[-1][1]
-
-    monkeypatch.setattr(subgroup._Store, "append", recorded)
-    monkeypatch.setattr(subgroup._Store, "_replay", counted)
-    gens, limit, kwargs = REFERENCE_BALLS["forms-1-3-m1-orbit"]()
-    want = _reference("forms-1-3-m1-orbit")
-    for budget in (_core.PASS_BUDGET, 7):
-        monkeypatch.setattr(_core, "PASS_BUDGET", budget)
-        stored.clear()
-        replayed.clear()
-        got = enumerate_ball(gens, limit, **kwargs)
-        rows = np.concatenate(stored)
-        assert len(replayed) == 13
-        for row, mat in replayed:
-            assert mat.tobytes() == rows[row].tobytes()
-        for field in BALL_FIELDS:
-            assert _field_bytes(got, field) == _field_bytes(want, field), (budget, field)
-
-
 @pytest.mark.parametrize("budget", [None, 7], ids=["default-budget", "budget-7"])
 @pytest.mark.parametrize("name", ["forms-1-3-m2-capped", "forms-3-3-m1-capped",
                                   "extension-2-4-R9-capped"])
@@ -525,8 +525,8 @@ def test_no_row_past_the_cut_is_decided(monkeypatch, name, budget):
     new = []
     decide = subgroup._FormIndex.decide
 
-    def counted(index, store, parents, cols):
-        hits, appended = decide(index, store, parents, cols)
+    def counted(index, store, parents, cols, depth):
+        hits, appended = decide(index, store, parents, cols, depth)
         new.append(int(np.count_nonzero(hits < 0)))
         return hits, appended
 
@@ -580,9 +580,9 @@ def _identity_branches(monkeypatch):
     seen = Counter()
     decide = subgroup._FormIndex.decide
 
-    def recorded(index, store, parents, cols):
-        start, layer = store.n, index.lo + len(index.frontier)
-        hits, appended = decide(index, store, parents, cols)
+    def recorded(index, store, parents, cols, depth):
+        start, layer = store.n, store.hi
+        hits, appended = decide(index, store, parents, cols, depth)
         fresh = hits < 0
         # the appended flag of every row a hit can name: the stored rows,
         # then the new rows of this pass
@@ -645,9 +645,9 @@ def test_prefilter_never_decides_alone(monkeypatch, name):
     walked = []
     walk = subgroup._FormIndex._walk
 
-    def counted(index, store, forms):
+    def counted(index, store, forms, depth):
         walked.append(len(forms))
-        return walk(index, store, forms)
+        return walk(index, store, forms, depth)
 
     monkeypatch.setattr(subgroup._FormIndex, "_walk", counted)
     want = enumerate_ball(gens, limit, **kwargs)
@@ -670,10 +670,10 @@ def test_store_links_strictly_increase(monkeypatch, name):
     links, slots = [], []
     trie = subgroup._Store.trie
 
-    def recorded(store, keep, letters):
+    def recorded(store, keep, *rest):
         links.append(store.links[:store.n].copy())
         slots.append(store.slot[:store.n].copy())
-        return trie(store, keep, letters)
+        return trie(store, keep, *rest)
 
     monkeypatch.setattr(subgroup._Store, "trie", recorded)
     gens, limit, kwargs = REFERENCE_BALLS[name]()
@@ -695,7 +695,7 @@ def _column_refs(store):
     own: one more for every view of it that is alive.  The frontier's
     columns never grow."""
     owners = [(store, "links"), (store, "appended"), (store, "slot")] + [
-        (part, name) for part in (store.next, store.ball) for name in ("mats", "disps", "sigmas")]
+        (part, name) for part in (store.next, store.ball) for name in ("mats", "disps")]
     return [sys.getrefcount(getattr(owner, name)) - 2 for owner, name in owners]
 
 
@@ -709,7 +709,7 @@ def test_no_view_of_the_store_outlives_a_pass(monkeypatch, name):
     # call.
     store = subgroup._Store(np.eye(2, 4, dtype=np.complex128))
     view = store.links[:1]
-    assert _column_refs(store) == [1] + [0] * 8
+    assert _column_refs(store) == [1] + [0] * 6
     del view, store
     stores = []
     init = subgroup._Store.__init__
@@ -752,9 +752,9 @@ def test_no_view_of_the_store_outlives_a_pass(monkeypatch, name):
         got = enumerate_ball(gens, limit, **kwargs)
     finally:
         sys.setprofile(None)
-    assert {f.f_code.co_name for f in held} >= {"decide", "_walk", "commit", "matrices"}
+    assert {f.f_code.co_name for f in held} >= {"decide", "_walk", "matrices"}
     assert len(grown) >= 6
-    assert all(refs == [0] * 9 for refs in grown), grown
+    assert all(refs == [0] * 7 for refs in grown), grown
     for field in BALL_FIELDS:
         assert _field_bytes(got, field) == _field_bytes(want, field), field
 
@@ -762,7 +762,7 @@ def test_no_view_of_the_store_outlives_a_pass(monkeypatch, name):
 @pytest.mark.parametrize("name", ["extension-2-4-R9-capped", "forms-1-3-m1-orbit",
                                   "free-store-capped"])
 def test_matrices_are_kept_for_the_ball_and_two_live_layers(monkeypatch, name):
-    # at each retirement the matrix, displacement and grading columns hold
+    # at each retirement the matrix and displacement columns hold
     # the ball's rows of the retired layers, the frontier and the next
     # layer, each with no row to spare but the next layer's slack
     gens, limit, kwargs = REFERENCE_BALLS[name]()
@@ -774,7 +774,7 @@ def test_matrices_are_kept_for_the_ball_and_two_live_layers(monkeypatch, name):
         assert len(store.front.disps) == store.front.n
         retire(store, cap)
         ball = store.ball
-        assert len(ball.mats) == len(ball.disps) == len(ball.sigmas) == ball.n
+        assert len(ball.mats) == len(ball.disps) == ball.n
         assert ball.n == np.count_nonzero(store.slot[:store.lo] >= 0)
         assert np.all(store.slot[store.lo:store.n] < 0)
         assert np.all(ball.disps[1:] <= cap)
