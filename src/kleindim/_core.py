@@ -1,6 +1,7 @@
 """The batched kernels, in NumPy: 2x2 complex matrix products, det
 renormalization and sign fixing for the ball enumeration; attracting
-fixed points and sphere coordinates for limit-set samples.
+fixed points and sphere coordinates for limit-set samples; Moebius
+products as MoebiusMap.compose forms them, for the strata tree.
 """
 
 from __future__ import annotations
@@ -59,22 +60,27 @@ def expand(left, right):
     return out
 
 
+def _sign_flips(mats):
+    """The det-1 rows of `mats` whose sign representative is their
+    negative, by the sign rule of moebius._canonical_sign and its
+    PIVOT_TOL and REAL_TOL.  A det-1 row has an entry above PIVOT_TOL,
+    where _canonical_sign finds its pivot."""
+    big = np.abs(mats) > PIVOT_TOL
+    # the first entry with modulus above the pivot threshold
+    pivot = mats[np.arange(len(mats)), np.argmax(big, axis=1)]
+    re, im = pivot.real, pivot.imag
+    re_zero = np.abs(re) <= REAL_TOL * np.abs(pivot)
+    with np.errstate(invalid="ignore"):
+        return np.where(re_zero, im < 0.0, re < 0.0)
+
+
 def fix_sign(mats):
-    """In place: the sign representative of each det-1 row, by the sign
-    rule of moebius._canonical_sign and its PIVOT_TOL and REAL_TOL.
+    """In place: the sign representative of each det-1 row (_sign_flips).
 
     mats: (n, 4) complex128 rows (a, b, c, d).
     """
-    absval = np.abs(mats)
-    big = absval > PIVOT_TOL
-    # index of the first entry with modulus above the pivot threshold
-    pivot_idx = np.argmax(big, axis=1)
-    pivot = mats[np.arange(len(mats)), pivot_idx]
-    papb = np.abs(pivot)
-    re, im = pivot.real, pivot.imag
-    re_zero = np.abs(re) <= REAL_TOL * papb
+    flip = _sign_flips(mats)
     with np.errstate(invalid="ignore"):
-        flip = np.where(re_zero, im < 0.0, re < 0.0)
         mats[flip] *= -1.0
     return mats
 
@@ -142,6 +148,48 @@ def c_sqrt(re, im):
     out_re = np.where(zero, 0.0, np.where(pos, s, d))
     out_im = np.where(zero, im, np.copysign(np.where(pos, d, s), im))
     return out_re, out_im, ok
+
+
+def compose(left, right):
+    """The rows MoebiusMap.compose gives for left[i] @ right[i], bit for
+    bit: CPython's complex products and sums, the determinant renormalized
+    by cmath.sqrt and the sign rule of moebius._canonical_sign, applied by
+    negation (CPython's -z, which keeps the signs of zeros that a product
+    by -1.0 would change).
+
+    left, right: (n, 4) complex128 rows (a, b, c, d); either may be one
+    (1, 4) row for all.  Rows outside the mirrored domain (a non-finite
+    entry, a zero determinant, cmath.sqrt's subnormal branch) go through
+    MoebiusMap itself, so a singular product raises NumericError.
+    """
+    left, right = np.broadcast_arrays(left, right)
+    (ar, ai), (br, bi), (cr, ci), (dr, di) = ((left[:, k].real, left[:, k].imag)
+                                              for k in range(4))
+    (er, ei), (fr, fi), (gr, gi), (hr, hi) = ((right[:, k].real, right[:, k].imag)
+                                              for k in range(4))
+
+    def pair_sum(xr, xi, yr, yi, ur, ui, vr, vi):
+        """x y + u v."""
+        pr, pi = c_prod(xr, xi, yr, yi)
+        qr, qi = c_prod(ur, ui, vr, vi)
+        return pr + qr, pi + qi
+
+    out = np.empty(left.shape, dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        prods = [pair_sum(ar, ai, er, ei, br, bi, gr, gi), pair_sum(ar, ai, fr, fi, br, bi, hr, hi),
+                 pair_sum(cr, ci, er, ei, dr, di, gr, gi), pair_sum(cr, ci, fr, fi, dr, di, hr, hi)]
+        (pr, pi), (qr, qi) = c_prod(*prods[0], *prods[3]), c_prod(*prods[1], *prods[2])
+        det_r, det_i = pr - qr, pi - qi
+        sr, si, ok = c_sqrt(det_r, det_i)
+        for k, (xr, xi) in enumerate(prods):
+            out.real[:, k], out.imag[:, k] = c_quot(xr, xi, sr, si)
+    ok &= ((det_r != 0.0) | (det_i != 0.0)) & np.isfinite(out).all(axis=1)
+    flip = _sign_flips(out) & ok
+    out[flip] = -out[flip]
+    for i in np.flatnonzero(~ok).tolist():
+        m = MoebiusMap(*left[i].tolist(), _normalized=True)
+        out[i] = m.compose(MoebiusMap(*right[i].tolist(), _normalized=True)).entries()
+    return out
 
 
 def acosh_real_arg(re, im):

@@ -13,11 +13,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _core
-from .errors import BoundViolation, EnumerationBudgetExceeded, UnrealizablePath
+from .errors import (BoundViolation, EnumerationBudgetExceeded, NumericError,
+                     UnrealizablePath)
 from .hnn import solve_stable_letter
 from .moebius import BASEPOINT, MoebiusMap, hdist
 from .subgroup import BallLimit, enumerate_ball
@@ -28,6 +30,8 @@ _ENDPOINT_QUANT = 1e-6
 # (u - v)| lies this near cosh(radius) is left to the scalar acosh
 _SIEVE_MARGIN = 1e-9
 MAX_NODES = 50_000  # strata tree size at which the build gives up
+# shifts s of the leaf check's chart z -> -1/(z - s), in the order tried
+_CHART_SHIFTS = (2.718281828, 4.6692016, 7.389056)
 MAX_BENDS = 5  # bends per sampled bend path, at most
 DIM_TOL = 0.1  # slack of the dimension bound check
 
@@ -103,84 +107,93 @@ def _base_distance(e1, e2):
     return math.asinh(num / den)
 
 
-def _vertical_gap(u, v):
-    """Distance from the vertical axis {0, inf} to the geodesic with real
-    endpoints u, v; None when they share the axis or an endpoint."""
-    if u is None or v is None:
-        return 0.0 if (u not in (None, 0.0) or v not in (None, 0.0)) else None
-    if abs(u) < 1e-9 or abs(v) < 1e-9 or abs(u) > 1e9 or abs(v) > 1e9:
-        return None
-    if u == v:
-        return None
-    val = (u + v) / (u - v)
-    if abs(val) < 1.0:
-        return 0.0
-    return math.acosh(abs(val))
+def _vertical_gaps(u, u_finite, v, v_finite):
+    """Distance from the vertical axis {0, inf} to each geodesic with real
+    endpoints u, v (inf where not finite): (gap, has_gap).  There is none
+    where the endpoints share the axis or an endpoint, or where both are
+    finite and one lies outside 1e-9 <= |x| <= 1e9; one endpoint at inf
+    gives 0 unless the other is 0.  The gap above 0 is math.acosh of
+    |(u + v) / (u - v)|, mapped over those rows, since NumPy's arccosh
+    differs from libm's in the last bits.  NaN endpoints give a NaN gap."""
+    both = u_finite & v_finite
+    with np.errstate(all="ignore"):
+        au, av = np.abs(u), np.abs(v)
+        ratio = np.abs((u + v) / (u - v))
+        none = np.where(both, (au < 1e-9) | (av < 1e-9) | (au > 1e9) | (av > 1e9) | (u == v),
+                        ~(u_finite | v_finite) | (np.where(u_finite, u, v) == 0.0))
+    gap = np.zeros(len(none))
+    acosh = np.flatnonzero(both & ~none & ~(ratio < 1.0))
+    gap[acosh] = [math.acosh(x) for x in ratio[acosh].tolist()]
+    return gap, ~none
 
 
-def _endpoint_key(x):
-    if x is None or abs(x) > 1e8:
-        return (1, 0)
-    q = _ENDPOINT_QUANT * (1.0 + abs(x))
-    return (0, round(float(x) / q))
+def _geodesic_keys(u, u_finite, v, v_finite):
+    """The dedup key of each geodesic with real endpoints u, v (inf where
+    not finite), one int64 that the order of the endpoints does not
+    change.  An endpoint keys as x / (_ENDPOINT_QUANT (1 + |x|)) rounded
+    half to even, at most 1e6 in modulus, or above all those when it is
+    inf or beyond 1e8.  A NaN endpoint has no key: ValueError."""
+    keys = []
+    for x, finite in ((u, u_finite), (v, v_finite)):
+        with np.errstate(invalid="ignore"):
+            near = finite & ~(np.abs(x) > 1e8)
+            step = np.where(near, x / (_ENDPOINT_QUANT * (1.0 + np.abs(x))), 0.0)
+        if np.isnan(step).any():
+            round(math.nan)  # raises ValueError
+        keys.append(np.where(near, np.rint(step).astype(np.int64) + (1 << 21), 1 << 22))
+    return (np.minimum(*keys) << 23) + np.maximum(*keys)
 
 
-def _geodesic_key(e1, e2):
-    a, b = _endpoint_key(e1), _endpoint_key(e2)
-    return (a, b) if a <= b else (b, a)
+class _Lifts(NamedTuple):
+    """Lift candidates, one row per lift, in the order they were found."""
+
+    m: np.ndarray  # (n, 4) representative surface-group elements, entry frame
+    w: np.ndarray  # (n, 4) the same elements in standard coordinates
+    kind: np.ndarray  # (n,) "gamma" or "boundary": the axis lifted
+    gap: np.ndarray  # (n,) separation from the entry axis ({0, inf} in local frame)
+    ends: np.ndarray  # (n, 2) endpoints in the stratum's standard coordinates
+    finite: np.ndarray  # (n, 2) False where an endpoint is inf
+
+    @classmethod
+    def joined(cls, parts):
+        return cls(*(np.concatenate(column) for column in zip(*parts)))
 
 
-@dataclass
-class _Candidate:
-    m: MoebiusMap  # representative surface-group element, entry frame
-    w: MoebiusMap  # the same element in standard coordinates
-    kind: str
-    gap: float  # separation from the entry axis ({0, inf} in local frame)
-    ends: tuple  # endpoints in the stratum's standard coordinates
+def _image_endpoints(mats, z, finite=True):
+    """Images of real endpoints under real Moebius rows (a, b, c, d):
+    (values, defined).  The image of z is (a z + b) / (c z + d), undefined
+    (inf) where |c z + d| < 1e-12 (|a z| + |b| + 1); the image of inf is
+    a / c, undefined where |c| < 1e-14 |a|.
 
-
-def _image_endpoint(m, z):
-    """Image of a real endpoint (None = inf) under a real Moebius map."""
+    `mats` holds one row per endpoint, or one (1, 4) row for all; `z` is
+    one endpoint (None = inf), or one per row with `finite` False where it
+    is inf.  The arithmetic replays CPython's complex arithmetic, bit for
+    bit but for the sign of a NaN.  Where the quotient divides by zero (c,
+    or c z + d, is 0 and its threshold 0 or NaN) the value is NaN."""
     if z is None:
-        return None if abs(m.c) < 1e-14 * abs(m.a) else (m.a / m.c).real
-    den = m.c * z + m.d
-    if abs(den) < 1e-12 * (abs(m.a * z) + abs(m.b) + 1.0):
-        return None
-    return ((m.a * z + m.b) / den).real
-
-
-def _axis_endpoints(mat):
-    att, rep = mat.fixed_points()
-    return (None if att.infinite else att.z.real,
-            None if rep.infinite else rep.z.real)
-
-
-def _image_endpoints(mats, z):
-    """_image_endpoint of the real endpoint z (None = inf) under every row
-    of `mats`, replayed on arrays with CPython's complex arithmetic:
-    (values, defined), bit for bit but for the sign of a NaN.  `defined`
-    is False exactly where _image_endpoint returns None.  Where it divides
-    by zero instead (c, or c z + d, is 0 and its threshold 0 or NaN) the
-    value is NaN."""
+        z, finite = 0.0, False
     (ar, ai), (br, bi), (cr, ci), (dr, di) = ((mats[:, k].real, mats[:, k].imag)
                                               for k in range(4))
     with np.errstate(all="ignore"):
-        if z is None:
-            vals, _ = _core.c_quot(ar, ai, cr, ci)
-            undefined = np.hypot(cr, ci) < 1e-14 * np.hypot(ar, ai)
-        else:
-            # a float in a complex product is promoted to (z + 0j)
-            nr, ni = _core.c_prod(ar, ai, z, 0.0)
-            er, ei = _core.c_prod(cr, ci, z, 0.0)
-            er, ei = er + dr, ei + di
-            undefined = np.hypot(er, ei) < 1e-12 * ((np.hypot(nr, ni) + np.hypot(br, bi)) + 1.0)
-            vals, _ = _core.c_quot(nr + br, ni + bi, er, ei)
-    return vals, ~undefined
+        if finite is not True:
+            at_inf, _ = _core.c_quot(ar, ai, cr, ci)
+            at_inf_ok = ~(np.hypot(cr, ci) < 1e-14 * np.hypot(ar, ai))
+            if finite is False:
+                return at_inf, at_inf_ok
+        # a float in a complex product is promoted to (z + 0j)
+        nr, ni = _core.c_prod(ar, ai, z, 0.0)
+        er, ei = _core.c_prod(cr, ci, z, 0.0)
+        er, ei = er + dr, ei + di
+        ok = ~(np.hypot(er, ei) < 1e-12 * ((np.hypot(nr, ni) + np.hypot(br, bi)) + 1.0))
+        vals, _ = _core.c_quot(nr + br, ni + bi, er, ei)
+    if finite is True:
+        return vals, ok
+    return np.where(finite, vals, at_inf), np.where(finite, ok, at_inf_ok)
 
 
 def _may_lift(u, u_defined, v, v_defined, radius):
     """Rows whose lift with image endpoints u, v (from _image_endpoints)
-    _vertical_gap could keep within `radius`: all but those with both
+    _vertical_gaps could keep within `radius`: all but those with both
     endpoints defined and outside its endpoint window, equal, or with a
     gap beyond radius by more than _SIEVE_MARGIN.  A NaN endpoint is never
     ruled out."""
@@ -189,6 +202,12 @@ def _may_lift(u, u_defined, v, v_defined, radius):
         out = ((au < 1e-9) | (av < 1e-9) | (au > 1e9) | (av > 1e9) | (u == v)
                | (np.abs((u + v) / (u - v)) > np.cosh(radius) * (1.0 + _SIEVE_MARGIN)))
     return ~(u_defined & v_defined & out)
+
+
+def _axis_endpoints(mat):
+    att, rep = mat.fixed_points()
+    return (None if att.infinite else att.z.real,
+            None if rep.infinite else rep.z.real)
 
 
 def _entry_frame(surface, entry):
@@ -206,7 +225,8 @@ def _entry_frame(surface, entry):
 
 def _lift_candidates(surface, entry, radius, max_elements):
     """Distinct lifts of both gluing axes near the axis of `entry` (the
-    gamma or the boundary matrix), and the LiftBall they came from.
+    gamma or the boundary matrix), as one _Lifts, and the LiftBall they
+    came from.
 
     In the frame that carries the entry axis to {0, inf}, `entry` is
     z -> e^l z, l its translation length: it keeps every gap and adds l
@@ -245,13 +265,12 @@ def _lift_candidates(surface, entry, radius, max_elements):
     diagonals = np.array([[math.exp(0.5 * k * ell)] * 2 + [math.exp(-0.5 * k * ell)] * 2
                           for k in range(-top, top + 1)])
     window = (-(radius + 1.0), math.nextafter(radius + 1.0, math.inf))
-    out = []
+    parts = []
     for kind, ends in axes.items():
-        base = np.array([c.m.entries() for c in reps if c.kind == kind],
-                        dtype=np.complex128).reshape(-1, 4)
+        base = reps.m[reps.kind == kind]
         translates = (diagonals[:, None, :] * base[None, :, :]).reshape(-1, 4)
-        out += _select_lifts(translates, {kind: ends}, radius, frame_inv, window)
-    return out, _lift_ball(ball, cap)
+        parts.append(_select_lifts(translates, {kind: ends}, radius, frame_inv, window))
+    return _Lifts.joined(parts), _lift_ball(ball, cap)
 
 
 def _lift_ball(ball, cap):
@@ -289,48 +308,60 @@ def _lift_ball(ball, cap):
 def _select_lifts(mats, axes, radius, frame_inv, window):
     """Candidates for the images of `axes` (kind -> real endpoints, None
     = inf) under the rows of `mats`, within `radius` of the vertical
-    axis and with axial offset in the half-open `window` (lo, hi).
+    axis and with axial offset in the half-open `window` (lo, hi): a
+    _Lifts in row order, and in the order of `axes` within a row.
 
-    Each row's image endpoints come from _image_endpoints, once per axis,
-    in passes of `_core.PASS_BUDGET` (row, axis) pairs.  A pair that
-    _may_lift rules out is dropped; every other pair gets the exact scalar
-    decision (_vertical_gap, the axial window and the _geodesic_key dedup)
-    on those values, in row order and in the order of `axes` within a row,
-    so the list is the one a scalar pass of _image_endpoint over all rows
-    gives.  Only a kept lift gets a MoebiusMap and its endpoints in
-    standard coordinates.
+    The decision runs on arrays, in passes of `_core.PASS_BUDGET` (row,
+    axis) pairs: each row's image endpoints (_image_endpoints, once per
+    axis), the sieve (_may_lift), the gap (_vertical_gaps) and the axial
+    window.  Only math.acosh for a gap and math.log for the axial offset
+    0.5 log|u v| stay scalar, mapped over the pairs that reach them, since
+    NumPy's versions differ from libm's in the last bits.  The dedup keeps
+    the first pair of each _geodesic_keys key, and the kept lifts get
+    w = frame_inv m frame_inv^-1 from _core.compose and their endpoints
+    in standard coordinates from _image_endpoints, all at once.
     """
     kinds = list(axes)
     lo, hi = window
-    out = []
-    seen = set()
     step = max(_core.PASS_BUDGET // len(kinds), 1)
-    for start in range(0, len(mats), step):
+    found = []
+    # one pass at least, so that no rows give empty columns
+    for start in range(0, max(len(mats), 1), step):
         part = mats[start:start + step]
         images = [_image_endpoints(part, e1) + _image_endpoints(part, e2)
                   for e1, e2 in axes.values()]
         # the (row, axis) pairs _may_lift keeps, row by row, and their
         # u, u_defined, v, v_defined
         rows, axis = np.nonzero(np.stack([_may_lift(*image, radius) for image in images], 1))
-        columns = (np.stack(column, 1)[rows, axis].tolist() for column in zip(*images))
-        for row, a, u, u_defined, v, v_defined in zip(rows.tolist(), axis.tolist(), *columns):
-            u, v = (u if u_defined else None), (v if v_defined else None)
-            gap = _vertical_gap(u, v)
-            if gap is None or gap > radius:
-                continue
-            if u is not None and v is not None:
-                axial = 0.5 * math.log(abs(u * v)) if abs(u * v) > 0 else 0.0
-                if not lo <= axial < hi:
-                    continue
-            key = _geodesic_key(u, v)
-            if key in seen:
-                continue
-            seen.add(key)
-            m = MoebiusMap(*part[row].tolist(), _normalized=True)
-            ends = (_image_endpoint(frame_inv, u), _image_endpoint(frame_inv, v))
-            out.append(_Candidate(m=m, w=m.conjugate_by(frame_inv), kind=kinds[a],
-                                  gap=gap, ends=ends))
-    return out
+        u, u_ok, v, v_ok = (np.stack(column, 1)[rows, axis] for column in zip(*images))
+        gap, has_gap = _vertical_gaps(u, u_ok, v, v_ok)
+        keep = np.flatnonzero(has_gap & ~(gap > radius))
+        both = u_ok[keep] & v_ok[keep]
+        with np.errstate(invalid="ignore"):
+            size = np.abs(u[keep] * v[keep])
+            logged = np.flatnonzero(both & (size > 0))
+        axial = np.zeros(len(keep))
+        axial[logged] = [0.5 * math.log(x) for x in size[logged].tolist()]
+        keep = keep[~both | ((lo <= axial) & (axial < hi))]
+        found.append((start + rows[keep], axis[keep], u[keep], u_ok[keep], v[keep],
+                      v_ok[keep], gap[keep]))
+    row, axis, u, u_ok, v, v_ok, gap = (np.concatenate(column) for column in zip(*found))
+    _, first = np.unique(_geodesic_keys(u, u_ok, v, v_ok), return_index=True)
+    first.sort()
+    q = np.array([frame_inv.entries()])
+    m = mats[row[first]]
+    ends = [_image_endpoints(q, x[first], ok[first]) for x, ok in ((u, u_ok), (v, v_ok))]
+    w = _core.compose(_core.compose(q, m), np.array([frame_inv.inverse().entries()]))
+    return _Lifts(m=m, w=w, kind=np.array(kinds)[axis[first]], gap=gap[first],
+                  ends=np.stack([ends[0][0], ends[1][0]], 1),
+                  finite=np.stack([ends[0][1], ends[1][1]], 1))
+
+
+def _endpoint_tuples(values, finite):
+    """Rows of real endpoints as tuples, None where an endpoint is inf."""
+    (u, v), (u_ok, v_ok) = values.T.tolist(), finite.T.tolist()
+    return [(x if x_ok else None, y if y_ok else None)
+            for x, y, x_ok, y_ok in zip(u, v, u_ok, v_ok)]
 
 
 def build_strata_tree(rep, radius, max_depth=4, max_elements=200_000):
@@ -339,66 +370,110 @@ def build_strata_tree(rep, radius, max_depth=4, max_elements=200_000):
     Children of a stratum are the distinct lifts of the two gluing axes;
     a node's distance accumulates the separations along its chain, and
     `frame` unfolds the node's plane isometrically onto the base plane.
+    The nodes are in the order of a depth-first walk that pushes a node's
+    children in lift-list order and so visits them last first; at depth 1
+    it keeps the first node it visits of each projected geodesic
+    (_geodesic_keys), the last in list order.
+
+    The tree is built a depth at a time on arrays, in three steps.
+    - Shape: each depth's children as (parent, lift) pairs, a lift being
+      a child where its gap is at least GAP_TOL and the parent's d plus
+      the gap is at most `radius`, in passes of `_core.PASS_BUDGET` pairs.
+      A depth that takes the tree past MAX_NODES raises before any frame
+      is formed.
+    - Order: each node's place in the walk, from subtree sizes.
+    - Frames: parent frame @ w @ t_real^(+-1) by _core.compose and the
+      projected endpoints by _image_endpoints, a depth at a time.
+    Only the depth-1 distances from the base point (_base_distance, by
+    math.asinh) and the StrataNode records are made one at a time.
     """
     surface = rep.surface
     # Fuchsian counterpart of the stable letter: carries the boundary
     # axis to the designated curve's axis with matching translation
     t_real = solve_stable_letter(surface, rotation=0.0)
 
-    # candidate lifts per entry type, in standard surface coordinates
-    cands, lift_balls = {}, {}
+    # candidate lifts per entry type, in standard surface coordinates, as
+    # one list, the gamma entry's first; crossing a lift of the curve, the
+    # far side enters the next stratum through its boundary axis
+    parts, lift_balls = [], {}
     for kind, entry in (("gamma", surface.gamma_matrix()),
                         ("boundary", surface.boundary_matrix())):
-        cands[kind], lift_balls[kind] = _lift_candidates(surface, entry, radius,
-                                                         max_elements)
+        lifts, lift_balls[kind] = _lift_candidates(surface, entry, radius, max_elements)
+        parts.append(lifts)
+    lifts = _Lifts.joined(parts)
+    split = len(parts[0].gap)
+    pools = {"gamma": np.arange(split, len(lifts.gap)), "boundary": np.arange(split)}
 
-    gaps = {kind: np.array([c.gap for c in cs], dtype=float) for kind, cs in cands.items()}
-
-    ident = MoebiusMap.identity()
-    root = StrataNode(parent=-1, depth=0, kind="", d=0.0, gap=0.0,
-                      proj=(), frame=ident)
-    nodes = [root]
-
-    # depth-1 children: lifts measured from the base point itself
-    stack = []
-    for c in cands["gamma"] + cands["boundary"]:
-        d = _base_distance(*c.ends)
-        if d <= radius:
-            stack.append((0, 1, c, d))
-
-    seen_depth1 = set()
-    while stack:
-        parent_idx, depth, cand, d = stack.pop()
-        parent = nodes[parent_idx]
-        proj = tuple(_image_endpoint(parent.frame, e) for e in cand.ends)
-        if depth == 1:
-            key = _geodesic_key(*proj)
-            if key in seen_depth1:
+    # shape.  Depth 1: lifts measured from the base point itself
+    d = np.array([_base_distance(*ends) for ends in _endpoint_tuples(lifts.ends, lifts.finite)])
+    lift = np.flatnonzero(d <= radius)
+    root = StrataNode(parent=-1, depth=0, kind="", d=0.0, gap=0.0, proj=(),
+                      frame=MoebiusMap.identity())
+    frames = np.array([root.frame.entries()])
+    proj = [_image_endpoints(frames, lifts.ends[lift, k], lifts.finite[lift, k]) for k in (0, 1)]
+    _, last = np.unique(_geodesic_keys(*proj[0], *proj[1])[::-1], return_index=True)
+    lift = lift[np.sort(len(lift) - 1 - last)]
+    layers = [(np.zeros(len(lift), dtype=np.int64), lift, d[lift])]
+    count = 1 + len(lift)
+    while len(layers) < max_depth and count <= MAX_NODES and len(layers[-1][1]):
+        _, above, d = layers[-1]
+        pairs = []
+        for kind, pool in pools.items():
+            who = np.flatnonzero(lifts.kind[above] == kind)
+            if not len(who):
                 continue
-            seen_depth1.add(key)
-        if cand.kind == "gamma":
-            # crossing a lift of the curve: the far side enters through
-            # the boundary axis of the next stratum
-            frame = parent.frame @ cand.w @ t_real
-            child_entry = "boundary"
-        else:
-            frame = parent.frame @ cand.w @ t_real.inverse()
-            child_entry = "gamma"
-        idx = len(nodes)
-        nodes.append(StrataNode(parent=parent_idx, depth=depth,
-                                kind=cand.kind, d=d, gap=d if depth == 1 else cand.gap,
-                                proj=proj, frame=frame))
-        if len(nodes) > MAX_NODES:
-            raise EnumerationBudgetExceeded(
-                f"strata tree exceeded {MAX_NODES} nodes")
-        if depth >= max_depth:
-            continue
-        # children in list order; a gap below GAP_TOL is the entry
-        # geodesic itself
-        d_child = d + gaps[child_entry]
-        children = cands[child_entry]
-        for i in np.flatnonzero((gaps[child_entry] >= GAP_TOL) & (d_child <= radius)).tolist():
-            stack.append((idx, depth + 1, children[i], float(d_child[i])))
+            # a gap below GAP_TOL is the entry geodesic itself; d + gap
+            # rounds monotonically in d, so a lift beyond the nearest
+            # parent's reach is no node's child
+            gap = lifts.gap[pool]
+            pool = pool[(gap >= GAP_TOL) & (d[who].min() + gap <= radius)]
+            gap = lifts.gap[pool]
+            rows = max(_core.PASS_BUDGET // max(len(pool), 1), 1)
+            for s in range(0, len(who), rows):
+                parent = who[s:s + rows]
+                reach = d[parent, None] + gap
+                i, j = np.nonzero(reach <= radius)
+                pairs.append((parent[i], pool[j], reach[i, j]))
+        parent, child, d_child = (np.concatenate(column) for column in zip(*pairs))
+        # a node's children in list order, nodes in layer order
+        order = np.argsort(parent, kind="stable")
+        layers.append((parent[order], child[order], d_child[order]))
+        count += len(parent)
+    if count > MAX_NODES:
+        raise EnumerationBudgetExceeded(f"strata tree exceeded {MAX_NODES} nodes")
+
+    # order: a node is followed by its children's subtrees, the last
+    # child's first
+    sizes = [np.ones(len(layers[-1][1]), dtype=np.int64)]
+    for (parent, _, _), (_, above, _) in zip(layers[:0:-1], layers[-2::-1]):
+        below = np.bincount(parent, weights=sizes[0], minlength=len(above))
+        sizes.insert(0, 1 + below.astype(np.int64))
+    places = [np.zeros(1, dtype=np.int64)]
+    for (parent, _, _), size in zip(layers, sizes):
+        after = np.cumsum(size)
+        last = np.searchsorted(parent, parent, side="right") - 1
+        places.append(places[-1][parent] + 1 + (after[last] - after))
+
+    # frames, a depth at a time
+    nodes = [root] + [None] * (count - 1)
+    turns = np.array([t_real.entries(), t_real.inverse().entries()])
+    for depth, (parent, lift, d) in enumerate(layers, start=1):
+        above = frames[parent]
+        proj = [_image_endpoints(above, lifts.ends[lift, k], lifts.finite[lift, k])
+                for k in (0, 1)]
+        kinds = lifts.kind[lift]
+        # a gamma lift's far side enters through the boundary axis: t_real;
+        # a boundary lift's through the curve's axis: t_real^-1
+        frames = _core.compose(_core.compose(above, lifts.w[lift]),
+                               turns[(kinds == "boundary").astype(np.int64)])
+        gaps = d if depth == 1 else lifts.gap[lift]
+        ends = _endpoint_tuples(np.stack([proj[0][0], proj[1][0]], 1),
+                                np.stack([proj[0][1], proj[1][1]], 1))
+        for at, up, kind, dist, gap, end, frame in zip(
+                places[depth].tolist(), places[depth - 1][parent].tolist(), kinds.tolist(),
+                d.tolist(), gaps.tolist(), ends, frames.tolist()):
+            nodes[at] = StrataNode(parent=up, depth=depth, kind=kind, d=dist, gap=gap,
+                                   proj=end, frame=MoebiusMap(*frame, _normalized=True))
     return StrataTree(nodes=nodes, radius=radius, lift_balls=lift_balls)
 
 
@@ -420,25 +495,16 @@ class LeafTable:
         return [r for r in self.rows if r.leaves_at_d > r.bound]
 
 
-def _finite_chart(endpoints_list):
-    """Map all real/inf endpoints and the base point through z -> -1/(z-s)
-    for a shift s keeping every image finite."""
-    for s in (2.718281828, 4.6692016, 7.389056):
-        ok = True
-        for e1, e2 in endpoints_list:
-            for e in (e1, e2):
-                if e is not None and abs(e - s) < 1e-6:
-                    ok = False
-        if ok:
-            m = MoebiusMap(0.0, -1.0, 1.0, -s)
-            z0 = m.apply(BASEPOINT)
-            conv = []
-            for e1, e2 in endpoints_list:
-                a = -1.0 / (e1 - s) if e1 is not None else 0.0
-                b = -1.0 / (e2 - s) if e2 is not None else 0.0
-                conv.append((a, b))
-            return complex(z0.z.real, z0.t), conv
-    raise RuntimeError("no admissible chart shift")
+def _finite_chart(ends, finite):
+    """Map the real endpoints `ends` (inf where not `finite`) and the base
+    point through z -> -1/(z - s) for a shift s keeping every image
+    finite: (the base point's image, the endpoints' images, 0 for inf)."""
+    for s in _CHART_SHIFTS:
+        if (finite & (np.abs(ends - s) < 1e-6)).any():
+            continue
+        z0 = MoebiusMap(0.0, -1.0, 1.0, -s).apply(BASEPOINT)
+        return complex(z0.z.real, z0.t), np.where(finite, -1.0 / (ends - s), 0.0)
+    raise NumericError("no admissible chart shift")
 
 
 def leaf_count_check(tree, r):
@@ -447,49 +513,105 @@ def leaf_count_check(tree, r):
     A stratum carries a copy of a node's geodesic at comparable distance
     exactly when every geodesic along the stratum's chain separates the
     base point from the target; the count of such strata is the leaf
-    multiplicity.  Every row is returned; `LeafTable.violations` lists
-    those above their bound.
+    multiplicity.  Every row is returned, sorted by d (stable);
+    `LeafTable.violations` lists those above their bound.  The counts are
+    batched a depth at a time (_leaf_counts); only the rows and their
+    bounds are made one at a time.
     """
     nodes = tree.nodes
-    n = len(nodes)
-    if n == 1:
+    if len(nodes) == 1:
         return LeafTable(rows=[LeafRow(d=0.0, leaves_at_d=1, bound=2.0)])
-    z0, ends = _finite_chart([nd.proj for nd in nodes[1:]])
-    centers = np.array([(a + b) / 2.0 for a, b in ends])
-    radii = np.array([abs(a - b) / 2.0 for a, b in ends])
-    e1 = np.array([a for a, _ in ends])
-    e2 = np.array([b for _, b in ends])
-
-    # sep over targets: does node m's entry geodesic separate the base
-    # point from each target geodesic.  The nodes are in depth-first
-    # preorder, so a node's parent is the last node kept one level up, and
-    # one chain mask per depth suffices: chain_ok[k] is node last[k]'s
-    z_in = np.abs(z0 - centers) < radii
-    counts = np.ones(n - 1, dtype=np.int64)  # the base stratum always counts
-    chain_ok, last = {0: np.ones(n - 1, dtype=bool)}, {0: 0}
-    for m in range(1, n):
-        nd = nodes[m]
-        if last.get(nd.depth - 1) != nd.parent:
-            raise ValueError("strata nodes are not in depth-first preorder")
-        c, rad = centers[m - 1], radii[m - 1]
-        in1 = (e1 - c) ** 2 < rad * rad
-        in2 = (e2 - c) ** 2 < rad * rad
-        if z_in[m - 1]:
-            sep = ~in1 & ~in2
-        else:
-            sep = in1 & in2
-        sep[m - 1] = False  # a geodesic does not separate from itself
-        ok = chain_ok[nd.depth - 1] & sep
-        chain_ok[nd.depth], last[nd.depth] = ok, m
-        counts += ok
-
+    counts = _leaf_counts(nodes)
     rows = [LeafRow(d=0.0, leaves_at_d=1, bound=2.0)]
-    order = sorted(range(1, n), key=lambda m: nodes[m].d)
-    for m in order:
-        d = nodes[m].d
-        bound = 2.0 ** (1.0 + d / (2.0 * r))
-        rows.append(LeafRow(d=d, leaves_at_d=int(counts[m - 1]), bound=bound))
+    d = np.fromiter((nd.d for nd in nodes[1:]), dtype=np.float64, count=len(counts))
+    for m in np.argsort(d, kind="stable").tolist():
+        dm = nodes[m + 1].d
+        rows.append(LeafRow(d=dm, leaves_at_d=counts[m], bound=2.0 ** (1.0 + dm / (2.0 * r))))
     return LeafTable(rows=rows)
+
+
+def _leaf_counts(nodes):
+    """The leaf multiplicity of each node but the root, as a list.
+
+    The chains are followed a depth at a time on arrays: the (node,
+    target) pairs whose chain so far separates the base point from the
+    target, in passes of `_core.PASS_BUDGET` pairs.  A node tests only
+    targets alive at its parent (at the root, every target), and one
+    bincount counts each target's pairs.  The nodes must be in depth-first
+    preorder, each node's parent the last node before it one level up
+    (ValueError otherwise), as build_strata_tree gives them.
+    """
+    n = len(nodes)
+    ends = np.fromiter((0.0 if e is None else e for nd in nodes[1:] for e in nd.proj),
+                       dtype=np.float64, count=2 * (n - 1)).reshape(-1, 2)
+    finite = np.fromiter((e is not None for nd in nodes[1:] for e in nd.proj),
+                         dtype=bool, count=2 * (n - 1)).reshape(-1, 2)
+    z0, ends = _finite_chart(ends, finite)
+    depth = np.fromiter((nd.depth for nd in nodes), dtype=np.int64, count=n)
+    parent = np.fromiter((nd.parent for nd in nodes), dtype=np.int64, count=n)
+    # the last node before each node one level up, by keys depth n + index
+    keys = depth * n + np.arange(n)
+    ranked = np.sort(keys)
+    at = np.searchsorted(ranked, keys[1:] - n) - 1
+    last = ranked[np.maximum(at, 0)]
+    if not np.all((at >= 0) & (last // n == depth[1:] - 1) & (last % n == parent[1:])):
+        raise ValueError("strata nodes are not in depth-first preorder")
+
+    # node and target m stand for nodes[m + 1]
+    e1, e2 = ends[:, 0], ends[:, 1]
+    centers = (e1 + e2) / 2.0
+    radii = np.abs(e1 - e2) / 2.0
+    squares = radii * radii
+    z_in = np.abs(z0 - centers) < radii
+    # a node whose disk leaves out z0 separates only targets with both
+    # endpoints in the disk, so it tests only the targets on its parent's
+    # list whose first endpoint e lies in [c - r, c + r], both ends rounded:
+    # rounding is monotone, so (e - c)^2 < r^2 as rounded gives |e - c| < r.
+    # The lists are kept in the order of that endpoint, by its rank among
+    # all targets
+    order = np.argsort(e1)
+    ranked = e1[order]
+    rank = np.empty(n - 1, dtype=np.int64)
+    rank[order] = np.arange(n - 1)
+
+    def separates(m, t):
+        """Whether node m's entry geodesic separates the base point from
+        target t's, t not m."""
+        c, sq = centers[m], squares[m]
+        x = e1[t]
+        x -= c
+        in1 = x * x < sq
+        x = e2[t]
+        x -= c
+        in2 = x * x < sq
+        return np.where(z_in[m], ~(in1 | in2), in1 & in2) & (t != m)
+
+    counted = []
+    node, target = np.full(n - 1, -1), order  # the root's list: every target
+    for k in range(1, int(depth.max()) + 1):
+        layer = np.flatnonzero(depth == k) - 1
+        up = parent[layer + 1] - 1
+        c, r = centers[layer], radii[layer]
+        lo = np.where(z_in[layer], 0, np.searchsorted(ranked, c - r))
+        hi = np.where(z_in[layer], n - 1, np.searchsorted(ranked, c + r, side="right"))
+        keys = node * n + rank[target]
+        first = np.searchsorted(keys, up * n + lo)
+        size = np.searchsorted(keys, up * n + hi) - first
+        end = np.cumsum(size)
+        start = end - size
+        pairs = [(layer[:0], layer[:0])]
+        # passes over the layer's pairs, node by node
+        for s in range(0, int(end[-1]) if len(end) else 0, _core.PASS_BUDGET):
+            e = min(s + _core.PASS_BUDGET, int(end[-1]))
+            a, b = np.searchsorted(end, s, side="right"), np.searchsorted(start, e)
+            count = np.minimum(end[a:b], e) - np.maximum(start[a:b], s)
+            m = np.repeat(layer[a:b], count)
+            t = target[np.repeat(first[a:b] - start[a:b], count) + np.arange(s, e)]
+            keep = separates(m, t)
+            pairs.append((m[keep], t[keep]))
+        node, target = (np.concatenate(column) for column in zip(*pairs))
+        counted.append(target)
+    return (1 + np.bincount(np.concatenate(counted), minlength=n - 1)).tolist()
 
 
 # -- quasi-geodesic constants -----------------------------------------

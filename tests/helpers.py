@@ -10,7 +10,8 @@ import numpy as np
 
 from kleindim import _core, growth, moebius, words
 from kleindim.dimension import DEDUP_TOL
-from kleindim.hnn import build_hnn
+from kleindim.errors import EnumerationBudgetExceeded
+from kleindim.hnn import build_hnn, solve_stable_letter
 from kleindim.moebius import MoebiusMap, SpherePoint
 from kleindim.report import RunConfig, surface_stage
 from kleindim.subgroup import BallResult, Words
@@ -407,38 +408,167 @@ def reference_ball(gens, limit, sigma_values=None, presentation=None):
     )
 
 
-# -- oracle of the strata-tree lifts -----------------------------------
+# -- oracles of the strata tree ----------------------------------------
 #
-# The per-row loop growth._lift_candidates ran over the whole ball before
-# the array sieve, with the axial window as a parameter;
-# growth._select_lifts must give the same candidates, in the same order,
+# The scalar code that growth._select_lifts, build_strata_tree and
+# leaf_count_check replaced: one lift, node or chain mask at a time.  The
+# array code must give the same lifts, nodes and rows, in the same order,
 # with the same bytes.
 
+def image_endpoint(m, z):
+    """Image of a real endpoint (None = inf) under a real Moebius map."""
+    if z is None:
+        return None if abs(m.c) < 1e-14 * abs(m.a) else (m.a / m.c).real
+    den = m.c * z + m.d
+    if abs(den) < 1e-12 * (abs(m.a * z) + abs(m.b) + 1.0):
+        return None
+    return ((m.a * z + m.b) / den).real
+
+
+def vertical_gap(u, v):
+    """Distance from the vertical axis {0, inf} to the geodesic with real
+    endpoints u, v (None = inf); None when they share the axis or an
+    endpoint."""
+    if u is None or v is None:
+        return 0.0 if (u not in (None, 0.0) or v not in (None, 0.0)) else None
+    if abs(u) < 1e-9 or abs(v) < 1e-9 or abs(u) > 1e9 or abs(v) > 1e9:
+        return None
+    if u == v:
+        return None
+    val = (u + v) / (u - v)
+    if abs(val) < 1.0:
+        return 0.0
+    return math.acosh(abs(val))
+
+
+def endpoint_key(x):
+    if x is None or abs(x) > 1e8:
+        return (1, 0)
+    q = growth._ENDPOINT_QUANT * (1.0 + abs(x))
+    return (0, round(float(x) / q))
+
+
+def geodesic_key(e1, e2):
+    a, b = endpoint_key(e1), endpoint_key(e2)
+    return (a, b) if a <= b else (b, a)
+
+
+def lift_rows(lifts):
+    """The rows of a growth._Lifts, each with its kind, gap, endpoints (None
+    = inf) and its elements m and w as maps."""
+    ends = [tuple(x if ok else None for x, ok in zip(row, oks))
+            for row, oks in zip(lifts.ends.tolist(), lifts.finite.tolist())]
+    return [SimpleNamespace(kind=kind, gap=gap, ends=end, m=MoebiusMap(*m, _normalized=True),
+                            w=MoebiusMap(*w, _normalized=True))
+            for kind, gap, end, m, w in zip(lifts.kind.tolist(), lifts.gap.tolist(), ends,
+                                            lifts.m.tolist(), lifts.w.tolist())]
+
+
+def as_lifts(rows):
+    """A growth._Lifts of rows with kind, gap, ends, m and w."""
+    return growth._Lifts(
+        m=np.array([r.m.entries() for r in rows], dtype=np.complex128).reshape(-1, 4),
+        w=np.array([r.w.entries() for r in rows], dtype=np.complex128).reshape(-1, 4),
+        kind=np.array([r.kind for r in rows], dtype=str),
+        gap=np.array([r.gap for r in rows], dtype=float),
+        ends=np.array([[0.0 if e is None else e for e in r.ends] for r in rows],
+                      dtype=float).reshape(-1, 2),
+        finite=np.array([[e is not None for e in r.ends] for r in rows],
+                        dtype=bool).reshape(-1, 2))
+
+
 def scalar_lift_candidates(mats, axes, radius, frame_inv, window):
+    """growth._select_lifts as the per-row loop over the whole ball that
+    ran before the array sieve, with the axial window as a parameter."""
     lo, hi = window
     out = []
     seen = set()
     for entries in mats.tolist():
         m = MoebiusMap(*entries, _normalized=True)
         for kind, (e1, e2) in axes.items():
-            u = growth._image_endpoint(m, e1)
-            v = growth._image_endpoint(m, e2)
-            gap = growth._vertical_gap(u, v)
+            u = image_endpoint(m, e1)
+            v = image_endpoint(m, e2)
+            gap = vertical_gap(u, v)
             if gap is None or gap > radius:
                 continue
             if u is not None and v is not None:
                 axial = 0.5 * math.log(abs(u * v)) if abs(u * v) > 0 else 0.0
                 if not lo <= axial < hi:
                     continue
-            key = growth._geodesic_key(u, v)
+            key = geodesic_key(u, v)
             if key in seen:
                 continue
             seen.add(key)
-            ends = (growth._image_endpoint(frame_inv, u), growth._image_endpoint(frame_inv, v))
-            out.append(growth._Candidate(m=m, w=m.conjugate_by(frame_inv), kind=kind,
-                                         gap=gap, ends=ends))
-    return out
+            ends = (image_endpoint(frame_inv, u), image_endpoint(frame_inv, v))
+            out.append(SimpleNamespace(m=m, w=m.conjugate_by(frame_inv), kind=kind,
+                                       gap=gap, ends=ends))
+    return as_lifts(out)
 
+
+def scalar_strata_tree(rep, radius, max_depth=4, max_elements=200_000):
+    """growth.build_strata_tree as the depth-first walk it ran one node at
+    a time: a stack of (parent, depth, lift, d), MoebiusMap frames and
+    the depth-1 dedup as each node is popped."""
+    surface = rep.surface
+    t_real = solve_stable_letter(surface, rotation=0.0)
+    cands, lift_balls = {}, {}
+    for kind, entry in (("gamma", surface.gamma_matrix()),
+                        ("boundary", surface.boundary_matrix())):
+        lifts, lift_balls[kind] = growth._lift_candidates(surface, entry, radius,
+                                                          max_elements)
+        cands[kind] = lift_rows(lifts)
+    gaps = {kind: np.array([c.gap for c in cs], dtype=float) for kind, cs in cands.items()}
+
+    ident = MoebiusMap.identity()
+    root = growth.StrataNode(parent=-1, depth=0, kind="", d=0.0, gap=0.0,
+                             proj=(), frame=ident)
+    nodes = [root]
+    stack = []
+    for c in cands["gamma"] + cands["boundary"]:
+        d = growth._base_distance(*c.ends)
+        if d <= radius:
+            stack.append((0, 1, c, d))
+
+    seen_depth1 = set()
+    while stack:
+        parent_idx, depth, cand, d = stack.pop()
+        parent = nodes[parent_idx]
+        proj = tuple(image_endpoint(parent.frame, e) for e in cand.ends)
+        if depth == 1:
+            key = geodesic_key(*proj)
+            if key in seen_depth1:
+                continue
+            seen_depth1.add(key)
+        if cand.kind == "gamma":
+            frame = parent.frame @ cand.w @ t_real
+            child_entry = "boundary"
+        else:
+            frame = parent.frame @ cand.w @ t_real.inverse()
+            child_entry = "gamma"
+        idx = len(nodes)
+        nodes.append(growth.StrataNode(parent=parent_idx, depth=depth,
+                                       kind=cand.kind, d=d, gap=d if depth == 1 else cand.gap,
+                                       proj=proj, frame=frame))
+        if len(nodes) > growth.MAX_NODES:
+            raise EnumerationBudgetExceeded(
+                f"strata tree exceeded {growth.MAX_NODES} nodes")
+        if depth >= max_depth:
+            continue
+        d_child = d + gaps[child_entry]
+        children = cands[child_entry]
+        for i in np.flatnonzero((gaps[child_entry] >= growth.GAP_TOL)
+                                & (d_child <= radius)).tolist():
+            stack.append((idx, depth + 1, children[i], float(d_child[i])))
+    return growth.StrataTree(nodes=nodes, radius=radius, lift_balls=lift_balls)
+
+
+def node_ends(nodes):
+    """The projected endpoints of `nodes` as the (values, finite) arrays
+    growth._finite_chart takes, 0 for inf."""
+    ends = np.array([[0.0 if e is None else e for e in nd.proj] for nd in nodes],
+                    dtype=float).reshape(-1, 2)
+    return ends, np.array([[e is not None for e in nd.proj] for nd in nodes],
+                          dtype=bool).reshape(-1, 2)
 
 
 # -- oracle of the leaf-count table -------------------------------------
@@ -452,11 +582,11 @@ def per_node_leaf_table(tree, r):
     n = len(nodes)
     if n == 1:
         return growth.LeafTable(rows=[growth.LeafRow(d=0.0, leaves_at_d=1, bound=2.0)])
-    z0, ends = growth._finite_chart([nd.proj for nd in nodes[1:]])
-    centers = np.array([(a + b) / 2.0 for a, b in ends])
-    radii = np.array([abs(a - b) / 2.0 for a, b in ends])
-    e1 = np.array([a for a, _ in ends])
-    e2 = np.array([b for _, b in ends])
+    z0, ends = growth._finite_chart(*node_ends(nodes[1:]))
+    centers = np.array([(a + b) / 2.0 for a, b in ends.tolist()])
+    radii = np.array([abs(a - b) / 2.0 for a, b in ends.tolist()])
+    e1 = np.array([a for a, _ in ends.tolist()])
+    e2 = np.array([b for _, b in ends.tolist()])
     z_in = np.abs(z0 - centers) < radii
     counts = np.ones(n - 1, dtype=np.int64)
     chain_ok = [None] * n

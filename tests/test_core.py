@@ -5,7 +5,8 @@ by replaying CPython's complex arithmetic with real NumPy ufuncs.
 `_core.expand` reproduces, pair by pair, the products of
 np.einsum("nab,kbc->nkac") bit for bit with real ufuncs, and
 `_core.fix_sign` on the rows the ball enumeration keeps gives the bytes
-the sign fix of every row gave.  These
+the sign fix of every row gave.  `_core.compose` reproduces
+MoebiusMap.compose bit for bit.  These
 tests compare each primitive with CPython or NumPy itself on seeded
 inputs, so a NumPy or CPython upgrade that changes one of them fails here
 instead of silently changing report bytes.
@@ -19,7 +20,8 @@ import pytest
 
 import helpers
 from kleindim import _core
-from kleindim.moebius import LOXO_TOL, MoebiusMap
+from kleindim.errors import NumericError
+from kleindim.moebius import LOXO_TOL, PIVOT_TOL, REAL_TOL, MoebiusMap
 
 _SPECIAL = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -3.0, 1e-300, -1e-300, 2.5e-308,
             1e150, -1e150, 1e-150]
@@ -242,3 +244,101 @@ def test_displacements_match_the_length_4_sum(seed):
     assert got.tobytes() == want.tobytes()
     assert np.isnan(want).sum() > 100 and np.isinf(want).sum() > 100
     assert np.count_nonzero((parts > 0.0) & (parts < 2.2250738585072014e-308)) > 100
+
+
+def _composed(left, right):
+    """MoebiusMap.compose of each pair of rows, either side broadcast."""
+    left, right = np.broadcast_arrays(left, right)
+    maps = [(MoebiusMap(*x, _normalized=True), MoebiusMap(*y, _normalized=True))
+            for x, y in zip(left.tolist(), right.tolist())]
+    return np.array([x.compose(y).entries() for x, y in maps],
+                    dtype=np.complex128).reshape(-1, 4)
+
+
+def _nonsingular(left, right):
+    """The pairs of rows whose product MoebiusMap can normalize, all but a
+    few: a product of det-1 rows with entries near 1e-10 and 1e10 can
+    round to determinant 0."""
+    keep = []
+    for i, (x, y) in enumerate(zip(left.tolist(), right.tolist())):
+        try:
+            MoebiusMap(*x, _normalized=True).compose(MoebiusMap(*y, _normalized=True))
+            keep.append(i)
+        except NumericError:
+            pass
+    assert len(keep) > 0.99 * len(left)
+    return left[keep], right[keep]
+
+
+def _same_rows(got, want):
+    """Equal bytes, NaNs included."""
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_compose_mirrors_moebius_compose(seed):
+    # det-1 rows, real rows (whose zero imaginary parts keep or lose their
+    # sign under the sign rule) and rows of any determinant and scale
+    rng = np.random.default_rng(seed)
+    real = rng.standard_normal((1000, 4)) + 0j
+    scaled = _unit_rows(seed + 200, 1000) * 10.0 ** rng.uniform(-50, 50, (1000, 1))
+    left = np.concatenate([_unit_rows(seed, 1000), real, scaled])
+    right = np.concatenate([_unit_rows(seed + 100, 1000), real[::-1], scaled[::-1]])
+    for x, y in ((left, right), (left[:1], right), (left, right[-1:])):
+        x, y = _nonsingular(*np.broadcast_arrays(x, y))
+        assert _same_rows(_core.compose(x, y), _composed(x, y))
+    # real products of positive determinant have zero imaginary parts,
+    # of both signs once the sign rule has negated some
+    imag = _core.compose(real, real[::-1]).imag
+    zeros = imag[imag == 0.0]
+    assert zeros.size > 1000 and 100 < np.signbit(zeros).sum() < zeros.size - 100
+
+
+def _steps(x, k=16):
+    """x and its neighbours up to k ulps either side, ascending."""
+    out, lo, hi = [x], x, x
+    for _ in range(k):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return sorted(float(v) for v in out)
+
+
+@pytest.mark.parametrize("threshold", ["pivot", "real"])
+def test_compose_sign_rule_at_its_thresholds(threshold):
+    # rows (a, 1, -1, 0) of det 1, composed with the identity: a stays a,
+    # and whether a is the pivot (PIVOT_TOL), or whether its real part
+    # counts as zero (REAL_TOL), decides the sign
+    if threshold == "pivot":
+        firsts = [complex(-t, 0.0) for t in _steps(PIVOT_TOL)]
+    else:
+        firsts = [complex(t, -1.0) for t in _steps(REAL_TOL)]
+    rows = np.array([(a, 1, -1, 0) for a in firsts], dtype=np.complex128)
+    ident = np.array([[1, 0, 0, 1]], dtype=np.complex128)
+    got = _core.compose(ident, rows)
+    assert _same_rows(got, _composed(ident, rows))
+    flips = got[:, 1].real < 0
+    assert 0 < flips.sum() < len(rows)
+
+
+def test_compose_singular_product_raises():
+    left = np.array([[1, 1, 1, 1]], dtype=np.complex128)
+    right = _unit_rows(0, 5)
+    with pytest.raises(NumericError, match="singular matrix"):
+        _core.compose(left, right)
+    with pytest.raises(NumericError, match="singular matrix"):
+        _composed(left, right)
+
+
+def test_compose_rows_outside_the_mirror():
+    # non-finite entries, products that overflow, and a subnormal
+    # determinant (cmath.sqrt's other branch): MoebiusMap's own bytes
+    inf, nan = math.inf, math.nan
+    rows = np.array([(inf, 0, 0, 1), (nan, 0, 0, 1), (1, inf, 0, 1), (1, 0, complex(0, nan), 1),
+                     (1e300, 1e300, 1, 1), (1e200, 0, 0, 1e200), (1e-160, 0, 0, 1e-160),
+                     (1, 2, 3, 5)], dtype=np.complex128)
+    right = np.concatenate([_unit_rows(3, 4), np.array([[2, 1, 1, 1]], dtype=np.complex128)])
+    for x, y in ((rows, right[:1]), (right[-1:], rows)):
+        with np.errstate(all="ignore"):
+            want = _composed(x, y)
+        assert _same_rows(_core.compose(x, y), want)
+        assert not np.isfinite(want).all()

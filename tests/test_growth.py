@@ -13,7 +13,7 @@ import pytest
 import helpers
 from kleindim import _core, growth
 from kleindim.dimension import DimEstimate
-from kleindim.errors import UnrealizablePath
+from kleindim.errors import EnumerationBudgetExceeded, NumericError, UnrealizablePath
 from kleindim.growth import (BendPath, LeafRow, LeafTable, QiFit,
                              _rotation_about_i, build_strata_tree,
                              dim_bound_check, endpoint_distance, entropy_bound,
@@ -154,9 +154,10 @@ def _bits(x):
     return struct.pack("<dd", x.real, x.imag)
 
 
-def _candidate_bits(cands):
+def _candidate_bits(lifts):
     return [(c.kind, _bits(c.gap), tuple(_bits(e) for e in c.ends),
-             tuple(_bits(e) for e in c.w.entries())) for c in cands]
+             tuple(_bits(e) for e in c.w.entries()), tuple(_bits(e) for e in c.m.entries()))
+            for c in helpers.lift_rows(lifts)]
 
 
 def _node_bits(tree):
@@ -179,7 +180,7 @@ _C3 = math.cosh(3.0)
 
 
 def _den(b):
-    """_image_endpoint's threshold on |c z + d| at z = 0, a = 1."""
+    """The image endpoint's threshold on |c z + d| at z = 0, a = 1."""
     return 1e-12 * ((0.0 + b) + 1.0)
 
 
@@ -208,7 +209,7 @@ _EDGE_CASES = {
     # both endpoints round to one image, or to neighbouring floats
     "equal_images": ([(1e8, -k * 1e-9, 1e8, 0) for k in range(1, 20)],
                      {"gamma": (1.0, 2.0), "boundary": (3.0, 4.0)}, 40.0),
-    # |u| at the edges of _vertical_gap's endpoint window
+    # |u| at the edges of the gap's endpoint window
     "endpoint_window": ([(s, 0, 0, 1) for s in _ulps(1e-9) + _ulps(1e9) + _ulps(-1e9)],
                         {"gamma": (1.0, -1.0)}, 25.0),
     # |(u + v) / (u - v)| within ulps of cosh(radius), and just outside
@@ -235,7 +236,7 @@ def _outcome(select, rows, axes, radius, window=None):
     try:
         return _candidate_bits(select(np.array(rows, dtype=np.complex128).reshape(-1, 4),
                                       axes, radius, _IDENT, window or _closed_window(radius)))
-    except ValueError as exc:  # a NaN endpoint fails in _endpoint_key
+    except ValueError as exc:  # a NaN endpoint has no key
         return repr(exc)
 
 
@@ -262,7 +263,7 @@ class TestLiftSieve:
         got, _ = growth._lift_candidates(surface, _entry(surface, entry), radius, 20_000)
         monkeypatch.setattr(growth, "_select_lifts", helpers.scalar_lift_candidates)
         want, _ = growth._lift_candidates(surface, _entry(surface, entry), radius, 20_000)
-        assert len(want) > 10
+        assert len(want.gap) > 10
         assert _candidate_bits(got) == _candidate_bits(want)
 
     @pytest.mark.parametrize("entry", ["gamma", "boundary"])
@@ -276,7 +277,7 @@ class TestLiftSieve:
         monkeypatch.setattr(_core, "PASS_BUDGET", 7)
         got, got_ball = growth._lift_candidates(surface, _entry(surface, entry), radius,
                                                 20_000)
-        assert len(want) > 10
+        assert len(want.gap) > 10
         assert _candidate_bits(got) == _candidate_bits(want)
         assert got_ball == want_ball
 
@@ -296,11 +297,11 @@ class TestLiftSieve:
             _assert_same_selection(rows, axes, 25.0)
             got = growth._select_lifts(np.array(rows, dtype=np.complex128), axes, 25.0,
                                        _IDENT, _closed_window(25.0))
-            assert [c.kind for c in got] == kinds
+            assert got.kind.tolist() == kinds
         same = {"gamma": (1.0, -1.0), "boundary": (-1.0, 1.0)}
         got = growth._select_lifts(np.array([one], dtype=np.complex128), same, 25.0,
                                    _IDENT, _closed_window(25.0))
-        assert [c.kind for c in got] == ["gamma"]
+        assert got.kind.tolist() == ["gamma"]
         _assert_same_selection([one], same, 25.0)
 
     def test_nonfinite_rows(self):
@@ -319,32 +320,120 @@ class TestLiftSieve:
         assert _node_bits(got) == _node_bits(want)
 
 
+class TestStrataTreeOracle:
+    """build_strata_tree gives the nodes of the depth-first walk that
+    built them one at a time (helpers.scalar_strata_tree), bit for bit."""
+
+    @pytest.mark.parametrize("key", [(1, 3.0), (2, 3.0), (2, 4.0), (3, 5.0)], ids=str)
+    def test_grid_trees_match_scalar_walk(self, key):
+        # perfbench's four grid keys, one per collar radius
+        want = helpers.scalar_strata_tree(helpers.hnn_for(*key),
+                                          4.5 * helpers.r_achieved_for(*key), max_depth=4)
+        assert len(want) > 400 and want.max_depth() >= 2
+        assert _node_bits(_grid_tree(key)) == _node_bits(want)
+
+    def test_tree_is_the_same_at_any_pass_budget(self, monkeypatch):
+        # lifts taken at the full budget: the shape's passes of one to
+        # seven (parent, lift) pairs, the frames' and the leaf check's
+        key = (1, 3.0)
+        rep, r = helpers.hnn_for(*key), helpers.r_achieved_for(*key)
+        lifts = {}
+        lift_candidates = growth._lift_candidates
+
+        def cached(surface, entry, radius, max_elements):
+            k = (entry.entries(), radius, max_elements)
+            if k not in lifts:
+                lifts[k] = lift_candidates(surface, entry, radius, max_elements)
+            return lifts[k]
+
+        monkeypatch.setattr(growth, "_lift_candidates", cached)
+        want = helpers.scalar_strata_tree(rep, 4.5 * r, max_depth=4)
+        monkeypatch.setattr(_core, "PASS_BUDGET", 7)
+        got = build_strata_tree(rep, 4.5 * r, max_depth=4)
+        assert len(got) > 1000
+        assert _node_bits(got) == _node_bits(want)
+        assert leaf_count_check(got, r) == helpers.per_node_leaf_table(want, r)
+
+    def test_node_budget(self, monkeypatch):
+        # the (1,3) tree has 131 nodes at depth 1: a budget of 100 stops
+        # the build at depth 1, before any node's frame is formed
+        rep = helpers.hnn_for(1, 3.0)
+        radius = 4.5 * helpers.r_achieved_for(1, 3.0)
+        assert sum(n.depth == 1 for n in _grid_tree((1, 3.0)).nodes) > 100
+        lifts_done, composed = [], []
+        lift_candidates, compose = growth._lift_candidates, _core.compose
+
+        def lifted(*args):
+            out = lift_candidates(*args)
+            lifts_done.append(True)
+            return out
+
+        def counted(left, right):
+            composed.append(len(lifts_done))
+            return compose(left, right)
+
+        monkeypatch.setattr(growth, "_lift_candidates", lifted)
+        monkeypatch.setattr(_core, "compose", counted)
+        monkeypatch.setattr(growth, "MAX_NODES", 100)
+        with pytest.raises(EnumerationBudgetExceeded, match="^strata tree exceeded 100 nodes$"):
+            build_strata_tree(rep, radius, max_depth=4)
+        assert lifts_done == [True, True] and composed and max(composed) < 2
+        # the walk raises the same
+        with pytest.raises(EnumerationBudgetExceeded, match="^strata tree exceeded 100 nodes$"):
+            helpers.scalar_strata_tree(rep, radius, max_depth=4)
+        # a budget of the tree's size holds it
+        monkeypatch.setattr(growth, "MAX_NODES", len(_grid_tree((1, 3.0))))
+        assert len(build_strata_tree(rep, radius, max_depth=4)) == growth.MAX_NODES
+        monkeypatch.setattr(growth, "MAX_NODES", growth.MAX_NODES - 1)
+        with pytest.raises(EnumerationBudgetExceeded):
+            build_strata_tree(rep, radius, max_depth=4)
+
+
 class TestImageEndpoints:
-    """_image_endpoints is _image_endpoint on arrays, bit for bit, and
-    _select_lifts evaluates each row once."""
+    """_image_endpoints is the scalar image endpoint on arrays, bit for
+    bit, and _select_lifts evaluates each row once."""
 
     @staticmethod
     def _assert_matches_scalar(rows, zs):
         mats = np.array(rows, dtype=np.complex128).reshape(-1, 4)
         for z in zs:
             vals, defined = growth._image_endpoints(mats, z)
-            for row, val, ok in zip(mats.tolist(), vals.tolist(), defined.tolist()):
-                try:
-                    want = growth._image_endpoint(MoebiusMap(*row, _normalized=True), z)
-                except ZeroDivisionError:
-                    assert ok and math.isnan(val), (row, z)
-                    continue
-                assert ok == (want is not None), (row, z)
-                if ok and math.isnan(want):
-                    assert math.isnan(val), (row, z)  # of either sign
-                elif ok:
-                    assert _bits(val) == _bits(want), (row, z)
+            TestImageEndpoints._assert_rows_match(mats, [z] * len(mats), vals, defined)
+
+    @staticmethod
+    def _assert_rows_match(mats, zs, vals, defined):
+        for row, z, val, ok in zip(mats.tolist(), zs, vals.tolist(), defined.tolist()):
+            try:
+                want = helpers.image_endpoint(MoebiusMap(*row, _normalized=True), z)
+            except ZeroDivisionError:
+                assert ok and math.isnan(val), (row, z)
+                continue
+            assert ok == (want is not None), (row, z)
+            if ok and math.isnan(want):
+                assert math.isnan(val), (row, z)  # of either sign
+            elif ok:
+                assert _bits(val) == _bits(want), (row, z)
 
     def test_edge_and_nonfinite_rows(self):
         rows = [row for case in _EDGE_CASES.values() for row in case[0]] + _NONFINITE
         zs = {None, 0.0, 1.0, -1.0, 0.5, 5.0}
         zs |= {e for case in _EDGE_CASES.values() for ends in case[1].values() for e in ends}
         self._assert_matches_scalar(rows, sorted(zs, key=lambda z: (z is not None, z)))
+
+    def test_per_row_endpoints(self):
+        # one endpoint per row, inf (None) among them, under one row per
+        # endpoint and under one row for all
+        rows = [row for case in _EDGE_CASES.values() for row in case[0]] + _NONFINITE
+        edges = [None, 0.0, -0.0, 1.0, -1.0, 5.0] + _ulps(1e-9) + _ulps(1e9) + _ulps(-1e9)
+        zs = [edges[i % len(edges)] for i in range(len(rows))]
+        assert len(rows) > 2 * len(edges)
+        z = np.array([0.0 if e is None else e for e in zs])
+        finite = np.array([e is not None for e in zs])
+        mats = np.array(rows, dtype=np.complex128).reshape(-1, 4)
+        self._assert_rows_match(mats, zs, *growth._image_endpoints(mats, z, finite))
+        for row in (mats[:1], mats[-1:], np.array([[2.0, 1.0, 3.0, 2.0]], dtype=np.complex128)):
+            self._assert_rows_match(np.repeat(row, len(zs), axis=0), zs,
+                                    *growth._image_endpoints(row, z, finite))
 
     @pytest.mark.parametrize("entry", ["gamma", "boundary"])
     def test_grid_lift_ball_and_inverses(self, entry):
@@ -363,21 +452,27 @@ class TestImageEndpoints:
         radius = 4.5 * helpers.r_achieved_for(1, 3.0)
         frame, gens, axes = growth._entry_frame(surface, surface.gamma_matrix())
         ball = enumerate_ball(gens, BallLimit(max_displacement=radius + 3.0, max_count=50_000))
-        calls = {"endpoint": 0, "map": 0}
+        calls = {"endpoints": 0, "map": 0}
+        image_endpoints, moebius_map = growth._image_endpoints, growth.MoebiusMap
 
-        def counted(name, fn):
-            def call(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return call
+        def endpoints(mats, z, *finite):
+            calls["endpoints"] += np.broadcast(mats[:, 0], z).size
+            return image_endpoints(mats, z, *finite)
 
-        monkeypatch.setattr(growth, "_image_endpoint", counted("endpoint", growth._image_endpoint))
-        monkeypatch.setattr(growth, "MoebiusMap", counted("map", growth.MoebiusMap))
+        def built(*args, **kwargs):
+            calls["map"] += 1
+            return moebius_map(*args, **kwargs)
+
+        monkeypatch.setattr(growth, "_image_endpoints", endpoints)
+        monkeypatch.setattr(growth, "MoebiusMap", built)
+        monkeypatch.setattr(_core, "MoebiusMap", built)
         got = growth._select_lifts(ball.mats, axes, radius, frame.inverse(),
                                    _closed_window(radius))
-        # a map and two standard-coordinate endpoints per kept lift
-        assert 10 < len(got) < len(ball) // 5
-        assert calls == {"endpoint": 2 * len(got), "map": len(got)}
+        # four image endpoints per row, two standard-coordinate endpoints
+        # per kept lift, and no map built row by row
+        kept = len(got.gap)
+        assert 10 < kept < len(ball) // 5
+        assert calls == {"endpoints": 4 * len(ball) + 2 * kept, "map": 0}
 
 
 def _entry(surface, kind):
@@ -387,11 +482,11 @@ def _entry(surface, kind):
 def _selection_over_ball(surface, kind, radius, cap, max_count):
     """The lifts _select_lifts takes from the displacement ball of the
     entry frame's generators to `cap`, in the window |axial| <= radius + 1,
-    and that ball."""
+    as helpers.lift_rows, and that ball."""
     frame, gens, axes = growth._entry_frame(surface, _entry(surface, kind))
     ball = enumerate_ball(gens, BallLimit(max_displacement=cap, max_count=max_count))
-    return growth._select_lifts(ball.mats, axes, radius, frame.inverse(),
-                                _closed_window(radius)), ball
+    return helpers.lift_rows(growth._select_lifts(ball.mats, axes, radius, frame.inverse(),
+                                                  _closed_window(radius))), ball
 
 
 def _unmatched(lifts, pool, rtol):
@@ -432,8 +527,8 @@ class TestLiftsModuloEntryAxis:
         assert not ball.truncated and not lift_ball.truncated
         assert len(ball) > 10 * lift_ball.elements
         assert len(want) > 20
-        keys = sorted((c.kind, growth._geodesic_key(*c.ends)) for c in got)
-        assert keys == sorted((c.kind, growth._geodesic_key(*c.ends)) for c in want)
+        keys = sorted((c.kind, helpers.geodesic_key(*c.ends)) for c in helpers.lift_rows(got))
+        assert keys == sorted((c.kind, helpers.geodesic_key(*c.ends)) for c in want)
 
     @pytest.mark.parametrize("key", [(1, 3.0), (2, 3.0), (2, 4.0), (2, 5.0)])
     @pytest.mark.parametrize("kind", ["gamma", "boundary"])
@@ -444,6 +539,7 @@ class TestLiftsModuloEntryAxis:
         radius = 4.5 * helpers.r_achieved_for(*key)
         got, lift_ball = growth._lift_candidates(surface, _entry(surface, kind), radius,
                                                  200_000)
+        got = helpers.lift_rows(got)
         old, ball = _selection_over_ball(surface, kind, radius, 2.0 * radius + 3.0, 200_000)
         assert ball.truncated and not lift_ball.truncated
         assert _unmatched(old, got, 1e-6) == []
@@ -456,18 +552,19 @@ class TestLiftsModuloEntryAxis:
         radius = 4.5 * helpers.r_achieved_for(*key)
         entry = _entry(surface, kind)
         got, _ = growth._lift_candidates(surface, entry, radius, 200_000)
+        got = helpers.lift_rows(got)
         frame, _, axes = growth._entry_frame(surface, entry)
         ell = entry.translation_length()
 
         def framed(c):
-            ends = [growth._image_endpoint(c.m, e) for e in axes[c.kind]]
+            ends = [helpers.image_endpoint(c.m, e) for e in axes[c.kind]]
             return SimpleNamespace(kind=c.kind, ends=ends)
 
         listed = [framed(c) for c in got]
         moved = []
         for c in listed:
             u, v = c.ends
-            if u is None or v is None or growth._vertical_gap(u, v) < growth.GAP_TOL:
+            if u is None or v is None or helpers.vertical_gap(u, v) < growth.GAP_TOL:
                 continue
             axial = 0.5 * math.log(abs(u * v))
             for sign in (1, -1):
@@ -475,13 +572,13 @@ class TestLiftsModuloEntryAxis:
                     scale = math.exp(sign * ell)
                     moved.append(SimpleNamespace(kind=c.kind, ends=[u * scale, v * scale]))
         assert len(moved) > len(got)
-        # _endpoint_key quantises x / (1 + |x|) in steps of about 1e-6, so
-        # toward either end of the axis a lift can share its key with a
+        # the endpoint key quantises x / (1 + |x|) in steps of about 1e-6,
+        # so toward either end of the axis a lift can share its key with a
         # distinct lift, which the dedup keeps instead
-        keys = {growth._geodesic_key(*c.ends) for c in listed}
+        keys = {helpers.geodesic_key(*c.ends) for c in listed}
         merged = _unmatched(moved, listed, 1e-9)
         for c in merged:
-            assert growth._geodesic_key(*c.ends) in keys
+            assert helpers.geodesic_key(*c.ends) in keys
             assert not 1e-3 < abs(c.ends[0]) < 1e3
         assert len(merged) <= 0.01 * len(moved)
 
@@ -607,6 +704,55 @@ class TestLeafCount:
         assert len(tree) > 100
         assert leaf_count_check(tree, r) == helpers.per_node_leaf_table(tree, r)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_shared_endpoints_match_per_node_oracle(self, seed):
+        # a random tree in preorder whose geodesics share endpoints, or
+        # miss them by an ulp, so that targets sit on the edges of the
+        # disks' intervals that each node tests
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(-3.0, 2.5, 10).tolist()
+        values += [float(np.nextafter(x, np.inf)) for x in values[:4]] + [None, 0.0]
+        nodes = [growth.StrataNode(parent=-1, depth=0, kind="", d=0.0, gap=0.0, proj=(),
+                                   frame=_IDENT)]
+        last = [0]
+        for m in range(1, 600):
+            depth = int(rng.integers(1, min(len(last), 5) + 1))
+            e1, e2 = rng.choice(len(values), 2, replace=False).tolist()
+            nodes.append(growth.StrataNode(parent=last[depth - 1], depth=depth, kind="gamma",
+                                           d=float(rng.uniform(0.0, 5.0)), gap=1.0,
+                                           proj=(values[e1], values[e2]), frame=_IDENT))
+            last[depth:] = [m]
+        tree = growth.StrataTree(nodes=nodes, radius=5.0, lift_balls={})
+        table = leaf_count_check(tree, 1.0)
+        assert table == helpers.per_node_leaf_table(tree, 1.0)
+        assert max(row.leaves_at_d for row in table.rows) > 3
+
+    def test_targets_on_the_ends_of_a_disks_interval(self, monkeypatch):
+        # chart endpoints at c - r and c + r as rounded, which the
+        # separation test, rounding too, can count inside the disk: each
+        # node tests the targets whose first endpoint lies in that interval,
+        # both ends included
+        rng = np.random.default_rng(0)
+        a, b = rng.uniform(-5.0, 5.0, (2, 20_000)) + 20.0 * np.arange(20_000)  # apart
+        c, rad = (a + b) / 2.0, np.abs(a - b) / 2.0
+        nodes = [growth.StrataNode(parent=-1, depth=0, kind="", d=0.0, gap=0.0, proj=(),
+                                   frame=_IDENT)]
+        used = set()
+        for x in (c - rad, c + rad):
+            edge = [k for k in np.flatnonzero((x - c) ** 2 < rad * rad).tolist()
+                    if k not in used][:10]
+            used.update(edge)
+            for k in edge:
+                for proj in ((a[k], b[k]), (x[k], c[k])):
+                    nodes.append(growth.StrataNode(parent=0, depth=1, kind="gamma", d=1.0,
+                                                   gap=1.0, proj=proj, frame=_IDENT))
+        assert len(nodes) == 41
+        monkeypatch.setattr(growth, "_finite_chart", lambda ends, finite: (100j, ends))
+        tree = growth.StrataTree(nodes=nodes, radius=5.0, lift_balls={})
+        table = leaf_count_check(tree, 1.0)
+        assert table == helpers.per_node_leaf_table(tree, 1.0)
+        assert sum(row.leaves_at_d == 2 for row in table.rows) == 20
+
     def test_memory_grows_with_depth_not_nodes(self):
         # one chain mask per node took 32 MB here
         key = (2, 5.0)
@@ -614,6 +760,18 @@ class TestLeafCount:
         assert len(tree) > 5000
         _, peak = helpers.traced_peak(lambda: leaf_count_check(tree, r))
         assert peak <= 2e6
+
+    def test_chart_without_admissible_shift(self):
+        # an endpoint within 1e-6 of each shift of z -> -1/(z - s)
+        shifts = growth._CHART_SHIFTS
+        ends = np.array([[shifts[0] + 5e-7, 0.5], [shifts[1] - 5e-7, shifts[2] + 9e-7]])
+        finite = np.ones((2, 2), dtype=bool)
+        with pytest.raises(NumericError, match="no admissible chart shift"):
+            growth._finite_chart(ends, finite)
+        # one shift left free: its images, 0 at inf
+        z0, images = growth._finite_chart(ends[:1], np.array([[True, False]]))
+        assert images.tolist() == [[-1.0 / (ends[0, 0] - shifts[1]), 0.0]]
+        assert z0 == complex(shifts[1] / (1.0 + shifts[1] ** 2), 1.0 / (1.0 + shifts[1] ** 2))
 
     def test_nodes_out_of_preorder_rejected(self):
         # a depth-2 node moved under the first depth-1 node, whose

@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import helpers
-from kleindim import dimension, report
+from kleindim import dimension, growth, report
 from kleindim.cli import main
 from kleindim.dimension import ScaleRow, ScaleTable, sample_from_points
 from kleindim.errors import IncompleteBall
@@ -302,6 +302,24 @@ class TestCli:
         assert out["strata"]["leaf_violations"] == 0
         assert out["strata"]["nodes"] > 1
         assert out["qi_fit"]["epsilon_hat"] >= 0.0
+
+    @pytest.mark.parametrize("args", [["check-bounds"], ["full-run", "-m", "0"]],
+                             ids=lambda v: v[0])
+    def test_leaf_chart_without_shift_is_numeric_error(self, tmp_path, monkeypatch, args):
+        # the leaf check's chart, given endpoints at each of its shifts too
+        chart = growth._finite_chart
+        crowd = np.array([growth._CHART_SHIFTS] * 2).T
+
+        def crowded(ends, finite):
+            return chart(np.concatenate([ends, crowd]),
+                         np.concatenate([finite, np.ones_like(crowd, dtype=bool)]))
+
+        monkeypatch.setattr(growth, "_finite_chart", crowded)
+        monkeypatch.chdir(tmp_path)
+        result = CliRunner().invoke(main, args + ["-g", "1"])
+        assert result.exit_code == 3
+        assert "error: no admissible chart shift" in result.output
+        assert isinstance(result.exception, SystemExit)
 
     @staticmethod
     def _break_leaf_bound(monkeypatch):
