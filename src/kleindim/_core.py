@@ -163,26 +163,19 @@ def compose(left, right):
     MoebiusMap itself, so a singular product raises NumericError.
     """
     left, right = np.broadcast_arrays(left, right)
-    (ar, ai), (br, bi), (cr, ci), (dr, di) = ((left[:, k].real, left[:, k].imag)
-                                              for k in range(4))
-    (er, ei), (fr, fi), (gr, gi), (hr, hi) = ((right[:, k].real, right[:, k].imag)
-                                              for k in range(4))
-
-    def pair_sum(xr, xi, yr, yi, ur, ui, vr, vi):
-        """x y + u v."""
-        pr, pi = c_prod(xr, xi, yr, yi)
-        qr, qi = c_prod(ur, ui, vr, vi)
-        return pr + qr, pi + qi
-
+    (f0, f1), (g0, g1) = _LEFT, _RIGHT
     out = np.empty(left.shape, dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        prods = [pair_sum(ar, ai, er, ei, br, bi, gr, gi), pair_sum(ar, ai, fr, fi, br, bi, hr, hi),
-                 pair_sum(cr, ci, er, ei, dr, di, gr, gi), pair_sum(cr, ci, fr, fi, dr, di, hr, hi)]
-        (pr, pi), (qr, qi) = c_prod(*prods[0], *prods[3]), c_prod(*prods[1], *prods[2])
+        # each entry a sum of two products as CPython adds them, not from
+        # +0.0 as _products does
+        pr, pi = c_prod(left.real[:, f0], left.imag[:, f0], right.real[:, g0], right.imag[:, g0])
+        qr, qi = c_prod(left.real[:, f1], left.imag[:, f1], right.real[:, g1], right.imag[:, g1])
+        xr, xi = pr + qr, pi + qi
+        pr, pi = c_prod(xr[:, 0], xi[:, 0], xr[:, 3], xi[:, 3])
+        qr, qi = c_prod(xr[:, 1], xi[:, 1], xr[:, 2], xi[:, 2])
         det_r, det_i = pr - qr, pi - qi
         sr, si, ok = c_sqrt(det_r, det_i)
-        for k, (xr, xi) in enumerate(prods):
-            out.real[:, k], out.imag[:, k] = c_quot(xr, xi, sr, si)
+        out.real, out.imag = c_quot(xr, xi, sr[:, None], si[:, None])
     ok &= ((det_r != 0.0) | (det_i != 0.0)) & np.isfinite(out).all(axis=1)
     flip = _sign_flips(out) & ok
     out[flip] = -out[flip]

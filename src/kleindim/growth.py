@@ -159,6 +159,12 @@ class _Lifts(NamedTuple):
         return cls(*(np.concatenate(column) for column in zip(*parts)))
 
 
+def _axis_endpoints(mat):
+    att, rep = mat.fixed_points()
+    return (None if att.infinite else att.z.real,
+            None if rep.infinite else rep.z.real)
+
+
 def _image_endpoints(mats, z, finite=True):
     """Images of real endpoints under real Moebius rows (a, b, c, d):
     (values, defined).  The image of z is (a z + b) / (c z + d), undefined
@@ -202,12 +208,6 @@ def _may_lift(u, u_defined, v, v_defined, radius):
         out = ((au < 1e-9) | (av < 1e-9) | (au > 1e9) | (av > 1e9) | (u == v)
                | (np.abs((u + v) / (u - v)) > np.cosh(radius) * (1.0 + _SIEVE_MARGIN)))
     return ~(u_defined & v_defined & out)
-
-
-def _axis_endpoints(mat):
-    att, rep = mat.fixed_points()
-    return (None if att.infinite else att.z.real,
-            None if rep.infinite else rep.z.real)
 
 
 def _entry_frame(surface, entry):
@@ -325,7 +325,7 @@ def _select_lifts(mats, axes, radius, frame_inv, window):
     lo, hi = window
     step = max(_core.PASS_BUDGET // len(kinds), 1)
     found = []
-    # one pass at least, so that no rows give empty columns
+    # one pass at least, so that no rows still give (empty) columns
     for start in range(0, max(len(mats), 1), step):
         part = mats[start:start + step]
         images = [_image_endpoints(part, e1) + _image_endpoints(part, e2)
@@ -549,11 +549,11 @@ def _leaf_counts(nodes):
     z0, ends = _finite_chart(ends, finite)
     depth = np.fromiter((nd.depth for nd in nodes), dtype=np.int64, count=n)
     parent = np.fromiter((nd.parent for nd in nodes), dtype=np.int64, count=n)
-    # the last node before each node one level up, by keys depth n + index
-    keys = depth * n + np.arange(n)
-    ranked = np.sort(keys)
-    at = np.searchsorted(ranked, keys[1:] - n) - 1
-    last = ranked[np.maximum(at, 0)]
+    # the last node before each node one level up, by slots depth n + index
+    slots = depth * n + np.arange(n)
+    by_depth = np.sort(slots)
+    at = np.searchsorted(by_depth, slots[1:] - n) - 1
+    last = by_depth[np.maximum(at, 0)]
     if not np.all((at >= 0) & (last // n == depth[1:] - 1) & (last % n == parent[1:])):
         raise ValueError("strata nodes are not in depth-first preorder")
 

@@ -320,6 +320,23 @@ class TestLiftSieve:
         assert _node_bits(got) == _node_bits(want)
 
 
+def _cache_lifts(monkeypatch):
+    """Patch growth._lift_candidates to compute each entry's lifts once;
+    returns the list of the calls that have returned."""
+    lifts, returned = {}, []
+    lift_candidates = growth._lift_candidates
+
+    def cached(surface, entry, radius, max_elements):
+        key = (entry.entries(), radius, max_elements)
+        if key not in lifts:
+            lifts[key] = lift_candidates(surface, entry, radius, max_elements)
+        returned.append(key)
+        return lifts[key]
+
+    monkeypatch.setattr(growth, "_lift_candidates", cached)
+    return returned
+
+
 class TestStrataTreeOracle:
     """build_strata_tree gives the nodes of the depth-first walk that
     built them one at a time (helpers.scalar_strata_tree), bit for bit."""
@@ -337,16 +354,7 @@ class TestStrataTreeOracle:
         # seven (parent, lift) pairs, the frames' and the leaf check's
         key = (1, 3.0)
         rep, r = helpers.hnn_for(*key), helpers.r_achieved_for(*key)
-        lifts = {}
-        lift_candidates = growth._lift_candidates
-
-        def cached(surface, entry, radius, max_elements):
-            k = (entry.entries(), radius, max_elements)
-            if k not in lifts:
-                lifts[k] = lift_candidates(surface, entry, radius, max_elements)
-            return lifts[k]
-
-        monkeypatch.setattr(growth, "_lift_candidates", cached)
+        _cache_lifts(monkeypatch)
         want = helpers.scalar_strata_tree(rep, 4.5 * r, max_depth=4)
         monkeypatch.setattr(_core, "PASS_BUDGET", 7)
         got = build_strata_tree(rep, 4.5 * r, max_depth=4)
@@ -359,32 +367,28 @@ class TestStrataTreeOracle:
         # the build at depth 1, before any node's frame is formed
         rep = helpers.hnn_for(1, 3.0)
         radius = 4.5 * helpers.r_achieved_for(1, 3.0)
+        size = len(_grid_tree((1, 3.0)))
         assert sum(n.depth == 1 for n in _grid_tree((1, 3.0)).nodes) > 100
-        lifts_done, composed = [], []
-        lift_candidates, compose = growth._lift_candidates, _core.compose
-
-        def lifted(*args):
-            out = lift_candidates(*args)
-            lifts_done.append(True)
-            return out
+        returned, composed = _cache_lifts(monkeypatch), []
+        compose = _core.compose
 
         def counted(left, right):
-            composed.append(len(lifts_done))
+            composed.append(len(returned))
             return compose(left, right)
 
-        monkeypatch.setattr(growth, "_lift_candidates", lifted)
         monkeypatch.setattr(_core, "compose", counted)
         monkeypatch.setattr(growth, "MAX_NODES", 100)
-        with pytest.raises(EnumerationBudgetExceeded, match="^strata tree exceeded 100 nodes$"):
+        message = "^strata tree exceeded 100 nodes$"
+        with pytest.raises(EnumerationBudgetExceeded, match=message):
             build_strata_tree(rep, radius, max_depth=4)
-        assert lifts_done == [True, True] and composed and max(composed) < 2
-        # the walk raises the same
-        with pytest.raises(EnumerationBudgetExceeded, match="^strata tree exceeded 100 nodes$"):
+        # every product was a lift's, formed before both lift lists returned
+        assert len(returned) == 2 and composed and max(composed) < 2
+        with pytest.raises(EnumerationBudgetExceeded, match=message):
             helpers.scalar_strata_tree(rep, radius, max_depth=4)
-        # a budget of the tree's size holds it
-        monkeypatch.setattr(growth, "MAX_NODES", len(_grid_tree((1, 3.0))))
-        assert len(build_strata_tree(rep, radius, max_depth=4)) == growth.MAX_NODES
-        monkeypatch.setattr(growth, "MAX_NODES", growth.MAX_NODES - 1)
+        # a budget of the tree's size holds it, and one less does not
+        monkeypatch.setattr(growth, "MAX_NODES", size)
+        assert len(build_strata_tree(rep, radius, max_depth=4)) == size
+        monkeypatch.setattr(growth, "MAX_NODES", size - 1)
         with pytest.raises(EnumerationBudgetExceeded):
             build_strata_tree(rep, radius, max_depth=4)
 
