@@ -562,15 +562,6 @@ def scalar_strata_tree(rep, radius, max_depth=4, max_elements=200_000):
     return growth.StrataTree(nodes=nodes, radius=radius, lift_balls=lift_balls)
 
 
-def node_ends(nodes):
-    """The projected endpoints of `nodes` as the (values, finite) arrays
-    growth._finite_chart takes, 0 for inf."""
-    ends = np.array([[0.0 if e is None else e for e in nd.proj] for nd in nodes],
-                    dtype=float).reshape(-1, 2)
-    return ends, np.array([[e is not None for e in nd.proj] for nd in nodes],
-                          dtype=bool).reshape(-1, 2)
-
-
 # -- oracle of the leaf-count table -------------------------------------
 #
 # growth.leaf_count_check as it was before it kept one chain mask per
@@ -582,7 +573,9 @@ def per_node_leaf_table(tree, r):
     n = len(nodes)
     if n == 1:
         return growth.LeafTable(rows=[growth.LeafRow(d=0.0, leaves_at_d=1, bound=2.0)])
-    z0, ends = growth._finite_chart(*node_ends(nodes[1:]))
+    z0, ends = growth._finite_chart(
+        np.array([[0.0 if e is None else e for e in nd.proj] for nd in nodes[1:]]),
+        np.array([[e is not None for e in nd.proj] for nd in nodes[1:]]))
     centers = np.array([(a + b) / 2.0 for a, b in ends.tolist()])
     radii = np.array([abs(a - b) / 2.0 for a, b in ends.tolist()])
     e1 = np.array([a for a, _ in ends.tolist()])
