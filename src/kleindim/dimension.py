@@ -227,19 +227,38 @@ def default_scales(n=10):
     return [0.5**k for k in range(n)]
 
 
-def _box_count(sample, delta):
-    """Occupied chordal-grid cells of side delta / sqrt(8) across the two
-    stereographic charts: z where |z| <= 1, 1/z elsewhere (0 at infinity)."""
+def _box_counts(sample, scales):
+    """Occupied chordal-grid cells of side delta / sqrt(8) at each delta of
+    `scales`, in their order, across the two stereographic charts: z
+    where |z| <= 1, 1/z elsewhere (0 at infinity).  Each point's chart
+    and its w in that chart are computed once for the sample; each scale
+    bins them and counts the distinct `_cell_keys` of (chart, x, y)."""
     if sample.count == 0:
-        return 0
-    side = delta / _SQRT8
+        return [0] * len(scales)
     z = sample.z
     outer = sample.infinite | (np.hypot(z.real, z.imag) > 1.0)
     wr, wi = _core.c_quot(1.0, 0.0, z.real, z.imag)
-    wr = np.where(sample.infinite, 0.0, np.where(outer, wr, z.real))
-    wi = np.where(sample.infinite, 0.0, np.where(outer, wi, z.imag))
-    cells = np.floor(np.stack([wr, wi]) / side).astype(np.int64)
-    return len(np.unique(_cell_keys([outer.astype(np.int64), *cells])[0]))
+    w = np.stack([np.where(sample.infinite, 0.0, np.where(outer, wr, z.real)),
+                  np.where(sample.infinite, 0.0, np.where(outer, wi, z.imag))])
+    chart = outer.astype(np.int64)
+    del outer, wr, wi
+    counts = []
+    for delta in scales:
+        cells = np.floor(w / (delta / _SQRT8)).astype(np.int64)
+        counts.append(len(np.unique(_cell_keys([chart, *cells])[0])))
+    return counts
+
+
+def _box_count(sample, delta):
+    """The box count at one delta: the one-scale case of `_box_counts`."""
+    return _box_counts(sample, [delta])[0]
+
+
+def _key_strides(spans):
+    """The key step of each axis of cells with these spans, and the keys'
+    dtype: int64 while the spans' product is below 2^63, else object."""
+    strides = [math.prod(spans[k + 1:]) for k in range(len(spans))]
+    return strides, np.int64 if math.prod(spans) < 2**63 else object
 
 
 def _cell_keys(cells):
@@ -252,11 +271,34 @@ def _cell_keys(cells):
     while the spans' product is below 2^63, Python ints (an object array)
     above it, so every scale is exact.
     """
-    cols = [c - (c.min() - 2) for c in cells]
-    spans = [int(c.max()) + 3 for c in cols]
-    strides = [math.prod(spans[k + 1:]) for k in range(len(spans))]
-    dtype = np.int64 if math.prod(spans) < 2**63 else object
-    return sum(c.astype(dtype, copy=False) * s for c, s in zip(cols, strides)), strides
+    lows = [int(c.min()) - 2 for c in cells]
+    strides, dtype = _key_strides([int(c.max()) + 3 - lo for c, lo in zip(cells, lows)])
+    return sum((c - lo).astype(dtype, copy=False) * s
+               for c, lo, s in zip(cells, lows, strides)), strides
+
+
+def _cube_keys(xyz, side):
+    """`_cell_keys` of the cubes floor(xyz / side) of the points, without
+    the whole (n, 3) quotient: int64 keys are filled in passes of
+    `_core.PASS_BUDGET` points.  Division by a positive side rounds
+    monotonically and floor is monotone, so each axis's least and
+    greatest cube are those of its least and greatest coordinate, and
+    the spans, strides and keys are `_cell_keys`' own.  Spans whose
+    product reaches 2^63 go through `_cell_keys` itself.
+    """
+    # column by column: a reduction along axis 0 of (n, 3) is ten times slower
+    lows = [math.floor(xyz[:, k].min() / side) - 2 for k in range(3)]
+    strides, dtype = _key_strides([math.floor(xyz[:, k].max() / side) + 3 - lo
+                                   for k, lo in enumerate(lows)])
+    if dtype is object:
+        return _cell_keys(np.floor(xyz / side).astype(np.int64).T)
+    keys = np.empty(len(xyz), dtype=np.int64)
+    for s in range(0, len(xyz), _core.PASS_BUDGET):
+        cells = xyz[s:s + _core.PASS_BUDGET] / side
+        cells = np.floor(cells, out=cells).astype(np.int64)
+        keys[s:s + len(cells)] = sum((cells[:, k] - lo) * stride
+                                     for k, (lo, stride) in enumerate(zip(lows, strides)))
+    return keys, strides
 
 
 def _ols(x, y):
@@ -338,7 +380,7 @@ def box_dimension(sample, scales=None, with_components=True):
     if scales is None:
         scales = default_scales()
     scales = sorted(scales, reverse=True)
-    counts = [_box_count(sample, d) for d in scales]
+    counts = _box_counts(sample, scales)
     comps = (component_table(sample, scales) if with_components
              else [(0, 0.0)] * len(scales))
     table = ScaleTable(rows=[ScaleRow(delta=d, box_count=c, components=k, max_diam=diam)
@@ -399,6 +441,42 @@ def _min_dot(pts):
                for i in range(0, len(pts), rows))
 
 
+# the rim's margin in squared distance, times the largest squared norm
+_RIM_MARGIN = 2.0**-40
+
+
+def _rim(pts):
+    """The points of pts that can end a pair with the least `_dots`, a
+    subset over which `_min_dot` gives the same float as over pts.
+
+    Two farthest-point sweeps (from pts[0], then from the point found)
+    realise a pair with computed dot d.  With c the centroid and R the
+    largest |p - c|, both ends of a pair (a, b) have |a - c| >= |a - b| -
+    R by the triangle inequality, whatever c is.  Any pair whose computed
+    dot is at most d has |a - b|^2 >= 2 (min |p|^2 - d) less the rounding
+    of four dot products and of min |p|^2 - d, a few ulps of the largest
+    squared norm.  The margin, 2^-40 of that norm, covers them: near 0,
+    where a squared distance is the difference of two numbers within
+    rounding of 1, it is what keeps the bound a bound.  Distances here
+    are at most about 2, so the margin also lowers the bound's root by
+    more than 2^-43, far beyond the few ulps by which |p - c| (from p - c,
+    its squared norm and the root), R and the roots round.  So a point
+    with sqrt(|p - c|^2) below sqrt(bound) - R, as computed, ends no pair
+    with a dot of at most d, and every other point is kept: the least
+    pair is among those kept.  Each pair's `_dots` rounds alike in any
+    block and in either order, so the least computed value is the same
+    float.
+    """
+    far = pts[np.argmin(_dots(pts, pts[0]))]
+    d = float(_dots(pts, far).min())
+    gap = pts - pts.mean(axis=0)
+    r2 = _dots(gap, gap)
+    norms = _dots(pts, pts)
+    bound = 2.0 * (float(norms.min()) - d) - _RIM_MARGIN * float(norms.max())
+    reach = math.sqrt(max(bound, 0.0)) - math.sqrt(float(r2.max()))
+    return pts[np.sqrt(r2) >= reach]
+
+
 def _facing_test(a, b, dot_needed):
     """Decide a cell pair from its facing points where that is clear:
     True when a pair with a . b >= dot_needed exists, False when none
@@ -450,17 +528,33 @@ _HALF_OFFSETS = [(a, b, c) for a in range(-2, 3) for b in range(-2, 3)
                  for c in range(-2, 3) if (a, b, c) > (0, 0, 0)]
 
 
-def _cell_pairs(cells):
-    """Occupied cells and the pairs of them at most 2 apart on every axis.
+def _cell_pairs(xyz, side):
+    """Occupied cubes of side `side` and the pairs of them at most 2
+    apart on every axis.
 
-    `cells` holds the points' integer cell coordinates, one array per
-    axis.  Returns (cell_of, counts, first, second): the cell index of
-    each point (cells in lexicographic order), the points per cell, and
-    the two cells of each neighbouring pair.  Cells are found by one sort
-    of their `_cell_keys` and each offset's neighbours by one search.
+    Returns (order, cell_of, counts, first, second): the points in cube
+    order, the cube index of each point (cubes in lexicographic order),
+    the points per cube, and the two cubes of each neighbouring pair.
+    The cubes' `_cube_keys` are sorted once, stably, so `order` is also
+    np.argsort(cell_of, kind="stable"), and the cubes, their counts and
+    cell_of are read off the runs of equal keys.  Each offset's
+    neighbours are found by one search.
     """
-    keys, strides = _cell_keys(cells)
-    occupied, cell_of, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    keys, strides = _cube_keys(xyz, side)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    occupied = keys[new]
+    del keys
+    counts = np.diff(np.append(np.flatnonzero(new), len(new)))
+    ranks = np.cumsum(new, dtype=np.int64)
+    del new
+    ranks -= 1
+    cell_of = np.empty(len(ranks), dtype=np.int64)
+    cell_of[order] = ranks
+    del ranks
     first, second = [], []
     for offset in _HALF_OFFSETS:
         target = occupied + sum(a * s for a, s in zip(offset, strides))
@@ -468,7 +562,7 @@ def _cell_pairs(cells):
         found = occupied[hit] == target
         first.append(np.flatnonzero(found))
         second.append(hit[found])
-    return cell_of, counts, np.concatenate(first), np.concatenate(second)
+    return order, cell_of, counts, np.concatenate(first), np.concatenate(second)
 
 
 def _small_pairs_linked(pts, starts, counts, first, second, dot_needed):
@@ -496,32 +590,43 @@ def _small_pairs_linked(pts, starts, counts, first, second, dot_needed):
     return linked
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
+def _flatten(root):
+    """Point every cube of `root` at the end of its chain, in place, by
+    pointer jumping."""
+    while True:
+        up = root[root]
+        if np.array_equal(up, root):
+            return
+        root[:] = up
 
-    def find(self, i):
-        p = self.parent
-        root = i
-        while p[root] != root:
-            root = p[root]
-        while p[i] != root:
-            p[i], i = root, p[i]
-        return root
 
-    def union(self, i, j):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
+def _join(root, first, second):
+    """Join the classes of cubes first[k] and second[k] for every k, in
+    place, and flatten `root`.
 
-    def roots(self):
-        """The root of every element, as an array, by pointer jumping."""
-        p = np.array(self.parent)
-        while True:
-            q = p[p]
-            if np.array_equal(q, p):
-                return p
-            p = q
+    `root` maps each cube to a cube of its class no larger than itself.
+    Each round hooks the larger root of every edge whose ends have
+    different roots to the least root it meets (np.minimum.at) and
+    flattens; the rounds end when no edge joins two roots.  Hooks only
+    go down, so each class's root is its least cube, as in a union-find
+    that hooks the larger root under the smaller.
+    """
+    _flatten(root)
+    while True:
+        a, b = root[first], root[second]
+        apart = a != b
+        if not apart.any():
+            return
+        first, second, a, b = first[apart], second[apart], a[apart], b[apart]
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        _flatten(root)
+
+
+def _find(root, i):
+    """The root of cube i, halving its path in `root`."""
+    while root[i] != i:
+        root[i] = i = root[root[i]]
+    return i
 
 
 def component_analysis(sample, delta):
@@ -563,58 +668,59 @@ def _components_at(sample, delta, finer):
 
     `finer` is that partition at a finer scale, or None.  The graph is
     built on cells first: points are binned in cubes of side
-    delta / sqrt(3), so points sharing a cube are always joined and an
-    edge can only join cubes at most 2 apart on every axis.  A union-find
-    runs over cubes, not points.  It starts from `finer`: the cubes that
-    hold the points of one finer component are joined, and the pairs of
-    nearby cubes already joined are dropped.  The rest are decided in
-    this order:
+    delta / sqrt(3) (`_cell_pairs`, one sort of the cube keys), so points
+    sharing a cube are always joined and an edge can only join cubes at
+    most 2 apart on every axis.  A union-find runs over cubes, not
+    points, on a root array (`_join`), and each class's root is its
+    least cube.  It starts from `finer`: the cubes that hold the points
+    of one finer component are joined, and the pairs of nearby cubes
+    already joined are dropped.  The rest are decided in this order:
     - small pairs (at most 256 point pairs), every point pair in one
-      vectorised pass;
-    - each large pair whose cubes are not yet joined: by _facing_test's
-      hit test (the points nearest the other cube's centroid), then by
-      its miss test (distances to the other cube's bounding box, with a
-      margin that makes it agree with the exact test);
+      vectorised pass, the linked ones joined at once;
+    - each large pair whose cubes are not yet joined, one by one
+      (`_find`): by _facing_test's hit test (the points nearest the
+      other cube's centroid), then by its miss test (distances to the
+      other cube's bounding box, with a margin that makes it agree with
+      the exact test);
     - the large pairs neither test decides, every point pair, block by
       block, stopping at the first block with a hit.
-    Every dot product, here and in the diameters, is `_dots`, so a pair
-    rounds alike in every test.  The diameter is exact (all pairs, in
-    blocks) for components of at most 4,000 points and a double-sweep
-    lower bound above, from the component's lowest-index point; either
-    is a function of the point set.  So a component with the size of the
-    finer component of its first point is that component and keeps its
-    diameter.  The others are taken in decreasing order of their
+    The partition is the components of the seeding and linked pairs,
+    whatever order they are joined in, and components are numbered by
+    their least cube.  Every dot product, here and in the diameters, is
+    `_dots`, so a pair rounds alike in every test.  The diameter is exact
+    for components of at most 4,000 points, the least dot product over
+    the pairs of the points that can end a farthest pair (`_rim`), and
+    a double-sweep lower bound above, from the component's lowest-index
+    point; either is a function of the point set.  So a component with
+    the size of the finer component of its first point is that component
+    and keeps its diameter.  The others are taken in decreasing order of their
     bounding box, and those whose box is smaller than the largest
     diameter so far are skipped, which leaves the maximum unchanged.
     """
     if sample.count == 0:
         return (0, 0.0), finer
     xyz = sample.xyz
-    side = delta / math.sqrt(3.0)
-    cell_of, counts, first, second = _cell_pairs(np.floor(xyz / side).astype(np.int64).T)
-    order = np.argsort(cell_of, kind="stable")
+    order, cell_of, counts, first, second = _cell_pairs(xyz, delta / math.sqrt(3.0))
     starts = np.cumsum(counts) - counts
     dot_needed = 1.0 - delta * delta / 2.0
 
-    uf = _UnionFind(len(counts))
+    root = np.arange(len(counts))
     if finer is not None:
         finer_comp, finer_sizes, finer_diams = finer
         # the distinct (finer component, cube) pairs, by component; each
         # cube is joined to the one before it in its component
         comps, cubes = np.divmod(np.unique(finer_comp * len(counts) + cell_of), len(counts))
         shared = comps[1:] == comps[:-1]
-        for i, j in zip(cubes[:-1][shared].tolist(), cubes[1:][shared].tolist()):
-            uf.union(i, j)
-        roots = uf.roots()
-        apart = roots[first] != roots[second]
+        _join(root, cubes[:-1][shared], cubes[1:][shared])
+        apart = root[first] != root[second]
         first, second = first[apart], second[apart]
     small = counts[first] * counts[second] <= _SMALL_PAIR
     linked = _small_pairs_linked(xyz[order], starts, counts, first[small],
                                  second[small], dot_needed)
-    for i, j in zip(first[small][linked].tolist(), second[small][linked].tolist()):
-        uf.union(i, j)
+    _join(root, first[small][linked], second[small][linked])
     for i, j in zip(first[~small].tolist(), second[~small].tolist()):
-        if uf.find(i) == uf.find(j):
+        ri, rj = _find(root, i), _find(root, j)
+        if ri == rj:
             continue
         a = xyz[order[starts[i]:starts[i] + counts[i]]]
         b = xyz[order[starts[j]:starts[j] + counts[j]]]
@@ -622,9 +728,14 @@ def _components_at(sample, delta, finer):
         if joined is None:
             joined = any(float(d.max()) >= dot_needed for d in _pair_blocks(a, b))
         if joined:
-            uf.union(i, j)
+            root[max(ri, rj)] = min(ri, rj)
+    del order
+    _flatten(root)
 
-    comp = np.unique(uf.roots(), return_inverse=True)[1][cell_of]
+    # components numbered by their least cube, each class's root
+    label = np.cumsum(root == np.arange(len(root))) - 1
+    comp = label[root][cell_of]
+    del cell_of
     # members of each component in ascending point index
     by_comp = np.argsort(comp, kind="stable")
     sizes = np.bincount(comp)
@@ -636,6 +747,7 @@ def _components_at(sample, delta, finer):
         same = sizes == finer_sizes[head]
         diams[same] = finer_diams[head[same]]
     grouped = xyz[by_comp]
+    del by_comp
     box = np.maximum.reduceat(grouped, begins) - np.minimum.reduceat(grouped, begins)
     # a diameter never exceeds its bounding box's diagonal; the margin
     # covers the rounding of sqrt(2 - 2 a . b)
@@ -648,7 +760,7 @@ def _components_at(sample, delta, finer):
             break
         pts = grouped[begins[c]:begins[c] + sizes[c]]
         if sizes[c] <= _EXACT_DIAM:
-            diams[c] = math.sqrt(max(2.0 - 2.0 * _min_dot(pts), 0.0))
+            diams[c] = math.sqrt(max(2.0 - 2.0 * _min_dot(_rim(pts)), 0.0))
         else:
             diams[c] = _double_sweep(pts)
         max_diam = max(max_diam, float(diams[c]))

@@ -281,25 +281,24 @@ def _lift_ball(ball, cap):
     the ball's word trie (subgroup.Words) along w^-1 reaches an element's
     row.  w^-1 takes w's letters last first, each inverted (the inverse
     of column j is column j + n mod 2n), so the walk reads them by
-    climbing from w's row; the trie's keys parent * 2n + column ascend,
-    so each step down is one search, for the whole ball at once."""
+    climbing from w's row, and each step down is one gather from a child
+    table of trie rows x 2n columns (-1 where a row has no such child),
+    for the whole ball at once."""
     words = ball.words
     ncols = len(words.letters)
-    keys = words.parents.astype(np.int64) * ncols + words.columns
+    child = np.full((len(words.parents), ncols), -1, dtype=np.int32)
+    child[words.parents[1:], words.columns[1:]] = np.arange(1, len(words.parents), dtype=np.int32)
     inverse = (words.columns.astype(np.int64) + ncols // 2) % ncols
-    element = np.zeros(len(keys), dtype=bool)
+    # one more row, never an element: where a walk ends at -1
+    element = np.zeros(len(words.parents) + 1, dtype=bool)
     element[words.rows] = True
     up = words.rows.astype(np.int64)
     down = np.zeros(len(up), dtype=np.int64)
-    found = np.ones(len(up), dtype=bool)
     for s in range(int(words.lengths.max(initial=0))):
-        walking = np.flatnonzero(found & (words.lengths > s))
-        key = down[walking] * ncols + inverse[up[walking]]
-        at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
-        down[walking] = at
-        found[walking] = keys[at] == key
+        walking = np.flatnonzero((down >= 0) & (words.lengths > s))
+        down[walking] = child[down[walking], inverse[up[walking]]]
         up[walking] = words.parents[up[walking]]
-    missing = np.flatnonzero(~(found & element[down]))
+    missing = np.flatnonzero(~element[down])
     return LiftBall(elements=len(ball), cap=cap, complete_radius=ball.complete_radius,
                     truncated=ball.truncated, missing_inverses=len(missing),
                     min_missing_disp=float(ball.disps[missing].min()) if len(missing) else None)

@@ -13,7 +13,7 @@ from kleindim.dimension import DEDUP_TOL
 from kleindim.errors import EnumerationBudgetExceeded
 from kleindim.hnn import build_hnn, solve_stable_letter
 from kleindim.moebius import MoebiusMap, SpherePoint
-from kleindim.report import RunConfig, surface_stage
+from kleindim.report import RunConfig, sample_stage, surface_stage
 from kleindim.subgroup import BallResult, Words
 from kleindim.surface import fn_surface_rep
 
@@ -47,6 +47,19 @@ def r_achieved_for(g, L):
     r = surface_stage(RunConfig(genus=g, interior_length=L))[1]["r_achieved"]
     assert math.isfinite(r) and r > 0
     return r
+
+
+@functools.lru_cache(maxsize=None)
+def torus_samples():
+    """The cumulative samples of levels 0, 1 and 2 of
+    `RunConfig(max_elements=10_000)`, as its run builds them."""
+    config = RunConfig(max_elements=10_000)
+    rep = hnn_for(config.genus, config.interior_length)
+    samples, sample = [], None
+    for m in range(config.level + 1):
+        sample, _ = sample_stage(rep, m, config, sample)
+        samples.append(sample)
+    return tuple(samples)
 
 
 def traced_peak(fn):
@@ -260,6 +273,31 @@ def scalar_missing_inverses(ball):
     missing = [disp for word, disp in zip(spelled, ball.disps.tolist())
                if words.word_inverse(word) not in present]
     return len(missing), min(missing, default=None)
+
+
+def search_missing_inverses(ball):
+    """(count, least displacement or None) of the words of `ball` whose
+    inverse word it lacks, by the trie walk growth._lift_ball ran before
+    its child table: one searchsorted over the trie's ascending keys
+    parent * 2n + column per word-length step."""
+    w = ball.words
+    ncols = len(w.letters)
+    keys = w.parents.astype(np.int64) * ncols + w.columns
+    inverse = (w.columns.astype(np.int64) + ncols // 2) % ncols
+    element = np.zeros(len(keys), dtype=bool)
+    element[w.rows] = True
+    up = w.rows.astype(np.int64)
+    down = np.zeros(len(up), dtype=np.int64)
+    found = np.ones(len(up), dtype=bool)
+    for s in range(int(w.lengths.max(initial=0))):
+        walking = np.flatnonzero(found & (w.lengths > s))
+        key = down[walking] * ncols + inverse[up[walking]]
+        at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        down[walking] = at
+        found[walking] = keys[at] == key
+        up[walking] = w.parents[up[walking]]
+    missing = np.flatnonzero(~(found & element[down]))
+    return len(missing), float(ball.disps[missing].min()) if len(missing) else None
 
 
 # -- oracle of the enumeration kernel ----------------------------------
@@ -598,3 +636,31 @@ def per_node_leaf_table(tree, r):
         rows.append(growth.LeafRow(d=d, leaves_at_d=int(counts[m - 1]),
                                    bound=2.0 ** (1.0 + d / (2.0 * r))))
     return growth.LeafTable(rows=rows)
+
+
+# -- components ---------------------------------------------------------
+
+class UnionFind:
+    """The scalar union-find that dimension._join replaced: find with
+    path compression, union hooking the larger root under the smaller,
+    so every class's root is its least element."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, i):
+        p = self.parent
+        root = i
+        while p[root] != root:
+            root = p[root]
+        while p[i] != root:
+            p[i], i = root, p[i]
+        return root
+
+    def union(self, i, j):
+        ri, rj = self.find(i), self.find(j)
+        if ri != rj:
+            self.parent[max(ri, rj)] = min(ri, rj)
+
+    def roots(self):
+        return np.array([self.find(i) for i in range(len(self.parent))], dtype=np.int64)

@@ -13,8 +13,9 @@ from scipy.sparse.csgraph import connected_components
 
 import helpers
 from kleindim import _core, dimension
-from kleindim.dimension import (LimitSample, ScaleRow, ScaleTable, _box_count, box_dimension,
-                                component_analysis, component_table, critical_exponent,
+from kleindim.dimension import (LimitSample, ScaleRow, ScaleTable, _box_count, _dots,
+                                box_dimension, component_analysis, component_table,
+                                critical_exponent,
                                 default_scales, merge_samples,
                                 sample_from_points, sample_limit_set)
 from kleindim.errors import DegenerateScaleWindow, IncompleteBall
@@ -152,6 +153,22 @@ class TestBoxCounting:
         _, table = box_dimension(_arc_sample(1000), scales=scales)
         assert [r.delta for r in table.rows] == sorted(scales, reverse=True)
 
+    def test_counts_match_scalar_count_at_every_scale(self):
+        # one chart for all scales; points with |z| exactly 1 (1, -1, i,
+        # -i and 0.6 + 0.8i) lie in the inner chart, next to inner points
+        # and outer ones in the same cells
+        on_circle = [1 + 0j, -1 + 0j, 1j, -1j, complex(0.6, 0.8)]
+        assert all(abs(z) == 1.0 for z in on_circle)
+        pts = [INF] + [SpherePoint(z * f) for z in on_circle for f in (1.0, 0.999, 1.001)]
+        rng = np.random.default_rng(0)
+        pts += [SpherePoint(complex(*xy)) for xy in rng.normal(0.0, 1.5, (300, 2))]
+        for sample in (sample_from_points(pts), _arc_sample(700)) + helpers.torus_samples():
+            scales = default_scales(12)
+            _, table = box_dimension(sample, scales, with_components=False)
+            want = [helpers.scalar_box_count(sample.points, d) for d in scales]
+            assert [r.box_count for r in table.rows] == want
+            assert dimension._box_counts(sample, scales[::-1]) == want[::-1]
+
 
 class TestCriticalExponent:
     def test_cyclic_group_exponent_zero(self):
@@ -229,18 +246,24 @@ def _brute_diameter(xyz):
                                          for k in range(len(xyz))), 0.0))
 
 
-def _brute_components(xyz, delta):
-    """All-pairs reference: join every pair with a . b >= 1 - delta^2 / 2;
-    the exact diameter of every component."""
+def _brute_labels(xyz, delta):
+    """All-pairs reference: the components of the graph joining every pair
+    with a . b >= 1 - delta^2 / 2, as (count, label of each point)."""
     n = len(xyz)
-    if n == 0:
-        return 0, 0.0
     edges = [np.flatnonzero(_brute_dots(xyz, k) >= 1.0 - delta * delta / 2.0)
              for k in range(n)]
     i = np.repeat(np.arange(n), [len(e) for e in edges])
     j = np.concatenate(edges)
-    count, labels = connected_components(coo_matrix((np.ones(len(i)), (i, j)), shape=(n, n)),
-                                         directed=False)
+    return connected_components(coo_matrix((np.ones(len(i)), (i, j)), shape=(n, n)),
+                                directed=False)
+
+
+def _brute_components(xyz, delta):
+    """All-pairs reference: the component count and the exact diameter of
+    every component."""
+    if len(xyz) == 0:
+        return 0, 0.0
+    count, labels = _brute_labels(xyz, delta)
     max_diam = 0.0
     for c in range(count):
         pts = xyz[np.flatnonzero(labels == c)]
@@ -312,8 +335,7 @@ def _wide_key_sample(seed, delta):
     and below its cube keys need more than 63 bits: they are Python ints."""
     far = sample_from_points([SpherePoint(0j), SpherePoint(1 + 0j), SpherePoint(-1j)])
     sample = _joined(_cell_boundary_points(np.random.default_rng(seed), delta), far)
-    cubes = np.floor(sample.xyz / (delta / math.sqrt(3.0))).astype(np.int64)
-    assert dimension._cell_keys(cubes.T)[0].dtype == object
+    assert dimension._cube_keys(sample.xyz, delta / math.sqrt(3.0))[0].dtype == object
     return sample
 
 
@@ -360,6 +382,13 @@ class TestComponentsAgainstBruteForce:
                          _facing_cells(1e-13, np.random.default_rng(seed)))
         for delta in self.DELTAS:
             assert component_analysis(sample, delta) == _brute_components(sample.xyz, delta)
+            # components are numbered by their least cube, each class's root
+            count, labels = _brute_labels(sample.xyz, delta)
+            cube = dimension._cell_pairs(sample.xyz, delta / math.sqrt(3.0))[1]
+            least = np.full(count, len(cube))
+            np.minimum.at(least, labels, cube)
+            comp = dimension._components_at(sample, delta, None)[1][0]
+            assert comp.tolist() == np.argsort(np.argsort(least))[labels].tolist()
         assert min(paths.values()) > 0, paths
 
     @pytest.mark.parametrize("gap", [-1e-13, 1e-13])
@@ -474,7 +503,10 @@ class TestCellKeys:
         if spans is not None:
             assert (math.prod(spans) < 2**63) == (dtype is np.int64)
         assert dimension._cell_keys(cells.T)[0].dtype == dtype
-        cell_of, counts, first, second = dimension._cell_pairs(cells.T)
+        # integer coordinates are their own cubes of side 1
+        assert dimension._cube_keys(cells.astype(float), 1.0)[0].dtype == dtype
+        order, cell_of, counts, first, second = dimension._cell_pairs(cells.astype(float), 1.0)
+        assert order.tolist() == np.argsort(cell_of, kind="stable").tolist()
         points = list(map(tuple, cells.tolist()))
         occupied, pairs = _oracle_cell_pairs(points)
         label = [None] * len(counts)
@@ -488,6 +520,179 @@ class TestCellKeys:
         assert len(got) == len(set(got))
         assert set(got) == pairs
         assert any(max(abs(a - b) for a, b in zip(*pair)) == 2 for pair in pairs)
+
+
+class TestCubeKeys:
+    """`_cube_keys`, filled in passes, against `_cell_keys` on the whole
+    cube array, and `_cell_pairs`' one sort against np.unique."""
+
+    @pytest.mark.parametrize("delta", [1.0, 0.05, 2.0**-9, 1e-6])
+    def test_keys_and_cubes_match_whole_array(self, monkeypatch, delta):
+        xyz = _joined(_clustered_points(np.random.default_rng(0)),
+                      _cell_boundary_points(np.random.default_rng(1), 0.05)).xyz
+        side = delta / math.sqrt(3.0)
+        want = dimension._cell_keys(np.floor(xyz / side).astype(np.int64).T)
+        monkeypatch.setattr(_core, "PASS_BUDGET", 7)
+        keys, strides = dimension._cube_keys(xyz, side)
+        assert keys.tolist() == want[0].tolist() and strides == want[1]
+        order, cell_of, counts, first, second = dimension._cell_pairs(xyz, side)
+        occupied, inverse, tally = np.unique(want[0], return_inverse=True, return_counts=True)
+        assert cell_of.tolist() == inverse.tolist()
+        assert counts.tolist() == tally.tolist()
+        assert order.tolist() == np.argsort(inverse, kind="stable").tolist()
+
+    def test_control_sized_keys_in_bounded_memory(self):
+        # the cube step of 316,178 points took an (n, 3) quotient and its
+        # int64 copy, 14.5 MiB; in passes it is the key column and a
+        # pass's quotient and cubes
+        xyz = np.random.default_rng(0).normal(size=(316_178, 3))
+        xyz /= np.sqrt(_dots(xyz, xyz))[:, None]
+        (keys, _), peak = helpers.traced_peak(lambda: dimension._cube_keys(xyz, 0.025))
+        assert peak < keys.nbytes + 3 * 24 * _core.PASS_BUDGET
+
+
+def _all_pairs_join(n, first, second):
+    uf = helpers.UnionFind(n)
+    for i, j in zip(first.tolist(), second.tolist()):
+        uf.union(i, j)
+    return uf.roots().tolist()
+
+
+class TestJoin:
+    """The array union-find against the scalar one it replaced: the same
+    root, each class's least element, for every element."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_edges(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 400))
+        m = int(rng.integers(0, 2 * n))
+        first, second = rng.integers(0, n, m), rng.integers(0, n, m)
+        root = np.arange(n)
+        dimension._join(root, first, second)
+        assert root.tolist() == _all_pairs_join(n, first, second)
+        # from a joined start, as after the seeding
+        more = rng.integers(0, n, (2, m // 2))
+        dimension._join(root, *more)
+        want = _all_pairs_join(n, np.concatenate([first, more[0]]),
+                               np.concatenate([second, more[1]]))
+        assert root.tolist() == want
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_long_chains(self, shuffle):
+        # a chain through 20,000 elements in a random order of labels,
+        # its edges in order or shuffled, and a second chain beside it
+        rng = np.random.default_rng(3)
+        n = 40_000
+        labels = rng.permutation(n)
+        chain = [labels[:n // 2], labels[n // 2:]]
+        first = np.concatenate([c[:-1] for c in chain])
+        second = np.concatenate([c[1:] for c in chain])
+        if shuffle:
+            at = rng.permutation(len(first))
+            first, second = first[at], second[at]
+        root = np.arange(n)
+        dimension._join(root, first, second)
+        assert root.tolist() == _all_pairs_join(n, first, second)
+        assert len(set(root.tolist())) == 2
+
+    def test_find_halves_paths(self):
+        root = np.array([0, 0, 1, 2, 3])
+        assert dimension._find(root, 4) == 0
+        assert root[4] <= 2 and root.tolist()[:2] == [0, 0]
+
+
+def _cap(rng, n, radius):
+    """n random unit vectors within angle `radius` of a random centre."""
+    centre = rng.normal(size=3)
+    centre /= math.sqrt(float(_dots(centre, centre)))
+    tangent = rng.normal(size=(n, 3))
+    tangent -= _dots(tangent, centre)[:, None] * centre
+    tangent /= np.sqrt(_dots(tangent, tangent))[:, None]
+    angle = radius * np.sqrt(rng.random(n))
+    return np.cos(angle)[:, None] * centre + np.sin(angle)[:, None] * tangent
+
+
+def _assert_rim_exact(pts):
+    rim = dimension._rim(pts)
+    assert dimension._min_dot(rim).hex() == dimension._min_dot(pts).hex()
+    return len(rim)
+
+
+class TestRimDiameter:
+    """The least dot product over the rim, against all pairs, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_caps(self, seed):
+        rng = np.random.default_rng(seed)
+        kept = 0
+        for n in (2, 3, 7, 40, 300, 1500):
+            for radius in (1e-6, 0.01, 0.4, 1.5, 3.1):
+                kept += _assert_rim_exact(_cap(rng, n, radius))
+        assert kept < 0.5 * 5 * (2 + 3 + 7 + 40 + 300 + 1500)
+        _assert_rim_exact(_cap(rng, 4000, rng.uniform(0.01, 3.0)))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 64, 101, 1000])
+    def test_great_circle(self, n):
+        # every point at the rim's reach from the centroid: a tie of
+        # rounding, and the antipodal pairs tie too
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            a, b = rng.normal(size=(2, 3))
+            a /= math.sqrt(float(_dots(a, a)))
+            b -= float(_dots(a, b)) * a
+            b /= math.sqrt(float(_dots(b, b)))
+            t = rng.uniform(0.0, 2.0 * math.pi) + 2.0 * math.pi * np.arange(n) / n
+            pts = np.cos(t)[:, None] * a + np.sin(t)[:, None] * b
+            _assert_rim_exact(pts)
+            _assert_rim_exact(pts[rng.permutation(n)])
+
+    def test_duplicates_and_tied_pairs(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 50):
+            pts = _cap(rng, n, 0.3)
+            _assert_rim_exact(np.concatenate([pts, pts]))
+            _assert_rim_exact(np.repeat(pts, 3, axis=0))
+        _assert_rim_exact(np.repeat(_cap(rng, 1, 0.1), 5, axis=0))
+        # regular polygons on small circles: every opposite pair is
+        # farthest, and every point is at one distance from the centre
+        for k in (4, 6, 12, 50):
+            for radius in (1e-7, 1e-3, 0.5):
+                t = 2.0 * math.pi * np.arange(k) / k
+                pts = np.stack([radius * np.cos(t), radius * np.sin(t),
+                                np.full(k, math.sqrt(1.0 - radius * radius))], axis=1)
+                _assert_rim_exact(pts)
+                _assert_rim_exact(np.concatenate([pts, pts[::-1]]))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_diameters_near_1e_7(self, seed):
+        # squared distances within rounding of their dot products
+        rng = np.random.default_rng(seed)
+        for n in (2, 3, 30, 500):
+            for radius in (3e-8, 1e-7, 3e-7):
+                _assert_rim_exact(_cap(rng, n, radius))
+                # on a line: a tie of the triangle inequality
+                pts = _cap(rng, 2, radius)
+                s = rng.random(n)[:, None]
+                line = pts[0] + s * (pts[1] - pts[0])
+                line /= np.sqrt(_dots(line, line))[:, None]
+                _assert_rim_exact(line)
+
+    def test_every_torus_component(self):
+        # every component of 2 to 4,000 points of the three torus
+        # samples at every default scale
+        checked = pairs = 0
+        for sample in helpers.torus_samples():
+            for delta in default_scales():
+                comp = dimension._components_at(sample, delta, None)[1][0]
+                by_comp = np.argsort(comp, kind="stable")
+                sizes = np.bincount(comp)
+                begins = np.cumsum(sizes) - sizes
+                for c in np.flatnonzero((sizes > 1) & (sizes <= dimension._EXACT_DIAM)):
+                    pts = sample.xyz[by_comp[begins[c]:begins[c] + sizes[c]]]
+                    pairs += _assert_rim_exact(pts) ** 2
+                    checked += 1
+        assert checked > 1000
 
 
 class TestComponentTable:

@@ -628,6 +628,26 @@ class TestLiftBallRecord:
                                       min_missing_disp=least)
         assert ball.truncated == (budget == 100)
 
+    @pytest.mark.parametrize("kind", ["gamma", "boundary"])
+    @pytest.mark.parametrize("key", [(1, 3.0), (2, 3.0), (2, 4.0), (3, 5.0)], ids=str)
+    def test_child_table_walk_matches_search_walk(self, monkeypatch, key, kind):
+        # the child-table walk against the searchsorted walk it replaced,
+        # on the lift balls of the benchmark's grid keys
+        surface = helpers.surface_for(*key)
+        balls = []
+        enumerate_ball = growth.enumerate_ball
+
+        def recorded(gens, limit):
+            balls.append(enumerate_ball(gens, limit))
+            return balls[-1]
+
+        monkeypatch.setattr(growth, "enumerate_ball", recorded)
+        _, rec = growth._lift_candidates(surface, _entry(surface, kind),
+                                         4.5 * helpers.r_achieved_for(*key), 200_000)
+        (ball,) = balls
+        assert ((rec.missing_inverses, rec.min_missing_disp)
+                == helpers.search_missing_inverses(ball))
+
     def test_missing_inverse_through_a_band_row(self):
         # (2,) is a band row: it prefixes the element (2, 1) but is none.
         # The walk for (-2,)^-1 ends there, the ball's one missing inverse;
@@ -642,6 +662,7 @@ class TestLiftBallRecord:
         rec = growth._lift_ball(ball, 4.0)
         assert (rec.missing_inverses, rec.min_missing_disp) == (1, 2.5)
         assert helpers.scalar_missing_inverses(ball) == (1, 2.5)
+        assert helpers.search_missing_inverses(ball) == (1, 2.5)
 
 
 _GRID_KEYS = sorted({helpers.grid_key(*k) for k in helpers.GRID})
