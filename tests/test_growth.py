@@ -606,9 +606,11 @@ class TestLiftBallRecord:
 
     @pytest.mark.parametrize("budget", [200_000, 100])
     @pytest.mark.parametrize("kind", ["gamma", "boundary"])
-    @pytest.mark.parametrize("key", [(1, 3.0), (2, 4.0), (3, 5.0)], ids=str)
+    @pytest.mark.parametrize("key", [(1, 3.0), (2, 3.0), (2, 4.0), (3, 5.0)], ids=str)
     def test_record_matches_word_set_oracle(self, monkeypatch, key, kind, budget):
-        # the trie walk against a set of the ball's spelled words
+        # the child-table walk against a set of the ball's spelled words,
+        # and against the searchsorted walk it replaced, on the lift balls
+        # of the benchmark's grid keys
         surface = helpers.surface_for(*key)
         balls = []
         enumerate_ball = growth.enumerate_ball
@@ -622,31 +624,12 @@ class TestLiftBallRecord:
                                          4.5 * helpers.r_achieved_for(*key), budget)
         (ball,) = balls
         missing, least = helpers.scalar_missing_inverses(ball)
+        assert helpers.search_missing_inverses(ball) == (missing, least)
         assert rec == growth.LiftBall(elements=len(ball), cap=rec.cap,
                                       complete_radius=ball.complete_radius,
                                       truncated=ball.truncated, missing_inverses=missing,
                                       min_missing_disp=least)
         assert ball.truncated == (budget == 100)
-
-    @pytest.mark.parametrize("kind", ["gamma", "boundary"])
-    @pytest.mark.parametrize("key", [(1, 3.0), (2, 3.0), (2, 4.0), (3, 5.0)], ids=str)
-    def test_child_table_walk_matches_search_walk(self, monkeypatch, key, kind):
-        # the child-table walk against the searchsorted walk it replaced,
-        # on the lift balls of the benchmark's grid keys
-        surface = helpers.surface_for(*key)
-        balls = []
-        enumerate_ball = growth.enumerate_ball
-
-        def recorded(gens, limit):
-            balls.append(enumerate_ball(gens, limit))
-            return balls[-1]
-
-        monkeypatch.setattr(growth, "enumerate_ball", recorded)
-        _, rec = growth._lift_candidates(surface, _entry(surface, kind),
-                                         4.5 * helpers.r_achieved_for(*key), 200_000)
-        (ball,) = balls
-        assert ((rec.missing_inverses, rec.min_missing_disp)
-                == helpers.search_missing_inverses(ball))
 
     def test_missing_inverse_through_a_band_row(self):
         # (2,) is a band row: it prefixes the element (2, 1) but is none.
