@@ -288,12 +288,12 @@ def _lift_ball(ball, cap):
     ncols = len(words.letters)
     child = np.full((len(words.parents), ncols), -1, dtype=np.int32)
     child[words.parents[1:], words.columns[1:]] = np.arange(1, len(words.parents), dtype=np.int32)
-    inverse = (words.columns.astype(np.int64) + ncols // 2) % ncols
+    inverse = ((words.columns.astype(np.int32) + ncols // 2) % ncols).astype(words.columns.dtype)
     # one more row, never an element: where a walk ends at -1
     element = np.zeros(len(words.parents) + 1, dtype=bool)
     element[words.rows] = True
-    up = words.rows.astype(np.int64)
-    down = np.zeros(len(up), dtype=np.int64)
+    up = words.rows.astype(np.int32)
+    down = np.zeros(len(up), dtype=np.int32)
     for s in range(int(words.lengths.max(initial=0))):
         walking = np.flatnonzero((down >= 0) & (words.lengths > s))
         down[walking] = child[down[walking], inverse[up[walking]]]
