@@ -768,12 +768,17 @@ def _components_at(sample, delta, finer):
 
 
 def _double_sweep(pts):
-    """Approximate diameter: repeated farthest-point sweeps."""
-    i = 0
-    best = 0.0
+    """Approximate diameter: repeated farthest-point sweeps, in passes of
+    `_core.PASS_BUDGET` points.  A pass's first farthest point replaces
+    the sweep's only when strictly farther, as np.argmax over all picks."""
+    i, best = 0, 0.0
     for _ in range(4):
-        d = 2.0 - 2.0 * _dots(pts, pts[i])
-        j = int(np.argmax(d))
-        best = max(best, math.sqrt(max(float(d[j]), 0.0)))
+        far = -math.inf
+        for s in range(0, len(pts), _core.PASS_BUDGET):
+            d = 2.0 - 2.0 * _dots(pts[s:s + _core.PASS_BUDGET], pts[i])
+            k = int(np.argmax(d))
+            if d[k] > far:
+                far, j = float(d[k]), s + k
+        best = max(best, math.sqrt(max(far, 0.0)))
         i = j
     return best

@@ -46,17 +46,6 @@ def entropy_bound(r):
 # -- strata tree ------------------------------------------------------
 
 
-@dataclass
-class StrataNode:
-    parent: int  # index into the tree's node list; -1 for the root
-    depth: int
-    kind: str  # "gamma" or "boundary": which curve the entry lifts
-    d: float  # cumulative distance from the base point to the geodesic
-    gap: float  # separation from the parent's entry geodesic
-    proj: tuple  # projected entry geodesic, endpoints in base coords
-    frame: MoebiusMap  # local stratum coords -> base-plane coords
-
-
 @dataclass(frozen=True)
 class LiftBall:
     """The displacement ball one entry's lift list was taken from.
@@ -78,33 +67,45 @@ class LiftBall:
 
 @dataclass
 class StrataTree:
-    nodes: list  # StrataNode; nodes[0] is the root placeholder
+    """The tree of strata as columns, one row per node in depth-first
+    preorder (build_strata_tree); row 0 is the root placeholder, with
+    parent -1, depth, d and gap 0 and no endpoints."""
+
+    parent: np.ndarray  # (n,) int64 row of each node's parent
+    depth: np.ndarray  # (n,) int64
+    d: np.ndarray  # (n,) cumulative distance from the base point to the geodesic
+    gap: np.ndarray  # (n,) separation from the parent's entry geodesic
+    ends: np.ndarray  # (n, 2) projected entry geodesic, endpoints in base coords, 0 at inf
+    finite: np.ndarray  # (n, 2) False where an endpoint is inf
     radius: float
     lift_balls: dict  # entry kind -> LiftBall
 
     def __len__(self):
-        return len(self.nodes)
+        return len(self.parent)
 
     def min_gap(self):
-        gaps = [n.gap for n in self.nodes[1:] if n.depth >= 2]
-        return min(gaps) if gaps else math.inf
+        gaps = self.gap[self.depth >= 2]
+        return float(gaps.min()) if len(gaps) else math.inf
 
     def max_depth(self):
-        return max(n.depth for n in self.nodes)
+        return int(self.depth.max())
 
 
-def _base_distance(e1, e2):
-    """Distance from the base point i to the geodesic with real endpoints
-    e1, e2 (None = inf)."""
-    p1, p2 = (e1, 1.0) if e1 is not None else (1.0, 0.0)
-    q1, q2 = (e2, 1.0) if e2 is not None else (1.0, 0.0)
-    # projective endpoints (p1:p2), (q1:q2):
-    # sinh d = |p1 q1 + p2 q2| / |p1 q2 - p2 q1|
-    num = abs(p1 * q1 + p2 * q2)
-    den = abs(p1 * q2 - p2 * q1)
-    if den == 0.0:
-        return math.inf
-    return math.asinh(num / den)
+def _base_distances(ends, finite):
+    """Distance from the base point i to each geodesic with real endpoints
+    `ends` (inf where not `finite`), inf where the endpoints coincide.
+    With projective endpoints (p1:p2), (q1:q2), sinh d = |p1 q1 + p2 q2| /
+    |p1 q2 - p2 q1|; math.asinh is mapped over the rows, since NumPy's
+    arcsinh differs from libm's in the last bits."""
+    (p1, q1), (p2, q2) = np.where(finite, ends, 1.0).T, finite.T.astype(float)
+    with np.errstate(all="ignore"):
+        num = np.abs(p1 * q1 + p2 * q2)
+        den = np.abs(p1 * q2 - p2 * q1)
+        some = np.flatnonzero(den != 0.0)
+        ratio = num[some] / den[some]
+    d = np.full(len(num), math.inf)
+    d[some] = [math.asinh(x) for x in ratio.tolist()]
+    return d
 
 
 def _vertical_gaps(u, u_finite, v, v_finite):
@@ -254,7 +255,9 @@ def _lift_candidates(surface, entry, radius, max_elements):
     """
     frame, gens, axes = _entry_frame(surface, entry)
     frame_inv = frame.inverse()
-    cap = radius + 1.0 + max(_base_distance(*ends) for ends in axes.values())
+    ends = np.array([[0.0 if e is None else e for e in pair] for pair in axes.values()])
+    finite = np.array([[e is not None for e in pair] for pair in axes.values()])
+    cap = radius + 1.0 + float(_base_distances(ends, finite).max())
     ball = enumerate_ball(gens, BallLimit(max_displacement=cap, max_count=max_elements))
     inverses = ball.mats[:, [3, 1, 2, 0]] * np.array([1, -1, -1, 1])
     rows = np.concatenate([ball.mats, inverses])
@@ -356,35 +359,30 @@ def _select_lifts(mats, axes, radius, frame_inv, window):
                   finite=np.stack([ends[0][1], ends[1][1]], 1))
 
 
-def _endpoint_tuples(values, finite):
-    """Rows of real endpoints as tuples, None where an endpoint is inf."""
-    (u, v), (u_ok, v_ok) = values.T.tolist(), finite.T.tolist()
-    return [(x if x_ok else None, y if y_ok else None)
-            for x, y, x_ok, y_ok in zip(u, v, u_ok, v_ok)]
-
-
 def build_strata_tree(rep, radius, max_depth=4, max_elements=200_000):
-    """Tree of strata reachable within `radius` of the base point.
+    """Tree of strata reachable within `radius` of the base point, as the
+    columns of a StrataTree.
 
     Children of a stratum are the distinct lifts of the two gluing axes;
     a node's distance accumulates the separations along its chain, and
-    `frame` unfolds the node's plane isometrically onto the base plane.
-    The nodes are in the order of a depth-first walk that pushes a node's
-    children in lift-list order and so visits them last first; at depth 1
-    it keeps the first node it visits of each projected geodesic
-    (_geodesic_keys), the last in list order.
+    its frame unfolds the node's plane isometrically onto the base plane,
+    where its entry geodesic's endpoints are projected.  The rows are in
+    the order of a depth-first walk that pushes a node's children in
+    lift-list order and so visits them last first; at depth 1 it keeps
+    the first node it visits of each projected geodesic (_geodesic_keys),
+    the last in list order.
 
     The tree is built a depth at a time on arrays, in three steps.
     - Shape: each depth's children as (parent, lift) pairs, a lift being
       a child where its gap is at least GAP_TOL and the parent's d plus
       the gap is at most `radius`, in passes of `_core.PASS_BUDGET` pairs.
-      A depth that takes the tree past MAX_NODES raises before any frame
-      is formed.
-    - Order: each node's place in the walk, from subtree sizes.
-    - Frames: parent frame @ w @ t_real^(+-1) by _core.compose and the
-      projected endpoints by _image_endpoints, a depth at a time.
-    Only the depth-1 distances from the base point (_base_distance, by
-    math.asinh) and the StrataNode records are made one at a time.
+      The depth-1 distances from the base point are _base_distances of
+      the lifts' endpoints.  A depth that takes the tree past MAX_NODES
+      raises before any frame is formed.
+    - Order: each node's row in the walk, from subtree sizes.
+    - Columns: each depth's rows filled at once at their places, with the
+      projected endpoints by _image_endpoints and the frames, parent frame
+      @ w @ t_real^(+-1), by _core.compose.  The frames are not kept.
     """
     surface = rep.surface
     # Fuchsian counterpart of the stable letter: carries the boundary
@@ -404,11 +402,9 @@ def build_strata_tree(rep, radius, max_depth=4, max_elements=200_000):
     pools = {"gamma": np.arange(split, len(lifts.gap)), "boundary": np.arange(split)}
 
     # shape.  Depth 1: lifts measured from the base point itself
-    d = np.array([_base_distance(*ends) for ends in _endpoint_tuples(lifts.ends, lifts.finite)])
+    d = _base_distances(lifts.ends, lifts.finite)
     lift = np.flatnonzero(d <= radius)
-    root = StrataNode(parent=-1, depth=0, kind="", d=0.0, gap=0.0, proj=(),
-                      frame=MoebiusMap.identity())
-    frames = np.array([root.frame.entries()])
+    frames = np.array([MoebiusMap.identity().entries()])
     proj = [_image_endpoints(frames, lifts.ends[lift, k], lifts.finite[lift, k]) for k in (0, 1)]
     _, last = np.unique(_geodesic_keys(*proj[0], *proj[1])[::-1], return_index=True)
     lift = lift[np.sort(len(lift) - 1 - last)]
@@ -453,27 +449,28 @@ def build_strata_tree(rep, radius, max_depth=4, max_elements=200_000):
         last = np.searchsorted(parent, parent, side="right") - 1
         places.append(places[-1][parent] + 1 + (after[last] - after))
 
-    # frames, a depth at a time
-    nodes = [root] + [None] * (count - 1)
+    # columns and frames, a depth at a time
+    tree = StrataTree(parent=np.full(count, -1, dtype=np.int64),
+                      depth=np.zeros(count, dtype=np.int64), d=np.zeros(count),
+                      gap=np.zeros(count), ends=np.zeros((count, 2)),
+                      finite=np.zeros((count, 2), dtype=bool), radius=radius,
+                      lift_balls=lift_balls)
     turns = np.array([t_real.entries(), t_real.inverse().entries()])
     for depth, (parent, lift, d) in enumerate(layers, start=1):
-        above = frames[parent]
-        proj = [_image_endpoints(above, lifts.ends[lift, k], lifts.finite[lift, k])
-                for k in (0, 1)]
-        kinds = lifts.kind[lift]
+        at, above = places[depth], frames[parent]
+        tree.parent[at] = places[depth - 1][parent]
+        tree.depth[at] = depth
+        tree.d[at] = d
+        tree.gap[at] = d if depth == 1 else lifts.gap[lift]
+        for k in (0, 1):
+            ends, finite = _image_endpoints(above, lifts.ends[lift, k], lifts.finite[lift, k])
+            tree.ends[at, k] = np.where(finite, ends, 0.0)
+            tree.finite[at, k] = finite
         # a gamma lift's far side enters through the boundary axis: t_real;
         # a boundary lift's through the curve's axis: t_real^-1
         frames = _core.compose(_core.compose(above, lifts.w[lift]),
-                               turns[(kinds == "boundary").astype(np.int64)])
-        gaps = d if depth == 1 else lifts.gap[lift]
-        ends = _endpoint_tuples(np.stack([proj[0][0], proj[1][0]], 1),
-                                np.stack([proj[0][1], proj[1][1]], 1))
-        for at, up, kind, dist, gap, end, frame in zip(
-                places[depth].tolist(), places[depth - 1][parent].tolist(), kinds.tolist(),
-                d.tolist(), gaps.tolist(), ends, frames.tolist()):
-            nodes[at] = StrataNode(parent=up, depth=depth, kind=kind, d=dist, gap=gap,
-                                   proj=end, frame=MoebiusMap(*frame, _normalized=True))
-    return StrataTree(nodes=nodes, radius=radius, lift_balls=lift_balls)
+                               turns[(lifts.kind[lift] == "boundary").astype(np.int64)])
+    return tree
 
 
 # -- leaf-count bound -------------------------------------------------
@@ -517,37 +514,27 @@ def leaf_count_check(tree, r):
     batched a depth at a time (_leaf_counts); only the rows and their
     bounds are made one at a time.
     """
-    nodes = tree.nodes
-    if len(nodes) == 1:
-        return LeafTable(rows=[LeafRow(d=0.0, leaves_at_d=1, bound=2.0)])
-    counts = _leaf_counts(nodes)
     rows = [LeafRow(d=0.0, leaves_at_d=1, bound=2.0)]
-    d = np.fromiter((nd.d for nd in nodes[1:]), dtype=np.float64, count=len(counts))
-    for m in np.argsort(d, kind="stable").tolist():
-        dm = nodes[m + 1].d
-        rows.append(LeafRow(d=dm, leaves_at_d=counts[m], bound=2.0 ** (1.0 + dm / (2.0 * r))))
+    d, counts = tree.d[1:], _leaf_counts(tree)
+    order = np.argsort(d, kind="stable")
+    for dm, count in zip(d[order].tolist(), counts[order].tolist()):
+        rows.append(LeafRow(d=dm, leaves_at_d=count, bound=2.0 ** (1.0 + dm / (2.0 * r))))
     return LeafTable(rows=rows)
 
 
-def _leaf_counts(nodes):
-    """The leaf multiplicity of each node but the root, as a list.
+def _leaf_counts(tree):
+    """The leaf multiplicity of each node of `tree` but the root.
 
-    The chains are followed a depth at a time on arrays: the (node,
-    target) pairs whose chain so far separates the base point from the
-    target, in passes of `_core.PASS_BUDGET` pairs.  A node tests only
+    The chains are followed a depth at a time on the tree's columns: the
+    (node, target) pairs whose chain so far separates the base point from
+    the target, in passes of `_core.PASS_BUDGET` pairs.  A node tests only
     targets alive at its parent (at the root, every target), and one
-    bincount counts each target's pairs.  The nodes must be in depth-first
-    preorder, each node's parent the last node before it one level up
+    bincount counts each target's pairs.  The rows must be in depth-first
+    preorder, each node's parent the last row before it one level up
     (ValueError otherwise), as build_strata_tree gives them.
     """
-    n = len(nodes)
-    ends = np.fromiter((0.0 if e is None else e for nd in nodes[1:] for e in nd.proj),
-                       dtype=np.float64, count=2 * (n - 1)).reshape(-1, 2)
-    finite = np.fromiter((e is not None for nd in nodes[1:] for e in nd.proj),
-                         dtype=bool, count=2 * (n - 1)).reshape(-1, 2)
-    z0, ends = _finite_chart(ends, finite)
-    depth = np.fromiter((nd.depth for nd in nodes), dtype=np.int64, count=n)
-    parent = np.fromiter((nd.parent for nd in nodes), dtype=np.int64, count=n)
+    n, depth, parent = len(tree), tree.depth, tree.parent
+    z0, ends = _finite_chart(tree.ends[1:], tree.finite[1:])
     # the last node before each node one level up, by slots depth n + index
     slots = depth * n + np.arange(n)
     by_depth = np.sort(slots)
@@ -556,7 +543,7 @@ def _leaf_counts(nodes):
     if not np.all((at >= 0) & (last // n == depth[1:] - 1) & (last % n == parent[1:])):
         raise ValueError("strata nodes are not in depth-first preorder")
 
-    # node and target m stand for nodes[m + 1]
+    # node and target m stand for the tree's row m + 1
     e1, e2 = ends[:, 0], ends[:, 1]
     centers = (e1 + e2) / 2.0
     radii = np.abs(e1 - e2) / 2.0
@@ -585,7 +572,7 @@ def _leaf_counts(nodes):
         in2 = x * x < sq
         return np.where(z_in[m], ~(in1 | in2), in1 & in2) & (t != m)
 
-    counted = []
+    counted = [order[:0]]  # none at all in a tree of the root alone
     node, target = np.full(n - 1, -1), order  # the root's list: every target
     for k in range(1, int(depth.max()) + 1):
         layer = np.flatnonzero(depth == k) - 1
@@ -610,7 +597,7 @@ def _leaf_counts(nodes):
             pairs.append((m[keep], t[keep]))
         node, target = (np.concatenate(column) for column in zip(*pairs))
         counted.append(target)
-    return (1 + np.bincount(np.concatenate(counted), minlength=n - 1)).tolist()
+    return 1 + np.bincount(np.concatenate(counted), minlength=n - 1)
 
 
 # -- quasi-geodesic constants -----------------------------------------

@@ -91,12 +91,10 @@ class FreeForms:
         return b""
 
     def rewriting_bytes(self, letter):
-        """The last bytes of a form after which `multiply` may not just
-        append the letter's byte: its inverse's, which cancels, for a
-        one-byte image; every byte for a longer image, which is never
-        appended."""
-        image = self._images[letter]
-        return _LETTER[2 * _OFFSET - image[0]] if len(image) == 1 else bytes(range(256))
+        """The last byte of a form after which `multiply` does not just
+        append the letter's image: the byte that cancels the image's
+        head."""
+        return _LETTER[2 * _OFFSET - self._images[letter][0]]
 
     def multiply(self, nf, word):
         """Form of (element nf) * word, word in the letters of T_m."""
@@ -471,9 +469,11 @@ class _FormIndex:
     """The identity of a presentation ball's rows, keeping only the forms
     that a later row can equal.
 
-    A row is appended when its form is its parent's form followed by the
-    byte of its own letter, and rewritten otherwise (a stable-letter
-    rewrite, a pinch, a cancellation, a multi-byte image).  Stored forms
+    A letter's image is its form, `multiply(identity(), (x,))`.  A row is
+    appended when its letter's image is one byte and its form is its
+    parent's form followed by that byte, and rewritten otherwise (a
+    stable-letter rewrite, a pinch, a cancellation, a multi-byte image).
+    Stored forms
     are distinct, so two appended rows with one form would have one parent
     and one column, and each (parent, column) pair is formed once: an
     appended row can only equal a rewritten row or the root.  So the
@@ -492,11 +492,11 @@ class _FormIndex:
     rewritten rows to walk; the walk confirms every positive, so the
     filter never decides alone.
 
-    Whether a row is appended is read off its parent form's last byte:
+    Whether `multiply` is needed is read off the parent form's last byte:
     the presentation's `rewriting_bytes(letter)` names the last bytes
-    after which `multiply` may rewrite, so `multiply` is called only for
-    those rows, and every other row's form is its parent's form and its
-    letter's byte.
+    after which `multiply` may do more than append the letter's image, so
+    `multiply` is called only for those rows, and every other row's form,
+    the root's children's too, is its parent's form and that image.
 
     The index keeps no row position and no grading: its frontier is the
     store's, rows [store.lo, store.hi), and gradings, like word lengths,
@@ -506,19 +506,18 @@ class _FormIndex:
     def __init__(self, presentation, letters, max_rows):
         self.multiply = presentation.multiply
         self.steps = [(x,) for x in letters]
-        self.bytes = [_LETTER[x + _OFFSET] for x in letters]
+        root = presentation.identity()
+        self.images = [presentation.multiply(root, step) for step in self.steps]
+        self.single = np.array([len(image) == 1 for image in self.images])
         self.ncols = len(letters)
-        # the column of each byte, -1 where the byte is no column's letter
+        # the column of each one-byte image, -1 for every other byte
         self.column = np.full(256, -1, dtype=np.int64)
-        self.column[[x + _OFFSET for x in letters]] = range(len(letters))
-        # whether multiply may rewrite a form ending in byte b times the
-        # letter of column j, where every other row is appended; the empty
-        # form, the root's, reads as _OFFSET, the byte of no letter
+        self.column[[im[0] for im in self.images if len(im) == 1]] = np.flatnonzero(self.single)
+        # whether multiply may do more than append column j's image to a
+        # form ending in byte b; the root's, b"", reads as _OFFSET
         self.rewrites = np.zeros((256, len(letters)), dtype=bool)
         for j, x in enumerate(letters):
             self.rewrites[list(presentation.rewriting_bytes(x)), j] = True
-        self.rewrites[_OFFSET] = True
-        root = presentation.identity()
         self.rewritten = {root: 0}
         # the forms of the store's frontier, rows [store.lo, store.hi), and
         # of its next layer
@@ -547,11 +546,11 @@ class _FormIndex:
         n = len(parents)
         at = parents - store.lo
         pforms = [self.frontier[p] for p in at.tolist()]
-        steps, suffix, multiply = self.steps, self.bytes, self.multiply
+        steps, images, multiply = self.steps, self.images, self.multiply
         maybe = np.flatnonzero(self.rewrites[self.last[at], cols])
+        appended = self.single[cols]
         cols = cols.tolist()
-        forms = [f + suffix[c] for f, c in zip(pforms, cols)]
-        appended = np.ones(n, dtype=bool)
+        forms = [f + images[c] for f, c in zip(pforms, cols)]
         for i in maybe.tolist():
             form = multiply(pforms[i], steps[cols[i]])
             if form != forms[i]:
@@ -639,7 +638,8 @@ def enumerate_ball(gens, limit, sigma_values=None, presentation=None):
     i + 1 and elements are keyed by the forms its `identity()` and
     `multiply(form, word)` give (`rewriting_bytes(letter)` names the last
     bytes of a form after which `multiply` may do more than append the
-    letter's byte), so words that are equal in the group are
+    letter's image, `multiply(identity(), (letter,))`), so words that
+    are equal in the group are
     merged however far their matrices have drifted apart.  The output
     order is (word length, lexicographic word).  `sigma_values[i]` is the
     grading of generator i (default 0); the search keeps none, and a kept

@@ -1,6 +1,7 @@
 """Shared builders for the test suite, cached per process, and oracles
 of the array code."""
 
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -453,6 +454,55 @@ def reference_ball(gens, limit, sigma_values=None, presentation=None):
 # array code must give the same lifts, nodes and rows, in the same order,
 # with the same bytes.
 
+@dataclasses.dataclass
+class StrataNode:
+    """One row of a strata tree, as the scalar walk made it."""
+
+    parent: int  # the parent's row; -1 for the root
+    depth: int
+    d: float  # cumulative distance from the base point to the geodesic
+    gap: float  # separation from the parent's entry geodesic
+    proj: tuple  # projected entry geodesic, endpoints in base coords (None = inf)
+
+
+def strata_tree(nodes, radius=5.0, lift_balls=None):
+    """The growth.StrataTree whose rows are `nodes`, nodes[0] the root
+    (StrataNode; proj () at the root, an endpoint 0 in the columns where
+    it is None)."""
+    ends = [[0.0, 0.0]] + [[0.0 if e is None else e for e in nd.proj] for nd in nodes[1:]]
+    finite = [[False, False]] + [[e is not None for e in nd.proj] for nd in nodes[1:]]
+    return growth.StrataTree(
+        parent=np.array([nd.parent for nd in nodes], dtype=np.int64),
+        depth=np.array([nd.depth for nd in nodes], dtype=np.int64),
+        d=np.array([nd.d for nd in nodes], dtype=float),
+        gap=np.array([nd.gap for nd in nodes], dtype=float),
+        ends=np.array(ends, dtype=float), finite=np.array(finite, dtype=bool),
+        radius=radius, lift_balls={} if lift_balls is None else lift_balls)
+
+
+def tree_rows(tree):
+    """The rows of a growth.StrataTree as StrataNode records."""
+    return [StrataNode(parent=p, depth=depth, d=d, gap=gap,
+                       proj=() if depth == 0 else tuple(e if ok else None
+                                                        for e, ok in zip(ends, finite)))
+            for p, depth, d, gap, ends, finite in zip(
+                tree.parent.tolist(), tree.depth.tolist(), tree.d.tolist(),
+                tree.gap.tolist(), tree.ends.tolist(), tree.finite.tolist())]
+
+
+def base_distance(e1, e2):
+    """Distance from the base point i to the geodesic with real endpoints
+    e1, e2 (None = inf)."""
+    p1, p2 = (e1, 1.0) if e1 is not None else (1.0, 0.0)
+    q1, q2 = (e2, 1.0) if e2 is not None else (1.0, 0.0)
+    # projective endpoints (p1:p2), (q1:q2):
+    # sinh d = |p1 q1 + p2 q2| / |p1 q2 - p2 q1|
+    num = abs(p1 * q1 + p2 * q2)
+    den = abs(p1 * q2 - p2 * q1)
+    if den == 0.0:
+        return math.inf
+    return math.asinh(num / den)
+
 def image_endpoint(m, z):
     """Image of a real endpoint (None = inf) under a real Moebius map."""
     if z is None:
@@ -557,36 +607,34 @@ def scalar_strata_tree(rep, radius, max_depth=4, max_elements=200_000):
         cands[kind] = lift_rows(lifts)
     gaps = {kind: np.array([c.gap for c in cs], dtype=float) for kind, cs in cands.items()}
 
-    ident = MoebiusMap.identity()
-    root = growth.StrataNode(parent=-1, depth=0, kind="", d=0.0, gap=0.0,
-                             proj=(), frame=ident)
-    nodes = [root]
+    nodes = [StrataNode(parent=-1, depth=0, d=0.0, gap=0.0, proj=())]
+    frames = [MoebiusMap.identity()]
     stack = []
     for c in cands["gamma"] + cands["boundary"]:
-        d = growth._base_distance(*c.ends)
+        d = base_distance(*c.ends)
         if d <= radius:
             stack.append((0, 1, c, d))
 
     seen_depth1 = set()
     while stack:
         parent_idx, depth, cand, d = stack.pop()
-        parent = nodes[parent_idx]
-        proj = tuple(image_endpoint(parent.frame, e) for e in cand.ends)
+        parent_frame = frames[parent_idx]
+        proj = tuple(image_endpoint(parent_frame, e) for e in cand.ends)
         if depth == 1:
             key = geodesic_key(*proj)
             if key in seen_depth1:
                 continue
             seen_depth1.add(key)
         if cand.kind == "gamma":
-            frame = parent.frame @ cand.w @ t_real
+            frame = parent_frame @ cand.w @ t_real
             child_entry = "boundary"
         else:
-            frame = parent.frame @ cand.w @ t_real.inverse()
+            frame = parent_frame @ cand.w @ t_real.inverse()
             child_entry = "gamma"
         idx = len(nodes)
-        nodes.append(growth.StrataNode(parent=parent_idx, depth=depth,
-                                       kind=cand.kind, d=d, gap=d if depth == 1 else cand.gap,
-                                       proj=proj, frame=frame))
+        nodes.append(StrataNode(parent=parent_idx, depth=depth, d=d,
+                                gap=d if depth == 1 else cand.gap, proj=proj))
+        frames.append(frame)
         if len(nodes) > growth.MAX_NODES:
             raise EnumerationBudgetExceeded(
                 f"strata tree exceeded {growth.MAX_NODES} nodes")
@@ -597,7 +645,7 @@ def scalar_strata_tree(rep, radius, max_depth=4, max_elements=200_000):
         for i in np.flatnonzero((gaps[child_entry] >= growth.GAP_TOL)
                                 & (d_child <= radius)).tolist():
             stack.append((idx, depth + 1, children[i], float(d_child[i])))
-    return growth.StrataTree(nodes=nodes, radius=radius, lift_balls=lift_balls)
+    return strata_tree(nodes, radius, lift_balls)
 
 
 # -- oracle of the leaf-count table -------------------------------------
@@ -607,7 +655,7 @@ def scalar_strata_tree(rep, radius, max_depth=4, max_elements=200_000):
 # bytes in all.  The tables must agree row for row.
 
 def per_node_leaf_table(tree, r):
-    nodes = tree.nodes
+    nodes = tree_rows(tree)
     n = len(nodes)
     if n == 1:
         return growth.LeafTable(rows=[growth.LeafRow(d=0.0, leaves_at_d=1, bound=2.0)])

@@ -695,6 +695,72 @@ class TestRimDiameter:
         assert checked > 1000
 
 
+def _whole_array_sweep(pts):
+    """_double_sweep as it ran before its passes: each sweep's squared
+    distances over all the points at once.  (diameter, the sweeps' start
+    points)"""
+    i, best, starts = 0, 0.0, []
+    for _ in range(4):
+        starts.append(i)
+        d = 2.0 - 2.0 * _dots(pts, pts[i])
+        i = int(np.argmax(d))
+        best = max(best, math.sqrt(max(float(d[i]), 0.0)))
+    return best, starts
+
+
+class TestDoubleSweep:
+    """_double_sweep in passes picks the whole-array sweep's points, the
+    first of ties, and its diameter, bit for bit."""
+
+    @staticmethod
+    def _assert_whole_array_sweep(monkeypatch, pts, budget):
+        monkeypatch.setattr(_core, "PASS_BUDGET", budget)
+        centres = []
+        dots = dimension._dots
+
+        def recorded(a, b):
+            centres.append(b.tobytes())
+            return dots(a, b)
+
+        monkeypatch.setattr(dimension, "_dots", recorded)
+        got = dimension._double_sweep(pts)
+        want, starts = _whole_array_sweep(pts)
+        assert got == want
+        assert centres[::math.ceil(len(pts) / budget)] == [pts[i].tobytes() for i in starts]
+
+    @pytest.mark.parametrize("budget", [1, 7, 64])
+    def test_random_points(self, monkeypatch, budget):
+        rng = np.random.default_rng(budget)
+        for n in (1, 2, 7, 8, 50, 300):
+            self._assert_whole_array_sweep(monkeypatch, _cap(rng, n, rng.uniform(0.01, 3.0)),
+                                           budget)
+
+    @pytest.mark.parametrize("budget", [1, 3, 7])
+    def test_ties(self, monkeypatch, budget):
+        # four octahedron vertices exactly equally far from the first
+        # sweep's start, repeated points put equal farthest points in
+        # different passes, and the regular polygons' opposite points tie
+        # in rounding
+        rng = np.random.default_rng(budget)
+        square = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
+        for _ in range(10):
+            pts = np.concatenate([[[1.0, 0.0, 0.0]], square[rng.permutation(4)]])
+            self._assert_whole_array_sweep(monkeypatch, pts, budget)
+        for k in (2, 3, 4, 6, 12, 50):
+            t = 2.0 * math.pi * np.arange(k) / k
+            polygon = np.stack([np.cos(t), np.sin(t), np.zeros(k)], axis=1)
+            for pts in (polygon, np.tile(polygon, (3, 1)), np.repeat(polygon, 3, axis=0),
+                        np.tile(_cap(rng, k, 1.0), (4, 1))):
+                self._assert_whole_array_sweep(monkeypatch, pts, budget)
+                self._assert_whole_array_sweep(monkeypatch, pts[::-1], budget)
+
+    def test_default_budget(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        pts = _cap(rng, 3 * _core.PASS_BUDGET + 5, 2.0)
+        self._assert_whole_array_sweep(monkeypatch, np.concatenate([pts, pts]),
+                                       _core.PASS_BUDGET)
+
+
 class TestComponentTable:
     """The fine-to-coarse pass against the one-scale path and the
     all-pairs reference, scale by scale, on the samples above."""

@@ -123,16 +123,20 @@ class TestStrataTree:
         tree = build_strata_tree(rep, 0.3, max_depth=3)
         assert len(tree) == 1
         assert tree.max_depth() == 0
+        assert tree.min_gap() == math.inf
+        assert leaf_count_check(tree, 1.0) == LeafTable(rows=[LeafRow(d=0.0, leaves_at_d=1,
+                                                                      bound=2.0)])
 
     def test_tree_invariants(self):
         rep = helpers.hnn_for(1, 3.0)
         r = helpers.r_achieved_for(1, 3.0)
         tree = build_strata_tree(rep, 4.0 * r, max_depth=3)
         assert len(tree) > 1
-        for node in tree.nodes[1:]:
+        nodes = helpers.tree_rows(tree)
+        for node in nodes[1:]:
             assert node.d <= tree.radius + 1e-9
-            assert 0 <= node.parent < len(tree.nodes)
-            assert node.depth == tree.nodes[node.parent].depth + 1
+            assert 0 <= node.parent < len(nodes)
+            assert node.depth == nodes[node.parent].depth + 1
         # consecutive gluing geodesics along any chain stay a full collar
         # diameter apart
         assert tree.min_gap() >= 2.0 * r - 1e-6
@@ -140,11 +144,23 @@ class TestStrataTree:
     def test_child_distance_accumulates(self):
         rep = helpers.hnn_for(1, 3.0)
         r = helpers.r_achieved_for(1, 3.0)
-        tree = build_strata_tree(rep, 4.0 * r, max_depth=3)
-        for node in tree.nodes[1:]:
+        nodes = helpers.tree_rows(build_strata_tree(rep, 4.0 * r, max_depth=3))
+        for node in nodes[1:]:
             if node.depth >= 2:
-                parent = tree.nodes[node.parent]
+                parent = nodes[node.parent]
                 assert node.d == pytest.approx(parent.d + node.gap, abs=1e-9)
+
+    def test_base_distances_match_scalar_distance(self):
+        # inf endpoints, endpoints 0 and +-1, shared endpoints and NaN
+        rng = np.random.default_rng(0)
+        values = rng.uniform(-4.0, 4.0, 12).tolist() + [0.0, -0.0, 1.0, -1.0, math.nan, None]
+        pairs = [(x, y) for x in values for y in values]
+        ends = np.array([[0.0 if e is None else e for e in p] for p in pairs])
+        finite = np.array([[e is not None for e in p] for p in pairs])
+        got = growth._base_distances(ends, finite)
+        want = [helpers.base_distance(*p) for p in pairs]
+        assert [_bits(x) for x in got.tolist()] == [_bits(x) for x in want]
+        assert np.isinf(got).sum() == sum(x == y for x, y in pairs if x is not None) + 1
 
 
 def _bits(x):
@@ -161,9 +177,8 @@ def _candidate_bits(lifts):
 
 
 def _node_bits(tree):
-    return [(n.parent, n.depth, n.kind, _bits(n.d), _bits(n.gap),
-             tuple(_bits(e) for e in n.proj), tuple(_bits(e) for e in n.frame.entries()))
-            for n in tree.nodes]
+    return [(n.parent, n.depth, _bits(n.d), _bits(n.gap), tuple(_bits(e) for e in n.proj))
+            for n in helpers.tree_rows(tree)]
 
 
 def _ulps(x, k=8):
@@ -368,7 +383,7 @@ class TestStrataTreeOracle:
         rep = helpers.hnn_for(1, 3.0)
         radius = 4.5 * helpers.r_achieved_for(1, 3.0)
         size = len(_grid_tree((1, 3.0)))
-        assert sum(n.depth == 1 for n in _grid_tree((1, 3.0)).nodes) > 100
+        assert np.count_nonzero(_grid_tree((1, 3.0)).depth == 1) > 100
         returned, composed = _cache_lifts(monkeypatch), []
         compose = _core.compose
 
@@ -444,7 +459,7 @@ class TestImageEndpoints:
         surface = helpers.surface_for(1, 3.0)
         radius = 4.5 * helpers.r_achieved_for(1, 3.0)
         _, gens, axes = growth._entry_frame(surface, _entry(surface, entry))
-        cap = radius + 1.0 + max(growth._base_distance(*ends) for ends in axes.values())
+        cap = radius + 1.0 + max(helpers.base_distance(*ends) for ends in axes.values())
         ball = enumerate_ball(gens, BallLimit(max_displacement=cap, max_count=200_000))
         assert 500 < len(ball) < 20_000
         inverses = ball.mats[:, [3, 1, 2, 0]] * np.array([1, -1, -1, 1])
@@ -526,7 +541,7 @@ class TestLiftsModuloEntryAxis:
         got, lift_ball = growth._lift_candidates(surface, _entry(surface, kind), radius,
                                                  200_000)
         _, _, axes = growth._entry_frame(surface, _entry(surface, kind))
-        cap = 2.0 * radius + 1.5 + max(growth._base_distance(*e) for e in axes.values())
+        cap = 2.0 * radius + 1.5 + max(helpers.base_distance(*e) for e in axes.values())
         want, ball = _selection_over_ball(surface, kind, radius, cap, 2_000_000)
         assert not ball.truncated and not lift_ball.truncated
         assert len(ball) > 10 * lift_ball.elements
@@ -594,7 +609,7 @@ class TestLiftBallRecord:
         entry = surface.boundary_matrix()
         _, rec = growth._lift_candidates(surface, entry, radius, 200_000)
         _, _, axes = growth._entry_frame(surface, entry)
-        assert rec.cap == radius + 1.0 + max(growth._base_distance(*e) for e in axes.values())
+        assert rec.cap == radius + 1.0 + max(helpers.base_distance(*e) for e in axes.values())
         assert not rec.truncated and rec.complete_radius == rec.cap
         # the band claims the whole cap, yet the ball lacks the inverses
         # of some of its own words, well inside it
@@ -700,7 +715,7 @@ class TestLeafCount:
     def test_grid_trees_are_in_depth_first_preorder(self, key):
         # each node's parent is the last node before it one level up,
         # which leaf_count_check's one mask per depth relies on
-        nodes = _grid_tree(key).nodes
+        nodes = helpers.tree_rows(_grid_tree(key))
         last = {0: 0}
         for m, node in enumerate(nodes[1:], start=1):
             assert node.parent == last[node.depth - 1]
@@ -720,17 +735,16 @@ class TestLeafCount:
         rng = np.random.default_rng(seed)
         values = rng.uniform(-3.0, 2.5, 10).tolist()
         values += [float(np.nextafter(x, np.inf)) for x in values[:4]] + [None, 0.0]
-        nodes = [growth.StrataNode(parent=-1, depth=0, kind="", d=0.0, gap=0.0, proj=(),
-                                   frame=_IDENT)]
+        nodes = [helpers.StrataNode(parent=-1, depth=0, d=0.0, gap=0.0, proj=())]
         last = [0]
         for m in range(1, 600):
             depth = int(rng.integers(1, min(len(last), 5) + 1))
             e1, e2 = rng.choice(len(values), 2, replace=False).tolist()
-            nodes.append(growth.StrataNode(parent=last[depth - 1], depth=depth, kind="gamma",
-                                           d=float(rng.uniform(0.0, 5.0)), gap=1.0,
-                                           proj=(values[e1], values[e2]), frame=_IDENT))
+            nodes.append(helpers.StrataNode(parent=last[depth - 1], depth=depth,
+                                            d=float(rng.uniform(0.0, 5.0)), gap=1.0,
+                                            proj=(values[e1], values[e2])))
             last[depth:] = [m]
-        tree = growth.StrataTree(nodes=nodes, radius=5.0, lift_balls={})
+        tree = helpers.strata_tree(nodes)
         table = leaf_count_check(tree, 1.0)
         assert table == helpers.per_node_leaf_table(tree, 1.0)
         assert max(row.leaves_at_d for row in table.rows) > 3
@@ -743,8 +757,7 @@ class TestLeafCount:
         rng = np.random.default_rng(0)
         a, b = rng.uniform(-5.0, 5.0, (2, 20_000)) + 20.0 * np.arange(20_000)  # apart
         c, rad = (a + b) / 2.0, np.abs(a - b) / 2.0
-        nodes = [growth.StrataNode(parent=-1, depth=0, kind="", d=0.0, gap=0.0, proj=(),
-                                   frame=_IDENT)]
+        nodes = [helpers.StrataNode(parent=-1, depth=0, d=0.0, gap=0.0, proj=())]
         used = set()
         for x in (c - rad, c + rad):
             edge = [k for k in np.flatnonzero((x - c) ** 2 < rad * rad).tolist()
@@ -752,11 +765,11 @@ class TestLeafCount:
             used.update(edge)
             for k in edge:
                 for proj in ((a[k], b[k]), (x[k], c[k])):
-                    nodes.append(growth.StrataNode(parent=0, depth=1, kind="gamma", d=1.0,
-                                                   gap=1.0, proj=proj, frame=_IDENT))
+                    nodes.append(helpers.StrataNode(parent=0, depth=1, d=1.0, gap=1.0,
+                                                    proj=proj))
         assert len(nodes) == 41
         monkeypatch.setattr(growth, "_finite_chart", lambda ends, finite: (100j, ends))
-        tree = growth.StrataTree(nodes=nodes, radius=5.0, lift_balls={})
+        tree = helpers.strata_tree(nodes)
         table = leaf_count_check(tree, 1.0)
         assert table == helpers.per_node_leaf_table(tree, 1.0)
         assert sum(row.leaves_at_d == 2 for row in table.rows) == 20
@@ -784,11 +797,11 @@ class TestLeafCount:
     def test_nodes_out_of_preorder_rejected(self):
         # a depth-2 node moved under the first depth-1 node, whose
         # subtree ended before a later depth-1 node
-        nodes = list(_grid_tree((1, 3.0)).nodes)
-        assert nodes[1].depth == 1
-        k = next(m for m, node in enumerate(nodes) if node.depth == 2 and node.parent > 1)
-        nodes[k] = dataclasses.replace(nodes[k], parent=1)
-        moved = growth.StrataTree(nodes=nodes, radius=1.0, lift_balls={})
+        tree = _grid_tree((1, 3.0))
+        assert tree.depth[1] == 1
+        k = int(np.flatnonzero((tree.depth == 2) & (tree.parent > 1))[0])
+        moved = dataclasses.replace(tree, parent=tree.parent.copy())
+        moved.parent[k] = 1
         with pytest.raises(ValueError, match="preorder"):
             leaf_count_check(moved, 1.0)
 

@@ -16,10 +16,11 @@ Parses `src/kleindim/*.py` and checks that
   report, and
 - no module reads another object's single-underscore attribute: `x._name`
   is read only with x `self` or `cls`, and
-- `dimension.py` and `_core.py` take no matrix product: no `@` and no
-  call of einsum, dot, matmul, inner or tensordot, so their one
-  elementwise form of each product stays the only one and no BLAS
-  thread starts, and
+- `dimension.py`, `_core.py` and `subgroup.py` take no matrix product:
+  no `@` and no call of einsum, dot, matmul, inner or tensordot, so their
+  one elementwise form of each product (the ball search's sieve and
+  products among them) stays the only one and no BLAS thread starts,
+  and
 - building genus-2 and genus-3 surfaces imports no SciPy, which the
   package does not depend on, and
 - every subcommand option but --config sets a RunConfig field, with the
@@ -247,8 +248,8 @@ def _matrix_products(tree):
             and getattr(n.func, "attr", getattr(n.func, "id", None)) in _PRODUCT_CALLS]
 
 
-@pytest.mark.parametrize("path", [PACKAGE / "dimension.py", PACKAGE / "_core.py"],
-                         ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", [PACKAGE / "dimension.py", PACKAGE / "_core.py",
+                                  PACKAGE / "subgroup.py"], ids=lambda p: p.stem)
 def test_no_matrix_products(path):
     assert _matrix_products(_tree(path)) == []
 

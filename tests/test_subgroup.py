@@ -616,25 +616,35 @@ def test_identity_branches_match_reference(monkeypatch, name):
 @pytest.mark.parametrize("name", ["forms-1-3-m2-capped", "forms-3-3-m1-capped",
                                   "extension-2-4-R9-capped"])
 def test_multiply_appends_after_every_other_byte(name):
-    # rewriting_bytes(x) names every last byte after which multiply may
-    # rewrite; after any other, on every form of the ball and every
-    # letter, it appends x's byte, so _FormIndex.decide calls it only
-    # after the named bytes
+    # rewriting_bytes(x) names every last byte after which multiply may do
+    # more than append x's image, multiply(identity(), (x,)); after any
+    # other, and after the empty form, on every form of the ball and every
+    # letter, it appends that image, so _FormIndex.decide calls it only
+    # after the named bytes.  A free basis letter's image is its byte, and
+    # FreeForms names one byte for every letter, the one cancelling the
+    # head of its image
     gens, limit, kwargs = REFERENCE_BALLS[name]()
     pres = kwargs["presentation"]
     ball = enumerate_ball(gens, limit, **kwargs)
     forms = {pres.multiply(pres.identity(), w) for w in ball.words}
     letters = [x for j in range(1, len(gens) + 1) for x in (j, -j)]
-    appended = rewritten = 0
+    appended = rewritten = longer = 0
     for x in letters:
+        image = pres.multiply(pres.identity(), (x,))
         flagged = set(pres.rewriting_bytes(x))
+        if isinstance(pres, FreeForms):
+            assert flagged == {256 - image[0]}
+        if len(image) == 1:
+            assert image == bytes([x + 128])
         for form in forms:
-            if form and form[-1] not in flagged:
-                assert pres.multiply(form, (x,)) == form + bytes([x + 128]), (form, x)
+            if not form or form[-1] not in flagged:
+                assert pres.multiply(form, (x,)) == form + image, (form, x)
                 appended += 1
-            elif pres.multiply(form, (x,)) != form + bytes([x + 128]):
+                longer += len(image) > 1
+            elif pres.multiply(form, (x,)) != form + image:
                 rewritten += 1
     assert appended > rewritten > 0
+    assert (longer > 0) == isinstance(pres, FreeForms)
 
 
 @pytest.mark.parametrize("name", sorted(IDENTITY_BALLS))
