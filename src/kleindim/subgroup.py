@@ -473,13 +473,12 @@ class _FormIndex:
     appended when its letter's image is one byte and its form is its
     parent's form followed by that byte, and rewritten otherwise (a
     stable-letter rewrite, a pinch, a cancellation, a multi-byte image).
-    Stored forms
-    are distinct, so two appended rows with one form would have one parent
-    and one column, and each (parent, column) pair is formed once: an
-    appended row can only equal a rewritten row or the root.  So the
-    rewritten forms and the root's, b"", are kept for good, in
-    `rewritten`, and the forms of a layer only while it is the frontier,
-    to multiply.
+    Stored forms are distinct, so two appended rows with one form would
+    have one parent and one column, and each (parent, column) pair is
+    formed once: an appended row can only equal a rewritten row or the
+    root.  So the rewritten forms and the root's, b"", are kept for good,
+    in `rewritten`, and the forms of a layer only while it is the
+    frontier, to multiply.
 
     A rewritten row equals a stored appended row R* in one way only.  The
     rows from R* up to its first ancestor in `rewritten` are appended, so
@@ -639,8 +638,8 @@ def enumerate_ball(gens, limit, sigma_values=None, presentation=None):
     `multiply(form, word)` give (`rewriting_bytes(letter)` names the last
     bytes of a form after which `multiply` may do more than append the
     letter's image, `multiply(identity(), (letter,))`), so words that
-    are equal in the group are
-    merged however far their matrices have drifted apart.  The output
+    are equal in the group are merged however far their matrices have
+    drifted apart.  The output
     order is (word length, lexicographic word).  `sigma_values[i]` is the
     grading of generator i (default 0); the search keeps none, and a kept
     word's grading, like its length, is summed down the trie at the end.
