@@ -477,43 +477,13 @@ def _rim(pts):
     return pts[np.sqrt(r2) >= reach]
 
 
-def _facing_test(a, b, dot_needed):
-    """Decide a cell pair from its facing points where that is clear:
-    True when a pair with a . b >= dot_needed exists, False when none
-    surely does, None when only the exhaustive test can tell.
-
-    Hit: the point of each cell nearest the other cell's centroid is
-    tested against every point of the other cell.  Its dot products are
-    `_dots`, as in the exhaustive test, so a hit here is a hit there.
-    Miss: every point of one cell lies at squared distance above
-    2 (1 - dot_needed) + 2 _FACING_MARGIN, about delta^2 + 2e-12, from
-    the other cell's bounding box, which holds every point of that cell.
-    |p - q|^2 >= dist(p, box)^2 holds exactly and p . q = (|p|^2 + |q|^2
-    - |p - q|^2) / 2, so every dot product lies below dot_needed -
-    _FACING_MARGIN up to a few ulps of the computed distance, norms and
-    dot_needed; the margin makes the miss one the exhaustive test would
-    find too.
-    """
-    for near, far in ((a, b), (b, a)):
-        gap = near - far.mean(axis=0)
-        p = near[np.argmin(_dots(gap, gap))]
-        if float(_dots(far, p).max()) >= dot_needed:
-            return True
-    clear = 2.0 * (1.0 - dot_needed) + 2.0 * _FACING_MARGIN
-    for near, far in ((a, b), (b, a)):
-        gap = np.maximum(np.maximum(far.min(axis=0) - near, near - far.max(axis=0)), 0.0)
-        if float(_dots(gap, gap).min()) > clear:
-            return False
-    return None
-
-
-# Cell pairs with at most this many point pairs are tested in one
-# vectorised pass; larger ones go through _facing_test, then, when it
-# cannot tell, through every point pair, stopping at the first block with
-# a hit.  Both are skipped once the two cells are already joined.
+# Cube pairs the triage leaves with at most this many point pairs are
+# tested in one vectorised pass; larger ones through every point pair,
+# stopping at the first block with a hit.  Both skip the pairs whose
+# cubes are already joined.
 _SMALL_PAIR = 256
-# absolute margin in dot-product terms of _facing_test's miss test
-_FACING_MARGIN = 1e-12
+# absolute margin in dot-product terms of the triage's miss test
+_MISS_MARGIN = 1e-12
 # the least delta components are taken at.  A pair with a . b computed
 # >= 1 - delta^2 / 2 may lie up to sqrt(delta^2 + 2^-47) apart (rounding of
 # the dot product and of the norms), which the search's reach, 2 delta /
@@ -522,23 +492,26 @@ _FACING_MARGIN = 1e-12
 _MIN_DELTA = 2.0**-22
 # exact O(k^2) diameter up to this component size, double sweep above
 _EXACT_DIAM = 4000
-# the 62 cell offsets in {-2..2}^3 that are lexicographically positive:
-# each unordered pair of nearby cells is visited once
-_HALF_OFFSETS = [(a, b, c) for a in range(-2, 3) for b in range(-2, 3)
-                 for c in range(-2, 3) if (a, b, c) > (0, 0, 0)]
+# the rows of cubes, steps (a, b) on the first two axes, that hold the
+# neighbours after a cube in key order
+_HALF_ROWS = [(a, b) for a in range(3) for b in range(-2, 3) if (a, b) >= (0, 0)]
 
 
 def _cell_pairs(xyz, side):
     """Occupied cubes of side `side` and the pairs of them at most 2
-    apart on every axis.
+    apart on every axis, each unordered pair once.
 
     Returns (order, cell_of, counts, first, second): the points in cube
     order, the cube index of each point (cubes in lexicographic order),
-    the points per cube, and the two cubes of each neighbouring pair.
-    The cubes' `_cube_keys` are sorted once, stably, so `order` is also
-    np.argsort(cell_of, kind="stable"), and the cubes, their counts and
-    cell_of are read off the runs of equal keys.  Each offset's
-    neighbours are found by one search.
+    the points per cube, and the two cubes of each neighbouring pair,
+    first[k] < second[k].  The cubes' `_cube_keys` are sorted once,
+    stably, so `order` is also np.argsort(cell_of, kind="stable"), and
+    the cubes, their counts and cell_of are read off the runs of equal
+    keys.  The neighbours after a cube lie in 13 rows of cubes, steps
+    (a, b) >= (0, 0) on the first two axes, at steps c in [-2, 2] on the
+    third ([1, 2] in the cube's own row).  Every axis is padded by 2, so
+    they are consecutive keys of that row, and one search per row finds
+    both ends of the run, int64 and Python-int keys alike.
     """
     keys, strides = _cube_keys(xyz, side)
     order = np.argsort(keys, kind="stable")
@@ -555,14 +528,42 @@ def _cell_pairs(xyz, side):
     cell_of = np.empty(len(ranks), dtype=np.int64)
     cell_of[order] = ranks
     del ranks
+    cubes = np.arange(len(occupied))
     first, second = [], []
-    for offset in _HALF_OFFSETS:
-        target = occupied + sum(a * s for a, s in zip(offset, strides))
-        hit = np.minimum(np.searchsorted(occupied, target), len(occupied) - 1)
-        found = occupied[hit] == target
-        first.append(np.flatnonzero(found))
-        second.append(hit[found])
+    for a, b in _HALF_ROWS:
+        row = occupied + (a * strides[0] + b * strides[1])
+        lo, hi = np.searchsorted(occupied, [row + (1 if a == b == 0 else -2), row + 3])
+        size = hi - lo
+        first.append(np.repeat(cubes, size))
+        second.append(np.arange(int(size.sum())) + np.repeat(lo - (np.cumsum(size) - size), size))
     return order, cell_of, counts, np.concatenate(first), np.concatenate(second)
+
+
+def _triage(pts, starts, first, second, dot_needed):
+    """The cube pairs (first[k], second[k]) decided from two summaries
+    of each cube, its first point and its bounding box: (hit, miss).
+
+    `pts` holds the points grouped by cube, cube k from starts[k].  Hit:
+    the two first points pass a . b >= dot_needed, a point pair of the
+    exhaustive test, rounded alike (`_dots`).  Miss: the squared gap of
+    the two boxes exceeds 2 (1 - dot_needed) + 2 _MISS_MARGIN, about
+    delta^2 + 2e-12.  Each point's gap to the other box is, axis by axis
+    and as rounded, at least the boxes' gap; |p - q|^2 >= dist(p, box)^2
+    exactly and p . q = (|p|^2 + |q|^2 - |p - q|^2) / 2, so every dot
+    product lies below dot_needed - _MISS_MARGIN up to a few ulps, and
+    the margin makes the miss one the exhaustive test would find too.
+    In passes of `_core.PASS_BUDGET` pairs."""
+    head = pts[starts]
+    low, high = np.minimum.reduceat(pts, starts), np.maximum.reduceat(pts, starts)
+    clear = 2.0 * (1.0 - dot_needed) + 2.0 * _MISS_MARGIN
+    hit, miss = np.empty(len(first), dtype=bool), np.empty(len(first), dtype=bool)
+    for s in range(0, len(first), _core.PASS_BUDGET):
+        part = slice(s, s + _core.PASS_BUDGET)
+        i, j = first[part], second[part]
+        hit[part] = _dots(head[i], head[j]) >= dot_needed
+        gap = np.maximum(np.maximum(low[j] - high[i], low[i] - high[j]), 0.0)
+        miss[part] = _dots(gap, gap) > clear
+    return hit, miss
 
 
 def _small_pairs_linked(pts, starts, counts, first, second, dot_needed):
@@ -646,10 +647,11 @@ def component_table(sample, scales):
     The graph at delta' < delta is a subgraph of the graph at delta: in
     floating point too, 1 - delta'^2 / 2 >= 1 - delta^2 / 2.  So every
     component at delta is a union of components at delta' (single
-    linkage), and each scale starts from the partition of the finer
-    scale before it, whatever the scales are; `_components_at` says how.
-    Only one scale's labels and diameters are held at a time.  A delta
-    below `_MIN_DELTA` (2^-22, about 2.4e-7) raises ValueError: there the
+    linkage), whatever the scales are, and each scale hands its
+    partition to the next coarser one, which reuses its diameters and,
+    when it is one component, takes it whole (`_components_at`).  Only
+    one scale's labels and diameters are held at a time.  A delta below
+    `_MIN_DELTA` (2^-22, about 2.4e-7) raises ValueError: there the
     threshold is within rounding of 1.
     """
     if any(delta < _MIN_DELTA for delta in scales):
@@ -666,70 +668,60 @@ def _components_at(sample, delta, finer):
     partition it found, (labels of the points, component sizes,
     diameters, NaN where not taken), for the next coarser scale.
 
-    `finer` is that partition at a finer scale, or None.  The graph is
-    built on cells first: points are binned in cubes of side
-    delta / sqrt(3) (`_cell_pairs`, one sort of the cube keys), so points
-    sharing a cube are always joined and an edge can only join cubes at
-    most 2 apart on every axis.  A union-find runs over cubes, not
-    points, on a root array (`_join`), and each class's root is its
-    least cube.  It starts from `finer`: the cubes that hold the points
-    of one finer component are joined, and the pairs of nearby cubes
-    already joined are dropped.  The rest are decided in this order:
-    - small pairs (at most 256 point pairs), every point pair in one
+    `finer` is that partition at a finer scale, or None.  When it is one
+    component, so is this scale, with that component's diameter.
+    Otherwise the graph is built on cells: points are binned in cubes of
+    side delta / sqrt(3) (`_cell_pairs`, one sort of the cube keys), so
+    points sharing a cube are always joined and an edge can only join
+    cubes at most 2 apart on every axis.  A union-find runs over cubes,
+    not points, on a root array (`_join`), and each class's root is its
+    least cube.  The neighbouring pairs are decided in this order:
+    - every pair at once by `_triage`, from each cube's first point and
+      bounding box: the sure hits are joined, the sure misses dropped;
+    - of the pairs left, those whose cubes are not yet joined: small
+      pairs (at most 256 point pairs), every point pair in one
       vectorised pass, the linked ones joined at once;
-    - each large pair whose cubes are not yet joined, one by one
-      (`_find`): by _facing_test's hit test (the points nearest the
-      other cube's centroid), then by its miss test (distances to the
-      other cube's bounding box, with a margin that makes it agree with
-      the exact test);
-    - the large pairs neither test decides, every point pair, block by
-      block, stopping at the first block with a hit.
-    The partition is the components of the seeding and linked pairs,
-    whatever order they are joined in, and components are numbered by
-    their least cube.  Every dot product, here and in the diameters, is
-    `_dots`, so a pair rounds alike in every test.  The diameter is exact
-    for components of at most 4,000 points, the least dot product over
-    the pairs of the points that can end a farthest pair (`_rim`), and
-    a double-sweep lower bound above, from the component's lowest-index
-    point; either is a function of the point set.  So a component with
-    the size of the finer component of its first point is that component
-    and keeps its diameter.  The others are taken in decreasing order of their
+    - each large pair whose cubes are still apart, one by one (`_find`),
+      every point pair, block by block, stopping at the first block with
+      a hit.
+    The partition is the components of the linked pairs, whatever order
+    they are joined in, and components are numbered by their least cube.
+    Every dot product, here and in the diameters, is `_dots`, so a pair
+    rounds alike in every test.  The diameter is exact for components of
+    at most 4,000 points, the least dot product over the pairs of the
+    points that can end a farthest pair (`_rim`), and a double-sweep
+    lower bound above, from the component's lowest-index point; either
+    is a function of the point set.  So a component with the size of the
+    finer component of its first point is that component and keeps its
+    diameter.  The others are taken in decreasing order of their
     bounding box, and those whose box is smaller than the largest
     diameter so far are skipped, which leaves the maximum unchanged.
     """
     if sample.count == 0:
         return (0, 0.0), finer
+    if finer is not None and len(finer[1]) == 1:
+        return (1, float(finer[2][0])), finer
     xyz = sample.xyz
     order, cell_of, counts, first, second = _cell_pairs(xyz, delta / math.sqrt(3.0))
     starts = np.cumsum(counts) - counts
     dot_needed = 1.0 - delta * delta / 2.0
-
+    pts = xyz[order]
+    del order
+    hit, miss = _triage(pts, starts, first, second, dot_needed)
     root = np.arange(len(counts))
-    if finer is not None:
-        finer_comp, finer_sizes, finer_diams = finer
-        # the distinct (finer component, cube) pairs, by component; each
-        # cube is joined to the one before it in its component
-        comps, cubes = np.divmod(np.unique(finer_comp * len(counts) + cell_of), len(counts))
-        shared = comps[1:] == comps[:-1]
-        _join(root, cubes[:-1][shared], cubes[1:][shared])
-        apart = root[first] != root[second]
-        first, second = first[apart], second[apart]
+    _join(root, first[hit], second[hit])
+    apart = ~(hit | miss) & (root[first] != root[second])
+    first, second = first[apart], second[apart]
     small = counts[first] * counts[second] <= _SMALL_PAIR
-    linked = _small_pairs_linked(xyz[order], starts, counts, first[small],
-                                 second[small], dot_needed)
+    linked = _small_pairs_linked(pts, starts, counts, first[small], second[small], dot_needed)
     _join(root, first[small][linked], second[small][linked])
     for i, j in zip(first[~small].tolist(), second[~small].tolist()):
         ri, rj = _find(root, i), _find(root, j)
-        if ri == rj:
-            continue
-        a = xyz[order[starts[i]:starts[i] + counts[i]]]
-        b = xyz[order[starts[j]:starts[j] + counts[j]]]
-        joined = _facing_test(a, b, dot_needed)
-        if joined is None:
-            joined = any(float(d.max()) >= dot_needed for d in _pair_blocks(a, b))
-        if joined:
+        if ri != rj and any(float(d.max()) >= dot_needed for d in _pair_blocks(
+                pts[starts[i]:starts[i] + counts[i]], pts[starts[j]:starts[j] + counts[j]])):
             root[max(ri, rj)] = min(ri, rj)
-    del order
+    # the pair tests' slices, views of pts, are gone, so this frees it
+    del pts
     _flatten(root)
 
     # components numbered by their least cube, each class's root
@@ -742,6 +734,7 @@ def _components_at(sample, delta, finer):
     begins = np.cumsum(sizes) - sizes
     diams = np.where(sizes > 1, np.nan, 0.0)
     if finer is not None:
+        finer_comp, finer_sizes, finer_diams = finer
         # the finer component of each component's first point
         head = finer_comp[by_comp[begins]]
         same = sizes == finer_sizes[head]

@@ -161,31 +161,31 @@ class _Lifts(NamedTuple):
 
 
 def _axis_endpoints(mat):
-    att, rep = mat.fixed_points()
-    return (None if att.infinite else att.z.real,
-            None if rep.infinite else rep.z.real)
+    """The real fixed points of `mat`, attracting first: (ends, finite), 0 at inf."""
+    points = mat.fixed_points()
+    return (np.array([0.0 if p.infinite else p.z.real for p in points]),
+            np.array([not p.infinite for p in points]))
 
 
-def _image_endpoints(mats, z, finite=True):
+def _image_endpoints(mats, z, finite):
     """Images of real endpoints under real Moebius rows (a, b, c, d):
     (values, defined).  The image of z is (a z + b) / (c z + d), undefined
     (inf) where |c z + d| < 1e-12 (|a z| + |b| + 1); the image of inf is
     a / c, undefined where |c| < 1e-14 |a|.
 
     `mats` holds one row per endpoint, or one (1, 4) row for all; `z` is
-    one endpoint (None = inf), or one per row with `finite` False where it
-    is inf.  The arithmetic replays CPython's complex arithmetic, bit for
-    bit but for the sign of a NaN.  Where the quotient divides by zero (c,
-    or c z + d, is 0 and its threshold 0 or NaN) the value is NaN."""
-    if z is None:
-        z, finite = 0.0, False
+    one endpoint, or one per row, with `finite` False where it is inf.
+    The arithmetic replays CPython's complex arithmetic, bit for bit but
+    for the sign of a NaN.  Where the quotient divides by zero (c, or
+    c z + d, is 0 and its threshold 0 or NaN) the value is NaN."""
+    one = np.ndim(finite) == 0
     (ar, ai), (br, bi), (cr, ci), (dr, di) = ((mats[:, k].real, mats[:, k].imag)
                                               for k in range(4))
     with np.errstate(all="ignore"):
-        if finite is not True:
+        if not (one and finite):
             at_inf, _ = _core.c_quot(ar, ai, cr, ci)
             at_inf_ok = ~(np.hypot(cr, ci) < 1e-14 * np.hypot(ar, ai))
-            if finite is False:
+            if one:
                 return at_inf, at_inf_ok
         # a float in a complex product is promoted to (z + 0j)
         nr, ni = _core.c_prod(ar, ai, z, 0.0)
@@ -193,7 +193,7 @@ def _image_endpoints(mats, z, finite=True):
         er, ei = er + dr, ei + di
         ok = ~(np.hypot(er, ei) < 1e-12 * ((np.hypot(nr, ni) + np.hypot(br, bi)) + 1.0))
         vals, _ = _core.c_quot(nr + br, ni + bi, er, ei)
-    if finite is True:
+    if one:
         return vals, ok
     return np.where(finite, vals, at_inf), np.where(finite, ok, at_inf_ok)
 
@@ -214,7 +214,7 @@ def _may_lift(u, u_defined, v, v_defined, radius):
 def _entry_frame(surface, entry):
     """The frame carrying the axis of `entry` to {0, inf} (attracting end
     at inf), the surface generators in it, and the real endpoints of both
-    gluing axes in it."""
+    gluing axes in it, kind -> (ends, finite) columns."""
     frame = entry.conjugator_to_standard()
     gens = [g.conjugate_by(frame) for g in surface.generators]
     axes = {
@@ -255,9 +255,7 @@ def _lift_candidates(surface, entry, radius, max_elements):
     """
     frame, gens, axes = _entry_frame(surface, entry)
     frame_inv = frame.inverse()
-    ends = np.array([[0.0 if e is None else e for e in pair] for pair in axes.values()])
-    finite = np.array([[e is not None for e in pair] for pair in axes.values()])
-    cap = radius + 1.0 + float(_base_distances(ends, finite).max())
+    cap = radius + 1.0 + float(_base_distances(*map(np.stack, zip(*axes.values()))).max())
     ball = enumerate_ball(gens, BallLimit(max_displacement=cap, max_count=max_elements))
     inverses = ball.mats[:, [3, 1, 2, 0]] * np.array([1, -1, -1, 1])
     rows = np.concatenate([ball.mats, inverses])
@@ -269,10 +267,10 @@ def _lift_candidates(surface, entry, radius, max_elements):
                           for k in range(-top, top + 1)])
     window = (-(radius + 1.0), math.nextafter(radius + 1.0, math.inf))
     parts = []
-    for kind, ends in axes.items():
+    for kind, axis in axes.items():
         base = reps.m[reps.kind == kind]
         translates = (diagonals[:, None, :] * base[None, :, :]).reshape(-1, 4)
-        parts.append(_select_lifts(translates, {kind: ends}, radius, frame_inv, window))
+        parts.append(_select_lifts(translates, {kind: axis}, radius, frame_inv, window))
     return _Lifts.joined(parts), _lift_ball(ball, cap)
 
 
@@ -308,10 +306,10 @@ def _lift_ball(ball, cap):
 
 
 def _select_lifts(mats, axes, radius, frame_inv, window):
-    """Candidates for the images of `axes` (kind -> real endpoints, None
-    = inf) under the rows of `mats`, within `radius` of the vertical
-    axis and with axial offset in the half-open `window` (lo, hi): a
-    _Lifts in row order, and in the order of `axes` within a row.
+    """Candidates for the images of `axes` (kind -> (ends, finite) of its
+    real endpoints) under the rows of `mats`, within `radius` of the
+    vertical axis and with axial offset in the half-open `window` (lo,
+    hi): a _Lifts in row order, and in the order of `axes` within a row.
 
     The decision runs on arrays, in passes of `_core.PASS_BUDGET` (row,
     axis) pairs: each row's image endpoints (_image_endpoints, once per
@@ -330,8 +328,8 @@ def _select_lifts(mats, axes, radius, frame_inv, window):
     # one pass at least, so that no rows still give (empty) columns
     for start in range(0, max(len(mats), 1), step):
         part = mats[start:start + step]
-        images = [_image_endpoints(part, e1) + _image_endpoints(part, e2)
-                  for e1, e2 in axes.values()]
+        images = [_image_endpoints(part, ends[0], finite[0])
+                  + _image_endpoints(part, ends[1], finite[1]) for ends, finite in axes.values()]
         # the (row, axis) pairs _may_lift keeps, row by row, and their
         # u, u_defined, v, v_defined
         rows, axis = np.nonzero(np.stack([_may_lift(*image, radius) for image in images], 1))
@@ -381,8 +379,9 @@ def build_strata_tree(rep, radius, max_depth=4, max_elements=200_000):
       raises before any frame is formed.
     - Order: each node's row in the walk, from subtree sizes.
     - Columns: each depth's rows filled at once at their places, with the
-      projected endpoints by _image_endpoints and the frames, parent frame
-      @ w @ t_real^(+-1), by _core.compose.  The frames are not kept.
+      projected endpoints by _image_endpoints (depth 1's from the dedup)
+      and, above the deepest depth, the frames, parent frame @ w @
+      t_real^(+-1), by _core.compose.  The frames are not kept.
     """
     surface = rep.surface
     # Fuchsian counterpart of the stable letter: carries the boundary
@@ -405,9 +404,11 @@ def build_strata_tree(rep, radius, max_depth=4, max_elements=200_000):
     d = _base_distances(lifts.ends, lifts.finite)
     lift = np.flatnonzero(d <= radius)
     frames = np.array([MoebiusMap.identity().entries()])
-    proj = [_image_endpoints(frames, lifts.ends[lift, k], lifts.finite[lift, k]) for k in (0, 1)]
-    _, last = np.unique(_geodesic_keys(*proj[0], *proj[1])[::-1], return_index=True)
-    lift = lift[np.sort(len(lift) - 1 - last)]
+    proj = _image_endpoints(frames, lifts.ends[lift].T, lifts.finite[lift].T)
+    (u, v), (u_ok, v_ok) = proj
+    _, last = np.unique(_geodesic_keys(u, u_ok, v, v_ok)[::-1], return_index=True)
+    kept = np.sort(len(lift) - 1 - last)
+    lift, proj = lift[kept], [column[:, kept] for column in proj]
     layers = [(np.zeros(len(lift), dtype=np.int64), lift, d[lift])]
     count = 1 + len(lift)
     while len(layers) < max_depth and count <= MAX_NODES and len(layers[-1][1]):
@@ -462,14 +463,14 @@ def build_strata_tree(rep, radius, max_depth=4, max_elements=200_000):
         tree.depth[at] = depth
         tree.d[at] = d
         tree.gap[at] = d if depth == 1 else lifts.gap[lift]
-        for k in (0, 1):
-            ends, finite = _image_endpoints(above, lifts.ends[lift, k], lifts.finite[lift, k])
-            tree.ends[at, k] = np.where(finite, ends, 0.0)
-            tree.finite[at, k] = finite
+        if depth > 1:
+            proj = _image_endpoints(above, lifts.ends[lift].T, lifts.finite[lift].T)
+        tree.ends[at], tree.finite[at] = np.where(proj[1], proj[0], 0.0).T, proj[1].T
         # a gamma lift's far side enters through the boundary axis: t_real;
         # a boundary lift's through the curve's axis: t_real^-1
-        frames = _core.compose(_core.compose(above, lifts.w[lift]),
-                               turns[(lifts.kind[lift] == "boundary").astype(np.int64)])
+        if depth < len(layers):
+            frames = _core.compose(_core.compose(above, lifts.w[lift]),
+                                   turns[(lifts.kind[lift] == "boundary").astype(np.int64)])
     return tree
 
 

@@ -3,13 +3,14 @@ of the array code."""
 
 import dataclasses
 import functools
+import itertools
 import math
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 
-from kleindim import _core, growth, moebius, words
+from kleindim import _core, dimension, growth, moebius, words
 from kleindim.dimension import DEDUP_TOL
 from kleindim.errors import EnumerationBudgetExceeded
 from kleindim.hnn import build_hnn, solve_stable_letter
@@ -565,6 +566,20 @@ def as_lifts(rows):
                         dtype=bool).reshape(-1, 2))
 
 
+def axis_pairs(axes):
+    """Axes as growth._entry_frame gives them, kind -> (ends, finite)
+    columns, as kind -> (endpoint, endpoint), None for inf."""
+    return {kind: tuple(float(e) if f else None for e, f in zip(*axis))
+            for kind, axis in axes.items()}
+
+
+def axis_columns(pairs):
+    """The axes of axis_pairs back as (ends, finite) columns."""
+    return {kind: (np.array([0.0 if e is None else e for e in pair]),
+                   np.array([e is not None for e in pair]))
+            for kind, pair in pairs.items()}
+
+
 def scalar_lift_candidates(mats, axes, radius, frame_inv, window):
     """growth._select_lifts as the per-row loop over the whole ball that
     ran before the array sieve, with the axial window as a parameter."""
@@ -573,7 +588,7 @@ def scalar_lift_candidates(mats, axes, radius, frame_inv, window):
     seen = set()
     for entries in mats.tolist():
         m = MoebiusMap(*entries, _normalized=True)
-        for kind, (e1, e2) in axes.items():
+        for kind, (e1, e2) in axis_pairs(axes).items():
             u = image_endpoint(m, e1)
             v = image_endpoint(m, e2)
             gap = vertical_gap(u, v)
@@ -687,6 +702,25 @@ def per_node_leaf_table(tree, r):
 
 
 # -- components ---------------------------------------------------------
+
+def offset_cell_pairs(xyz, side):
+    """The neighbouring cube pairs as dimension._cell_pairs found them
+    before its row search, one search per each of the 62 offsets in
+    {-2..2}^3 that are lexicographically positive: (first, second) cube
+    indices, cubes in key order."""
+    keys, strides = dimension._cube_keys(xyz, side)
+    occupied = np.unique(keys)
+    first, second = [], []
+    for offset in itertools.product(range(-2, 3), repeat=3):
+        if offset <= (0, 0, 0):
+            continue
+        target = occupied + sum(a * s for a, s in zip(offset, strides))
+        hit = np.minimum(np.searchsorted(occupied, target), len(occupied) - 1)
+        found = occupied[hit] == target
+        first.append(np.flatnonzero(found))
+        second.append(hit[found])
+    return np.concatenate(first), np.concatenate(second)
+
 
 class UnionFind:
     """The scalar union-find that dimension._join replaced: find with

@@ -292,10 +292,9 @@ _FACING_DELTA = 0.05
 def _facing_cells(gap, rng, n=40):
     """Two cells of n points each, mirror images across the plane x = 0,
     whose closest pair (-s, y0, z0), (s, y0, z0) lies at distance
-    2 s = _FACING_DELTA + gap.  Every other point of a cell lies at least
-    1e-3 further out along x, so the closest pair's points are the ones
-    nearest the other cell's centroid, and the pair's distance is also
-    each point's distance from the other cell's bounding box.  At
+    2 s = _FACING_DELTA + gap, the cells' first points.  Every other point
+    of a cell lies at least 1e-3 further out along x, so the pair's
+    distance is also the gap between the cells' bounding boxes.  At
     delta = _FACING_DELTA each cell is one cube of the grid."""
     s, y0 = (_FACING_DELTA + gap) / 2.0, 0.246
     x = -s - np.concatenate(([0.0], rng.uniform(1e-3, 3e-3, n - 1)))
@@ -348,29 +347,29 @@ class TestComponentsAgainstBruteForce:
 
     @pytest.fixture
     def paths(self, monkeypatch):
-        """Counts of the cell pairs tested as small pairs, the large pairs
-        _facing_test decided as hits and as misses, and the large pairs
-        sent to the exhaustive test: the calls of _pair_blocks."""
-        seen = {"small": 0, "hit": 0, "miss": 0, "exhaustive": 0}
-        small = dimension._small_pairs_linked
-        facing, blocks = dimension._facing_test, dimension._pair_blocks
+        """Counts of the cube pairs _triage decided as hits and as misses,
+        of the pairs tested as small pairs, and of the large pairs sent to
+        the exhaustive test: the calls of _pair_blocks."""
+        seen = {"hit": 0, "miss": 0, "small": 0, "exhaustive": 0}
+        triage = dimension._triage
+        small, blocks = dimension._small_pairs_linked, dimension._pair_blocks
+
+        def count_triage(*args):
+            hit, miss = triage(*args)
+            seen["hit"] += int(hit.sum())
+            seen["miss"] += int(miss.sum())
+            return hit, miss
 
         def count_small(pts, starts, counts, first, second, dot_needed):
             seen["small"] += len(first)
             return small(pts, starts, counts, first, second, dot_needed)
 
-        def count_facing(a, b, dot_needed):
-            linked = facing(a, b, dot_needed)
-            if linked is not None:
-                seen["hit" if linked else "miss"] += 1
-            return linked
-
         def count_blocks(a, b):
             seen["exhaustive"] += 1
             return blocks(a, b)
 
+        monkeypatch.setattr(dimension, "_triage", count_triage)
         monkeypatch.setattr(dimension, "_small_pairs_linked", count_small)
-        monkeypatch.setattr(dimension, "_facing_test", count_facing)
         monkeypatch.setattr(dimension, "_pair_blocks", count_blocks)
         return seen
 
@@ -396,13 +395,14 @@ class TestComponentsAgainstBruteForce:
         sample = _facing_cells(gap, np.random.default_rng(0))
         got = component_analysis(sample, _FACING_DELTA)
         assert got == _brute_components(sample.xyz, _FACING_DELTA)
-        # joined just below delta, by the hit test, which rounds as the
-        # exhaustive test does; apart just above it, where neither the hit
-        # nor the miss test can tell
+        # joined just below delta by the triage's hit test: the closest
+        # pair is each cell's first point, and the test rounds as the
+        # exhaustive test does; apart just above it, where neither the
+        # hit nor the miss test can tell
         if gap < 0:
-            assert got[0] == 1 and paths == {"small": 0, "hit": 1, "miss": 0, "exhaustive": 0}
+            assert got[0] == 1 and paths == {"hit": 1, "miss": 0, "small": 0, "exhaustive": 0}
         else:
-            assert got[0] == 2 and paths == {"small": 0, "hit": 0, "miss": 0, "exhaustive": 1}
+            assert got[0] == 2 and paths == {"hit": 0, "miss": 0, "small": 0, "exhaustive": 1}
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_points_on_cell_boundaries(self, seed):
@@ -521,6 +521,26 @@ class TestCellKeys:
         assert set(got) == pairs
         assert any(max(abs(a - b) for a, b in zip(*pair)) == 2 for pair in pairs)
 
+    @staticmethod
+    def _assert_offset_search(xyz, side):
+        first, second = dimension._cell_pairs(xyz, side)[3:]
+        got = list(zip(first.tolist(), second.tolist()))
+        assert len(got) == len(set(got))
+        want = helpers.offset_cell_pairs(xyz, side)
+        assert set(got) == set(zip(*(w.tolist() for w in want)))
+        assert len(got) > 0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("spans", [None, (2**21 - 1, 2**21, 2**21), (2**21 + 1, 2**21, 2**21)],
+                             ids=["small", "below-2^63", "above-2^63"])
+    def test_row_search_matches_offset_search(self, seed, spans):
+        self._assert_offset_search(self._cells(seed, spans).astype(float), 1.0)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_row_search_on_python_int_keys(self, seed):
+        for delta in (1e-6, dimension._MIN_DELTA):
+            self._assert_offset_search(_wide_key_sample(seed, delta).xyz, delta / math.sqrt(3.0))
+
 
 class TestCubeKeys:
     """`_cube_keys`, filled in passes, against `_cell_keys` on the whole
@@ -571,7 +591,7 @@ class TestJoin:
         root = np.arange(n)
         dimension._join(root, first, second)
         assert root.tolist() == _all_pairs_join(n, first, second)
-        # from a joined start, as after the seeding
+        # from a joined start, as after the triage's hits
         more = rng.integers(0, n, (2, m // 2))
         dimension._join(root, *more)
         want = _all_pairs_join(n, np.concatenate([first, more[0]]),
@@ -798,6 +818,34 @@ class TestComponentTable:
         for pts in ([INF], [SpherePoint(0.3 + 0.1j)], []):
             self._check(sample_from_points(pts), self.UNSORTED)
 
+    @pytest.mark.parametrize("case", ["facing", "clustered"])
+    def test_one_component_stop(self, monkeypatch, case):
+        # the scales coarser than the first one-component scale never
+        # search for cube pairs: they take that component whole
+        if case == "facing":
+            sample = _facing_cells(-1e-13, np.random.default_rng(0))
+            scales = [0.5, 0.01, 2.0, _FACING_DELTA, 0.2]
+        else:
+            sample = _joined(_clustered_points(np.random.default_rng(0)),
+                             _facing_cells(1e-13, np.random.default_rng(0)))
+            scales = TestComponentsAgainstBruteForce.DELTAS + [4.0, 1.0, 2.0, 3.0]
+        want = [component_analysis(sample, delta) for delta in scales]
+        whole = min(delta for delta, (count, _) in zip(scales, want) if count == 1)
+        assert 0 < sum(count > 1 for count, _ in want) < len(scales) - 1
+        searched = []
+        cell_pairs = dimension._cell_pairs
+
+        def refuse_coarser(xyz, side):
+            searched.append(side)
+            if side > whole / math.sqrt(3.0):
+                raise AssertionError("a scale coarser than one component was searched")
+            return cell_pairs(xyz, side)
+
+        monkeypatch.setattr(dimension, "_cell_pairs", refuse_coarser)
+        got = component_table(sample, scales)
+        assert [(k, d.hex()) for k, d in got] == [(k, d.hex()) for k, d in want]
+        assert len(searched) == sum(delta <= whole for delta in scales)
+
     def test_default_level_two_sample(self):
         # every scale bit for bit, through box_dimension's own call
         config = RunConfig()
@@ -823,10 +871,11 @@ class TestPassBudget:
         for sample, scales in ((sample_limit_set(ball), default_scales()),
                                (clustered, TestComponentsAgainstBruteForce.DELTAS)):
             want = component_table(sample, scales)
-            with monkeypatch.context() as mp:
-                mp.setattr(_core, "PASS_BUDGET", 7)
-                got = component_table(sample, scales)
-            assert [(k, d.hex()) for k, d in got] == [(k, d.hex()) for k, d in want]
+            for budget in (1, 7, 64):
+                with monkeypatch.context() as mp:
+                    mp.setattr(_core, "PASS_BUDGET", budget)
+                    got = component_table(sample, scales)
+                assert [(k, d.hex()) for k, d in got] == [(k, d.hex()) for k, d in want], budget
 
     def test_sample_is_the_same_at_any_budget(self, monkeypatch):
         # fixed points in passes of the budget, on a ball with a row the

@@ -250,7 +250,8 @@ def _outcome(select, rows, axes, radius, window=None):
     """The candidates' bits, or the error the selection raised."""
     try:
         return _candidate_bits(select(np.array(rows, dtype=np.complex128).reshape(-1, 4),
-                                      axes, radius, _IDENT, window or _closed_window(radius)))
+                                      helpers.axis_columns(axes), radius, _IDENT,
+                                      window or _closed_window(radius)))
     except ValueError as exc:  # a NaN endpoint has no key
         return repr(exc)
 
@@ -310,12 +311,14 @@ class TestLiftSieve:
         for rows, kinds in (([one, half], ["gamma", "boundary", "gamma"]),
                             ([half, one], ["gamma", "boundary", "boundary"])):
             _assert_same_selection(rows, axes, 25.0)
-            got = growth._select_lifts(np.array(rows, dtype=np.complex128), axes, 25.0,
-                                       _IDENT, _closed_window(25.0))
+            got = growth._select_lifts(np.array(rows, dtype=np.complex128),
+                                       helpers.axis_columns(axes), 25.0, _IDENT,
+                                       _closed_window(25.0))
             assert got.kind.tolist() == kinds
         same = {"gamma": (1.0, -1.0), "boundary": (-1.0, 1.0)}
-        got = growth._select_lifts(np.array([one], dtype=np.complex128), same, 25.0,
-                                   _IDENT, _closed_window(25.0))
+        got = growth._select_lifts(np.array([one], dtype=np.complex128),
+                                   helpers.axis_columns(same), 25.0, _IDENT,
+                                   _closed_window(25.0))
         assert got.kind.tolist() == ["gamma"]
         _assert_same_selection([one], same, 25.0)
 
@@ -416,7 +419,8 @@ class TestImageEndpoints:
     def _assert_matches_scalar(rows, zs):
         mats = np.array(rows, dtype=np.complex128).reshape(-1, 4)
         for z in zs:
-            vals, defined = growth._image_endpoints(mats, z)
+            vals, defined = growth._image_endpoints(mats, 0.0 if z is None else z,
+                                                    z is not None)
             TestImageEndpoints._assert_rows_match(mats, [z] * len(mats), vals, defined)
 
     @staticmethod
@@ -459,6 +463,7 @@ class TestImageEndpoints:
         surface = helpers.surface_for(1, 3.0)
         radius = 4.5 * helpers.r_achieved_for(1, 3.0)
         _, gens, axes = growth._entry_frame(surface, _entry(surface, entry))
+        axes = helpers.axis_pairs(axes)
         cap = radius + 1.0 + max(helpers.base_distance(*ends) for ends in axes.values())
         ball = enumerate_ball(gens, BallLimit(max_displacement=cap, max_count=200_000))
         assert 500 < len(ball) < 20_000
@@ -540,7 +545,7 @@ class TestLiftsModuloEntryAxis:
         surface = helpers.surface_for(1, 3.0)
         got, lift_ball = growth._lift_candidates(surface, _entry(surface, kind), radius,
                                                  200_000)
-        _, _, axes = growth._entry_frame(surface, _entry(surface, kind))
+        axes = helpers.axis_pairs(growth._entry_frame(surface, _entry(surface, kind))[2])
         cap = 2.0 * radius + 1.5 + max(helpers.base_distance(*e) for e in axes.values())
         want, ball = _selection_over_ball(surface, kind, radius, cap, 2_000_000)
         assert not ball.truncated and not lift_ball.truncated
@@ -572,7 +577,7 @@ class TestLiftsModuloEntryAxis:
         entry = _entry(surface, kind)
         got, _ = growth._lift_candidates(surface, entry, radius, 200_000)
         got = helpers.lift_rows(got)
-        frame, _, axes = growth._entry_frame(surface, entry)
+        axes = helpers.axis_pairs(growth._entry_frame(surface, entry)[2])
         ell = entry.translation_length()
 
         def framed(c):
@@ -608,7 +613,7 @@ class TestLiftBallRecord:
         radius = 4.5 * helpers.r_achieved_for(1, 3.0)
         entry = surface.boundary_matrix()
         _, rec = growth._lift_candidates(surface, entry, radius, 200_000)
-        _, _, axes = growth._entry_frame(surface, entry)
+        axes = helpers.axis_pairs(growth._entry_frame(surface, entry)[2])
         assert rec.cap == radius + 1.0 + max(helpers.base_distance(*e) for e in axes.values())
         assert not rec.truncated and rec.complete_radius == rec.cap
         # the band claims the whole cap, yet the ball lacks the inverses
