@@ -29,7 +29,6 @@ class LimitSample:
     infinite: np.ndarray  # (n,) bool
     xyz: np.ndarray  # (n, 3) unit-sphere coordinates
     skipped: int = 0  # non-loxodromic elements passed over
-    scalar_rows: int = 0  # elements the kernel left to MoebiusMap
 
     @property
     def count(self):
@@ -145,20 +144,17 @@ def sample_limit_set(ball, cap=100_000):
     earlier kept point.  The scan stops once `cap` points are kept, so
     `skipped` counts only the non-loxodromic elements before the cap-th
     kept point (none when cap <= 0).  The fixed points come from
-    `_core.attracting_points` on `ball.mats`, bit for bit as
-    `MoebiusMap.fixed_points` gives them.
+    `_core.attracting_points` on `ball.mats`.
     """
     lengths = ball.words.lengths
     n = len(lengths)
     order = np.argsort(-lengths, kind="stable")
     lox, infinite = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
     z = np.empty(n, dtype=np.complex128)
-    scalar_rows = 0
     # in passes of the pass budget; the kernels decide row by row
     for s in range(0, n, _core.PASS_BUDGET):
         part = slice(s, s + _core.PASS_BUDGET)
-        lox[part], z[part], infinite[part], scalar = _core.attracting_points(ball.mats[order[part]])
-        scalar_rows += scalar
+        lox[part], z[part], infinite[part] = _core.attracting_points(ball.mats[order[part]])
     del order
     rows = np.flatnonzero(lox)
     xyz = np.empty((len(rows), 3))
@@ -172,8 +168,7 @@ def sample_limit_set(ball, cap=100_000):
         end = int(rows[keep[-1]]) if cap > 0 else 0
     kept = rows[keep]
     return LimitSample(z=z[kept], infinite=infinite[kept], xyz=xyz[keep],
-                       skipped=end - int(np.count_nonzero(lox[:end])),
-                       scalar_rows=scalar_rows)
+                       skipped=end - int(np.count_nonzero(lox[:end])))
 
 
 def merge_samples(a, b):
@@ -182,7 +177,7 @@ def merge_samples(a, b):
     The points of a, then those of b, go through `_first_by_key`'s rule:
     a point is dropped when either of its keys belongs to an earlier kept
     point.  A sample built by this rule keeps all its points, so b adds
-    the points a lacks.  `skipped` and `scalar_rows` add up.  Limit sets
+    the points a lacks.  `skipped` adds up.  Limit sets
     of nested groups are nested, so accumulating sample points across
     truncation levels keeps the sampled sets nested too, which the
     box-count comparison across levels relies on.
@@ -191,8 +186,7 @@ def merge_samples(a, b):
     keep = _first_by_key(xyz)
     return LimitSample(z=np.concatenate([a.z, b.z])[keep],
                        infinite=np.concatenate([a.infinite, b.infinite])[keep],
-                       xyz=xyz[keep], skipped=a.skipped + b.skipped,
-                       scalar_rows=a.scalar_rows + b.scalar_rows)
+                       xyz=xyz[keep], skipped=a.skipped + b.skipped)
 
 
 def sample_from_points(points):
@@ -230,13 +224,14 @@ def default_scales(n=10):
 def _box_counts(sample, scales):
     """Occupied chordal-grid cells of side delta / sqrt(8) at each delta of
     `scales`, in their order, across the two stereographic charts: z
-    where |z| <= 1, 1/z elsewhere (0 at infinity).  Each point's chart
-    and its w in that chart are computed once for the sample; each scale
+    where |z| <= 1, 1/z elsewhere (0 at infinity), 1/z rounded as
+    CPython's complex division (`_core.c_quot`).  Each point's chart and
+    its w in that chart are computed once for the sample; each scale
     bins them and counts the distinct `_cell_keys` of (chart, x, y)."""
     if sample.count == 0:
         return [0] * len(scales)
     z = sample.z
-    outer = sample.infinite | (np.hypot(z.real, z.imag) > 1.0)
+    outer = sample.infinite | (_core.cabs(z) > 1.0)
     wr, wi = _core.c_quot(1.0, 0.0, z.real, z.imag)
     w = np.stack([np.where(sample.infinite, 0.0, np.where(outer, wr, z.real)),
                   np.where(sample.infinite, 0.0, np.where(outer, wi, z.imag))])
@@ -728,18 +723,19 @@ def _components_at(sample, delta, finer):
     label = np.cumsum(root == np.arange(len(root))) - 1
     comp = label[root][cell_of]
     del cell_of
-    # members of each component in ascending point index
-    by_comp = np.argsort(comp, kind="stable")
     sizes = np.bincount(comp)
     begins = np.cumsum(sizes) - sizes
+    # members of each component in ascending point index: one component
+    # is the points in their own order, neither sorted nor copied
+    by_comp = np.argsort(comp, kind="stable") if len(sizes) > 1 else None
     diams = np.where(sizes > 1, np.nan, 0.0)
     if finer is not None:
         finer_comp, finer_sizes, finer_diams = finer
         # the finer component of each component's first point
-        head = finer_comp[by_comp[begins]]
+        head = finer_comp[begins if by_comp is None else by_comp[begins]]
         same = sizes == finer_sizes[head]
         diams[same] = finer_diams[head[same]]
-    grouped = xyz[by_comp]
+    grouped = xyz if by_comp is None else xyz[by_comp]
     del by_comp
     box = np.maximum.reduceat(grouped, begins) - np.minimum.reduceat(grouped, begins)
     # a diameter never exceeds its bounding box's diagonal; the margin

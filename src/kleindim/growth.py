@@ -175,24 +175,21 @@ def _image_endpoints(mats, z, finite):
 
     `mats` holds one row per endpoint, or one (1, 4) row for all; `z` is
     one endpoint, or one per row, with `finite` False where it is inf.
-    The arithmetic replays CPython's complex arithmetic, bit for bit but
-    for the sign of a NaN.  Where the quotient divides by zero (c, or
-    c z + d, is 0 and its threshold 0 or NaN) the value is NaN."""
+    The arithmetic is NumPy's complex arithmetic (`_core`'s rule), z
+    being real, so that its products round as real ones.  Where the
+    quotient divides by zero (c, or c z + d, is 0 and its threshold 0 or
+    NaN) the value is inf or NaN."""
     one = np.ndim(finite) == 0
-    (ar, ai), (br, bi), (cr, ci), (dr, di) = ((mats[:, k].real, mats[:, k].imag)
-                                              for k in range(4))
+    a, b, c, d = (mats[:, k] for k in range(4))
     with np.errstate(all="ignore"):
         if not (one and finite):
-            at_inf, _ = _core.c_quot(ar, ai, cr, ci)
-            at_inf_ok = ~(np.hypot(cr, ci) < 1e-14 * np.hypot(ar, ai))
+            at_inf = (a / c).real
+            at_inf_ok = ~(_core.cabs(c) < 1e-14 * _core.cabs(a))
             if one:
                 return at_inf, at_inf_ok
-        # a float in a complex product is promoted to (z + 0j)
-        nr, ni = _core.c_prod(ar, ai, z, 0.0)
-        er, ei = _core.c_prod(cr, ci, z, 0.0)
-        er, ei = er + dr, ei + di
-        ok = ~(np.hypot(er, ei) < 1e-12 * ((np.hypot(nr, ni) + np.hypot(br, bi)) + 1.0))
-        vals, _ = _core.c_quot(nr + br, ni + bi, er, ei)
+        az, den = a * z, c * z + d
+        ok = ~(_core.cabs(den) < 1e-12 * ((_core.cabs(az) + _core.cabs(b)) + 1.0))
+        vals = ((az + b) / den).real
     if one:
         return vals, ok
     return np.where(finite, vals, at_inf), np.where(finite, ok, at_inf_ok)

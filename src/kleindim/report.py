@@ -312,7 +312,7 @@ def render_limit_set(sample, resolution, path):
     if sample.count == 0:
         raise NumericError("empty sample")
     zs = np.where(sample.infinite, complex(1e9, 0.0), sample.z)
-    finite = np.abs(zs) < 1e8
+    finite = np.hypot(zs.real, zs.imag) < 1e8
     if not finite.any():
         raise NumericError("no sample point in the primary chart")
     zs = zs[finite]

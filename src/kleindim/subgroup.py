@@ -254,7 +254,7 @@ def _gram(mats):
     re = ((ar * br + ai * bi) + cr * dr) + ci * di
     im = ((ar * bi - ai * br) + cr * di) - ci * dr
     tr = x00 + x11
-    det = np.abs(mats[:, 0] * mats[:, 3] - mats[:, 1] * mats[:, 2])
+    det = _core.cabs(_core.cmul(mats[:, 0], mats[:, 3]) - _core.cmul(mats[:, 1], mats[:, 2]))
     # ad - bc errs by less than 3 u (|a d| + |b c|) + 1.5 u |ad - bc| <= 3 u tr
     slack = _SIEVE_ROUNDING * tr
     return x00, x11, re, im, tr, np.maximum(det - slack, 0.0), det + slack
@@ -271,7 +271,7 @@ def _beyond_band(frontier, gterms, band):
     S = tr G tr H, u = 2^-53 and d_lo, d_hi `_gram`'s bounds on |det|
     (|det h*| = |det h|, tr(h h*) = tr(h* h)):
     - the computed tr(G H) and the computed product's squared norm both
-      lie within 25 u S of T (Gram terms and `_core._products`; these
+      lie within 25 u S of T (Gram terms and `_core.expand`; these
       bounds and _gram's on |det| hold in any order of summation, so for
       H's terms taken from h* too);
     - the product's computed determinant lies within 6.4 u sqrt(T S) of
@@ -755,7 +755,8 @@ def enumerate_ball(gens, limit, sigma_values=None, presentation=None):
                              parents[new] * ncols + cols[new], appended[new - start])
                 if len(dups):
                     a, b = store.matrices(hits[dups - start]), prods[rows[dups]]
-                    drift = np.minimum(np.abs(a - b).max(axis=1), np.abs(a + b).max(axis=1))
+                    drift = np.minimum(_core.cabs(a - b).max(axis=1),
+                                       _core.cabs(a + b).max(axis=1))
                     collisions += int(np.count_nonzero(drift > _COLLISION_TOL))
                 truncated = n_in_ball >= max_count or store.n >= 4 * max_count
                 if truncated:

@@ -140,8 +140,9 @@ def relator_word(rep):
 # -- scalar oracles of the limit-set sampling layer --------------------
 #
 # The one-object-at-a-time loops that dimension.sample_limit_set,
-# merge_samples and _box_count replaced; the array code must reproduce
-# them bit for bit.
+# merge_samples and _box_count replaced, each fixed point from
+# _core.attracting_points on its row alone; the array code must
+# reproduce them bit for bit.
 
 def scalar_xyz(z):
     """Unit-sphere embedding of a complex number, or of infinity (None)."""
@@ -188,12 +189,11 @@ def scalar_sample_limit_set(ball, cap=100_000):
     for i in ordered:
         if len(pts) >= cap:
             break
-        a, b, c, d = ball.mats[i]
-        m = MoebiusMap(a, b, c, d, _normalized=True)
-        if not m.is_loxodromic():
+        lox, z, infinite = (v[0] for v in _core.attracting_points(ball.mats[i:i + 1]))
+        if not lox:
             skipped += 1
             continue
-        att, _ = m.fixed_points()
+        att = SpherePoint(complex(z), infinite=infinite)
         xyz = scalar_xyz(None if att.infinite else att.z)
         key0, key1 = _dedup_keys(xyz)
         if key0 in seen or key1 in seen:
@@ -302,63 +302,12 @@ def search_missing_inverses(ball):
     return len(missing), float(ball.disps[missing].min()) if len(missing) else None
 
 
-# -- oracle of the enumeration kernel ----------------------------------
-#
-# The kernel _core.expand and _core.fix_sign replaced: einsum products,
-# then det renormalization and the sign fix on every row.  Ball
-# enumeration must give the same bytes with either.
-
-def canonicalize(mats):
-    """In place: renormalize to det 1 and fix the sign representative."""
-    det = mats[:, 0] * mats[:, 3] - mats[:, 1] * mats[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mats /= np.sqrt(det)[:, None]
-    absval = np.abs(mats)
-    big = absval > moebius.PIVOT_TOL
-    pivot_idx = np.argmax(big, axis=1)
-    pivot = mats[np.arange(len(mats)), pivot_idx]
-    papb = np.abs(pivot)
-    re, im = pivot.real, pivot.imag
-    re_zero = np.abs(re) <= moebius.REAL_TOL * papb
-    with np.errstate(invalid="ignore"):
-        flip = np.where(re_zero, im < 0.0, re < 0.0)
-        mats[flip] *= -1.0
-    return mats
-
-
-def einsum_products(frontier, gens):
-    return np.einsum("nab,kbc->nkac", frontier.reshape(-1, 2, 2),
-                     gens.reshape(-1, 2, 2)).reshape(-1, 4)
-
-
-def einsum_expand(frontier, gens):
-    """All products frontier[i] @ gens[j], canonicalized, j fastest."""
-    return canonicalize(einsum_products(frontier, gens))
-
-
-def outer_pairs(frontier, gens):
-    """The rows (frontier[i], gens[j]) of every product, j fastest, as the
-    two operands of a paired product."""
-    return np.repeat(frontier, len(gens), axis=0), np.tile(gens, (len(frontier), 1))
-
-
-def einsum_expand_pairs(left, right):
-    """The products left[i] @ right[i], canonicalized: einsum_expand of
-    the rows of left that share each right operand."""
-    out = np.empty_like(left)
-    gens, inverse = np.unique(right, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    for k in range(len(gens)):
-        at = np.flatnonzero(inverse == k)
-        out[at] = einsum_expand(left[at], gens[k:k + 1])
-    return out
-
-
 # -- reference orbit ball -----------------------------------------------
 #
 # subgroup.enumerate_ball as its docstring and BallResult's describe it,
 # one row at a time: every reduced word's product is formed, in (word
-# length, lexicographic) order, with no sieve and no passes.  Its rows
+# length, lexicographic) order, with no sieve and no passes, a row's
+# children by _core.expand and _core.fix_sign of that row alone.  Its rows
 # must come out as the enumeration's, field for field.
 
 def reference_ball(gens, limit, sigma_values=None, presentation=None):
@@ -395,7 +344,8 @@ def reference_ball(gens, limit, sigma_values=None, presentation=None):
         depth += 1
         new_layer = []
         for i in layer:
-            children = einsum_expand(mats[i][None], garr)
+            children = _core.fix_sign(_core.expand(np.repeat(mats[i][None], 2 * n, axis=0),
+                                                   garr))
             disp_of = _core.displacements(children)
             for j in range(2 * n):
                 if spelled[i] and letters[j] == -spelled[i][-1]:
@@ -410,7 +360,7 @@ def reference_ball(gens, limit, sigma_values=None, presentation=None):
                 form = presentation.multiply(key[i], (letters[j],)) if presentation else word
                 if form in forms:
                     hit = mats[forms[form]]
-                    drift = min(np.abs(hit - row).max(), np.abs(hit + row).max())
+                    drift = min(_core.cabs(hit - row).max(), _core.cabs(hit + row).max())
                     collisions += int(drift > 1e-6)
                     continue
                 forms[form] = len(mats)
@@ -451,9 +401,10 @@ def reference_ball(gens, limit, sigma_values=None, presentation=None):
 # -- oracles of the strata tree ----------------------------------------
 #
 # The scalar code that growth._select_lifts, build_strata_tree and
-# leaf_count_check replaced: one lift, node or chain mask at a time.  The
-# array code must give the same lifts, nodes and rows, in the same order,
-# with the same bytes.
+# leaf_count_check replaced: one lift, node or chain mask at a time, each
+# product one row of _core.compose and each image endpoint in NumPy's
+# complex arithmetic on one row.  The array code must give the same
+# lifts, nodes and rows, in the same order, with the same bytes.
 
 @dataclasses.dataclass
 class StrataNode:
@@ -505,13 +456,26 @@ def base_distance(e1, e2):
     return math.asinh(num / den)
 
 def image_endpoint(m, z):
-    """Image of a real endpoint (None = inf) under a real Moebius map."""
-    if z is None:
-        return None if abs(m.c) < 1e-14 * abs(m.a) else (m.a / m.c).real
-    den = m.c * z + m.d
-    if abs(den) < 1e-12 * (abs(m.a * z) + abs(m.b) + 1.0):
-        return None
-    return ((m.a * z + m.b) / den).real
+    """Image of a real endpoint (None = inf) under a real Moebius map, in
+    NumPy's complex arithmetic on the map's entries, as
+    growth._image_endpoints rounds it."""
+    a, b, c, d = (np.complex128(x) for x in m.entries())
+    with np.errstate(all="ignore"):
+        if z is None:
+            return None if abs(c) < 1e-14 * abs(a) else float((a / c).real)
+        den = c * z + d
+        if abs(den) < 1e-12 * (abs(a * z) + abs(b) + 1.0):
+            return None
+        return float(((a * z + b) / den).real)
+
+
+def compose_maps(*maps):
+    """The product of `maps`, left to right, a step at a time, each step
+    one row of _core.compose."""
+    row = np.array([maps[0].entries()])
+    for m in maps[1:]:
+        row = _core.compose(row, np.array([m.entries()]))
+    return MoebiusMap(*row[0].tolist(), _normalized=True)
 
 
 def vertical_gap(u, v):
@@ -603,15 +567,15 @@ def scalar_lift_candidates(mats, axes, radius, frame_inv, window):
                 continue
             seen.add(key)
             ends = (image_endpoint(frame_inv, u), image_endpoint(frame_inv, v))
-            out.append(SimpleNamespace(m=m, w=m.conjugate_by(frame_inv), kind=kind,
-                                       gap=gap, ends=ends))
+            out.append(SimpleNamespace(m=m, w=compose_maps(frame_inv, m, frame_inv.inverse()),
+                                       kind=kind, gap=gap, ends=ends))
     return as_lifts(out)
 
 
 def scalar_strata_tree(rep, radius, max_depth=4, max_elements=200_000):
     """growth.build_strata_tree as the depth-first walk it ran one node at
-    a time: a stack of (parent, depth, lift, d), MoebiusMap frames and
-    the depth-1 dedup as each node is popped."""
+    a time: a stack of (parent, depth, lift, d), frames by compose_maps
+    and the depth-1 dedup as each node is popped."""
     surface = rep.surface
     t_real = solve_stable_letter(surface, rotation=0.0)
     cands, lift_balls = {}, {}
@@ -641,10 +605,10 @@ def scalar_strata_tree(rep, radius, max_depth=4, max_elements=200_000):
                 continue
             seen_depth1.add(key)
         if cand.kind == "gamma":
-            frame = parent_frame @ cand.w @ t_real
+            frame = compose_maps(parent_frame, cand.w, t_real)
             child_entry = "boundary"
         else:
-            frame = parent_frame @ cand.w @ t_real.inverse()
+            frame = compose_maps(parent_frame, cand.w, t_real.inverse())
             child_entry = "gamma"
         idx = len(nodes)
         nodes.append(StrataNode(parent=parent_idx, depth=depth, d=d,

@@ -12,23 +12,33 @@ numbers are compared to a relative tolerance of REL_TOL (strings and
 booleans exactly), the digests are not compared, and a warning says so:
 another libm or NumPy may round the last bit differently.
 
+The same run, made again in a subprocess with every SIMD feature NumPy
+dispatches on disabled (NPY_DISABLE_CPU_FEATURES), must write the same
+bytes: NumPy picks its loops by the CPU, and the report must not depend
+on which (`_core`'s arithmetic rule).
+
 A change that moves report bytes on purpose rewrites the copies with
 
     PYTHONPATH=src python tests/test_report_bytes.py
 
-and explains each changed field.
+and explains each changed field.  `python tests/test_report_bytes.py OUT`
+writes the run into OUT instead.
 """
 
 import hashlib
 import json
 import math
+import os
 import platform
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy._core import _multiarray_umath
 
 from kleindim import report
 
@@ -117,6 +127,22 @@ def test_report_matches_pinned_copy(run):
         warnings.warn(f"report compared {how}")
 
 
+def test_report_does_not_depend_on_simd_paths(run, tmp_path):
+    features = " ".join(_multiarray_umath.__cpu_dispatch__)
+    if not features:
+        pytest.skip("this NumPy dispatches no SIMD features")
+    package = str(Path(report.__file__).resolve().parents[1])
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=features,
+               PYTHONPATH=os.pathsep.join([package, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, __file__, str(tmp_path)], env=env, check=True)
+    diffs = _differences(_report(run), _report(tmp_path), True, "report.json")
+    assert not diffs, "with the SIMD paths off:\n" + "\n".join(diffs)
+    for name in CSVS:
+        assert (tmp_path / name).read_bytes() == (run / name).read_bytes(), name
+    for name in DIGESTED:
+        assert _digest(tmp_path / name) == _digest(run / name), name
+
+
 def _write_copies():
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
@@ -132,4 +158,7 @@ def _write_copies():
 
 
 if __name__ == "__main__":
-    _write_copies()
+    if len(sys.argv) > 1:
+        _run(Path(sys.argv[1]))
+    else:
+        _write_copies()

@@ -231,7 +231,7 @@ class TestEnumerateBall:
             assert s == pytest.approx(math.log(3.0), abs=1e-9)
 
 
-# -- the enumeration kernel against its einsum oracle --------------------
+# -- the enumeration kernel against a sign fix of every row --------------
 
 def _truncation(key, m):
     # a sample ball of the full run at a 10k element budget, cut by its
@@ -269,11 +269,12 @@ ORACLE_BALLS = {
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_BALLS))
-def test_kernel_matches_einsum_oracle(monkeypatch, name):
+def test_kernel_matches_sign_fix_of_every_row(monkeypatch, name):
     # expand without a sign fix, then fix_sign on the kept rows, gives the
-    # ball that einsum and a sign fix of every row gave
+    # ball that a sign fix of every product gives
     got = ORACLE_BALLS[name]()
-    monkeypatch.setattr(_core, "expand", helpers.einsum_expand_pairs)
+    expand = _core.expand
+    monkeypatch.setattr(_core, "expand", lambda left, right: _core.fix_sign(expand(left, right)))
     want = ORACLE_BALLS[name]()
     assert len(got) > 1000
     for field in ("mats", "disps", "sigmas"):
@@ -961,7 +962,8 @@ def test_band_sieve_never_drops_a_row_the_exact_path_keeps():
     gterms = subgroup._gram(np.conj(gens[:, [0, 2, 1, 3]]))
     far = subgroup._beyond_band(frontier, gterms, band).ravel()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        prods = _core.expand(*helpers.outer_pairs(frontier, gens))
+        prods = _core.expand(np.repeat(frontier, len(gens), axis=0),
+                             np.tile(gens, (len(frontier), 1)))
         disps = _core.displacements(prods)
     finite = np.isfinite(prods).all(axis=1)
     assert not (far & ~(finite & (disps > band))).any()
