@@ -87,11 +87,17 @@ def _sign_flips(mats):
     """The det-1 rows of `mats` whose sign representative is their
     negative, by the sign rule of moebius._canonical_sign and its
     PIVOT_TOL and REAL_TOL.  A det-1 row has an entry above PIVOT_TOL,
-    where _canonical_sign finds its pivot."""
-    # the first entry with modulus above the pivot threshold
-    pivot = mats[np.arange(len(mats)), np.argmax(cabs(mats) > PIVOT_TOL, axis=1)]
+    where _canonical_sign finds its pivot: its first such entry, most
+    often a, so only the other rows look at all four."""
+    pivot = mats[:, 0].copy()
+    size = cabs(pivot)
+    other = np.flatnonzero(~(size > PIVOT_TOL))
+    if len(other):
+        rest = mats[other]
+        pivot[other] = rest[np.arange(len(other)), np.argmax(cabs(rest) > PIVOT_TOL, axis=1)]
+        size[other] = cabs(pivot[other])
     re, im = pivot.real, pivot.imag
-    re_zero = np.abs(re) <= REAL_TOL * cabs(pivot)
+    re_zero = np.abs(re) <= REAL_TOL * size
     with np.errstate(invalid="ignore"):
         return np.where(re_zero, im < 0.0, re < 0.0)
 

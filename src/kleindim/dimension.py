@@ -496,17 +496,17 @@ def _cell_pairs(xyz, side):
     """Occupied cubes of side `side` and the pairs of them at most 2
     apart on every axis, each unordered pair once.
 
-    Returns (order, cell_of, counts, first, second): the points in cube
-    order, the cube index of each point (cubes in lexicographic order),
-    the points per cube, and the two cubes of each neighbouring pair,
-    first[k] < second[k].  The cubes' `_cube_keys` are sorted once,
-    stably, so `order` is also np.argsort(cell_of, kind="stable"), and
-    the cubes, their counts and cell_of are read off the runs of equal
-    keys.  The neighbours after a cube lie in 13 rows of cubes, steps
-    (a, b) >= (0, 0) on the first two axes, at steps c in [-2, 2] on the
-    third ([1, 2] in the cube's own row).  Every axis is padded by 2, so
-    they are consecutive keys of that row, and one search per row finds
-    both ends of the run, int64 and Python-int keys alike.
+    Returns (order, counts, first, second): the points in cube order
+    (cubes in lexicographic order), the points per cube, and the two
+    cubes of each neighbouring pair, first[k] < second[k].  The cubes'
+    `_cube_keys` are sorted once, stably, so each cube's points are in
+    ascending order, and the cubes and their counts are read off the
+    runs of equal keys: point order[k] lies in the cube whose run holds
+    position k.  The neighbours after a cube lie in 13 rows of cubes,
+    steps (a, b) >= (0, 0) on the first two axes, at steps c in [-2, 2]
+    on the third ([1, 2] in the cube's own row).  Every axis is padded
+    by 2, so they are consecutive keys of that row, and one search per
+    row finds both ends of the run, int64 and Python-int keys alike.
     """
     keys, strides = _cube_keys(xyz, side)
     order = np.argsort(keys, kind="stable")
@@ -517,12 +517,7 @@ def _cell_pairs(xyz, side):
     occupied = keys[new]
     del keys
     counts = np.diff(np.append(np.flatnonzero(new), len(new)))
-    ranks = np.cumsum(new, dtype=np.int64)
     del new
-    ranks -= 1
-    cell_of = np.empty(len(ranks), dtype=np.int64)
-    cell_of[order] = ranks
-    del ranks
     cubes = np.arange(len(occupied))
     first, second = [], []
     for a, b in _HALF_ROWS:
@@ -531,7 +526,7 @@ def _cell_pairs(xyz, side):
         size = hi - lo
         first.append(np.repeat(cubes, size))
         second.append(np.arange(int(size.sum())) + np.repeat(lo - (np.cumsum(size) - size), size))
-    return order, cell_of, counts, np.concatenate(first), np.concatenate(second)
+    return order, counts, np.concatenate(first), np.concatenate(second)
 
 
 def _triage(pts, starts, first, second, dot_needed):
@@ -697,11 +692,10 @@ def _components_at(sample, delta, finer):
     if finer is not None and len(finer[1]) == 1:
         return (1, float(finer[2][0])), finer
     xyz = sample.xyz
-    order, cell_of, counts, first, second = _cell_pairs(xyz, delta / math.sqrt(3.0))
+    order, counts, first, second = _cell_pairs(xyz, delta / math.sqrt(3.0))
     starts = np.cumsum(counts) - counts
     dot_needed = 1.0 - delta * delta / 2.0
     pts = xyz[order]
-    del order
     hit, miss = _triage(pts, starts, first, second, dot_needed)
     root = np.arange(len(counts))
     _join(root, first[hit], second[hit])
@@ -721,8 +715,9 @@ def _components_at(sample, delta, finer):
 
     # components numbered by their least cube, each class's root
     label = np.cumsum(root == np.arange(len(root))) - 1
-    comp = label[root][cell_of]
-    del cell_of
+    comp = np.empty(len(order), dtype=label.dtype)
+    comp[order] = np.repeat(label[root], counts)
+    del order
     sizes = np.bincount(comp)
     begins = np.cumsum(sizes) - sizes
     # members of each component in ascending point index: one component

@@ -48,6 +48,11 @@ class HnnPresentation:
         # (u, u^-1, image, image^-1)
         self._through = {1: (a1, a1_inv, w, w_inv), -1: (w, w_inv, a1, a1_inv)}
         self._stable = {e: _encode((e * self.stable_letter,)) for e in (1, -1)}
+        # the suffixes of a form after which _times_stable(nf, e) may do
+        # more than append tau^e
+        self._rewriting = {e: (self._stable[-e], fwd[-((len(fwd) + 1) // 2):],
+                               back[-(len(back) // 2 + 1):])
+                           for e, (fwd, back, _, _) in self._through.items()}
 
     def identity(self):
         return b""
@@ -59,9 +64,7 @@ class HnnPresentation:
         of u and u^-1, where the coset rewrite starts."""
         if abs(letter) != self.stable_letter:
             return _LETTER[_OFFSET - letter]
-        e = 1 if letter > 0 else -1
-        fwd, back = self._through[e][:2]
-        return self._stable[-e] + fwd[-1:] + back[-1:]
+        return bytes(tail[-1] for tail in self._rewriting[1 if letter > 0 else -1])
 
     def normal_form(self, word):
         return self.multiply(b"", word)
@@ -78,6 +81,14 @@ class HnnPresentation:
         return nf
 
     def _times_stable(self, nf, e):
+        """Normal form of nf tau^e.  The last syllable g = rep u^k moves a
+        copy of u past tau^e (`_left_coset_rep`) only when it ends with at
+        least half a copy of u or more than half a copy of u^-1, its last
+        ceil(n/2) or floor(n/2) + 1 bytes (n = |u|), and tau^e pinches only
+        after tau^-e; after any other form, the empty one too, the product
+        is nf followed by tau^e."""
+        if not nf.endswith(self._rewriting[e]):
+            return nf + self._stable[e]
         p = max(nf.rfind(self._stable[1]), nf.rfind(self._stable[-1]))
         fwd, back, image, image_inv = self._through[e]
         rep, k = _left_coset_rep(nf[p + 1:], fwd, back)

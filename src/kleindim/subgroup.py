@@ -45,7 +45,7 @@ _SIEVE_MARGIN = 1e-9
 # a matrix whose tr G lies outside this range is never dropped, so no term
 # of the bounds overflows or underflows
 _SIEVE_RANGE = (1e-100, 1e100)
-# bits per storable row of _FormIndex's Bloom filter of appended forms
+# bits per storable row of _FormIndex's Bloom filter of stored forms
 _BLOOM_BITS_PER_ROW = 8
 # rows that a store and each new layer hold before they first grow
 _FIRST_ROWS = 1024
@@ -433,14 +433,16 @@ class _Store:
         """The `Words` of the stored elements `keep` (ascending), and their
         gradings.  The trie's rows are the rows of `keep` and those that
         prefix them, numbered in store order, each with its parent's number
-        and its column.  A row's word length and grading are its parent's
-        plus one and plus its column's grade, `grades[column]`, summed a
-        layer at a time."""
+        and its column, found by walking up the links from `keep` with no
+        sort: each step marks the rows it reaches and goes on from those
+        not yet marked, a parent of several once per child.  A row's word
+        length and grading are its parent's plus one and plus its
+        column's grade, `grades[column]`, summed a layer at a time."""
         need = np.zeros(self.n, dtype=bool)
         front = keep
         while len(front):
             need[front] = True
-            up = np.unique(self.links[front] // self.ncols)
+            up = self.links[front] // self.ncols
             front = up[(up >= 0) & ~need[up]]
         rows = np.flatnonzero(need)
         number = np.cumsum(need, dtype=np.int32) - 1
@@ -486,16 +488,22 @@ class _FormIndex:
     ancestor holds the longest proper prefix of the form that `rewritten`
     has, and R* is reached from it by taking, byte by byte, the child at
     that byte's column, each one appended.  `_Store.links` ascends, so
-    each step is one search.  A Bloom filter of the stored appended forms
-    (3 bits in one 64-bit word per `_form_hashes` value) picks the
-    rewritten rows to walk; the walk confirms every positive, so the
-    filter never decides alone.
+    each step is one search.
+
+    A Bloom filter of every stored form, appended, rewritten and the
+    root's (3 bits in one 64-bit word per `_form_hashes` value), and the
+    hashes of the step itself pick the rows that may repeat: a row can
+    equal a stored row only if the filter may hold its hash, and a row of
+    its step only if the two share a hash.  Only those rows are compared
+    exactly, so neither the filter nor a hash decides alone.
 
     Whether `multiply` is needed is read off the parent form's last byte:
     the presentation's `rewriting_bytes(letter)` names the last bytes
-    after which `multiply` may do more than append the letter's image, so
-    `multiply` is called only for those rows, and every other row's form,
-    the root's children's too, is its parent's form and that image.
+    after which `multiply` may do more than append the letter's image.
+    Of those, a one-byte image b after the byte 256 - b cancels it, and
+    the form is the parent's without its last byte; `multiply` is called
+    only for the others, and every other row's form, the root's
+    children's too, is its parent's form and that image.
 
     The index keeps no row position and no grading: its frontier is the
     store's, rows [store.lo, store.hi), and gradings, like word lengths,
@@ -512,11 +520,17 @@ class _FormIndex:
         # the column of each one-byte image, -1 for every other byte
         self.column = np.full(256, -1, dtype=np.int64)
         self.column[[im[0] for im in self.images if len(im) == 1]] = np.flatnonzero(self.single)
+        # the last byte of each image
+        self.tail = np.array([im[-1] for im in self.images], dtype=np.uint8)
         # whether multiply may do more than append column j's image to a
-        # form ending in byte b; the root's, b"", reads as _OFFSET
+        # form ending in byte b, and whether that image, one byte, cancels
+        # b; the root's, b"", reads as _OFFSET
         self.rewrites = np.zeros((256, len(letters)), dtype=bool)
-        for j, x in enumerate(letters):
+        self.cancels = np.zeros((256, len(letters)), dtype=bool)
+        for j, (x, image) in enumerate(zip(letters, self.images)):
             self.rewrites[list(presentation.rewriting_bytes(x)), j] = True
+            if len(image) == 1:
+                self.cancels[256 - image[0], j] = True
         self.rewritten = {root: 0}
         # the forms of the store's frontier, rows [store.lo, store.hi), and
         # of its next layer
@@ -527,6 +541,7 @@ class _FormIndex:
         # in 64-bit words; a form sets 3 bits of one word
         nbits = 1 << min(max((_BLOOM_BITS_PER_ROW * max_rows - 1).bit_length(), 6), 26)
         self.bloom = np.zeros(nbits // 64, dtype=np.uint64)
+        np.bitwise_or.at(self.bloom, *self._bits(_form_hashes([root])))
 
     def next_layer(self):
         self.frontier, self.next = self.next, []
@@ -539,49 +554,66 @@ class _FormIndex:
         -1 for a new element, and whether its form is appended.  A row of
         this step is numbered store.n + its rank among the new rows, so a
         row repeats an earlier row of its step exactly when the first
-        occurrence of its form lies before it.  The new rows are indexed
-        under those numbers before it returns, so the store must append
-        them, in order, before the next step is decided."""
+        occurrence of its form lies before it.  Only the rows that share
+        a hash with another row of the step or that the filter may hold
+        are compared, in ascending order: with the step's first
+        occurrences, with `rewritten`, and a rewritten row by a walk.  The
+        new rows are indexed under their numbers before it returns, so
+        the store must append them, in order, before the next step is
+        decided."""
         n = len(parents)
+        frontier, images, multiply = self.frontier, self.images, self.multiply
         at = parents - store.lo
-        pforms = [self.frontier[p] for p in at.tolist()]
-        steps, images, multiply = self.steps, self.images, self.multiply
-        maybe = np.flatnonzero(self.rewrites[self.last[at], cols])
-        appended = self.single[cols]
-        cols = cols.tolist()
-        forms = [f + images[c] for f, c in zip(pforms, cols)]
-        for i in maybe.tolist():
-            form = multiply(pforms[i], steps[cols[i]])
+        last = self.last[at]
+        at, columns = at.tolist(), cols.tolist()
+        forms = [frontier[p] + images[c] for p, c in zip(at, columns)]
+        # rows whose form is not their parent's and their image
+        changed = self.cancels[last, cols]
+        for i in np.flatnonzero(changed).tolist():
+            forms[i] = frontier[at[i]][:-1]
+        for i in np.flatnonzero(self.rewrites[last, cols] & ~changed).tolist():
+            form = multiply(frontier[at[i]], self.steps[columns[i]])
             if form != forms[i]:
                 forms[i] = form
-                appended[i] = False
-        # the first row of each form in the step
-        first = dict(zip(reversed(forms), range(n - 1, -1, -1)))
-        own = np.zeros(n, dtype=bool)
-        own[np.fromiter(first.values(), dtype=np.int64, count=len(first))] = True
-        later = np.flatnonzero(~own)
-        earlier = np.array([first[forms[i]] for i in later.tolist()], dtype=np.int64)
-        # the first rows whose form a kept rewritten row has
-        kept = list(first.keys() & self.rewritten.keys())
-        hits = np.full(n, -1, dtype=np.int64)
-        hits[[first[f] for f in kept]] = [self.rewritten[f] for f in kept]
+                changed[i] = True
+        appended = self.single[cols] & ~changed
         hashes = _form_hashes(forms)
-        probe = np.flatnonzero(own & ~appended & (hits < 0))
-        if len(probe):
-            probe = probe[self._maybe_stored(hashes[probe])]
-            hits[probe] = self._walk(store, [forms[i] for i in probe.tolist()], depth)
-        fresh = own & (hits < 0)
+        stored = self._maybe_stored(hashes)
+        # rows that share a hash with another row of the step
+        order = np.argsort(hashes)
+        same = hashes[order[1:]] == hashes[order[:-1]]
+        shared = np.zeros(n, dtype=bool)
+        shared[order[1:][same]] = shared[order[:-1][same]] = True
+        hits = np.full(n, -1, dtype=np.int64)
+        first, later, earlier, walk = {}, [], [], []
+        for i in np.flatnonzero(shared | stored).tolist():
+            form = forms[i]
+            j = first.setdefault(form, i)
+            if j < i:
+                later.append(i)
+                earlier.append(j)
+            elif stored[i]:
+                hits[i] = row = self.rewritten.get(form, -1)
+                if row < 0 and not appended[i]:
+                    walk.append(i)
+        if walk:
+            hits[walk] = self._walk(store, [forms[i] for i in walk], depth)
+        fresh = hits < 0
+        fresh[later] = False
         new_row = store.n + np.cumsum(fresh) - 1
         hits[later] = np.where(fresh[earlier], new_row[earlier], hits[earlier])
         new = np.flatnonzero(fresh)
         new_forms = [forms[i] for i in new.tolist()] if len(new) < n else forms
         self.next.extend(new_forms)
         # a new row's form is not the root's, so it has a last byte
-        self.next_last.append(np.frombuffer(b"".join([f[-1:] for f in new_forms]), dtype=np.uint8))
+        new_last = self.tail[cols[new]]
+        moved = np.flatnonzero(changed[new])
+        new_last[moved] = [new_forms[k][-1] for k in moved.tolist()]
+        self.next_last.append(new_last)
         rewritten = np.flatnonzero(fresh & ~appended)
         self.rewritten.update(zip([forms[i] for i in rewritten.tolist()],
                                   new_row[rewritten].tolist()))
-        np.bitwise_or.at(self.bloom, *self._bits(hashes[fresh & appended]))
+        np.bitwise_or.at(self.bloom, *self._bits(hashes[fresh]))
         return hits, appended
 
     def _bits(self, hashes):
@@ -637,7 +669,8 @@ def enumerate_ball(gens, limit, sigma_values=None, presentation=None):
     i + 1 and elements are keyed by the forms its `identity()` and
     `multiply(form, word)` give (`rewriting_bytes(letter)` names the last
     bytes of a form after which `multiply` may do more than append the
-    letter's image, `multiply(identity(), (letter,))`), so words that
+    letter's image, `multiply(identity(), (letter,))`, and a one-byte
+    image b after the byte 256 - b cancels that byte), so words that
     are equal in the group are merged however far their matrices have
     drifted apart.  The output
     order is (word length, lexicographic word).  `sigma_values[i]` is the
@@ -666,9 +699,11 @@ def enumerate_ball(gens, limit, sigma_values=None, presentation=None):
     the last row of a step or not in it, so no form past the cut is
     formed, and no numeric drop or collision after it is counted.
 
-    The identity keeps a form only where a later row can equal it, reads
-    the layer's position off the store and indexes each new row as it
-    decides it (`_FormIndex`).  Only the ball's rows and the two live
+    The identity keeps a form only where a later row can equal it,
+    compares exactly only the rows whose hash another row of their step
+    shares or a filter of the stored forms may hold, reads the layer's
+    position off the store and indexes each new row as it decides it
+    (`_FormIndex`).  Only the ball's rows and the two live
     layers keep a matrix (`_Store`); a duplicate of a retired band row has
     its matrix replayed for the collision check.  At the end the forms go,
     the last layer retires and the words become a prefix trie of the kept

@@ -667,6 +667,14 @@ def per_node_leaf_table(tree, r):
 
 # -- components ---------------------------------------------------------
 
+def cell_of(order, counts):
+    """The cube index of each point, from dimension._cell_pairs' points
+    in cube order and points per cube."""
+    out = np.empty(len(order), dtype=np.int64)
+    out[order] = np.repeat(np.arange(len(counts)), counts)
+    return out
+
+
 def offset_cell_pairs(xyz, side):
     """The neighbouring cube pairs as dimension._cell_pairs found them
     before its row search, one search per each of the 62 offsets in

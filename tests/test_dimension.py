@@ -383,7 +383,7 @@ class TestComponentsAgainstBruteForce:
             assert component_analysis(sample, delta) == _brute_components(sample.xyz, delta)
             # components are numbered by their least cube, each class's root
             count, labels = _brute_labels(sample.xyz, delta)
-            cube = dimension._cell_pairs(sample.xyz, delta / math.sqrt(3.0))[1]
+            cube = helpers.cell_of(*dimension._cell_pairs(sample.xyz, delta / math.sqrt(3.0))[:2])
             least = np.full(count, len(cube))
             np.minimum.at(least, labels, cube)
             comp = dimension._components_at(sample, delta, None)[1][0]
@@ -505,7 +505,8 @@ class TestCellKeys:
         assert dimension._cell_keys(cells.T)[0].dtype == dtype
         # integer coordinates are their own cubes of side 1
         assert dimension._cube_keys(cells.astype(float), 1.0)[0].dtype == dtype
-        order, cell_of, counts, first, second = dimension._cell_pairs(cells.astype(float), 1.0)
+        order, counts, first, second = dimension._cell_pairs(cells.astype(float), 1.0)
+        cell_of = helpers.cell_of(order, counts)
         assert order.tolist() == np.argsort(cell_of, kind="stable").tolist()
         points = list(map(tuple, cells.tolist()))
         occupied, pairs = _oracle_cell_pairs(points)
@@ -523,7 +524,7 @@ class TestCellKeys:
 
     @staticmethod
     def _assert_offset_search(xyz, side):
-        first, second = dimension._cell_pairs(xyz, side)[3:]
+        first, second = dimension._cell_pairs(xyz, side)[2:]
         got = list(zip(first.tolist(), second.tolist()))
         assert len(got) == len(set(got))
         want = helpers.offset_cell_pairs(xyz, side)
@@ -555,7 +556,8 @@ class TestCubeKeys:
         monkeypatch.setattr(_core, "PASS_BUDGET", 7)
         keys, strides = dimension._cube_keys(xyz, side)
         assert keys.tolist() == want[0].tolist() and strides == want[1]
-        order, cell_of, counts, first, second = dimension._cell_pairs(xyz, side)
+        order, counts, first, second = dimension._cell_pairs(xyz, side)
+        cell_of = helpers.cell_of(order, counts)
         occupied, inverse, tally = np.unique(want[0], return_inverse=True, return_counts=True)
         assert cell_of.tolist() == inverse.tolist()
         assert counts.tolist() == tally.tolist()

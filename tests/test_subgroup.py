@@ -1,8 +1,10 @@
 """Unit tests for grading, truncated generators, and ball enumeration."""
 
 import cmath
+import copy
 import functools
 import math
+import random
 import sys
 import weakref
 from collections import Counter
@@ -15,7 +17,7 @@ from kleindim import _core, growth, hnn, subgroup
 from kleindim.moebius import MoebiusMap
 from kleindim.report import RunConfig, truncation_ball
 from kleindim.subgroup import BallLimit, FreeForms, enumerate_ball, truncated_generators
-from kleindim.words import evaluate_word, free_reduce, surface_boundary_word
+from kleindim.words import evaluate_word, free_reduce, surface_boundary_word, word_inverse
 
 
 def _schottky_pair():
@@ -599,12 +601,18 @@ def _identity_branches(monkeypatch):
     return seen
 
 
+@functools.cache
+def _identity_reference(name):
+    gens, limit, kwargs = IDENTITY_BALLS[name][0]()
+    return helpers.reference_ball(gens, limit, **kwargs)
+
+
 @pytest.mark.parametrize("name", sorted(IDENTITY_BALLS))
 def test_identity_branches_match_reference(monkeypatch, name):
     # each way a duplicate is found gives the row-by-row reference's ball
     make, branches = IDENTITY_BALLS[name]
     gens, limit, kwargs = make()
-    want = helpers.reference_ball(gens, limit, **kwargs)
+    want = _identity_reference(name)
     seen = _identity_branches(monkeypatch)
     for budget in (_core.PASS_BUDGET, 7):
         monkeypatch.setattr(_core, "PASS_BUDGET", budget)
@@ -623,13 +631,14 @@ def test_multiply_appends_after_every_other_byte(name):
     # letter, it appends that image, so _FormIndex.decide calls it only
     # after the named bytes.  A free basis letter's image is its byte, and
     # FreeForms names one byte for every letter, the one cancelling the
-    # head of its image
+    # head of its image.  A one-byte image b after the byte 256 - b
+    # cancels it, which decide spells without multiply
     gens, limit, kwargs = REFERENCE_BALLS[name]()
     pres = kwargs["presentation"]
     ball = enumerate_ball(gens, limit, **kwargs)
     forms = {pres.multiply(pres.identity(), w) for w in ball.words}
     letters = [x for j in range(1, len(gens) + 1) for x in (j, -j)]
-    appended = rewritten = longer = 0
+    appended = rewritten = longer = cancelled = 0
     for x in letters:
         image = pres.multiply(pres.identity(), (x,))
         flagged = set(pres.rewriting_bytes(x))
@@ -644,8 +653,132 @@ def test_multiply_appends_after_every_other_byte(name):
                 longer += len(image) > 1
             elif pres.multiply(form, (x,)) != form + image:
                 rewritten += 1
-    assert appended > rewritten > 0
+            if len(image) == 1 and form[-1:] == bytes([256 - image[0]]):
+                assert pres.multiply(form, (x,)) == form[:-1], (form, x)
+                cancelled += 1
+    assert appended > rewritten > cancelled > 0
     assert (longer > 0) == isinstance(pres, FreeForms)
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_stable_letter_appends_unless_the_coset_rewrite_can_act(genus):
+    # _times_stable appends tau^e at once after a form that ends in none of
+    # tau^-e, the last ceil(n/2) bytes of u and the last floor(n/2) + 1 of
+    # u^-1; on every form of the genus-2 reference ball and on seeded
+    # random normal forms, many ending in part of a power of u or u^-1,
+    # it gives what the coset rewrite, forced on every form, gives
+    if genus == 2:
+        gens, limit, kwargs = REFERENCE_BALLS["extension-2-4-R9-capped"]()
+        pres = kwargs["presentation"]
+    else:
+        pres = hnn.HnnPresentation(genus, surface_boundary_word(genus))
+    full = copy.copy(pres)
+    full._rewriting = {1: (b"",), -1: (b"",)}  # every form ends with b""
+    forms = set()
+    if genus == 2:
+        forms.update(full.normal_form(w) for w in enumerate_ball(gens, limit, **kwargs).words)
+    rng = random.Random(genus)
+    tau = pres.stable_letter
+    letters = [x for j in range(1, tau + 1) for x in (j, -j)]
+    for _ in range(3000):
+        word = [rng.choice(letters) for _ in range(rng.randrange(10))]
+        power = rng.choice([(1,), surface_boundary_word(genus)]) * 3
+        power = power if rng.random() < 0.5 else word_inverse(power)
+        forms.add(full.normal_form(free_reduce(word + list(power[rng.randrange(len(power)):]))))
+    early = rewrites = 0
+    for form in forms:
+        for e in (1, -1):
+            got = pres._times_stable(form, e)
+            assert got == full._times_stable(form, e), (form, e)
+            early += not form.endswith(pres._rewriting[e])
+            rewrites += got != form + pres._stable[e]
+    assert min(early, rewrites) > 1000, (early, rewrites)
+
+
+@pytest.mark.parametrize("name", ["forms-1-3-m2-capped", "forms-3-3-m1-capped",
+                                  "extension-2-4-R9-capped"])
+def test_decide_multiplies_only_rows_it_cannot_spell(monkeypatch, name):
+    # a row is spelled without multiply when its parent form does not end
+    # in a rewriting byte of its letter (its parent's form and its image),
+    # and when its one-byte image b follows the byte 256 - b (the parent's
+    # form without that byte): decide calls multiply once for each other
+    # row and for no more
+    gens, limit, kwargs = REFERENCE_BALLS[name]()
+    pres = kwargs["presentation"]
+    calls = []
+    multiply = type(pres).multiply
+
+    def counted(presentation, nf, word):
+        calls.append((nf, word))
+        return multiply(presentation, nf, word)
+
+    due, made = [], []
+    decide = subgroup._FormIndex.decide
+
+    def checked(index, store, parents, cols, depth):
+        flagged = [set(pres.rewriting_bytes(x)) for (x,) in index.steps]
+        for p, c in zip(parents.tolist(), cols.tolist()):
+            form, image = index.frontier[p - store.lo], index.images[c]
+            last = form[-1] if form else None
+            due.append(last in flagged[c] and not (len(image) == 1 and last == 256 - image[0]))
+        start = len(calls)
+        out = decide(index, store, parents, cols, depth)
+        made.extend(calls[start:])
+        return out
+
+    monkeypatch.setattr(type(pres), "multiply", counted)
+    monkeypatch.setattr(subgroup._FormIndex, "decide", checked)
+    enumerate_ball(gens, limit, **kwargs)
+    assert 0 < len(made) == sum(due) < len(due)
+    assert all(len(word) == 1 for _, word in made)
+
+
+def _colliding_hashes(forms):
+    """One hash for all forms of one length and last byte: the rows of a
+    step share hashes, and the filter passes forms that were never
+    stored."""
+    return np.array([len(f) << 8 | f[-1] if f else 0 for f in forms], dtype=np.uint64)
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_BALLS))
+def test_colliding_hashes_give_the_reference_ball(monkeypatch, name):
+    # a row that shares its hash with another row of its step, or that
+    # the filter passes, is compared exactly: distinct forms under one
+    # hash and filter positives of new forms leave every field as the
+    # row-by-row reference has it.  At a budget of 7 a pass expands one
+    # row, whose children rarely share a length and a last byte
+    gens, limit, kwargs = IDENTITY_BALLS[name][0]()
+    want = _identity_reference(name)
+    shared, passed, repeats = [], [], []
+
+    def colliding(forms):
+        hashes = _colliding_hashes(forms)
+        shared.append(len(set(forms)) - len(set(hashes.tolist())))
+        return hashes
+
+    maybe_stored, decide = subgroup._FormIndex._maybe_stored, subgroup._FormIndex.decide
+
+    def probed(index, hashes):
+        out = maybe_stored(index, hashes)
+        passed.append(int(np.count_nonzero(out)))
+        return out
+
+    def counted(index, *args):
+        hits, appended = decide(index, *args)
+        repeats.append(int(np.count_nonzero(hits >= 0)))
+        return hits, appended
+
+    monkeypatch.setattr(subgroup, "_form_hashes", colliding)
+    monkeypatch.setattr(subgroup._FormIndex, "_maybe_stored", probed)
+    monkeypatch.setattr(subgroup._FormIndex, "decide", counted)
+    for budget in (_core.PASS_BUDGET, 7):
+        monkeypatch.setattr(_core, "PASS_BUDGET", budget)
+        got = enumerate_ball(gens, limit, **kwargs)
+        for field in BALL_FIELDS:
+            assert _field_bytes(got, field) == _field_bytes(want, field), (budget, field)
+        assert sum(passed) > 10 * sum(repeats) > 0
+        passed.clear(), repeats.clear()
+    assert sum(shared) > 1000
 
 
 @pytest.mark.parametrize("name", sorted(IDENTITY_BALLS))
